@@ -1,18 +1,27 @@
 """Irreducible decomposition, associated primes, and minimal primes.
 
-The decomposition uses the classical splitting recursion: while some
-generator factors into two coprime non-unit parts v and w, the ideal is
-the intersection of (L + <v>) and (L + <w>); once every generator is a
-pure variable power the ideal is irreducible.  Redundant components are
-removed at the end by pairwise containment, which suffices because an
-irreducible monomial ideal Q is intersection-prime: if no component is
-contained in Q, picking one monomial per component outside Q gives an
-lcm that lies in the intersection but keeps every exponent on supp(Q)
-strictly below Q's, so the intersection is not inside Q either.
+An irreducible monomial ideal is stored as a corner vector b, standing
+for (x_i^{b_i} : b_i < top), where the integer top exceeds every input
+exponent and means "no generator in x_i".  A monomial m lies in the
+component of b iff m_i >= b_i for some i, and the component of b lies
+inside that of c iff c <= b componentwise.
+
+Generators are added one at a time to the single corner (top, ..., top)
+of the zero ideal.  A component Q that contains the new generator m
+stays; otherwise Q + (m) is the intersection over i in supp(m) of
+Q + (x_i^{m_i}), the corner with b_i lowered to m_i.  New corners that
+another corner dominates componentwise are dropped, so the components
+stay pairwise incomparable (a kept corner is never dominated by a new
+one, which lies below some other old corner).  That is irredundancy: an
+irreducible monomial ideal Q is intersection-prime, since if no
+component lies in Q, one monomial per component outside Q has an lcm in
+the intersection whose exponents on supp(Q) stay below Q's.  The
+irredundant decomposition is unique, so generator order does not matter.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import le
 
 from .errors import ImproperIdealError, InternalError
 from .ideals import (
@@ -20,13 +29,9 @@ from .ideals import (
     PrimeSupport,
     colon_monomial,
     from_exps,
-    intersect_all,
-    sum_ideals,
+    minimal_exps,
 )
-from .rings import canonical_key
-
-_DECOMP_CACHE_LIMIT = 200_000
-_decomp_cache: dict[MonomialIdeal, frozenset[MonomialIdeal]] = {}
+from .rings import canonical_key, lcm_exp
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,55 +49,26 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
-def _split(a: MonomialIdeal):
-    """The first generator (canonical order) with support size >= 2, split
-    as its first variable's pure power times the rest; None if irreducible."""
-    for g in a.gens:
-        support = [i for i, e in enumerate(g.exp) if e]
-        if len(support) >= 2:
-            i = support[0]
-            v = tuple(e if j == i else 0 for j, e in enumerate(g.exp))
-            w = tuple(0 if j == i else e for j, e in enumerate(g.exp))
-            ring = a.ring
-            return (
-                sum_ideals(a, from_exps(ring, [v])),
-                sum_ideals(a, from_exps(ring, [w])),
-            )
-    return None
-
-
-def _decompose(a: MonomialIdeal) -> frozenset[MonomialIdeal]:
-    """All leaves of the splitting recursion (possibly redundant).
-
-    Iterative post-order with a shared memo keyed by canonical generator
-    sets; the memo is a pure cache and never changes results.
-    """
-    if len(_decomp_cache) > _DECOMP_CACHE_LIMIT:
-        _decomp_cache.clear()
-    stack = [a]
-    while stack:
-        cur = stack[-1]
-        if cur in _decomp_cache:
-            stack.pop()
-            continue
-        split = _split(cur)
-        if split is None:
-            _decomp_cache[cur] = frozenset((cur,))
-            stack.pop()
-            continue
-        left, right = split
-        pending = [s for s in (left, right) if s not in _decomp_cache]
-        if pending:
-            stack.extend(pending)
-        else:
-            _decomp_cache[cur] = _decomp_cache[left] | _decomp_cache[right]
-            stack.pop()
-    return _decomp_cache[a]
-
-
-def _radical_support(q: MonomialIdeal) -> PrimeSupport:
-    indices = sorted(next(i for i, e in enumerate(g.exp) if e) for g in q.gens)
-    return PrimeSupport(q.ring, tuple(indices))
+def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
+    """The corners of the irredundant irreducible decomposition of the
+    ideal generated by gens (every exponent below top)."""
+    corners = [(top,) * len(gens[0])]
+    for m in gens:
+        support = [i for i, e in enumerate(m) if e]
+        kept = []
+        new = set()
+        for b in corners:
+            if any(map(le, b, m)):
+                kept.append(b)
+            else:
+                for i in support:
+                    new.add(b[:i] + (m[i],) + b[i + 1:])
+        # Sorted by decreasing degree, only earlier corners can dominate.
+        for c in sorted(new, key=sum, reverse=True):
+            if not any(all(map(le, c, d)) for d in kept):
+                kept.append(c)
+        corners = kept
+    return corners
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
@@ -101,15 +77,28 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     The intersection equality is re-checked exactly on every call.
     """
     _require_proper_nonzero(a)
-    leaves = sorted(_decompose(a), key=lambda q: tuple(canonical_key(e) for e in q.exps()))
-    kept = [
-        q
-        for q in leaves
-        if not any(other is not q and q.contains_ideal(other) for other in leaves)
+    gens = a.exps()
+    n = a.ring.nvars
+    top = max(map(max, gens)) + 1
+    corners = _corners(gens, top)
+    parts = [
+        [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top]
+        for b in corners
     ]
-    if intersect_all(kept, a.ring) != a:
+    meet = ((0,) * n,)
+    for exps in parts:
+        meet = minimal_exps(lcm_exp(u, v) for u in meet for v in exps)
+    if meet != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
-    return tuple(IrreducibleComponent(q, _radical_support(q)) for q in kept)
+    components = [
+        IrreducibleComponent(
+            from_exps(a.ring, exps),
+            PrimeSupport(a.ring, tuple(i for i, e in enumerate(b) if e < top)),
+        )
+        for b, exps in zip(corners, parts)
+    ]
+    components.sort(key=lambda c: tuple(canonical_key(e) for e in c.ideal.exps()))
+    return tuple(components)
 
 
 @lru_cache(maxsize=16384)

@@ -17,8 +17,8 @@ from math import lcm as int_lcm
 from typing import NamedTuple, Sequence
 
 from . import lp
-from .decomposition import associated_primes, minimal_primes
-from .errors import ImproperIdealError, InternalError, VidealError
+from .decomposition import _require_proper_nonzero, associated_primes, minimal_primes
+from .errors import InternalError, VidealError
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -101,12 +101,6 @@ def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> b
 
 def certificate_denominator_lcm(certificate: Sequence[Fraction]) -> int:
     return int_lcm(*(weight.denominator for weight in certificate))
-
-
-def _require_proper_nonzero(a: MonomialIdeal) -> None:
-    if not a.is_proper_nonzero():
-        kind = "zero" if a.is_zero() else "unit"
-        raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
 @lru_cache(maxsize=4096)

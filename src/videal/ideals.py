@@ -29,12 +29,16 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     The all-zeros vector (the monomial 1) divides everything, so its
     presence collapses the result to the unit ideal's generator set.
     """
-    uniq = sorted(set(exps), key=canonical_key)
     kept: list[tuple[int, ...]] = []
-    for e in uniq:
-        # Sorted by degree, so only already-kept vectors can divide e.
-        if not any(divides_exp(m, e) for m in kept):
+    for e in sorted(set(exps), key=sum):
+        # Sorted by degree, so only already-kept vectors can divide e: two
+        # distinct vectors of equal degree never divide each other.
+        for m in kept:
+            if divides_exp(m, e):
+                break
+        else:
             kept.append(e)
+    kept.sort(key=canonical_key)
     return tuple(kept)
 
 

@@ -9,7 +9,7 @@ output deterministic.
 """
 
 from dataclasses import dataclass
-from operator import add, le
+from operator import add, le, neg
 from typing import Iterator, Sequence
 
 from .errors import RingMismatchError, VidealError
@@ -146,7 +146,7 @@ def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
 def canonical_key(exp: tuple[int, ...]) -> tuple:
     """Sort key for the canonical monomial order: graded, then lex by the
     ring's variable order (higher power of an earlier variable first)."""
-    return (sum(exp), tuple(-e for e in exp))
+    return (sum(exp), tuple(map(neg, exp)))
 
 
 def degree(f: Monomial) -> int:

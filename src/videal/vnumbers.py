@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ImproperIdealError, NoWitnessError
-from .ideals import MonomialIdeal, PrimeSupport, colon_ideal, colon_monomial
-from .rings import Monomial, check_same_ring, monomials_up_to_degree
+from .ideals import MonomialIdeal, PrimeSupport, colon_monomial, minimal_exps
+from .rings import Monomial, check_same_ring, lcm_exp, monomials_up_to_degree, quot_exp
 
 CANDIDATE_GENERATOR = "candidate-generator"
 BRUTE_FORCE = "brute-force"
@@ -46,13 +46,21 @@ def brute_force_local_v(
 
 @lru_cache(maxsize=16384)
 def _candidate_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
-    target = p.as_ideal()
-    candidates = colon_ideal(a, target)
-    # Generators come out canonically sorted, so the first survivor is the
+    # a : p and the test a : f == p on raw exponent tuples.  a : x_i is
+    # a + (u / x_i : x_i divides u in G(a)), and monomial ideals form a
+    # distributive lattice, so a : p is a plus the intersection of the parts.
+    gens = a.exps()
+    n = a.ring.nvars
+    target = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in p.indices)
+    shared = None
+    for i, x in zip(p.indices, target):
+        b = minimal_exps(quot_exp(u, x) for u in gens if u[i])
+        shared = b if shared is None else minimal_exps(lcm_exp(u, v) for u in shared for v in b)
+    # Candidates come out canonically sorted, so the first survivor is the
     # minimum-degree witness with canonical tie-breaking.
-    for f in candidates.gens:
-        if colon_monomial(a, f) == target:
-            return VReport(f.degree, f, p, CANDIDATE_GENERATOR)
+    for f in minimal_exps(gens + shared):
+        if minimal_exps(quot_exp(u, f) for u in gens) == target:
+            return VReport(sum(f), Monomial(a.ring, f), p, CANDIDATE_GENERATOR)
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )

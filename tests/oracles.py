@@ -1,11 +1,12 @@
-"""Brute-force reference implementations used only by tests.
+"""Reference implementations used only by tests.
 
-Each oracle answers by direct enumeration of the defining condition, so
-it shares no code path with the operation it cross-checks.
+Each oracle answers by direct enumeration of the defining condition, or
+by an older algorithm the library replaced, so it shares no code path
+with the operation it cross-checks.
 """
 
-from videal.ideals import MonomialIdeal, as_prime, colon_monomial, from_exps
-from videal.rings import Monomial, mul, monomials_up_to_degree
+from videal.ideals import MonomialIdeal, as_prime, colon_monomial, from_exps, sum_ideals
+from videal.rings import Monomial, canonical_key, mul, monomials_up_to_degree
 
 
 def colon_members(
@@ -37,3 +38,32 @@ def same_ideal_up_to(a: MonomialIdeal, b: MonomialIdeal, deg_cap: int) -> bool:
         a.contains(f) == b.contains(f)
         for f in monomials_up_to_degree(a.ring, deg_cap)
     )
+
+
+def splitting_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
+    """The irredundant irreducible components of a proper nonzero ideal,
+    by the splitting recursion: while some generator factors into coprime
+    non-unit parts v and w, a is the intersection of a + (v) and a + (w).
+    The leaves are irreducible; redundant ones (containing another leaf)
+    are dropped by pairwise containment.  Sorted like the components of
+    irreducible_decomposition."""
+    leaves = set()
+    stack = [a]
+    while stack:
+        cur = stack.pop()
+        for g in cur.gens:
+            support = [i for i, e in enumerate(g.exp) if e]
+            if len(support) >= 2:
+                i = support[0]
+                v = tuple(e if j == i else 0 for j, e in enumerate(g.exp))
+                w = tuple(0 if j == i else e for j, e in enumerate(g.exp))
+                stack.append(sum_ideals(cur, from_exps(cur.ring, [v])))
+                stack.append(sum_ideals(cur, from_exps(cur.ring, [w])))
+                break
+        else:
+            leaves.add(cur)
+    kept = [
+        q for q in leaves
+        if not any(other != q and q.contains_ideal(other) for other in leaves)
+    ]
+    return tuple(sorted(kept, key=lambda q: tuple(canonical_key(e) for e in q.exps())))

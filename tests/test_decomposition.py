@@ -2,17 +2,21 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import small_ideals
-from oracles import brute_force_ass
+from oracles import brute_force_ass, splitting_decomposition
+from videal import decomposition
 from videal.decomposition import (
     associated_primes,
     irreducible_decomposition,
     minimal_primes,
 )
-from videal.errors import ImproperIdealError
+from videal.errors import ImproperIdealError, InternalError
 from videal.ideals import (
+    PrimeSupport,
     colon_monomial,
+    from_exps,
     ideal,
     intersect_all,
+    power,
     prime_support,
     unit_ideal,
     zero_ideal,
@@ -127,3 +131,34 @@ def test_min_inside_ass_and_covering(a):
     assert set(mins) <= set(ass)
     for p in ass:
         assert any(p.contains_prime(q) for q in mins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(max_vars=4, max_exp=3, max_gens=6))
+def test_decomposition_matches_splitting_oracle(a):
+    expected = splitting_decomposition(a)
+    components = irreducible_decomposition(a)
+    assert tuple(c.ideal for c in components) == expected
+    radicals = [
+        PrimeSupport(a.ring, tuple(sorted(next(i for i, e in enumerate(g.exp) if e) for g in q.gens)))
+        for q in expected
+    ]
+    assert [c.prime for c in components] == radicals
+    assert associated_primes(a) == tuple(sorted(set(radicals), key=lambda p: p.indices))
+
+
+def test_cube_of_four_generators_in_eight_variables():
+    ring = make_ring("S", [f"x{n}" for n in range(8)])
+    a = power(from_exps(ring, [(1, 1, 0, 0, 2, 0, 1, 0), (0, 2, 1, 1, 0, 0, 0, 1),
+                               (1, 0, 2, 0, 0, 1, 1, 1), (0, 0, 0, 2, 1, 2, 0, 1)]), 3)
+    assert len(irreducible_decomposition(a)) == 229
+    assert len(associated_primes(a)) == 48
+
+
+def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
+    a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=2, z=1), mono(R3, x=2, z=2)])
+    assert len(irreducible_decomposition(a)) > 1
+    corners = decomposition._corners
+    monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
+    with pytest.raises(InternalError, match="does not intersect back"):
+        irreducible_decomposition(a)
