@@ -58,7 +58,6 @@ from .ideals import (
     intersect,
     is_squarefree,
     localize,
-    minimalize,
     power,
     prime_support,
     product,

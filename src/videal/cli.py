@@ -113,17 +113,12 @@ class _Runner:
         self.lines: list[str] = []
         self.unequal = False
 
-    def emit(self, text: str, obj: dict) -> None:
+    def emit(self, obj: dict, *text: str) -> None:
+        """One JSON line for obj in JSON mode, else the given text lines."""
         if self.fmt == "json":
             self.lines.append(json.dumps(obj, sort_keys=True))
         else:
-            self.lines.append(text)
-
-    def emit_lines(self, text_lines: list[str], obj: dict) -> None:
-        if self.fmt == "json":
-            self.lines.append(json.dumps(obj, sort_keys=True))
-        else:
-            self.lines.extend(text_lines)
+            self.lines.extend(text)
 
     def run(self) -> int:
         for command in self.session.commands:
@@ -153,7 +148,7 @@ class _Runner:
         ideal = self.ideal_arg(cmd)
         obj = self.base(cmd)
         obj["result"] = _gens_list(ideal)
-        self.emit(f"G({cmd.ideals[0]}) = {ideal}", obj)
+        self.emit(obj, f"G({cmd.ideals[0]}) = {ideal}")
 
     def cmd_colon(self, cmd: Command) -> None:
         ideal = self.ideal_arg(cmd)
@@ -165,21 +160,21 @@ class _Runner:
             divisor = cmd.ideals[1]
         obj = self.base(cmd)
         obj["result"] = _gens_list(result)
-        self.emit(f"{cmd.ideals[0]} : {divisor} = {result}", obj)
+        self.emit(obj, f"{cmd.ideals[0]} : {divisor} = {result}")
 
     def cmd_ass(self, cmd: Command) -> None:
         primes = associated_primes(self.ideal_arg(cmd))
         obj = self.base(cmd)
         obj["result"] = [_prime_list(p) for p in primes]
         text = ", ".join(str(p) for p in primes)
-        self.emit(f"Ass({cmd.ideals[0]}) = {{ {text} }}", obj)
+        self.emit(obj, f"Ass({cmd.ideals[0]}) = {{ {text} }}")
 
     def cmd_min(self, cmd: Command) -> None:
         primes = minimal_primes(self.ideal_arg(cmd))
         obj = self.base(cmd)
         obj["result"] = [_prime_list(p) for p in primes]
         text = ", ".join(str(p) for p in primes)
-        self.emit(f"Min({cmd.ideals[0]}) = {{ {text} }}", obj)
+        self.emit(obj, f"Min({cmd.ideals[0]}) = {{ {text} }}")
 
     def cmd_irrdec(self, cmd: Command) -> None:
         components = irreducible_decomposition(self.ideal_arg(cmd))
@@ -189,7 +184,7 @@ class _Runner:
             for c in components
         ]
         text = ", ".join(str(c.ideal) for c in components)
-        self.emit(f"irrdec({cmd.ideals[0]}) = [{text}]", obj)
+        self.emit(obj, f"irrdec({cmd.ideals[0]}) = [{text}]")
 
     def cmd_vnum(self, cmd: Command) -> None:
         report = v_number(self.ideal_arg(cmd))
@@ -201,24 +196,22 @@ class _Runner:
             "method": report.method,
         }
         self.emit(
+            obj,
             f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
             f"witness = {report.witness}",
-            obj,
         )
 
     def cmd_power(self, cmd: Command) -> None:
         result = power(self.ideal_arg(cmd), cmd.k)
         obj = self.base(cmd)
         obj["result"] = _gens_list(result)
-        self.emit(f"{cmd.ideals[0]}^{cmd.k} = {result}", obj)
+        self.emit(obj, f"{cmd.ideals[0]}^{cmd.k} = {result}")
 
     def cmd_symb(self, cmd: Command) -> None:
         result = filtration_member(cmd.kind, self.ideal_arg(cmd), cmd.k)
         obj = self.base(cmd)
         obj["result"] = _gens_list(result)
-        self.emit(
-            f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}", obj
-        )
+        self.emit(obj, f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}")
 
     def cmd_intclos(self, cmd: Command) -> None:
         k = cmd.k if cmd.k is not None else 1
@@ -226,7 +219,7 @@ class _Runner:
         obj = self.base(cmd)
         obj["k"] = k
         obj["result"] = _gens_list(result)
-        self.emit(f"closure({cmd.ideals[0]}^{k}) = {result}", obj)
+        self.emit(obj, f"closure({cmd.ideals[0]}^{k}) = {result}")
 
     def cmd_ntf(self, cmd: Command) -> None:
         k = cmd.k if cmd.k is not None else DEFAULT_NTF_K
@@ -235,7 +228,7 @@ class _Runner:
         obj["k"] = k
         obj["result"] = {"normally_torsion_free": result, "k_max": k}
         self.emit(
-            f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {k})", obj
+            obj, f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {k})"
         )
 
     def cmd_check_property(self, cmd: Command) -> None:
@@ -254,20 +247,15 @@ class _Runner:
         if not report.passed:
             self.unequal = True
         self.emit(
+            obj,
             f"check-property kind={cmd.kind.value} k={cmd.k} cap={cap} "
             f"{cmd.ideals[0]}: {len(report.witnesses)} witnesses, "
             f"{len(report.violations)} violations, "
             f"{'PASS' if report.passed else 'FAIL'}",
-            obj,
         )
 
-    def _disjoint_pair(self, cmd: Command) -> tuple[MonomialIdeal, MonomialIdeal]:
-        i = self.ideal_arg(cmd, 0)
-        j = self.ideal_arg(cmd, 1)
-        return i, j
-
     def cmd_verify_expansion(self, cmd: Command) -> None:
-        i, j = self._disjoint_pair(cmd)
+        i, j = self.ideal_arg(cmd, 0), self.ideal_arg(cmd, 1)
         report = verify_expansion(cmd.kind, i, j, cmd.k)
         obj = self.base(cmd)
         obj["report"] = {
@@ -283,17 +271,17 @@ class _Runner:
             f"{cmd.ideals[0]} {cmd.ideals[1]}"
         )
         if report.expansion_holds:
-            self.emit(f"{label}: HOLDS", obj)
+            self.emit(obj, f"{label}: HOLDS")
         else:
             witnesses = ", ".join(str(m) for m in report.mismatch_witnesses)
             self.emit(
+                obj,
                 f"{label}: FAILS; direct = {report.direct}; "
                 f"expanded = {report.expanded}; witnesses = [{witnesses}]",
-                obj,
             )
 
     def cmd_verify_theorem(self, cmd: Command) -> None:
-        i, j = self._disjoint_pair(cmd)
+        i, j = self.ideal_arg(cmd, 0), self.ideal_arg(cmd, 1)
         report = verify_theorem(cmd.kind, i, j, cmd.k)
         obj = self.base(cmd)
         obj["report"] = _theorem_json(report)
@@ -303,7 +291,7 @@ class _Runner:
             f"verify-theorem kind={cmd.kind.value} k={cmd.k} "
             f"{cmd.ideals[0]} {cmd.ideals[1]}"
         )
-        self.emit_lines(_theorem_text(report, label), obj)
+        self.emit(obj, *_theorem_text(report, label))
 
 
 def run_session(session: Session, fmt: str, deg_cap: int) -> tuple[int, list[str]]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
 
-from .errors import ImproperIdealError, InternalError
+from .errors import ImproperIdealError, InternalError, NoWitnessError
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -118,7 +118,7 @@ def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     for p in primes:
         try:
             report = local_v(a, p)
-        except Exception as exc:
+        except NoWitnessError as exc:
             raise InternalError(f"no colon witness for {p} in Ass({a})") from exc
         if colon_monomial(a, report.witness) != p.as_ideal():
             raise InternalError(f"witness certification failed for {p} in Ass({a})")

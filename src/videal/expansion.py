@@ -14,8 +14,8 @@ from .decomposition import associated_primes
 from .errors import ImproperIdealError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
-from .rings import Monomial, Ring, embed_exp, embedding, join_rings, mul_exp
-from .vnumbers import VReport, local_v
+from .rings import Monomial, Ring, canonical_key, embed_exp, embedding, join_rings, mul_exp
+from .vnumbers import local_v, v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -92,7 +92,7 @@ def verify_expansion(
         for g in expanded.gens:
             if not direct.contains(g):
                 witnesses.append(g)
-        witnesses.sort(key=lambda m: (m.degree, tuple(-e for e in m.exp)))
+        witnesses.sort(key=lambda m: canonical_key(m.exp))
         witnesses = witnesses[:10]
     return ExpansionReport(kind, k, holds, direct, expanded, tuple(witnesses))
 
@@ -223,22 +223,16 @@ def verify_theorem(
     findings: list[str] = []
     if not expansion.expansion_holds:
         findings.append("binomial expansion fails; the min-formula hypothesis is unmet")
-    best_direct: VReport | None = None
     for prime in associated_primes(direct):
-        report = local_v(direct, prime)
-        if best_direct is None or (report.degree, prime.indices) < (
-            best_direct.degree,
-            best_direct.prime.indices,
-        ):
-            best_direct = report
         p, q = _split_prime(prime, i.ring, j.ring)
         if p is None or q is None:
             non_mixed.append(prime)
             findings.append(f"non-mixed associated prime {prime}")
             continue
+        report = local_v(direct, prime)
         rhs = theorem_rhs(kind, i, j, k, p, q)
         rows.append(TheoremRow(prime, p, q, report.degree, report.witness, rhs))
-    assert best_direct is not None
+    best_direct = v_number(direct)
     formula_values = [row.rhs.value for row in rows if row.rhs is not None]
     v_formula = min(formula_values) if formula_values else None
     if v_formula is not None and best_direct.degree < v_formula:

@@ -25,7 +25,7 @@ from .ideals import (
     as_prime,
     colon_monomial,
     from_exps,
-    intersect,
+    intersect_all,
     is_squarefree,
     localize,
     power,
@@ -175,10 +175,7 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
             else minimal_primes(a)
         )
         pk = power(a, k)
-        result = unit_ideal(a.ring)
-        for p in primes:
-            result = intersect(result, localize(pk, p))
-        return result
+        return intersect_all((localize(pk, p) for p in primes), a.ring)
     if kind is FiltrationKind.INTEGRAL_CLOSURE:
         return integral_closure(power(a, k))
     raise VidealError(f"unknown filtration kind {kind!r}")

@@ -1,10 +1,13 @@
 """Monomial ideals with canonical minimal generating sets.
 
-Every constructor minimalizes eagerly, so two ideals are equal exactly
-when their generator tuples are identical.  Generators are kept in the
-canonical graded-lex order and always form an antichain under
-divisibility.  The zero ideal has no generators; the unit ideal is
-generated by 1.
+A MonomialIdeal stores its ring and the exponent tuples of its minimal
+generators, and nothing else.  Every constructor drops non-minimal
+generators eagerly, so two ideals are equal exactly when their rings and
+exponent tuples are identical.  The tuples are kept in the canonical
+graded-lex order and always form an antichain under divisibility.  The
+zero ideal has no generators; the unit ideal is generated by the
+all-zeros tuple (the monomial 1).  Monomial objects are built only on
+request, by ``gens``.
 """
 
 from dataclasses import dataclass
@@ -44,46 +47,55 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
 
 @dataclass(frozen=True, slots=True)
 class MonomialIdeal:
-    """A monomial ideal, stored by its unique minimal generating set."""
+    """A monomial ideal: its ring and the canonical minimal exponent
+    tuples of its generators.
+
+    The constructor trusts the tuples to be minimal and canonically
+    sorted; ``from_exps`` and ``ideal`` establish that.
+    """
 
     ring: Ring
-    gens: tuple[Monomial, ...]
+    _exps: tuple[tuple[int, ...], ...]
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators as Monomials, in canonical order."""
+        return tuple(Monomial(self.ring, e) for e in self._exps)
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self._exps
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_one()
+        return len(self._exps) == 1 and not any(self._exps[0])
 
     def is_proper_nonzero(self) -> bool:
-        return bool(self.gens) and not self.is_unit()
+        return bool(self._exps) and not self.is_unit()
 
     def exps(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.exp for g in self.gens)
+        return self._exps
 
     def contains(self, f: Monomial) -> bool:
         """Membership: some minimal generator divides f."""
         check_same_ring(self, f)
         fe = f.exp
-        return any(divides_exp(g.exp, fe) for g in self.gens)
+        return any(divides_exp(u, fe) for u in self._exps)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff other is a subset of self (as sets of monomials)."""
         check_same_ring(self, other)
-        return all(self.contains(g) for g in other.gens)
+        return all(any(divides_exp(u, f) for u in self._exps) for f in other._exps)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
 
 def from_exps(ring: Ring, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
-    return MonomialIdeal(
-        ring, tuple(Monomial(ring, e) for e in minimal_exps(exps))
-    )
+    return MonomialIdeal(ring, minimal_exps(exps))
 
 
 def ideal(ring: Ring, gens: Iterable[Monomial]) -> MonomialIdeal:
-    """The ideal generated by the given monomials, minimalized."""
+    """The ideal generated by the given monomials, reduced to its minimal
+    generators."""
     gens = tuple(gens)
     for g in gens:
         if g.ring != ring:
@@ -93,17 +105,12 @@ def ideal(ring: Ring, gens: Iterable[Monomial]) -> MonomialIdeal:
     return from_exps(ring, (g.exp for g in gens))
 
 
-def minimalize(ring: Ring, raw: Iterable[Monomial]) -> MonomialIdeal:
-    """Canonicalize a raw generating set (same as ``ideal``)."""
-    return ideal(ring, raw)
-
-
 def zero_ideal(ring: Ring) -> MonomialIdeal:
     return MonomialIdeal(ring, ())
 
 
 def unit_ideal(ring: Ring) -> MonomialIdeal:
-    return MonomialIdeal(ring, (Monomial(ring, (0,) * ring.nvars),))
+    return MonomialIdeal(ring, ((0,) * ring.nvars,))
 
 
 def sum_ideals(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -161,10 +168,7 @@ def colon_ideal(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     ring = check_same_ring(a, b)
     if b.is_zero():
         raise VidealError("colon by the zero ideal is the whole ring; not supported")
-    result = unit_ideal(ring)
-    for v in b.gens:
-        result = intersect(result, colon_monomial(a, v))
-    return result
+    return intersect_all((colon_monomial(a, v) for v in b.gens), ring)
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,12 +195,11 @@ class PrimeSupport:
         return tuple(self.ring.vars[i] for i in self.indices)
 
     def as_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i in self.indices:
-            vec = [0] * self.ring.nvars
-            vec[i] = 1
-            gens.append(tuple(vec))
-        return from_exps(self.ring, gens)
+        # Unit vectors in increasing index order are already canonical.
+        n = self.ring.nvars
+        return MonomialIdeal(
+            self.ring, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in self.indices)
+        )
 
     def contains_prime(self, other: "PrimeSupport") -> bool:
         return set(other.indices) <= set(self.indices)
@@ -211,15 +214,11 @@ def prime_support(ring: Ring, var_names: Iterable[str]) -> PrimeSupport:
 
 def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
     """The prime support of a, or None if a is not a monomial prime."""
-    indices = []
-    for g in a.gens:
-        nz = [i for i, e in enumerate(g.exp) if e]
-        if len(nz) != 1 or g.exp[nz[0]] != 1:
-            return None
-        indices.append(nz[0])
-    if not indices:
+    exps = a.exps()
+    if not exps or any(sum(u) != 1 for u in exps):
         return None
-    return PrimeSupport(a.ring, tuple(sorted(indices)))
+    # Canonical order lists the variables x_i in increasing index i.
+    return PrimeSupport(a.ring, tuple(u.index(1) for u in exps))
 
 
 def localize(a: MonomialIdeal, p: PrimeSupport) -> MonomialIdeal:

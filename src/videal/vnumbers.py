@@ -50,8 +50,7 @@ def _candidate_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     # a + (u / x_i : x_i divides u in G(a)), and monomial ideals form a
     # distributive lattice, so a : p is a plus the intersection of the parts.
     gens = a.exps()
-    n = a.ring.nvars
-    target = tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in p.indices)
+    target = p.as_ideal().exps()
     shared = None
     for i, x in zip(p.indices, target):
         b = minimal_exps(quot_exp(u, x) for u in gens if u[i])
@@ -93,10 +92,8 @@ def v_number(a: MonomialIdeal, verify: bool = False) -> VReport:
 
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
-    best: VReport | None = None
-    for p in associated_primes(a):
-        report = local_v(a, p, verify=verify)
-        if best is None or (report.degree, p.indices) < (best.degree, best.prime.indices):
-            best = report
-    assert best is not None  # Ass of a proper nonzero ideal is non-empty
-    return best
+    # Ass of a proper nonzero ideal is non-empty.
+    return min(
+        (local_v(a, p, verify=verify) for p in associated_primes(a)),
+        key=lambda report: (report.degree, report.prime.indices),
+    )

@@ -9,7 +9,7 @@ from videal.decomposition import (
     irreducible_decomposition,
     minimal_primes,
 )
-from videal.errors import ImproperIdealError, InternalError
+from videal.errors import ImproperIdealError, InternalError, NoWitnessError
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
@@ -162,3 +162,25 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
     with pytest.raises(InternalError, match="does not intersect back"):
         irreducible_decomposition(a)
+
+
+def _certify_with_failing_local_v(monkeypatch, exc):
+    """Run Ass certification on a cold cache with local_v raising exc."""
+    from videal import vnumbers
+
+    def failing_local_v(a, p, verify=False):
+        raise exc
+
+    monkeypatch.setattr(vnumbers, "local_v", failing_local_v)
+    associated_primes.cache_clear()
+    return associated_primes(ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)]))
+
+
+def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
+    with pytest.raises(RuntimeError, match="unrelated"):
+        _certify_with_failing_local_v(monkeypatch, RuntimeError("unrelated"))
+
+
+def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
+    with pytest.raises(InternalError, match="no colon witness"):
+        _certify_with_failing_local_v(monkeypatch, NoWitnessError("none"))

@@ -14,7 +14,6 @@ from videal.ideals import (
     ideal,
     intersect,
     localize,
-    minimalize,
     power,
     prime_support,
     product,
@@ -176,11 +175,6 @@ def test_equals_after_minimalization():
     assert not equals(zero_ideal(R2), unit_ideal(R2))
 
 
-def test_minimalize_is_exposed_and_matches_ideal():
-    gens = [mono(R2, x=2), mono(R2, x=3), mono(R2, y=1)]
-    assert minimalize(R2, gens) == ideal(R2, gens)
-
-
 @settings(max_examples=60)
 @given(small_ideals(), st.data())
 def test_colon_monomial_membership_oracle(a, data):
@@ -278,8 +272,21 @@ def test_generators_form_antichain(a):
 
     for u in a.gens:
         for f in a.gens:
-            if u is not f:
+            if u != f:
                 assert not divides(u, f)
+
+
+@settings(max_examples=60)
+@given(small_ideals())
+def test_gens_are_derived_from_the_stored_tuples(a):
+    rebuilt = from_exps(a.ring, (g.exp for g in a.gens))
+    assert rebuilt == a
+    assert hash(rebuilt) == hash(a)
+    assert all(isinstance(g, Monomial) and g.ring == a.ring for g in a.gens)
+    assert tuple(g.exp for g in a.gens) == a.exps()
+    elsewhere = from_exps(make_ring("S", a.ring.vars), a.exps())
+    assert elsewhere.exps() == a.exps()
+    assert elsewhere != a
 
 
 @settings(max_examples=30)
