@@ -8,7 +8,6 @@ input errors, 3 internal errors.
 
 import argparse
 import json
-import os
 import random
 import sys
 from typing import Callable
@@ -33,7 +32,6 @@ EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-ENV_PREFIX = "VIDEAL_"
 DEFAULT_DEG_CAP = 6
 DEFAULT_NTF_K = 3
 
@@ -326,7 +324,7 @@ def _error_line(fmt: str, code: str, message: str, line: int | None = None,
     return f"error ({code}): {message}"
 
 
-def run_fuzz(count: int, seed: int, fmt: str, deg_cap: int) -> tuple[int, list[str]]:
+def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
     """Random-instance sweep: draw (I, J, k) and run the theorem verifier
     for every filtration kind.
 
@@ -393,22 +391,6 @@ def run_fuzz(count: int, seed: int, fmt: str, deg_cap: int) -> tuple[int, list[s
     return (EXIT_UNEQUAL if failures else EXIT_OK), lines
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-def _int_env(name: str, fallback: int) -> int:
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(
-            f"{ENV_PREFIX}{name} must be an integer, got {raw!r}"
-        ) from None
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="videal",
@@ -417,31 +399,30 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--input",
-        default=_env_default("INPUT", None),
         help="session file, or - for stdin",
     )
     parser.add_argument(
         "--format",
         choices=["text", "json"],
-        default=_env_default("FORMAT", "text"),
+        default="text",
         help="output format (default text)",
     )
     parser.add_argument(
         "--seed",
         type=int,
-        default=_int_env("SEED", 0),
+        default=0,
         help="random seed for --fuzz",
     )
     parser.add_argument(
         "--fuzz",
         type=int,
-        default=_int_env("FUZZ", 0),
+        default=0,
         help="run N random (I, J, k) theorem sweeps instead of a session",
     )
     parser.add_argument(
         "--deg-cap",
         type=int,
-        default=_int_env("DEG_CAP", DEFAULT_DEG_CAP),
+        default=DEFAULT_DEG_CAP,
         help="default enumeration cap for check-property",
     )
     return parser
@@ -458,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
 
     if args.fuzz > 0:
-        code, lines = run_fuzz(args.fuzz, args.seed, args.format, args.deg_cap)
+        code, lines = run_fuzz(args.fuzz, args.seed, args.format)
         print("\n".join(lines))
         return code
 

@@ -29,9 +29,9 @@ from .ideals import (
     PrimeSupport,
     colon_monomial,
     from_exps,
-    minimal_exps,
+    intersect_exps,
 )
-from .rings import canonical_key, lcm_exp
+from .rings import canonical_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +87,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     ]
     meet = ((0,) * n,)
     for exps in parts:
-        meet = minimal_exps(lcm_exp(u, v) for u in meet for v in exps)
+        meet = intersect_exps(meet, exps)
     if meet != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     components = [

@@ -57,11 +57,8 @@ def _newton_lp(a: Sequence[int], gens: Sequence[Sequence[int]]):
     combination rescales down to a convex one (the orthant absorbs the
     slack), and a convex combination witnesses optimum >= 1 directly.
     """
-    t = len(a)
-    rows = [[Fraction(v[i]) for v in gens] for i in range(t)]
-    b = [Fraction(x) for x in a]
-    c = [Fraction(1)] * len(gens)
-    return lp.maximize(rows, b, c)
+    rows = [[v[i] for v in gens] for i in range(len(a))]
+    return lp.maximize(rows, a, [1] * len(gens))
 
 
 def newton_member(

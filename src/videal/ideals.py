@@ -11,7 +11,7 @@ request, by ``gens``.
 """
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, VidealError
 from .rings import (
@@ -135,13 +135,17 @@ def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
+def intersect_exps(
+    x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of (x) ∩ (y): the minimal pairwise lcms."""
+    return minimal_exps(lcm_exp(u, v) for u in x for v in y)
+
+
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     """Intersection via pairwise lcm of generators."""
     ring = check_same_ring(a, b)
-    if a.is_zero() or b.is_zero():
-        return zero_ideal(ring)
-    pairs = {lcm_exp(u, v) for u in a.exps() for v in b.exps()}
-    return from_exps(ring, pairs)
+    return MonomialIdeal(ring, intersect_exps(a.exps(), b.exps()))
 
 
 def intersect_all(ideals: Iterable[MonomialIdeal], ring: Ring) -> MonomialIdeal:

@@ -7,6 +7,7 @@ are tiny (rows = number of ring variables), so a dense tableau is fine.
 """
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Sequence
 
 from .errors import InternalError
@@ -15,11 +16,14 @@ ZERO = Fraction(0)
 
 
 def maximize(
-    a_rows: Sequence[Sequence[Fraction]],
-    b: Sequence[Fraction],
-    c: Sequence[Fraction],
+    a_rows: Sequence[Sequence[Rational]],
+    b: Sequence[Rational],
+    c: Sequence[Rational],
 ) -> tuple[Fraction, list[Fraction], list[Fraction]]:
     """Returns (optimum, primal solution x, dual values y).
+
+    Entries may be ints or Fractions; each is converted to Fraction once,
+    when the tableau is built.
 
     The duals are the shadow prices of the <= constraints; at optimality
     they satisfy y >= 0, y.A >= c componentwise, and y.b = optimum.

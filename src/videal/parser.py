@@ -21,22 +21,6 @@ from .filtrations import FiltrationKind
 from .ideals import MonomialIdeal, from_exps
 from .rings import Monomial, Ring
 
-COMMANDS = {
-    "mingens",
-    "colon",
-    "ass",
-    "min",
-    "irrdec",
-    "vnum",
-    "power",
-    "symb",
-    "intclos",
-    "verify-expansion",
-    "verify-theorem",
-    "check-property",
-    "ntf",
-}
-
 KINDS = {kind.value: kind for kind in FiltrationKind}
 
 _PUNCT = set("=[](),;^*-")
@@ -248,14 +232,13 @@ class _Parser:
                 continue
             return tuple(vec)
 
-    def command_name(self) -> Token:
-        """Command words may be hyphenated (verify-expansion)."""
-        tok = self.expect("name", "a command")
+    def hyphenated(self, tok: Token, rest: str) -> Token:
+        """The name tok joined with any following "-name" parts
+        (verify-expansion, symb-ass); rest names a missing part."""
         text = tok.text
         while self.peek().kind == "-":
             self.advance()
-            part = self.expect("name", "the rest of the command name")
-            text += "-" + part.text
+            text += "-" + self.expect("name", rest).text
         return Token("name", text, tok.line, tok.col)
 
     def value_token(self) -> Token:
@@ -265,16 +248,11 @@ class _Parser:
             return tok
         if tok.kind != "name":
             self.fail(f"expected a value, found {tok.text!r}", tok)
-        text = tok.text
-        while self.peek().kind == "-":
-            self.advance()
-            part = self.expect("name", "the rest of the value")
-            text += "-" + part.text
-        return Token("name", text, tok.line, tok.col)
+        return self.hyphenated(tok, "the rest of the value")
 
     def command(self):
-        head = self.command_name()
-        if head.text not in COMMANDS:
+        head = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
+        if head.text not in _SIGNATURES:
             self.fail(f"unknown command {head.text!r}", head)
         arity, allowed, required = _SIGNATURES[head.text]
         named: dict[str, Token] = {}

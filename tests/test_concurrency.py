@@ -13,14 +13,14 @@ from videal.decomposition import associated_primes
 from videal.expansion import verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.randgen import random_pair
-from videal.vnumbers import _candidate_local_v
+from videal.vnumbers import local_v
 
 THREADS = 6
 KINDS = (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN)
 
 
 def _clear_caches():
-    for cached in (associated_primes, filtration_member, integral_closure, _candidate_local_v):
+    for cached in (associated_primes, filtration_member, integral_closure, local_v):
         cached.cache_clear()
 
 

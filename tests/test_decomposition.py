@@ -168,7 +168,7 @@ def _certify_with_failing_local_v(monkeypatch, exc):
     """Run Ass certification on a cold cache with local_v raising exc."""
     from videal import vnumbers
 
-    def failing_local_v(a, p, verify=False):
+    def failing_local_v(a, p):
         raise exc
 
     monkeypatch.setattr(vnumbers, "local_v", failing_local_v)

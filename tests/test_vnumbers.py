@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import small_ideals
+from conftest import exponent_vectors, small_ideals
 from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
-from videal.ideals import colon_monomial, ideal, prime_support, unit_ideal
-from videal.rings import make_ring, mono
-from videal.vnumbers import brute_force_local_v, local_v, v_number
+from videal.ideals import PrimeSupport, colon_monomial, ideal, prime_support, unit_ideal
+from videal.rings import Monomial, make_ring, mono, mul_exp
+from videal.vnumbers import _colon_is_prime, brute_force_local_v, local_v, v_number
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
@@ -75,14 +76,6 @@ def test_brute_force_examples():
     assert brute_force_local_v(c, prime_support(R2, ["y"]), 4) is None
 
 
-def test_verified_mode_keeps_candidate_answer():
-    a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
-    for p in associated_primes(a):
-        fast = local_v(a, p)
-        checked = local_v(a, p, verify=True)
-        assert checked.degree == fast.degree
-
-
 @settings(max_examples=50, deadline=None)
 @given(small_ideals())
 def test_witness_soundness_and_oracle_agreement(a):
@@ -100,3 +93,23 @@ def test_witness_soundness_and_oracle_agreement(a):
 def test_v_number_is_min_of_local_values(a):
     locals_ = [local_v(a, p).degree for p in associated_primes(a)]
     assert v_number(a).degree == min(locals_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_colon_rule_matches_the_colon_ideal(data):
+    a = data.draw(small_ideals(max_vars=4))
+    n = a.ring.nvars
+    chosen = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+    associated = data.draw(st.sampled_from(associated_primes(a)))
+    # A witness, a member of a, and an arbitrary monomial.
+    witness = local_v(a, associated).witness.exp
+    member = mul_exp(
+        data.draw(st.sampled_from(a.exps())),
+        data.draw(exponent_vectors(n, max_exp=2, nonzero=False)),
+    )
+    other = data.draw(exponent_vectors(n, max_exp=4, nonzero=False))
+    for p in (PrimeSupport(a.ring, tuple(sorted(chosen))), associated):
+        for f in (witness, member, other):
+            expected = colon_monomial(a, Monomial(a.ring, f)) == p.as_ideal()
+            assert _colon_is_prime(a.exps(), f, set(p.indices)) == expected
