@@ -6,14 +6,19 @@ ideal at a monomial prime has the closed form "delete the exponents of
 the other variables".  Integral closure goes through the Newton
 polyhedron NP(L) = conv(exponents of G(L)) + nonnegative orthant: the
 closure of L is generated by the componentwise-minimal lattice points
-of NP(L), and membership of a point is an exact-rational LP.
+of NP(L).  Its facet inequalities are computed once, in integers, and
+membership of a point is a handful of integer dot products.  The
+exact-rational LP (``newton_member``) answers single membership queries
+with a certificate; the closure does not use it.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm as int_lcm
+from itertools import product
+from math import gcd, lcm as int_lcm
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import lp
@@ -24,14 +29,13 @@ from .ideals import (
     PrimeSupport,
     as_prime,
     colon_monomial,
-    from_exps,
     intersect_all,
     is_squarefree,
     localize,
     power,
     unit_ideal,
 )
-from .rings import Monomial, divides_exp, exps_of_degree, monomials_up_to_degree, scale_exp
+from .rings import Monomial, canonical_key, divides_exp, monomials_up_to_degree, scale_exp
 
 
 class FiltrationKind(str, Enum):
@@ -100,54 +104,132 @@ def certificate_denominator_lcm(certificate: Sequence[Fraction]) -> int:
     return int_lcm(*(weight.denominator for weight in certificate))
 
 
+def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
+    of gens (a nonempty antichain of exponent vectors).
+
+    They are the extreme rays (w, d) with d > 0 of the cone
+    C = {(w, d) : w >= 0, w.v >= d for every v in gens}; the rays with
+    d <= 0 only restate u >= 0.  Double description (Fukuda-Prodon 1996):
+    the cone cut out by w >= 0 and the first generator has the rays
+    (e_i, v0_i) and (0, -1); each further generator v keeps the rays on
+    its side of w.v >= d and joins every adjacent pair of rays on
+    opposite sides.  Two rays are adjacent iff no third ray is tight on
+    every inequality tight on both; tight sets are bit sets, with bit i
+    for w_i >= 0 and bit t + j for the j-th generator.  All arithmetic is
+    on integers, and each ray is kept divided by the gcd of its entries.
+    """
+    t = len(gens[0])
+    v0 = gens[0]
+    coords = (1 << t) - 1
+    rays = [
+        (tuple(1 if j == i else 0 for j in range(t)) + (v0[i],), coords & ~(1 << i) | 1 << t)
+        for i in range(t)
+    ]
+    rays.append(((0,) * t + (-1,), coords))
+    for j, v in enumerate(gens[1:], 1):
+        bit = 1 << (t + j)
+        kept, pos, neg = [], [], []
+        for ray, tight in rays:
+            h = sum(map(mul, ray, v)) - ray[t]  # w.v - d
+            if h > 0:
+                kept.append((ray, tight))
+                pos.append((ray, tight, h))
+            elif h < 0:
+                neg.append((ray, tight, h))
+            else:
+                kept.append((ray, tight | bit))
+        if not neg:
+            rays = kept
+            continue
+        tights = [tight for _, tight in rays]
+        for rp, tp, hp in pos:
+            for rn, tn, hn in neg:
+                common = tp & tn
+                # Distinct extreme rays have distinct tight sets.
+                if any(common & other == common and other not in (tp, tn) for other in tights):
+                    continue
+                ray = tuple(hp * b - hn * a for a, b in zip(rp, rn))
+                g = gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | bit))
+        rays = kept
+    return [(ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0]
+
+
+def _minimal_points(
+    facets: Sequence[tuple[tuple[int, ...], int]], bounds: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The componentwise-minimal lattice points u >= 0 satisfying every
+    facet inequality, given that all of them lie in the box u <= bounds.
+
+    Solves for one coordinate, ``last`` (the one with the largest bound):
+    for each q in the box of the other coordinates, c(q) is the least
+    value of u_last with (q, c(q)) inside, or None when a facet without
+    a u_last term fails on q.  Then (q, c(q)) is minimal iff it lies in
+    the box and, for every j with q_j > 0, q - e_j is outside or
+    c(q - e_j) > c(q).  The points found form an antichain.
+    """
+    t = len(bounds)
+    last = max(range(t), key=bounds.__getitem__)
+    others = [i for i in range(t) if i != last]
+    walls = [(tuple(w[i] for i in others), d) for w, d in facets if not w[last]]
+    slopes = [(tuple(w[i] for i in others), d, w[last]) for w, d in facets if w[last]]
+    # c(q) is stored at the position product() yields q at: q - e_j sits
+    # strides[j] positions earlier.
+    strides = [1] * len(others)
+    for k in range(len(others) - 2, -1, -1):
+        strides[k] = strides[k + 1] * (bounds[others[k + 1]] + 1)
+    bound_last = bounds[last]
+    least: list[int | None] = []
+    points = []
+    for at, q in enumerate(product(*(range(bounds[i] + 1) for i in others))):
+        if any(sum(map(mul, w, q)) < d for w, d in walls):
+            least.append(None)
+            continue
+        c = 0
+        for w, d, w_last in slopes:
+            need = -((sum(map(mul, w, q)) - d) // w_last)  # ceil((d - w.q) / w_last)
+            if need > c:
+                c = need
+        least.append(c)
+        if c > bound_last:
+            continue
+        for qj, stride in zip(q, strides):
+            if qj:
+                below = least[at - stride]
+                if below is not None and below <= c:
+                    break
+        else:
+            point = list(q)
+            point.insert(last, c)
+            points.append(tuple(point))
+    return points
+
+
 @lru_cache(maxsize=4096)
 def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """The integral closure of a monomial ideal.
 
-    Enumerates the box a_i <= max exponent of G(a) in coordinate i (every
-    minimal lattice point of NP(a) is the ceiling of a point of the
-    bounded hull, hence lies in this box) in increasing degree and keeps
-    the componentwise-minimal Newton-polyhedron members.  Three exact
-    prunings keep the LP call count low: points dominating an already
-    found member are skipped, points divisible by a generator are members
-    outright, and separating inequalities harvested from infeasible LP
-    duals reject far-away points without another LP.
+    Computes the facet inequalities of the Newton polyhedron once, in
+    integers, and finds its minimal lattice points fibre by fibre along
+    one coordinate.  Every minimal lattice point is the ceiling of a
+    point of the bounded hull, hence lies in the box u_i <= max exponent
+    of G(a) in coordinate i.  Two exact checks guard the result: every
+    facet holds on every generator of a, and every generator of a is a
+    multiple of a closure generator.
     """
     _require_proper_nonzero(a)
-    gens = sorted(a.exps(), key=sum)
-    t = a.ring.nvars
-    bounds = [max(v[i] for v in gens) for i in range(t)]
-    deg_min = sum(gens[0])
-    # Cuts (w, d): integer w >= 0 with w.v >= d for every generator v, so
-    # w.a < d proves a is outside the polyhedron.  Seeded with the degree
-    # bound and the per-coordinate minima; grown from LP dual certificates.
-    cuts: list[tuple[tuple[int, ...], int]] = [(tuple([1] * t), deg_min)]
-    for i in range(t):
-        cmin = min(v[i] for v in gens)
-        if cmin > 0:
-            cuts.append((tuple(1 if j == i else 0 for j in range(t)), cmin))
-    found: list[tuple[int, ...]] = []
-    for d in range(deg_min, sum(bounds) + 1):
-        for point in exps_of_degree(t, d, bounds):
-            if any(divides_exp(m, point) for m in found):
-                continue
-            if any(divides_exp(v, point) for v in gens):
-                found.append(point)
-                continue
-            if any(
-                sum(wi * pi for wi, pi in zip(w, point)) < cut_d for w, cut_d in cuts
-            ):
-                continue
-            optimum, _, duals = _newton_lp(point, gens)
-            if optimum >= 1:
-                found.append(point)
-            else:
-                scale = int_lcm(*(y.denominator for y in duals)) if duals else 1
-                w = tuple(int(y * scale) for y in duals)
-                if any(wi < 0 for wi in w):
-                    raise InternalError("negative LP dual at optimality")
-                cuts.append((w, scale))
-    return from_exps(a.ring, found)
+    gens = a.exps()
+    facets = _newton_facets(gens)
+    for w, d in facets:
+        if any(sum(map(mul, w, v)) < d for v in gens):
+            raise InternalError(f"integral closure of {a}: facet {w}.u >= {d} cuts off a generator")
+    bounds = [max(column) for column in zip(*gens)]
+    points = _minimal_points(facets, bounds)
+    points.sort(key=canonical_key)
+    if not all(any(divides_exp(m, v) for m in points) for v in gens):
+        raise InternalError(f"integral closure of {a} does not contain {a}")
+    return MonomialIdeal(a.ring, tuple(points))
 
 
 @lru_cache(maxsize=8192)

@@ -1,5 +1,9 @@
 """Exact-rational simplex for small linear programs.
 
+Serves ``filtrations.newton_member`` only: one Newton-polyhedron
+membership query with a rational convex-combination certificate.
+(Integral closure tests membership by integer facet inequalities.)
+
 Solves  maximize c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
 slack basis is feasible and no phase-one is needed.  All arithmetic is
 over Fraction; Bland's rule guards against cycling.  Problem sizes here

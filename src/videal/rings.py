@@ -200,25 +200,14 @@ def embed(f: Monomial, dst: Ring) -> Monomial:
     return Monomial(dst, embed_exp(f.exp, positions, dst.nvars))
 
 
-def exps_of_degree(nvars: int, d: int, bounds: Sequence[int] | None = None
-                   ) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors of total degree d, in canonical order.
-
-    Optional per-coordinate upper bounds restrict the enumeration to a box.
-    """
-    if bounds is None:
-        bounds = [d] * nvars
-    suffix = [0] * (nvars + 1)
-    for i in range(nvars - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + bounds[i]
+def exps_of_degree(nvars: int, d: int) -> Iterator[tuple[int, ...]]:
+    """All exponent vectors of total degree d, in canonical order."""
 
     def rec(i: int, remaining: int, prefix: tuple[int, ...]):
         if i == nvars - 1:
-            if remaining <= bounds[i]:
-                yield prefix + (remaining,)
+            yield prefix + (remaining,)
             return
-        lo = max(0, remaining - suffix[i + 1])
-        for e in range(min(bounds[i], remaining), lo - 1, -1):
+        for e in range(remaining, -1, -1):
             yield from rec(i + 1, remaining - e, prefix + (e,))
 
     yield from rec(0, d, ())

@@ -5,8 +5,12 @@ by an older algorithm the library replaced, so it shares no code path
 with the operation it cross-checks.
 """
 
+from itertools import product
+from math import lcm
+
+from videal.filtrations import _newton_lp
 from videal.ideals import MonomialIdeal, as_prime, colon_monomial, from_exps, sum_ideals
-from videal.rings import Monomial, canonical_key, mul, monomials_up_to_degree
+from videal.rings import Monomial, canonical_key, divides_exp, mul, monomials_up_to_degree
 
 
 def colon_members(
@@ -67,3 +71,41 @@ def splitting_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
         if not any(other != q and q.contains_ideal(other) for other in leaves)
     ]
     return tuple(sorted(kept, key=lambda q: tuple(canonical_key(e) for e in q.exps())))
+
+
+def box_scan_integral_closure(a: MonomialIdeal) -> MonomialIdeal:
+    """The integral closure of a proper nonzero ideal by an exact LP per
+    point: scan the box u_i <= max exponent of G(a) in coordinate i in
+    increasing degree and keep the componentwise-minimal members of the
+    Newton polyhedron.  Points dominating a found member are skipped,
+    points divisible by a generator are members outright, and separating
+    inequalities harvested from the duals of failed LPs reject further
+    points without another LP."""
+    gens = sorted(a.exps(), key=sum)
+    t = a.ring.nvars
+    bounds = [max(v[i] for v in gens) for i in range(t)]
+    # Cuts (w, d): integer w >= 0 with w.v >= d for every generator v, so
+    # w.u < d proves u is outside the polyhedron.
+    cuts = [(tuple([1] * t), sum(gens[0]))]
+    for i in range(t):
+        cmin = min(v[i] for v in gens)
+        if cmin > 0:
+            cuts.append((tuple(1 if j == i else 0 for j in range(t)), cmin))
+    found: list[tuple[int, ...]] = []
+    for point in sorted(product(*(range(b + 1) for b in bounds)), key=canonical_key):
+        if any(divides_exp(m, point) for m in found):
+            continue
+        if any(divides_exp(v, point) for v in gens):
+            found.append(point)
+            continue
+        if any(sum(wi * pi for wi, pi in zip(w, point)) < d for w, d in cuts):
+            continue
+        optimum, _, duals = _newton_lp(point, gens)
+        if optimum >= 1:
+            found.append(point)
+        else:
+            scale = lcm(*(y.denominator for y in duals))
+            w = tuple(int(y * scale) for y in duals)
+            assert all(wi >= 0 for wi in w), "negative LP dual at optimality"
+            cuts.append((w, scale))
+    return from_exps(a.ring, found)

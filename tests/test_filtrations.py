@@ -1,13 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_ideals
+from oracles import box_scan_integral_closure
+from videal import filtrations
 from videal.decomposition import associated_primes, minimal_primes
-from videal.errors import VidealError
+from videal.errors import InternalError, VidealError
+from videal.expansion import join_ideals
 from videal.filtrations import (
     FiltrationKind,
     certificate_denominator_lcm,
@@ -27,6 +32,7 @@ from videal.ideals import (
     sum_ideals,
     unit_ideal,
 )
+from videal.randgen import random_ideal
 from videal.rings import make_ring, mono
 
 R2 = make_ring("R", ["x", "y"])
@@ -122,6 +128,64 @@ def test_newton_agrees_with_power_oracle(a, data):
         assert power_membership_oracle(point, a, m)
     else:
         assert not power_membership_oracle(point, a, 6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_gens=6, max_exp=3, max_vars=4), st.integers(1, 3))
+def test_closure_matches_box_scan_oracle(a, k):
+    for b in (a, power(a, k)):
+        assert integral_closure(b) == box_scan_integral_closure(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_gens=6, max_exp=3, max_vars=4), st.data())
+def test_newton_facets_agree_with_the_lp(a, data):
+    gens = a.exps()
+    facets = filtrations._newton_facets(gens)
+    assert facets
+    for w, d in facets:
+        assert all(isinstance(x, int) and x >= 0 for x in w)
+        assert isinstance(d, int) and d > 0
+        assert gcd(*w, d) == 1
+        # Valid on every generator, and tight on one: a supporting hyperplane.
+        assert min(sum(wi * vi for wi, vi in zip(w, v)) for v in gens) == d
+    # Points in the exponent box and one step beyond it.
+    bounds = [max(column) + 1 for column in zip(*gens)]
+    for _ in range(10):
+        point = tuple(data.draw(st.integers(0, b)) for b in bounds)
+        inside = all(sum(wi * pi for wi, pi in zip(w, point)) >= d for w, d in facets)
+        assert inside == newton_member(point, gens).member
+
+
+def test_closure_check_catches_a_bad_facet(monkeypatch):
+    facets = filtrations._newton_facets
+
+    def raised_first(gens):
+        (w, d), *rest = facets(gens)
+        return [(w, d + 1), *rest]
+
+    monkeypatch.setattr(filtrations, "_newton_facets", raised_first)
+    a = ideal(R2, [mono(R2, x=3, y=1), mono(R2, x=1, y=3)])
+    with pytest.raises(InternalError, match="integral closure"):
+        filtrations.integral_closure.__wrapped__(a)
+
+
+def test_closure_of_a_large_diagonal_power():
+    # (x^N, y^N) closes to (x, y)^N: N + 1 generators, no N^2 box scan.
+    a = ideal(R2, [mono(R2, x=200), mono(R2, y=200)])
+    assert integral_closure(a) == power(ideal(R2, [mono(R2, x=1), mono(R2, y=1)]), 200)
+
+
+def test_closure_of_a_cube_in_six_variables_matches_oracle():
+    # Seed 13 draws (x1^2, x2^2) and (y3^2, y2^2*y3): the cube of their
+    # join has 20 generators, its closure 50, and the box 2,401 points.
+    rng = random.Random(13)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3"]), 4, 2)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3"]), 4, 2)
+    cube = power(join_ideals(i, j), 3)
+    closed = integral_closure(cube)
+    assert (len(cube.exps()), len(closed.exps())) == (20, 50)
+    assert closed == box_scan_integral_closure(cube)
 
 
 # ---------------------------------------------------------------------------
