@@ -45,7 +45,6 @@ from .filtrations import (
     integral_closure,
     newton_member,
     normally_torsion_free,
-    power_membership_oracle,
 )
 from .ideals import (
     MonomialIdeal,
@@ -81,6 +80,6 @@ from .rings import (
     mul,
     quotient_by_gcd,
 )
-from .vnumbers import VReport, brute_force_local_v, local_v, v_number
+from .vnumbers import VReport, local_v, v_number
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,7 +28,6 @@ from .ideals import (
     MonomialIdeal,
     PrimeSupport,
     colon_monomial,
-    from_exps,
     intersect_exps,
 )
 from .rings import canonical_key
@@ -81,8 +80,13 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     n = a.ring.nvars
     top = max(map(max, gens)) + 1
     corners = _corners(gens, top)
+    # Pure powers of distinct variables are an antichain; sorted, they
+    # are the canonical generators of the component.
     parts = [
-        [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top]
+        tuple(sorted(
+            ((0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top),
+            key=canonical_key,
+        ))
         for b in corners
     ]
     meet = ((0,) * n,)
@@ -92,7 +96,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     components = [
         IrreducibleComponent(
-            from_exps(a.ring, exps),
+            MonomialIdeal(a.ring, exps),
             PrimeSupport(a.ring, tuple(i for i, e in enumerate(b) if e < top)),
         )
         for b, exps in zip(corners, parts)

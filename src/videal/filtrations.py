@@ -3,13 +3,17 @@ symbolic-power variants, and integral closures of powers.
 
 Symbolic powers never need a saturation loop: localizing a monomial
 ideal at a monomial prime has the closed form "delete the exponents of
-the other variables".  Integral closure goes through the Newton
-polyhedron NP(L) = conv(exponents of G(L)) + nonnegative orthant: the
-closure of L is generated by the componentwise-minimal lattice points
-of NP(L).  Its facet inequalities are computed once, in integers, and
-membership of a point is a handful of integer dot products.  The
-exact-rational LP (``newton_member``) answers single membership queries
-with a certificate; the closure does not use it.
+the other variables".  For primes p inside p', that deletes more at p,
+so the localization at p contains the one at p' and drops out of the
+intersection: only the inclusion-maximal primes are intersected.
+
+Integral closure goes through the Newton polyhedron NP(L) =
+conv(exponents of G(L)) + nonnegative orthant: the closure of L is
+generated by the componentwise-minimal lattice points of NP(L).  Its
+facet inequalities are computed once, in integers, and membership of a
+point is a handful of integer dot products.  The exact-rational LP
+(``newton_member``) answers single membership queries with a
+certificate; the closure does not use it.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm as int_lcm
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -35,7 +39,7 @@ from .ideals import (
     power,
     unit_ideal,
 )
-from .rings import Monomial, canonical_key, divides_exp, monomials_up_to_degree, scale_exp
+from .rings import Monomial, canonical_key, divides_exp, monomials_up_to_degree
 
 
 class FiltrationKind(str, Enum):
@@ -82,26 +86,6 @@ def newton_member(
         return NewtonMembership(False, None)
     scaled = tuple(v / optimum for v in x)
     return NewtonMembership(True, scaled)
-
-
-def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:
-    """True iff (x^a)^m lies in l^m for some m <= m_max.
-
-    Conservative cross-check for newton_member: False only means "not
-    found up to m_max".
-    """
-    if m_max < 1:
-        raise VidealError("m_max must be at least 1")
-    exp = tuple(a)
-    for m in range(1, m_max + 1):
-        target = Monomial(l.ring, scale_exp(exp, m))
-        if power(l, m).contains(target):
-            return True
-    return False
-
-
-def certificate_denominator_lcm(certificate: Sequence[Fraction]) -> int:
-    return int_lcm(*(weight.denominator for weight in certificate))
 
 
 def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
@@ -237,8 +221,8 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
     """The k-th member of the chosen filtration of a.
 
     Index 0 is the whole ring for every kind.  Symbolic powers intersect
-    the localized ordinary power over the associated (or only the
-    minimal) primes of a; the integral-closure filtration closes a^k.
+    the localized ordinary power over the inclusion-maximal associated
+    (or minimal) primes of a; the integral-closure filtration closes a^k.
     """
     if k < 0:
         raise VidealError(f"negative filtration index {k}")
@@ -253,8 +237,9 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
             if kind is FiltrationKind.SYMBOLIC_ASS
             else minimal_primes(a)
         )
+        maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
         pk = power(a, k)
-        return intersect_all((localize(pk, p) for p in primes), a.ring)
+        return intersect_all((localize(pk, p) for p in maximal), a.ring)
     if kind is FiltrationKind.INTEGRAL_CLOSURE:
         return integral_closure(power(a, k))
     raise VidealError(f"unknown filtration kind {kind!r}")

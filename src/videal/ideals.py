@@ -11,6 +11,7 @@ request, by ``gens``.
 """
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, VidealError
@@ -20,7 +21,6 @@ from .rings import (
     canonical_key,
     check_same_ring,
     divides_exp,
-    lcm_exp,
     mul_exp,
     quot_exp,
 )
@@ -37,7 +37,7 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
         # Sorted by degree, so only already-kept vectors can divide e: two
         # distinct vectors of equal degree never divide each other.
         for m in kept:
-            if divides_exp(m, e):
+            if all(map(le, m, e)):
                 break
         else:
             kept.append(e)
@@ -138,8 +138,45 @@ def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
 def intersect_exps(
     x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
-    """Minimal generators of (x) ∩ (y): the minimal pairwise lcms."""
-    return minimal_exps(lcm_exp(u, v) for u in x for v in y)
+    """Minimal generators of (x) ∩ (y), canonically sorted, for antichains
+    x (canonically sorted) and y (in any order).
+
+    The pairwise lcms generate the intersection.  A u in x lying in (y)
+    passes through: a member of (x) dividing u is a multiple of some u' in
+    x dividing u, so u' = u, and u is minimal.  The same holds for y, and
+    an lcm with a passed vector is its multiple, so only the other pairs
+    need lcms.
+    """
+    kept = []
+    x_rest = []
+    for u in x:
+        for v in y:
+            if all(map(le, v, u)):
+                kept.append(u)
+                break
+        else:
+            x_rest.append(u)
+    if not x_rest:
+        return tuple(x)
+    y_rest = []
+    for v in y:
+        for u in x:
+            if all(map(le, u, v)):
+                if u != v:  # a v in x is already kept
+                    kept.append(v)
+                break
+        else:
+            y_rest.append(v)
+    # Taken in degree order, e can only be divided by a passed generator
+    # or by an lcm kept before it.
+    for e in sorted({tuple(map(max, u, v)) for u in x_rest for v in y_rest}, key=sum):
+        for m in kept:
+            if all(map(le, m, e)):
+                break
+        else:
+            kept.append(e)
+    kept.sort(key=canonical_key)
+    return tuple(kept)
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ImproperIdealError, NoWitnessError
-from .ideals import MonomialIdeal, PrimeSupport, colon_monomial, intersect_exps, minimal_exps
-from .rings import Monomial, check_same_ring, monomials_up_to_degree
+from .ideals import MonomialIdeal, PrimeSupport, intersect_exps, minimal_exps
+from .rings import Monomial, check_same_ring
 
 CANDIDATE_GENERATOR = "candidate-generator"
-BRUTE_FORCE = "brute-force"
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,19 +28,6 @@ class VReport:
     witness: Monomial
     prime: PrimeSupport
     method: str
-
-
-def brute_force_local_v(
-    a: MonomialIdeal, p: PrimeSupport, deg_cap: int
-) -> VReport | None:
-    """First monomial f (increasing canonical order, degree <= deg_cap)
-    with a : f = p, or None if there is none within the cap."""
-    check_same_ring(a, p)
-    target = p.as_ideal()
-    for f in monomials_up_to_degree(a.ring, deg_cap):
-        if colon_monomial(a, f) == target:
-            return VReport(f.degree, f, p, BRUTE_FORCE)
-    return None
 
 
 def _colon_is_prime(
@@ -83,9 +69,10 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
         part = minimal_exps(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i])
         shared = part if shared is None else intersect_exps(shared, part)
     support = set(p.indices)
-    # Candidates come out canonically sorted, so the first survivor is the
-    # minimum-degree witness with canonical tie-breaking.
-    for f in minimal_exps(gens + shared):
+    # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so
+    # the candidates are shared.  It is canonically sorted, so the first
+    # survivor is the minimum-degree witness with canonical tie-breaking.
+    for f in shared:
         if _colon_is_prime(gens, f, support):
             return VReport(sum(f), Monomial(a.ring, f), p, CANDIDATE_GENERATOR)
     raise NoWitnessError(

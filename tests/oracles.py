@@ -5,12 +5,35 @@ by an older algorithm the library replaced, so it shares no code path
 with the operation it cross-checks.
 """
 
+from fractions import Fraction
 from itertools import product
 from math import lcm
+from typing import Sequence
 
-from videal.filtrations import _newton_lp
-from videal.ideals import MonomialIdeal, as_prime, colon_monomial, from_exps, sum_ideals
-from videal.rings import Monomial, canonical_key, divides_exp, mul, monomials_up_to_degree
+from videal.decomposition import associated_primes, minimal_primes
+from videal.filtrations import FiltrationKind, _newton_lp
+from videal.ideals import (
+    MonomialIdeal,
+    PrimeSupport,
+    as_prime,
+    colon_monomial,
+    from_exps,
+    localize,
+    minimal_exps,
+    power,
+    sum_ideals,
+    unit_ideal,
+)
+from videal.rings import (
+    Monomial,
+    canonical_key,
+    divides_exp,
+    lcm_exp,
+    mul,
+    monomials_up_to_degree,
+    scale_exp,
+)
+from videal.vnumbers import VReport
 
 
 def colon_members(
@@ -109,3 +132,52 @@ def box_scan_integral_closure(a: MonomialIdeal) -> MonomialIdeal:
             assert all(wi >= 0 for wi in w), "negative LP dual at optimality"
             cuts.append((w, scale))
     return from_exps(a.ring, found)
+
+
+def brute_force_local_v(
+    a: MonomialIdeal, p: PrimeSupport, deg_cap: int
+) -> VReport | None:
+    """First monomial f (increasing canonical order, degree <= deg_cap)
+    with a : f = p, or None if there is none within the cap."""
+    target = p.as_ideal()
+    for f in monomials_up_to_degree(a.ring, deg_cap):
+        if colon_monomial(a, f) == target:
+            return VReport(f.degree, f, p, "brute-force")
+    return None
+
+
+def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:
+    """True iff (x^a)^m lies in l^m for some m <= m_max.
+
+    Conservative cross-check for newton_member: False only means "not
+    found up to m_max".
+    """
+    exp = tuple(a)
+    for m in range(1, m_max + 1):
+        if power(l, m).contains(Monomial(l.ring, scale_exp(exp, m))):
+            return True
+    return False
+
+
+def certificate_denominator_lcm(certificate: Sequence[Fraction]) -> int:
+    return lcm(*(weight.denominator for weight in certificate))
+
+
+def pairwise_lcm_intersection(
+    x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of (x) ∩ (y): every pairwise lcm, minimalized."""
+    return minimal_exps(lcm_exp(u, v) for u in x for v in y)
+
+
+def all_primes_symbolic_power(
+    kind: FiltrationKind, a: MonomialIdeal, k: int
+) -> MonomialIdeal:
+    """The k-th symbolic power of a proper nonzero ideal: the pairwise-lcm
+    intersection of the localizations of a^k at every associated (or
+    every minimal) prime, redundant ones included."""
+    primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
+    meet = unit_ideal(a.ring).exps()
+    for p in primes:
+        meet = pairwise_lcm_intersection(meet, localize(power(a, k), p).exps())
+    return MonomialIdeal(a.ring, meet)

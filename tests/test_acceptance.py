@@ -14,18 +14,21 @@ from pathlib import Path
 
 import jsonschema
 
-from oracles import brute_force_ass
+from oracles import (
+    brute_force_ass,
+    brute_force_local_v,
+    certificate_denominator_lcm,
+    power_membership_oracle,
+)
 from videal.cli import EXIT_USAGE, run_text
 from videal.decomposition import associated_primes, irreducible_decomposition
 from videal.expansion import verify_theorem
 from videal.filtrations import (
     FiltrationKind,
-    certificate_denominator_lcm,
     check_filtration_property,
     filtration_member,
     integral_closure,
     newton_member,
-    power_membership_oracle,
 )
 from videal.ideals import (
     colon_monomial,
@@ -47,7 +50,7 @@ from videal.rings import (
     monomials_up_to_degree,
     mul,
 )
-from videal.vnumbers import brute_force_local_v, local_v, v_number
+from videal.vnumbers import local_v, v_number
 
 HERE = Path(__file__).parent
 ORD = FiltrationKind.ORDINARY

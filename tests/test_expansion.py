@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import brute_force_local_v
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     binomial_expansion,
@@ -23,7 +24,7 @@ from videal.ideals import (
 )
 from videal.randgen import random_ntf_pair, random_pair
 from videal.rings import embed, join_rings, make_ring, mono, mul
-from videal.vnumbers import brute_force_local_v, local_v
+from videal.vnumbers import local_v
 
 A1 = make_ring("A", ["x"])
 B1 = make_ring("B", ["y"])

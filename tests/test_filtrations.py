@@ -8,20 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_ideals
-from oracles import box_scan_integral_closure
+from oracles import (
+    all_primes_symbolic_power,
+    box_scan_integral_closure,
+    certificate_denominator_lcm,
+    power_membership_oracle,
+)
 from videal import filtrations
 from videal.decomposition import associated_primes, minimal_primes
 from videal.errors import InternalError, VidealError
 from videal.expansion import join_ideals
 from videal.filtrations import (
     FiltrationKind,
-    certificate_denominator_lcm,
     check_filtration_property,
     filtration_member,
     integral_closure,
     newton_member,
     normally_torsion_free,
-    power_membership_oracle,
 )
 from videal.ideals import (
     ideal,
@@ -258,6 +261,36 @@ def test_squarefree_min_symbolic_is_prime_power_intersection(a):
             [power(p.as_ideal(), h) for p in minimal_primes(a)], a.ring
         )
         assert member == oracle
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_ideals(max_vars=4),
+    st.sampled_from([FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN]),
+    st.integers(1, 3),
+)
+def test_symbolic_power_matches_all_primes_oracle(a, kind, k):
+    assert filtration_member(kind, a, k) == all_primes_symbolic_power(kind, a, k)
+
+
+def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
+    # Ass((x^2, xy)) = {(x), (x, y)}: localizing at the embedded prime
+    # (x, y) changes nothing, and (x) lies inside it, so it is skipped.
+    a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
+    assert [p.var_names for p in associated_primes(a)] == [("x",), ("x", "y")]
+    localized = []
+
+    def recording_localize(b, p):
+        localized.append(p.var_names)
+        return localize(b, p)
+
+    monkeypatch.setattr(filtrations, "localize", recording_localize)
+    filtration_member.cache_clear()
+    for k in (1, 2, 3):
+        member = filtration_member(FiltrationKind.SYMBOLIC_ASS, a, k)
+        assert member == power(a, k)
+        assert member == all_primes_symbolic_power(FiltrationKind.SYMBOLIC_ASS, a, k)
+    assert localized == [("x", "y")] * 3
 
 
 def test_embedded_prime_q_power_exploration():

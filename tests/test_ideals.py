@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals, small_rings
-from oracles import colon_members, same_ideal_up_to
+from oracles import colon_members, pairwise_lcm_intersection, same_ideal_up_to
 from videal.errors import VidealError
 from videal.ideals import (
     MonomialIdeal,
@@ -13,7 +13,9 @@ from videal.ideals import (
     from_exps,
     ideal,
     intersect,
+    intersect_exps,
     localize,
+    minimal_exps,
     power,
     prime_support,
     product,
@@ -21,7 +23,15 @@ from videal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from videal.rings import Monomial, make_ring, mono, monomials_up_to_degree, mul
+from videal.rings import (
+    Monomial,
+    canonical_key,
+    make_ring,
+    mono,
+    monomials_up_to_degree,
+    mul,
+    mul_exp,
+)
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
@@ -89,6 +99,47 @@ def test_intersect_lcm_pairs_then_minimalize():
 def test_intersect_idempotent():
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     assert intersect(a, a) == a
+
+
+@st.composite
+def intersection_operands(draw):
+    """Antichains x (canonical) and y over at most 5 variables, exponents
+    at most 3, at most 7 generators each, in one of several shapes."""
+    t = draw(st.integers(1, 5))
+    vectors = st.lists(exponent_vectors(t, 3, nonzero=False), max_size=7)
+    x = minimal_exps(draw(vectors))
+    shape = draw(st.sampled_from(["any", "unit", "equal", "x in y", "y in x", "pure powers"]))
+    if shape == "unit":
+        y = ((0,) * t,)
+    elif shape == "equal":
+        y = x
+    elif shape == "pure powers":
+        # As irreducible_decomposition passes them: by variable index,
+        # which is not canonical when the exponents differ.
+        b = draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
+        y = tuple((0,) * i + (e,) + (0,) * (t - i - 1) for i, e in enumerate(b) if e)
+        x = draw(st.sampled_from([x, ((0,) * t,), minimal_exps(tuple(e // 2 for e in v) for v in y)]))
+    else:
+        y = minimal_exps(draw(vectors))
+        if shape != "any":
+            # Multiples of one side's generators lie in that side.
+            small = y if shape == "x in y" else x
+            big = minimal_exps(
+                mul_exp(u, draw(exponent_vectors(t, 2, nonzero=False))) for u in small for _ in (0, 1)
+            )
+            x, y = (big, small) if shape == "x in y" else (small, big)
+    if shape != "pure powers" and draw(st.booleans()):
+        x, y = y, x
+    return x, y
+
+
+@settings(max_examples=400)
+@given(intersection_operands())
+def test_intersect_exps_matches_pairwise_lcms(operands):
+    x, y = operands
+    meet = intersect_exps(x, y)
+    assert meet == pairwise_lcm_intersection(x, y)
+    assert list(meet) == sorted(set(meet), key=canonical_key)
 
 
 def test_colon_monomial_examples():

@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals
+from oracles import brute_force_local_v
 from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
 from videal.ideals import PrimeSupport, colon_monomial, ideal, prime_support, unit_ideal
 from videal.rings import Monomial, make_ring, mono, mul_exp
-from videal.vnumbers import _colon_is_prime, brute_force_local_v, local_v, v_number
+from videal.vnumbers import _colon_is_prime, local_v, v_number
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
