@@ -17,6 +17,17 @@ irreducible monomial ideal Q is intersection-prime, since if no
 component lies in Q, one monomial per component outside Q has an lcm in
 the intersection whose exponents on supp(Q) stay below Q's.  The
 irredundant decomposition is unique, so generator order does not matter.
+
+The intersect-back check runs the same sweep in the dual direction
+(Alexander duality; Miller-Sturmfels, Combinatorial Commutative Algebra,
+ch. 5): components are met one at a time with the running intersection,
+starting from the unit ideal.  For a corner b, a generator u of the
+running intersection that lies in the component of b stays; any other u
+is replaced by u with u_i raised to b_i, for each i with b_i < top (the
+lcms of u with the component's generators).  A kept u is minimal in the
+new intersection, since anything there dividing it is a multiple of a
+generator dividing u, so only the raised vectors are minimalized, in
+degree order against the vectors kept so far.
 """
 
 from dataclasses import dataclass
@@ -24,13 +35,8 @@ from functools import lru_cache
 from operator import le
 
 from .errors import ImproperIdealError, InternalError, NoWitnessError
-from .ideals import (
-    MonomialIdeal,
-    PrimeSupport,
-    colon_monomial,
-    intersect_exps,
-)
-from .rings import canonical_key
+from .ideals import MonomialIdeal, PrimeSupport, colon_monomial
+from .rings import canonical_key, canonical_sort
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,6 +76,32 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
     return corners
 
 
+def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of the intersection of the components of the
+    given corners, canonically sorted (every corner entry at most top)."""
+    meet = [(0,) * len(corners[0])]
+    for b in corners:
+        kept = []
+        raised = set()
+        powers = [(i, e) for i, e in enumerate(b) if e < top]
+        for u in meet:
+            # Exponents of the meet stay below top, so b_i <= u_i needs b_i < top.
+            if any(map(le, b, u)):
+                kept.append(u)
+            else:
+                for i, e in powers:
+                    raised.add(u[:i] + (e,) + u[i + 1:])
+        for w in sorted(raised, key=sum):
+            for m in kept:
+                if all(map(le, m, w)):
+                    break
+            else:
+                kept.append(w)
+        meet = kept
+    canonical_sort(meet)
+    return tuple(meet)
+
+
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """An irredundant set of irreducible components intersecting to a.
 
@@ -80,20 +112,15 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     n = a.ring.nvars
     top = max(map(max, gens)) + 1
     corners = _corners(gens, top)
+    if _intersect_corners(corners, top) != gens:
+        raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     # Pure powers of distinct variables are an antichain; sorted, they
     # are the canonical generators of the component.
-    parts = [
-        tuple(sorted(
-            ((0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top),
-            key=canonical_key,
-        ))
-        for b in corners
-    ]
-    meet = ((0,) * n,)
-    for exps in parts:
-        meet = intersect_exps(meet, exps)
-    if meet != gens:
-        raise InternalError(f"irreducible decomposition of {a} does not intersect back")
+    parts = []
+    for b in corners:
+        powers = [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top]
+        canonical_sort(powers)
+        parts.append(tuple(powers))
     components = [
         IrreducibleComponent(
             MonomialIdeal(a.ring, exps),

@@ -39,7 +39,7 @@ from .ideals import (
     power,
     unit_ideal,
 )
-from .rings import Monomial, canonical_key, divides_exp, monomials_up_to_degree
+from .rings import Monomial, canonical_sort, divides_exp, monomials_up_to_degree
 
 
 class FiltrationKind(str, Enum):
@@ -210,7 +210,7 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
             raise InternalError(f"integral closure of {a}: facet {w}.u >= {d} cuts off a generator")
     bounds = [max(column) for column in zip(*gens)]
     points = _minimal_points(facets, bounds)
-    points.sort(key=canonical_key)
+    canonical_sort(points)
     if not all(any(divides_exp(m, v) for m in points) for v in gens):
         raise InternalError(f"integral closure of {a} does not contain {a}")
     return MonomialIdeal(a.ring, tuple(points))

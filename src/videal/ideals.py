@@ -18,7 +18,7 @@ from .errors import RingMismatchError, VidealError
 from .rings import (
     Monomial,
     Ring,
-    canonical_key,
+    canonical_sort,
     check_same_ring,
     divides_exp,
     mul_exp,
@@ -32,16 +32,18 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     The all-zeros vector (the monomial 1) divides everything, so its
     presence collapses the result to the unit ideal's generator set.
     """
+    candidates = list(set(exps))
+    canonical_sort(candidates)
     kept: list[tuple[int, ...]] = []
-    for e in sorted(set(exps), key=sum):
-        # Sorted by degree, so only already-kept vectors can divide e: two
-        # distinct vectors of equal degree never divide each other.
+    for e in candidates:
+        # Canonical order is graded, so only already-kept vectors can divide
+        # e: two distinct vectors of equal degree never divide each other.
+        # The kept vectors inherit that order.
         for m in kept:
             if all(map(le, m, e)):
                 break
         else:
             kept.append(e)
-    kept.sort(key=canonical_key)
     return tuple(kept)
 
 
@@ -129,8 +131,10 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     if k < 0:
         raise VidealError(f"negative ideal power {k}")
-    result = unit_ideal(a.ring)
-    for _ in range(k):
+    if k == 0:
+        return unit_ideal(a.ring)
+    result = a
+    for _ in range(k - 1):
         result = product(result, a)
     return result
 
@@ -175,7 +179,7 @@ def intersect_exps(
                 break
         else:
             kept.append(e)
-    kept.sort(key=canonical_key)
+    canonical_sort(kept)
     return tuple(kept)
 
 
@@ -187,8 +191,15 @@ def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def intersect_all(ideals: Iterable[MonomialIdeal], ring: Ring) -> MonomialIdeal:
     """Intersection of a family, with the unit ideal as empty product."""
-    result = unit_ideal(ring)
-    for part in ideals:
+    parts = iter(ideals)
+    result = next(parts, None)
+    if result is None:
+        return unit_ideal(ring)
+    if result.ring != ring:
+        raise RingMismatchError(
+            f"operands live over different rings ({ring.name!r} vs {result.ring.name!r})"
+        )
+    for part in parts:
         result = intersect(result, part)
     return result
 

@@ -145,8 +145,20 @@ def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:
     """Sort key for the canonical monomial order: graded, then lex by the
-    ring's variable order (higher power of an earlier variable first)."""
+    ring's variable order (higher power of an earlier variable first).
+
+    On distinct tuples of one length, ``canonical_sort`` gives the same
+    order without building a key per element.
+    """
     return (sum(exp), tuple(map(neg, exp)))
+
+
+def canonical_sort(exps: list[tuple[int, ...]]) -> None:
+    """Sort distinct equal-length exponent tuples into the canonical order
+    in place: decreasing lex order (that of their negations), then a
+    stable sort by degree."""
+    exps.sort(reverse=True)
+    exps.sort(key=sum)
 
 
 def degree(f: Monomial) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ImproperIdealError, NoWitnessError
-from .ideals import MonomialIdeal, PrimeSupport, intersect_exps, minimal_exps
+from .ideals import MonomialIdeal, PrimeSupport, intersect_exps
 from .rings import Monomial, check_same_ring
 
 CANDIDATE_GENERATOR = "candidate-generator"
@@ -63,10 +63,13 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     check_same_ring(a, p)
     # a : x_i is a + (u / x_i : x_i divides u in G(a)), and monomial ideals
     # form a distributive lattice, so a : p is a plus the intersection of the parts.
+    # G(a) is a canonical antichain, and so is each part: u - e_i divides
+    # v - e_i iff u divides v, and subtracting e_i from every vector keeps
+    # both their degree order and their lex order.
     gens = a.exps()
     shared = None
     for i in p.indices:
-        part = minimal_exps(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i])
+        part = tuple(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i])
         shared = part if shared is None else intersect_exps(shared, part)
     support = set(p.indices)
     # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so

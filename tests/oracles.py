@@ -19,7 +19,6 @@ from videal.ideals import (
     colon_monomial,
     from_exps,
     localize,
-    minimal_exps,
     power,
     sum_ideals,
     unit_ideal,
@@ -163,11 +162,23 @@ def certificate_denominator_lcm(certificate: Sequence[Fraction]) -> int:
     return lcm(*(weight.denominator for weight in certificate))
 
 
+def degree_sweep_minimal_exps(exps) -> tuple[tuple[int, ...], ...]:
+    """The componentwise-minimal vectors of exps, canonically sorted: a
+    sweep in increasing degree against the vectors kept so far, then a
+    sort by canonical_key."""
+    kept: list[tuple[int, ...]] = []
+    for e in sorted(set(exps), key=sum):
+        if not any(divides_exp(m, e) for m in kept):
+            kept.append(e)
+    kept.sort(key=canonical_key)
+    return tuple(kept)
+
+
 def pairwise_lcm_intersection(
     x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of (x) ∩ (y): every pairwise lcm, minimalized."""
-    return minimal_exps(lcm_exp(u, v) for u in x for v in y)
+    return degree_sweep_minimal_exps(lcm_exp(u, v) for u in x for v in y)
 
 
 def all_primes_symbolic_power(

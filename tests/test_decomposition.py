@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_ideals
-from oracles import brute_force_ass, splitting_decomposition
+from oracles import brute_force_ass, pairwise_lcm_intersection, splitting_decomposition
 from videal import decomposition
 from videal.decomposition import (
     associated_primes,
@@ -153,6 +154,28 @@ def test_cube_of_four_generators_in_eight_variables():
                                (1, 0, 2, 0, 0, 1, 1, 1), (0, 0, 0, 2, 1, 2, 0, 1)]), 3)
     assert len(irreducible_decomposition(a)) == 229
     assert len(associated_primes(a)) == 48
+
+
+@st.composite
+def corner_families(draw):
+    """A bound top and 1-6 corners over at most 5 variables, with entries
+    in 0..top (top: no generator in that variable)."""
+    t = draw(st.integers(1, 5))
+    top = draw(st.integers(1, 4))
+    corner = st.lists(st.integers(0, top), min_size=t, max_size=t).map(tuple)
+    return draw(st.lists(corner, min_size=1, max_size=6)), top
+
+
+@settings(max_examples=300)
+@given(corner_families())
+def test_intersect_corners_matches_pairwise_lcms(family):
+    corners, top = family
+    t = len(corners[0])
+    meet = ((0,) * t,)
+    for b in corners:
+        powers = [(0,) * i + (e,) + (0,) * (t - i - 1) for i, e in enumerate(b) if e < top]
+        meet = pairwise_lcm_intersection(meet, powers)
+    assert decomposition._intersect_corners(corners, top) == meet
 
 
 def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):

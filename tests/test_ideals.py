@@ -3,7 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals, small_rings
-from oracles import colon_members, pairwise_lcm_intersection, same_ideal_up_to
+from oracles import (
+    colon_members,
+    degree_sweep_minimal_exps,
+    pairwise_lcm_intersection,
+    same_ideal_up_to,
+)
 from videal.errors import VidealError
 from videal.ideals import (
     MonomialIdeal,
@@ -99,6 +104,14 @@ def test_intersect_lcm_pairs_then_minimalize():
 def test_intersect_idempotent():
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     assert intersect(a, a) == a
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 5).flatmap(
+    lambda t: st.lists(exponent_vectors(t, 3, nonzero=False), max_size=12)
+))
+def test_minimal_exps_matches_degree_sweep(vectors):
+    assert minimal_exps(vectors) == degree_sweep_minimal_exps(vectors)
 
 
 @st.composite

@@ -7,6 +7,7 @@ from videal.errors import RingMismatchError, VidealError
 from videal.rings import (
     Monomial,
     canonical_key,
+    canonical_sort,
     degree,
     divides,
     embed,
@@ -149,3 +150,12 @@ def test_divides_iff_componentwise_quotient_multiplies_back(ring, data):
 def test_canonical_key_total_degree_first():
     assert canonical_key((0, 3)) < canonical_key((4, 0))
     assert canonical_key((2, 0)) < canonical_key((1, 1)) < canonical_key((0, 2))
+
+
+@given(st.integers(1, 5).flatmap(
+    lambda t: st.sets(exponent_vectors(t, 4, nonzero=False), max_size=20)
+))
+def test_canonical_sort_matches_canonical_key(vectors):
+    xs = list(vectors)
+    canonical_sort(xs)
+    assert xs == sorted(vectors, key=canonical_key)
