@@ -104,10 +104,9 @@ def _theorem_text(report: TheoremReport, label: str) -> list[str]:
 class _Runner:
     """Executes one session; collects output lines and the exit code."""
 
-    def __init__(self, session: Session, fmt: str, deg_cap: int):
+    def __init__(self, session: Session, fmt: str):
         self.session = session
         self.fmt = fmt
-        self.deg_cap = deg_cap
         self.lines: list[str] = []
         self.unequal = False
 
@@ -230,7 +229,7 @@ class _Runner:
         )
 
     def cmd_check_property(self, cmd: Command) -> None:
-        cap = cmd.cap if cmd.cap is not None else self.deg_cap
+        cap = cmd.cap if cmd.cap is not None else DEFAULT_DEG_CAP
         report = check_filtration_property(cmd.kind, self.ideal_arg(cmd), cmd.k, cap)
         obj = self.base(cmd)
         obj["report"] = {
@@ -292,14 +291,14 @@ class _Runner:
         self.emit(obj, *_theorem_text(report, label))
 
 
-def run_session(session: Session, fmt: str, deg_cap: int) -> tuple[int, list[str]]:
+def run_session(session: Session, fmt: str) -> tuple[int, list[str]]:
     """Execute a parsed session; returns (exit code, output lines).
 
     Runtime errors abort the remaining commands and map to exit code 2
     (bad input to an operation) or 3 (internal inconsistency), with a
     structured error emitted in JSON mode.
     """
-    runner = _Runner(session, fmt, deg_cap)
+    runner = _Runner(session, fmt)
     try:
         code = runner.run()
     except InternalError as exc:
@@ -419,12 +418,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         default=0,
         help="run N random (I, J, k) theorem sweeps instead of a session",
     )
-    parser.add_argument(
-        "--deg-cap",
-        type=int,
-        default=DEFAULT_DEG_CAP,
-        help="default enumeration cap for check-property",
-    )
     return parser
 
 
@@ -457,20 +450,20 @@ def main(argv: list[str] | None = None) -> int:
         print(_error_line(args.format, "usage", str(exc)), file=sys.stderr)
         return EXIT_USAGE
 
-    code, lines = run_text(text, args.format, args.deg_cap)
+    code, lines = run_text(text, args.format)
     if lines:
         print("\n".join(lines))
     return code
 
 
-def run_text(text: str, fmt: str, deg_cap: int = DEFAULT_DEG_CAP) -> tuple[int, list[str]]:
+def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
     """Parse and execute session text; the entry point used by main and
     by in-process callers (tests, corpus goldens)."""
     try:
         session = parse_session(text)
     except ParseError as exc:
         return EXIT_USAGE, [_error_line(fmt, "parse", exc.message, exc.line, exc.col)]
-    return run_session(session, fmt, deg_cap)
+    return run_session(session, fmt)
 
 
 if __name__ == "__main__":

@@ -26,8 +26,9 @@ running intersection that lies in the component of b stays; any other u
 is replaced by u with u_i raised to b_i, for each i with b_i < top (the
 lcms of u with the component's generators).  A kept u is minimal in the
 new intersection, since anything there dividing it is a multiple of a
-generator dividing u, so only the raised vectors are minimalized, in
-degree order against the vectors kept so far.
+generator dividing u, so only the raised vectors are minimalized, by the
+degree-order sweep of ``ideals._sweep_into`` against the vectors kept
+so far.
 """
 
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from functools import lru_cache
 from operator import le
 
 from .errors import ImproperIdealError, InternalError, NoWitnessError
-from .ideals import MonomialIdeal, PrimeSupport, colon_monomial
-from .rings import canonical_key, canonical_sort
+from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
+from .rings import canonical_sort
 
 
 @dataclass(frozen=True, slots=True)
@@ -91,12 +92,9 @@ def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[
             else:
                 for i, e in powers:
                     raised.add(u[:i] + (e,) + u[i + 1:])
-        for w in sorted(raised, key=sum):
-            for m in kept:
-                if all(map(le, m, w)):
-                    break
-            else:
-                kept.append(w)
+        # A raised vector is a multiple of a vector of the antichain meet,
+        # so it never properly divides a kept one.
+        _sweep_into(kept, sorted(raised, key=sum))
         meet = kept
     canonical_sort(meet)
     return tuple(meet)
@@ -114,21 +112,16 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     corners = _corners(gens, top)
     if _intersect_corners(corners, top) != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
-    # Pure powers of distinct variables are an antichain; sorted, they
-    # are the canonical generators of the component.
-    parts = []
-    for b in corners:
-        powers = [(0,) * i + (e,) + (0,) * (n - i - 1) for i, e in enumerate(b) if e < top]
-        canonical_sort(powers)
-        parts.append(tuple(powers))
-    components = [
-        IrreducibleComponent(
-            MonomialIdeal(a.ring, exps),
-            PrimeSupport(a.ring, tuple(i for i, e in enumerate(b) if e < top)),
-        )
-        for b, exps in zip(corners, parts)
-    ]
-    components.sort(key=lambda c: tuple(canonical_key(e) for e in c.ideal.exps()))
+    # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
+    # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
+    # when (e, i) < (f, j), so the sorted pairs (b_i, i) list the
+    # component's generators canonically, and compared as lists they
+    # order the components as their canonical generator lists would.
+    components = []
+    for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
+        exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
+        prime = PrimeSupport(a.ring, tuple(sorted(i for _, i in powers)))
+        components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))
     return tuple(components)
 
 

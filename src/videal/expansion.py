@@ -14,7 +14,7 @@ from .decomposition import associated_primes
 from .errors import ImproperIdealError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
-from .rings import Monomial, Ring, canonical_key, embed_exp, embedding, join_rings, mul_exp
+from .rings import Monomial, Ring, canonical_sort, embed_exp, embedding, join_rings, mul_exp
 from .vnumbers import local_v, v_number
 
 
@@ -84,17 +84,15 @@ def verify_expansion(
     direct = direct_term(kind, i, j, k)
     expanded = binomial_expansion(kind, i, j, k)
     holds = direct == expanded
-    witnesses: list[Monomial] = []
+    witnesses: tuple[Monomial, ...] = ()
     if not holds:
-        for g in direct.gens:
-            if not expanded.contains(g):
-                witnesses.append(g)
-        for g in expanded.gens:
-            if not direct.contains(g):
-                witnesses.append(g)
-        witnesses.sort(key=lambda m: canonical_key(m.exp))
-        witnesses = witnesses[:10]
-    return ExpansionReport(kind, k, holds, direct, expanded, tuple(witnesses))
+        # No generator of one side lies in the other's ideal, so it is not
+        # a generator there: the separating exponent tuples are distinct.
+        separating = [g.exp for g in direct.gens if not expanded.contains(g)]
+        separating += [g.exp for g in expanded.gens if not direct.contains(g)]
+        canonical_sort(separating)
+        witnesses = tuple(Monomial(direct.ring, e) for e in separating[:10])
+    return ExpansionReport(kind, k, holds, direct, expanded, witnesses)
 
 
 @dataclass(frozen=True, slots=True)

@@ -39,7 +39,7 @@ from .ideals import (
     power,
     unit_ideal,
 )
-from .rings import Monomial, canonical_sort, divides_exp, monomials_up_to_degree
+from .rings import Monomial, canonical_sort, monomials_up_to_degree
 
 
 class FiltrationKind(str, Enum):
@@ -211,9 +211,10 @@ def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     bounds = [max(column) for column in zip(*gens)]
     points = _minimal_points(facets, bounds)
     canonical_sort(points)
-    if not all(any(divides_exp(m, v) for m in points) for v in gens):
+    closure = MonomialIdeal(a.ring, tuple(points))
+    if not closure.contains_ideal(a):
         raise InternalError(f"integral closure of {a} does not contain {a}")
-    return MonomialIdeal(a.ring, tuple(points))
+    return closure
 
 
 @lru_cache(maxsize=8192)

@@ -26,6 +26,24 @@ from .rings import (
 )
 
 
+def _sweep_into(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...]]) -> None:
+    """Append to kept each candidate that no vector kept so far divides.
+
+    The candidates come in non-decreasing degree, kept starts as an
+    antichain, and no candidate is a proper divisor of a vector in it.  A
+    vector is divisible only by vectors of no greater degree, and two
+    distinct vectors of equal degree never divide each other, so only
+    vectors kept before a candidate can divide it: kept ends as the
+    antichain of the minimal vectors among its own and the candidates.
+    """
+    for e in candidates:
+        for m in kept:
+            if all(map(le, m, e)):
+                break
+        else:
+            kept.append(e)
+
+
 def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
     """Antichain of componentwise-minimal vectors, canonically sorted.
 
@@ -33,17 +51,11 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     presence collapses the result to the unit ideal's generator set.
     """
     candidates = list(set(exps))
+    # The canonical order is graded, so one sweep keeps the minimal
+    # vectors, and they inherit that order.
     canonical_sort(candidates)
     kept: list[tuple[int, ...]] = []
-    for e in candidates:
-        # Canonical order is graded, so only already-kept vectors can divide
-        # e: two distinct vectors of equal degree never divide each other.
-        # The kept vectors inherit that order.
-        for m in kept:
-            if all(map(le, m, e)):
-                break
-        else:
-            kept.append(e)
+    _sweep_into(kept, candidates)
     return tuple(kept)
 
 
@@ -171,14 +183,8 @@ def intersect_exps(
                 break
         else:
             y_rest.append(v)
-    # Taken in degree order, e can only be divided by a passed generator
-    # or by an lcm kept before it.
-    for e in sorted({tuple(map(max, u, v)) for u in x_rest for v in y_rest}, key=sum):
-        for m in kept:
-            if all(map(le, m, e)):
-                break
-        else:
-            kept.append(e)
+    # No lcm properly divides a passed generator, which is minimal.
+    _sweep_into(kept, sorted({tuple(map(max, u, v)) for u in x_rest for v in y_rest}, key=sum))
     canonical_sort(kept)
     return tuple(kept)
 

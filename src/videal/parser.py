@@ -88,8 +88,6 @@ class Command:
     kind: FiltrationKind | None
     k: int | None
     cap: int | None
-    line: int
-    col: int
 
 
 @dataclass(slots=True)
@@ -333,16 +331,7 @@ class _Parser:
         k = self.nat_arg(named, "k")
         cap = self.nat_arg(named, "cap")
         self.session.commands.append(
-            Command(
-                head.text,
-                tuple(ideals),
-                mono_val,
-                kind,
-                k,
-                cap,
-                head.line,
-                head.col,
-            )
+            Command(head.text, tuple(ideals), mono_val, kind, k, cap)
         )
 
     def nat_arg(self, named: dict[str, Token], key: str) -> int | None:

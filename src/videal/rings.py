@@ -9,7 +9,7 @@ output deterministic.
 """
 
 from dataclasses import dataclass
-from operator import add, le, neg
+from operator import add, le
 from typing import Iterator, Sequence
 
 from .errors import RingMismatchError, VidealError
@@ -139,24 +139,17 @@ def quot_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(a - b if a > b else 0 for a, b in zip(u, f))
 
 
-def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return tuple(e * m for e in u)
-
-
-def canonical_key(exp: tuple[int, ...]) -> tuple:
-    """Sort key for the canonical monomial order: graded, then lex by the
-    ring's variable order (higher power of an earlier variable first).
-
-    On distinct tuples of one length, ``canonical_sort`` gives the same
-    order without building a key per element.
-    """
-    return (sum(exp), tuple(map(neg, exp)))
-
-
 def canonical_sort(exps: list[tuple[int, ...]]) -> None:
-    """Sort distinct equal-length exponent tuples into the canonical order
-    in place: decreasing lex order (that of their negations), then a
-    stable sort by degree."""
+    """Sort distinct equal-length exponent tuples into the canonical
+    monomial order, in place.
+
+    The canonical order is graded: lower total degree comes first.  Ties
+    are broken lexicographically by the ring's variable order, the higher
+    power of an earlier variable first; that is, decreasing lex order of
+    the tuples.  So x_i^e precedes x_j^f exactly when (e, i) < (f, j).
+    Two C-level sorts build it: decreasing lex, then a stable sort by
+    degree.
+    """
     exps.sort(reverse=True)
     exps.sort(key=sum)
 

@@ -25,14 +25,23 @@ from videal.ideals import (
 )
 from videal.rings import (
     Monomial,
-    canonical_key,
     divides_exp,
     lcm_exp,
     mul,
     monomials_up_to_degree,
-    scale_exp,
 )
 from videal.vnumbers import VReport
+
+
+def canonical_key(exp: tuple[int, ...]) -> tuple:
+    """Sort key for the canonical monomial order: graded, then lex by the
+    ring's variable order (higher power of an earlier variable first).
+    One key per element, against ``rings.canonical_sort``."""
+    return (sum(exp), tuple(-e for e in exp))
+
+
+def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
+    return tuple(e * m for e in u)
 
 
 def colon_members(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_local_v
+from oracles import brute_force_local_v, canonical_key
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     binomial_expansion,
@@ -129,6 +129,23 @@ def test_verify_expansion_failure_is_reported_with_witnesses():
     report = verify_expansion(ICL, i, j, 1)
     assert not report.expansion_holds
     assert [str(m) for m in report.mismatch_witnesses] == ["x*y"]
+
+
+def test_mismatch_witnesses_are_the_first_ten_separating_generators():
+    a2 = make_ring("A", ["x1", "x2"])
+    b3 = make_ring("B", ["y1", "y2", "y3"])
+    i = ideal(a2, [mono(a2, x1=1, x2=2)])
+    j = ideal(b3, [mono(b3, y1=2, y3=1), mono(b3, y2=2, y3=2)])
+    report = verify_expansion(ICL, i, j, 3)
+    assert not report.expansion_holds
+    direct, expanded = report.direct, report.expanded
+    separating = [g for g in direct.gens if not expanded.contains(g)]
+    separating += [g for g in expanded.gens if not direct.contains(g)]
+    assert len(separating) == 12
+    separating.sort(key=lambda m: canonical_key(m.exp))
+    assert report.mismatch_witnesses == tuple(separating[:10])
+    for m in report.mismatch_witnesses:
+        assert direct.contains(m) != expanded.contains(m)
 
 
 def test_theorem_rhs_principal_squares():

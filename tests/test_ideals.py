@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals, small_rings
 from oracles import (
+    canonical_key,
     colon_members,
     degree_sweep_minimal_exps,
     pairwise_lcm_intersection,
@@ -30,7 +31,6 @@ from videal.ideals import (
 )
 from videal.rings import (
     Monomial,
-    canonical_key,
     make_ring,
     mono,
     monomials_up_to_degree,
