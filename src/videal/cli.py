@@ -32,9 +32,6 @@ EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-DEFAULT_DEG_CAP = 6
-DEFAULT_NTF_K = 3
-
 
 def _gens_list(ideal: MonomialIdeal) -> list[str]:
     return [str(g) for g in ideal.gens]
@@ -211,29 +208,24 @@ class _Runner:
         self.emit(obj, f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}")
 
     def cmd_intclos(self, cmd: Command) -> None:
-        k = cmd.k if cmd.k is not None else 1
-        result = integral_closure(power(self.ideal_arg(cmd), k))
+        result = integral_closure(power(self.ideal_arg(cmd), cmd.k))
         obj = self.base(cmd)
-        obj["k"] = k
         obj["result"] = _gens_list(result)
-        self.emit(obj, f"closure({cmd.ideals[0]}^{k}) = {result}")
+        self.emit(obj, f"closure({cmd.ideals[0]}^{cmd.k}) = {result}")
 
     def cmd_ntf(self, cmd: Command) -> None:
-        k = cmd.k if cmd.k is not None else DEFAULT_NTF_K
-        result = normally_torsion_free(self.ideal_arg(cmd), k)
+        result = normally_torsion_free(self.ideal_arg(cmd), cmd.k)
         obj = self.base(cmd)
-        obj["k"] = k
-        obj["result"] = {"normally_torsion_free": result, "k_max": k}
+        obj["result"] = {"normally_torsion_free": result, "k_max": cmd.k}
         self.emit(
-            obj, f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {k})"
+            obj, f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {cmd.k})"
         )
 
     def cmd_check_property(self, cmd: Command) -> None:
-        cap = cmd.cap if cmd.cap is not None else DEFAULT_DEG_CAP
-        report = check_filtration_property(cmd.kind, self.ideal_arg(cmd), cmd.k, cap)
+        report = check_filtration_property(cmd.kind, self.ideal_arg(cmd), cmd.k, cmd.cap)
         obj = self.base(cmd)
         obj["report"] = {
-            "deg_cap": cap,
+            "deg_cap": cmd.cap,
             "witnesses": [
                 {"monomial": str(f), "prime": _prime_list(p)}
                 for f, p in report.witnesses
@@ -245,7 +237,7 @@ class _Runner:
             self.unequal = True
         self.emit(
             obj,
-            f"check-property kind={cmd.kind.value} k={cmd.k} cap={cap} "
+            f"check-property kind={cmd.kind.value} k={cmd.k} cap={cmd.cap} "
             f"{cmd.ideals[0]}: {len(report.witnesses)} witnesses, "
             f"{len(report.violations)} violations, "
             f"{'PASS' if report.passed else 'FAIL'}",
@@ -289,25 +281,6 @@ class _Runner:
             f"{cmd.ideals[0]} {cmd.ideals[1]}"
         )
         self.emit(obj, *_theorem_text(report, label))
-
-
-def run_session(session: Session, fmt: str) -> tuple[int, list[str]]:
-    """Execute a parsed session; returns (exit code, output lines).
-
-    Runtime errors abort the remaining commands and map to exit code 2
-    (bad input to an operation) or 3 (internal inconsistency), with a
-    structured error emitted in JSON mode.
-    """
-    runner = _Runner(session, fmt)
-    try:
-        code = runner.run()
-    except InternalError as exc:
-        runner.lines.append(_error_line(fmt, "internal", str(exc)))
-        return EXIT_INTERNAL, runner.lines
-    except VidealError as exc:
-        runner.lines.append(_error_line(fmt, "input", str(exc)))
-        return EXIT_USAGE, runner.lines
-    return code, runner.lines
 
 
 def _error_line(fmt: str, code: str, message: str, line: int | None = None,
@@ -446,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(_error_line(args.format, "usage", str(exc)), file=sys.stderr)
         return EXIT_USAGE
 
@@ -457,13 +430,26 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
-    """Parse and execute session text; the entry point used by main and
-    by in-process callers (tests, corpus goldens)."""
+    """Parse and execute session text; returns (exit code, output lines).
+
+    A parse error or a runtime error ends the output with an error line
+    and exit code 2 (bad input) or 3 (internal inconsistency); a runtime
+    error aborts the remaining commands.
+    """
     try:
         session = parse_session(text)
     except ParseError as exc:
         return EXIT_USAGE, [_error_line(fmt, "parse", exc.message, exc.line, exc.col)]
-    return run_session(session, fmt)
+    runner = _Runner(session, fmt)
+    try:
+        code = runner.run()
+    except InternalError as exc:
+        runner.lines.append(_error_line(fmt, "internal", str(exc)))
+        return EXIT_INTERNAL, runner.lines
+    except VidealError as exc:
+        runner.lines.append(_error_line(fmt, "input", str(exc)))
+        return EXIT_USAGE, runner.lines
+    return code, runner.lines
 
 
 if __name__ == "__main__":

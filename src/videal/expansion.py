@@ -14,19 +14,16 @@ from .decomposition import associated_primes
 from .errors import ImproperIdealError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
-from .rings import Monomial, Ring, canonical_sort, embed_exp, embedding, join_rings, mul_exp
+from .rings import Monomial, Ring, canonical_sort, join_rings
 from .vnumbers import local_v, v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
-    """The sum ideal IS + JS inside the joined ring S."""
-    s = join_rings(i.ring, j.ring)
-    emb_i = embedding(i.ring, s)
-    emb_j = embedding(j.ring, s)
-    width = s.nvars
-    exps = [embed_exp(e, emb_i, width) for e in i.exps()]
-    exps += [embed_exp(e, emb_j, width) for e in j.exps()]
-    return from_exps(s, exps)
+    """The sum ideal IS + JS inside the joined ring S, whose variables are
+    I's followed by J's."""
+    pad_i, pad_j = (0,) * i.ring.nvars, (0,) * j.ring.nvars
+    exps = [u + pad_j for u in i.exps()] + [pad_i + v for v in j.exps()]
+    return from_exps(join_rings(i.ring, j.ring), exps)
 
 
 def _require_inputs(i: MonomialIdeal, j: MonomialIdeal, k: int) -> None:
@@ -40,21 +37,16 @@ def binomial_expansion(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> MonomialIdeal:
     """The expanded k-th member: the sum over i+j = k of the products of
-    the summand filtration members, embedded into S."""
+    the summand filtration members, embedded into S.  The variables of S
+    are I's followed by J's, so the product of u and v has exponent u + v."""
     _require_inputs(i, j, k)
-    s = join_rings(i.ring, j.ring)
-    emb_i = embedding(i.ring, s)
-    emb_j = embedding(j.ring, s)
-    width = s.nvars
     exps: set[tuple[int, ...]] = set()
     for d in range(k + 1):
-        left = filtration_member(kind, i, k - d)
-        right = filtration_member(kind, j, d)
-        for u in left.exps():
-            ue = embed_exp(u, emb_i, width)
-            for v in right.exps():
-                exps.add(mul_exp(ue, embed_exp(v, emb_j, width)))
-    return from_exps(s, exps)
+        left = filtration_member(kind, i, k - d).exps()
+        right = filtration_member(kind, j, d).exps()
+        for u in left:
+            exps.update(u + v for v in right)
+    return from_exps(join_rings(i.ring, j.ring), exps)
 
 
 def direct_term(

@@ -230,6 +230,11 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
     if k == 0:
         return unit_ideal(a.ring)
     _require_proper_nonzero(a)
+    # A str-enum member and its value share a memo slot, so both must work.
+    try:
+        kind = FiltrationKind(kind)
+    except ValueError:
+        raise VidealError(f"unknown filtration kind {kind!r}") from None
     if kind is FiltrationKind.ORDINARY:
         return power(a, k)
     if kind is FiltrationKind.SYMBOLIC_ASS or kind is FiltrationKind.SYMBOLIC_MIN:
@@ -241,9 +246,7 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
         maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
         pk = power(a, k)
         return intersect_all((localize(pk, p) for p in maximal), a.ring)
-    if kind is FiltrationKind.INTEGRAL_CLOSURE:
-        return integral_closure(power(a, k))
-    raise VidealError(f"unknown filtration kind {kind!r}")
+    return integral_closure(power(a, k))
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,11 +10,14 @@ insensitive and supports ``#`` line comments:
     verify-theorem kind=ordinary k=2 I J;
 
 Command arguments are named key=value pairs (kind, k, cap) plus
-positional ideal names; ``colon`` additionally accepts a monomial.  All
-errors carry a line:column position.
+positional ideal names; ``colon`` additionally accepts a monomial.  The
+command table ``_SIGNATURES`` gives each command's arguments and the
+defaults of its optional ones.  All errors carry a line:column position.
 """
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple, NoReturn
 
 from .errors import ParseError
 from .filtrations import FiltrationKind
@@ -23,11 +26,24 @@ from .rings import Monomial, Ring
 
 KINDS = {kind.value: kind for kind in FiltrationKind}
 
-_PUNCT = set("=[](),;^*-")
+# The lexical grammar, one alternative per token class.  \d is a Unicode
+# decimal digit (str.isdecimal) and \w is str.isalnum() or "_"; a name
+# must also start with a letter or "_", which _tokenize checks.
+_SCANNER = re.compile(
+    r"""
+      (?P<newline> \n )
+    | [^\S\n]+                  # other whitespace: no token
+    | \#[^\n]*                  # comment: no token
+    | (?P<nat> \d+ )
+    | (?P<name> \w+ )
+    | (?P<punct> [=\[\](),;^*-] )
+    | (?P<other> . )
+    """,
+    re.VERBOSE,
+)
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "name" | "nat" | one-character punctuation | "eof"
     text: str
     line: int
@@ -36,47 +52,25 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _SCANNER.finditer(text):
+        kind = m.lastgroup
+        if kind is None:  # whitespace or a comment
+            continue
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = m.end()
             continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(Token("name", text[start:i], line, start_col))
-            continue
-        if ch.isdigit():
-            start = i
-            start_col = col
-            while i < n and text[i].isdigit():
-                i += 1
-                col += 1
-            tokens.append(Token("nat", text[start:i], line, start_col))
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        tok = m.group()
+        col = m.start() - line_start + 1
+        if kind == "punct":
+            kind = tok
+        elif kind == "other" or (kind == "name" and not (tok[0].isalpha() or tok[0] == "_")):
+            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
+        tokens.append(Token(kind, tok, line, col))
+    # A comment on the last line runs to the end; input ends where it starts.
+    end = text.find("#", line_start)
+    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
 
 
@@ -97,21 +91,23 @@ class Session:
     commands: list[Command] = field(default_factory=list)
 
 
-# Command signatures: (number of ideal arguments, allowed keys, required keys).
-_SIGNATURES: dict[str, tuple[int, frozenset, frozenset]] = {
-    "mingens": (1, frozenset(), frozenset()),
-    "colon": (1, frozenset(), frozenset()),
-    "ass": (1, frozenset(), frozenset()),
-    "min": (1, frozenset(), frozenset()),
-    "irrdec": (1, frozenset(), frozenset()),
-    "vnum": (1, frozenset(), frozenset()),
-    "power": (1, frozenset({"k"}), frozenset({"k"})),
-    "symb": (1, frozenset({"kind", "k"}), frozenset({"kind", "k"})),
-    "intclos": (1, frozenset({"k"}), frozenset()),
-    "verify-expansion": (2, frozenset({"kind", "k"}), frozenset({"kind", "k"})),
-    "verify-theorem": (2, frozenset({"kind", "k"}), frozenset({"kind", "k"})),
-    "check-property": (1, frozenset({"kind", "k", "cap"}), frozenset({"kind", "k"})),
-    "ntf": (1, frozenset({"k"}), frozenset()),
+# The command table: name -> (number of ideal arguments, required keys,
+# optional keys with the value each takes when omitted).  A command takes
+# exactly its required and optional keys.
+_SIGNATURES: dict[str, tuple[int, tuple[str, ...], dict[str, int]]] = {
+    "mingens": (1, (), {}),
+    "colon": (1, (), {}),
+    "ass": (1, (), {}),
+    "min": (1, (), {}),
+    "irrdec": (1, (), {}),
+    "vnum": (1, (), {}),
+    "power": (1, ("k",), {}),
+    "symb": (1, ("kind", "k"), {}),
+    "intclos": (1, (), {"k": 1}),
+    "verify-expansion": (2, ("kind", "k"), {}),
+    "verify-theorem": (2, ("kind", "k"), {}),
+    "check-property": (1, ("kind", "k"), {"cap": 6}),
+    "ntf": (1, (), {"k": 3}),
 }
 
 
@@ -139,7 +135,7 @@ class _Parser:
             )
         return self.advance()
 
-    def fail(self, message: str, tok: Token):
+    def fail(self, message: str, tok: Token) -> NoReturn:
         raise ParseError(message, tok.line, tok.col)
 
     def parse(self) -> Session:
@@ -222,8 +218,7 @@ class _Parser:
             exp = 1
             if self.peek().kind == "^":
                 self.advance()
-                exp_tok = self.expect("nat", "an exponent")
-                exp = int(exp_tok.text)
+                exp = self.nat(self.expect("nat", "an exponent"))
             vec[ring.index(var_tok.text)] += exp
             if self.peek().kind == "*":
                 self.advance()
@@ -252,7 +247,7 @@ class _Parser:
         head = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
         if head.text not in _SIGNATURES:
             self.fail(f"unknown command {head.text!r}", head)
-        arity, allowed, required = _SIGNATURES[head.text]
+        arity, required, defaults = _SIGNATURES[head.text]
         named: dict[str, Token] = {}
         ideals: list[str] = []
         mono_val: Monomial | None = None
@@ -263,7 +258,7 @@ class _Parser:
             if tok.kind == "name" and self.tokens[self.pos + 1].kind == "=":
                 key_tok = self.advance()
                 self.advance()  # '='
-                if key_tok.text not in allowed:
+                if key_tok.text not in required and key_tok.text not in defaults:
                     self.fail(
                         f"command {head.text!r} takes no argument {key_tok.text!r}",
                         key_tok,
@@ -307,10 +302,10 @@ class _Parser:
                 f"command {head.text!r} needs {arity} ideal argument(s), got {len(ideals)}",
                 head,
             )
-        missing = required - named.keys()
+        missing = sorted(key for key in required if key not in named)
         if missing:
             self.fail(
-                f"command {head.text!r} is missing argument(s): {', '.join(sorted(missing))}",
+                f"command {head.text!r} is missing argument(s): {', '.join(missing)}",
                 head,
             )
         kind = None
@@ -328,19 +323,31 @@ class _Parser:
                 FiltrationKind.SYMBOLIC_MIN,
             ):
                 self.fail("symb takes kind=symb-ass or kind=symb-min", kind_tok)
-        k = self.nat_arg(named, "k")
-        cap = self.nat_arg(named, "cap")
+        k = self.nat_arg(named, "k", defaults)
+        cap = self.nat_arg(named, "cap", defaults)
         self.session.commands.append(
             Command(head.text, tuple(ideals), mono_val, kind, k, cap)
         )
 
-    def nat_arg(self, named: dict[str, Token], key: str) -> int | None:
+    def nat_arg(
+        self, named: dict[str, Token], key: str, defaults: dict[str, int]
+    ) -> int | None:
+        """The value given for key, else its default (None if it has none)."""
         tok = named.get(key)
         if tok is None:
-            return None
+            return defaults.get(key)
         if tok.kind != "nat":
             self.fail(f"argument {key} must be a natural number", tok)
-        return int(tok.text)
+        return self.nat(tok)
+
+    def nat(self, tok: Token) -> int:
+        """The value of a nat token.  Its text is decimal digits, so int()
+        fails only past the interpreter's limit on digits in a conversion."""
+        try:
+            return int(tok.text)
+        except ValueError:
+            self.fail(f"number too long ({len(tok.text)} digits)", tok)
+
 
 def parse_session(text: str) -> Session:
     return _Parser(text).parse()

@@ -184,25 +184,13 @@ def quotient_by_gcd(u: Monomial, f: Monomial) -> Monomial:
     return Monomial(ring, quot_exp(u.exp, f.exp))
 
 
-def embedding(src: Ring, dst: Ring) -> tuple[int, ...]:
-    """Positions of ``src``'s variables inside ``dst``, matched by name."""
-    return tuple(dst.index(v) for v in src.vars)
-
-
-def embed_exp(
-    exp: tuple[int, ...], positions: tuple[int, ...], width: int
-) -> tuple[int, ...]:
-    vec = [0] * width
-    for pos, e in zip(positions, exp):
-        vec[pos] = e
-    return tuple(vec)
-
-
 def embed(f: Monomial, dst: Ring) -> Monomial:
     """Embed a monomial into a larger ring containing its variables,
-    padding the new coordinates with zeros."""
-    positions = embedding(f.ring, dst)
-    return Monomial(dst, embed_exp(f.exp, positions, dst.nvars))
+    matched by name, padding the new coordinates with zeros."""
+    vec = [0] * dst.nvars
+    for var, e in zip(f.ring.vars, f.exp):
+        vec[dst.index(var)] = e
+    return Monomial(dst, tuple(vec))
 
 
 def exps_of_degree(nvars: int, d: int) -> Iterator[tuple[int, ...]]:

@@ -11,6 +11,7 @@ from math import lcm
 from typing import Sequence
 
 from videal.decomposition import associated_primes, minimal_primes
+from videal.errors import ParseError
 from videal.filtrations import FiltrationKind, _newton_lp
 from videal.ideals import (
     MonomialIdeal,
@@ -201,3 +202,49 @@ def all_primes_symbolic_power(
     for p in primes:
         meet = pairwise_lcm_intersection(meet, localize(power(a, k), p).exps())
     return MonomialIdeal(a.ring, meet)
+
+
+def scan_chars(text: str):
+    """The session scanner as a character loop: yields (kind, text, line,
+    col) tokens, ending with ("eof", "", line, col), and raises ParseError
+    at the first character no token starts with.  A nat is a run of
+    str.isdigit characters, so it may hold digits int() refuses."""
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            start, start_col = i, col
+            while i < n and (text[i].isalnum() or text[i] == "_"):
+                i += 1
+                col += 1
+            yield ("name", text[start:i], line, start_col)
+            continue
+        if ch.isdigit():
+            start, start_col = i, col
+            while i < n and text[i].isdigit():
+                i += 1
+                col += 1
+            yield ("nat", text[start:i], line, start_col)
+            continue
+        if ch in "=[](),;^*-":
+            yield (ch, ch, line, col)
+            i += 1
+            col += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    yield ("eof", "", line, col)

@@ -10,11 +10,12 @@ from videal.cli import (
     EXIT_OK,
     EXIT_UNEQUAL,
     EXIT_USAGE,
+    _Runner,
     main,
     run_fuzz,
     run_text,
 )
-from videal.parser import parse_session
+from videal.parser import _SIGNATURES, parse_session
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -139,3 +140,40 @@ def test_fuzz_cli_entry(capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "fuzz:" in out.splitlines()[-1]
+
+
+def test_command_table_and_handlers_agree():
+    handlers = {name[4:] for name in vars(_Runner) if name.startswith("cmd_")}
+    assert handlers == {name.replace("-", "_") for name in _SIGNATURES}
+
+
+MALFORMED_NUMBERS = [
+    "ring A = [x]; ideal I in A = (x); power k=\u00b2 I;",
+    "ring A = [x]; ideal I in A = (x^\u00b2); vnum I;",
+    "ring A = [x]; ideal I in A = (x^" + "7" * 5000 + "); vnum I;",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_NUMBERS, ids=["k-superscript", "exp-superscript", "exp-5000-digits"])
+def test_malformed_number_is_parse_error(text):
+    code, lines = run_text(text, "text")
+    assert code == EXIT_USAGE
+    assert len(lines) == 1 and lines[0].startswith("error (parse) at 1:")
+    code, lines = run_text(text, "json")
+    assert code == EXIT_USAGE
+    obj = json.loads(lines[0])
+    assert obj["error"]["code"] == "parse"
+    jsonschema.validate(obj, SCHEMA)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_main_undecodable_file(tmp_path, capsys, fmt):
+    path = tmp_path / "latin1.vid"
+    path.write_bytes(b"ring A = [x]; \xff")
+    code = main(["--input", str(path), "--format", fmt])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    if fmt == "json":
+        assert json.loads(err)["error"]["code"] == "usage"
+    else:
+        assert err.startswith("error (usage): ")

@@ -345,3 +345,15 @@ def test_triangle_square_gains_maximal_prime():
     square = power(TRIANGLE, 2)
     names = {p.var_names for p in associated_primes(square)}
     assert ("x", "y", "z") in names
+
+
+def test_memo_invisible_for_string_kinds():
+    # FiltrationKind is a str enum, so its value and the member share a memo
+    # slot; a string first must not leave an answer the enum call would get.
+    ring = make_ring("A", ["x", "y"])
+    a = ideal(ring, [mono(ring, x=1, y=1)])
+    filtration_member.cache_clear()
+    assert filtration_member("ordinary", a, 2) == power(a, 2)
+    assert filtration_member(FiltrationKind.ORDINARY, a, 2) == power(a, 2)
+    with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
+        filtration_member("bogus", a, 2)

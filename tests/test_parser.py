@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import scan_chars
 from videal.errors import ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import ideal
-from videal.parser import parse_session
+from videal.parser import _tokenize, parse_session
 from videal.rings import make_ring, mono
 
 
@@ -150,3 +153,122 @@ def test_position_tracking_across_lines():
         parse_one("ring A = [x];\nideal I in B = (x);")
     assert err.value.line == 2
     assert err.value.col == 12
+
+
+def test_end_of_input_after_trailing_comment():
+    # A comment produces no token; input ends at the column where it starts.
+    assert _tokenize("vnum I; # done")[-1] == ("eof", "", 1, 9)
+    assert _tokenize("# one\nvnum I;")[-1] == ("eof", "", 2, 8)
+
+
+@pytest.mark.parametrize(
+    "text, col",
+    [
+        ("ring A = [x]; ideal I in A = (x^\u00b2);", 33),
+        ("ring A = [x]; ideal I in A = (x); power k=\u00b2 I;", 43),
+        ("ring A = [x]; ideal I in A = (\u00bd);", 31),
+    ],
+)
+def test_non_decimal_digit_is_unexpected(text, col):
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert err.value.message.startswith("unexpected character")
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_decimal_digits_of_any_script_are_numbers():
+    session = parse_session("ring A = [x]; ideal I in A = (x^\u0663);")
+    assert session.ideals["I"].gens[0].exp == (3,)
+
+
+def test_number_too_long_for_int_is_parse_error():
+    text = "ring A = [x]; ideal I in A = (x^" + "7" * 5000 + ");"
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert err.value.message == "number too long (5000 digits)"
+    assert (err.value.line, err.value.col) == (1, 33)
+
+
+def test_optional_arguments_take_their_defaults():
+    text = (
+        "ring A = [x, y]; ideal I in A = (x*y);"
+        "intclos I; ntf I; check-property kind=ordinary k=1 I;"
+        "intclos k=2 I; check-property kind=ordinary k=1 cap=2 I;"
+    )
+    resolved = [(cmd.name, cmd.k, cmd.cap) for cmd in parse_session(text).commands]
+    assert resolved == [
+        ("intclos", 1, None),
+        ("ntf", 3, None),
+        ("check-property", 1, 6),
+        ("intclos", 2, None),
+        ("check-property", 1, 2),
+    ]
+
+
+# Mostly the session alphabet, with whitespace and digits of other scripts,
+# non-decimal digits (superscripts, fractions, Roman numerals) and letters.
+SESSION_CHARS = st.one_of(
+    st.sampled_from(list("ringdealxyAIJk_01239=[](),;^*-# \t\r\n")),
+    st.sampled_from(list("\u00a0\u2028\u0663\uff17\u00e9\u03b1\u4e00\u00b2\u00bd\u216b\u2460")),
+    st.characters(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(SESSION_CHARS, max_size=40))
+def test_scanner_matches_character_loop(text):
+    """Wherever the character loop's nat tokens are all decimal, the
+    scanner gives the same token stream or the same ParseError."""
+    old: list[tuple] = []
+    old_error = None
+    try:
+        for tok in scan_chars(text):
+            old.append(tok)
+    except ParseError as exc:
+        old_error = (exc.message, exc.line, exc.col)
+    if any(kind == "nat" and not tok.isdecimal() for kind, tok, _, _ in old):
+        with pytest.raises(ParseError):
+            _tokenize(text)
+        return
+    try:
+        new = [tuple(tok) for tok in _tokenize(text)]
+    except ParseError as exc:
+        assert (exc.message, exc.line, exc.col) == old_error
+    else:
+        assert old_error is None
+        assert new == old
+
+
+SESSION_WORDS = st.sampled_from(
+    "ring ideal in A B I J x y = [ ] ( ) , ; ^ * - 0 1 2 k kind cap ordinary "
+    "symb-ass intclos colon vnum power ntf # \n \u00b2".split(" ")
+)
+HEADER = "ring A = [x, y]; ring B = [z]; ideal I in A = (x^2, x*y); ideal J in B = (z);"
+# A number-like word in each place a session takes a number.
+NUMBER_SLOTS = [
+    "ideal K in A = (x^{});",
+    "ideal K in A = ({});",
+    "power k={} I;",
+    "check-property kind=ordinary k=1 cap={} I;",
+    "verify-theorem kind=ordinary k={} I J;",
+]
+NUMBERS = st.one_of(
+    st.text(st.sampled_from(list("0179\u0663\uff17\u00b2\u00bd\u2460")), min_size=1, max_size=6),
+    st.just("7" * 5000),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        st.text(SESSION_CHARS, max_size=60),
+        st.lists(SESSION_WORDS, max_size=30).map(" ".join),
+        st.lists(SESSION_WORDS, max_size=20).map(lambda words: HEADER + " ".join(words)),
+        st.builds(lambda slot, n: HEADER + slot.format(n), st.sampled_from(NUMBER_SLOTS), NUMBERS),
+    )
+)
+def test_parse_session_raises_only_parse_errors(text):
+    try:
+        parse_session(text)
+    except ParseError:
+        pass
