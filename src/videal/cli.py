@@ -208,7 +208,7 @@ class _Runner:
         self.emit(obj, f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}")
 
     def cmd_intclos(self, cmd: Command) -> None:
-        result = integral_closure(power(self.ideal_arg(cmd), cmd.k))
+        result = integral_closure(self.ideal_arg(cmd), cmd.k)
         obj = self.base(cmd)
         obj["result"] = _gens_list(result)
         self.emit(obj, f"closure({cmd.ideals[0]}^{cmd.k}) = {result}")

@@ -71,7 +71,7 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
                     new.add(b[:i] + (m[i],) + b[i + 1:])
         # Sorted by decreasing degree, only earlier corners can dominate.
         for c in sorted(new, key=sum, reverse=True):
-            if not any(all(map(le, c, d)) for d in kept):
+            if not any(c <= d and all(map(le, c, d)) for d in kept):
                 kept.append(c)
         corners = kept
     return corners

@@ -11,9 +11,13 @@ Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
 generated by the componentwise-minimal lattice points of NP(L).  Its
 facet inequalities are computed once, in integers, and membership of a
-point is a handful of integer dot products.  The exact-rational LP
-(``newton_member``) answers single membership queries with a
-certificate; the closure does not use it.
+point is a handful of integer dot products.  For L = a^k they come from
+a alone, since NP(a^k) = k NP(a) (Huneke-Swanson, Integral Closure of
+Ideals, Rings, and Modules, 2006, ch. 1).  The minimal lattice points
+are solved one row of the box at a time: along a row the first feasible
+point follows from the facets, and the least last coordinate never
+increases.  The exact-rational LP (``newton_member``) answers single
+membership queries with a certificate; the closure does not use it.
 """
 
 from dataclasses import dataclass
@@ -149,71 +153,101 @@ def _minimal_points(
     Solves for one coordinate, ``last`` (the one with the largest bound):
     for each q in the box of the other coordinates, c(q) is the least
     value of u_last with (q, c(q)) inside, or None when a facet without
-    a u_last term fails on q.  Then (q, c(q)) is minimal iff it lies in
-    the box and, for every j with q_j > 0, q - e_j is outside or
+    a u_last term (a wall) fails on q.  Then (q, c(q)) is minimal iff it
+    lies in the box and, for every j with q_j > 0, q - e_j is outside or
     c(q - e_j) > c(q).  The points found form an antichain.
+
+    The box of q is solved one row at a time, a row being the values of
+    the innermost coordinate ``inner`` (the one with the next largest
+    bound, which makes rows long) under one point p of the outer ones
+    (project and lift, as in Bruns-Ichim, J. Algebra 2010).  Every
+    weight is nonnegative, so along a row the walls turn from failing to
+    holding once, at the least value each of them allows, and c(q) never
+    increases: it is evaluated only from the first feasible value on, and
+    once it reaches 0 the rest of the row is 0 too, and dominated.
     """
     t = len(bounds)
     last = max(range(t), key=bounds.__getitem__)
-    others = [i for i in range(t) if i != last]
-    walls = [(tuple(w[i] for i in others), d) for w, d in facets if not w[last]]
-    slopes = [(tuple(w[i] for i in others), d, w[last]) for w, d in facets if w[last]]
-    # c(q) is stored at the position product() yields q at: q - e_j sits
-    # strides[j] positions earlier.
-    strides = [1] * len(others)
-    for k in range(len(others) - 2, -1, -1):
-        strides[k] = strides[k + 1] * (bounds[others[k + 1]] + 1)
+    if t == 1:
+        return [(max(-(-d // w[0]) for w, d in facets),)]
+    *outer, inner = sorted((i for i in range(t) if i != last), key=bounds.__getitem__)
+    order = outer + [inner, last]
+    position = [order.index(i) for i in range(t)]
+    walls = [(tuple(w[i] for i in outer), w[inner], d) for w, d in facets if not w[last]]
+    slopes = [(tuple(w[i] for i in outer), w[inner], d, w[last]) for w, d in facets if w[last]]
+    # c(q) is stored at the position product() yields q at, row after
+    # row: q - e_j sits strides[j] positions earlier.
+    width = bounds[inner] + 1
+    strides = [width] * len(outer)
+    for k in range(len(outer) - 2, -1, -1):
+        strides[k] = strides[k + 1] * (bounds[outer[k + 1]] + 1)
     bound_last = bounds[last]
     least: list[int | None] = []
     points = []
-    for at, q in enumerate(product(*(range(bounds[i] + 1) for i in others))):
-        if any(sum(map(mul, w, q)) < d for w, d in walls):
-            least.append(None)
+    for p in product(*(range(bounds[i] + 1) for i in outer)):
+        start = 0  # the least value of u_inner that every wall allows
+        for w, w_inner, d in walls:
+            rest = d - sum(map(mul, w, p))
+            if rest > 0:
+                need = -(-rest // w_inner) if w_inner else width
+                if need > start:
+                    start = need
+        if start >= width:
+            least += [None] * width
             continue
-        c = 0
-        for w, d, w_last in slopes:
-            need = -((sum(map(mul, w, q)) - d) // w_last)  # ceil((d - w.q) / w_last)
-            if need > c:
-                c = need
-        least.append(c)
-        if c > bound_last:
-            continue
-        for qj, stride in zip(q, strides):
-            if qj:
-                below = least[at - stride]
-                if below is not None and below <= c:
-                    break
-        else:
-            point = list(q)
-            point.insert(last, c)
-            points.append(tuple(point))
+        at = len(least)
+        belows = [at - stride for pj, stride in zip(p, strides) if pj]
+        rests = [(d - sum(map(mul, w, p)), w_inner, w_last) for w, w_inner, d, w_last in slopes]
+        row: list[int | None] = [None] * start
+        for s in range(start, width):
+            c = 0
+            for rest, w_inner, w_last in rests:
+                need = -((w_inner * s - rest) // w_last)  # ceil((rest - w_inner * s) / w_last)
+                if need > c:
+                    c = need
+            if c <= bound_last and (s == start or row[-1] > c):
+                for below in belows:
+                    below = least[below + s]
+                    if below is not None and below <= c:
+                        break
+                else:
+                    vals = p + (s, c)
+                    points.append(tuple(vals[k] for k in position))
+            row.append(c)
+            if not c:
+                row += [0] * (width - 1 - s)
+                break
+        least += row
     return points
 
 
 @lru_cache(maxsize=4096)
-def integral_closure(a: MonomialIdeal) -> MonomialIdeal:
-    """The integral closure of a monomial ideal.
+def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
+    """The integral closure of a^k, for a monomial ideal a.
 
-    Computes the facet inequalities of the Newton polyhedron once, in
-    integers, and finds its minimal lattice points fibre by fibre along
-    one coordinate.  Every minimal lattice point is the ceiling of a
-    point of the bounded hull, hence lies in the box u_i <= max exponent
-    of G(a) in coordinate i.  Two exact checks guard the result: every
-    facet holds on every generator of a, and every generator of a is a
-    multiple of a closure generator.
+    The Newton polyhedron of a^k is k NP(a): the exponents of products of
+    k generators have the convex hull k conv(G(a)).  So its facets are
+    (w, k d) for the facets (w, d) of NP(a), which are computed once, in
+    integers, from the fewer generators of a.  Its minimal lattice points
+    are found row by row (``_minimal_points``).  Each of them is the
+    ceiling of a point of conv(G(a^k)), hence lies in the box u_i <= max
+    exponent of G(a^k) in coordinate i.  Two exact checks guard the
+    result: every facet holds on every generator of a^k, and every
+    generator of a^k is a multiple of a closure generator.
     """
-    _require_proper_nonzero(a)
-    gens = a.exps()
-    facets = _newton_facets(gens)
+    pk = power(a, k)
+    _require_proper_nonzero(pk)
+    gens = pk.exps()
+    facets = [(w, k * d) for w, d in _newton_facets(a.exps())]
     for w, d in facets:
         if any(sum(map(mul, w, v)) < d for v in gens):
-            raise InternalError(f"integral closure of {a}: facet {w}.u >= {d} cuts off a generator")
+            raise InternalError(f"integral closure of {pk}: facet {w}.u >= {d} cuts off a generator")
     bounds = [max(column) for column in zip(*gens)]
     points = _minimal_points(facets, bounds)
     canonical_sort(points)
     closure = MonomialIdeal(a.ring, tuple(points))
-    if not closure.contains_ideal(a):
-        raise InternalError(f"integral closure of {a} does not contain {a}")
+    if not closure.contains_ideal(pk):
+        raise InternalError(f"integral closure of {pk} does not contain {pk}")
     return closure
 
 
@@ -246,7 +280,7 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
         maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
         pk = power(a, k)
         return intersect_all((localize(pk, p) for p in maximal), a.ring)
-    return integral_closure(power(a, k))
+    return integral_closure(a, k)
 
 
 @dataclass(frozen=True, slots=True)

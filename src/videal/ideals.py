@@ -21,6 +21,7 @@ from .rings import (
     canonical_sort,
     check_same_ring,
     divides_exp,
+    lcm_exp,
     mul_exp,
     quot_exp,
 )
@@ -38,7 +39,8 @@ def _sweep_into(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...
     """
     for e in candidates:
         for m in kept:
-            if all(map(le, m, e)):
+            # m divides e only if m <= e lexicographically: a cheap pre-test.
+            if m <= e and all(map(le, m, e)):
                 break
         else:
             kept.append(e)
@@ -167,7 +169,7 @@ def intersect_exps(
     x_rest = []
     for u in x:
         for v in y:
-            if all(map(le, v, u)):
+            if v <= u and all(map(le, v, u)):
                 kept.append(u)
                 break
         else:
@@ -177,14 +179,14 @@ def intersect_exps(
     y_rest = []
     for v in y:
         for u in x:
-            if all(map(le, u, v)):
+            if u <= v and all(map(le, u, v)):
                 if u != v:  # a v in x is already kept
                     kept.append(v)
                 break
         else:
             y_rest.append(v)
     # No lcm properly divides a passed generator, which is minimal.
-    _sweep_into(kept, sorted({tuple(map(max, u, v)) for u in x_rest for v in y_rest}, key=sum))
+    _sweep_into(kept, sorted({lcm_exp(u, v) for u in x_rest for v in y_rest}, key=sum))
     canonical_sort(kept)
     return tuple(kept)
 

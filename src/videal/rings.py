@@ -92,7 +92,10 @@ class Monomial:
             if e == 1:
                 parts.append(var)
             elif e > 1:
-                parts.append(f"{var}^{e}")
+                try:
+                    parts.append(f"{var}^{e}")
+                except ValueError:  # more digits than sys.get_int_max_str_digits()
+                    raise VidealError(f"the exponent of {var} has too many digits to print") from None
         return "*".join(parts)
 
 
@@ -127,7 +130,8 @@ def gcd_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def lcm_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(max, u, f))
+    # A two-argument max() call costs more than the comparison it makes.
+    return tuple([a if a > b else b for a, b in zip(u, f)])
 
 
 def mul_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:

@@ -65,12 +65,16 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     # form a distributive lattice, so a : p is a plus the intersection of the parts.
     # G(a) is a canonical antichain, and so is each part: u - e_i divides
     # v - e_i iff u divides v, and subtracting e_i from every vector keeps
-    # both their degree order and their lex order.
+    # both their degree order and their lex order.  The parts are met
+    # smallest first, which keeps the running intersection, and with it
+    # the pairwise lcms, small.
     gens = a.exps()
-    shared = None
-    for i in p.indices:
-        part = tuple(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i])
-        shared = part if shared is None else intersect_exps(shared, part)
+    parts = sorted(
+        (tuple(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i]) for i in p.indices), key=len
+    )
+    shared = parts[0]
+    for part in parts[1:]:
+        shared = intersect_exps(shared, part)
     support = set(p.indices)
     # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so
     # the candidates are shared.  It is canonically sorted, so the first

@@ -8,6 +8,7 @@ with the operation it cross-checks.
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from operator import mul as times
 from typing import Sequence
 
 from videal.decomposition import associated_primes, minimal_primes
@@ -27,7 +28,6 @@ from videal.ideals import (
 from videal.rings import (
     Monomial,
     divides_exp,
-    lcm_exp,
     mul,
     monomials_up_to_degree,
 )
@@ -143,6 +143,43 @@ def box_scan_integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     return from_exps(a.ring, found)
 
 
+def fibre_scan_minimal_points(
+    facets: Sequence[tuple[tuple[int, ...], int]], bounds: Sequence[int]
+) -> list[tuple[int, ...]]:
+    """The componentwise-minimal lattice points u >= 0 of the facet
+    inequalities w.u >= d, all of them in the box u <= bounds, found
+    fibre by fibre: for every q in the box of the coordinates other than
+    ``last`` (the one with the largest bound), c(q) is the least u_last
+    with (q, c(q)) inside, or None when a facet without a u_last term
+    fails on q; (q, c(q)) is minimal iff it lies in the box and c(q - e_j)
+    is None or above c(q) for every j with q_j > 0."""
+    t = len(bounds)
+    last = max(range(t), key=bounds.__getitem__)
+    others = [i for i in range(t) if i != last]
+    walls = [(tuple(w[i] for i in others), d) for w, d in facets if not w[last]]
+    slopes = [(tuple(w[i] for i in others), d, w[last]) for w, d in facets if w[last]]
+    # q - e_j sits strides[j] positions before q in product() order.
+    strides = [1] * len(others)
+    for k in range(len(others) - 2, -1, -1):
+        strides[k] = strides[k + 1] * (bounds[others[k + 1]] + 1)
+    least: list[int | None] = []
+    points = []
+    for at, q in enumerate(product(*(range(bounds[i] + 1) for i in others))):
+        if any(sum(map(times, w, q)) < d for w, d in walls):
+            least.append(None)
+            continue
+        c = max([0] + [-((sum(map(times, w, q)) - d) // w_last) for w, d, w_last in slopes])
+        least.append(c)
+        if c > bounds[last]:
+            continue
+        if all(least[at - stride] is None or least[at - stride] > c
+               for qj, stride in zip(q, strides) if qj):
+            point = list(q)
+            point.insert(last, c)
+            points.append(tuple(point))
+    return points
+
+
 def brute_force_local_v(
     a: MonomialIdeal, p: PrimeSupport, deg_cap: int
 ) -> VReport | None:
@@ -188,7 +225,7 @@ def pairwise_lcm_intersection(
     x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
 ) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of (x) ∩ (y): every pairwise lcm, minimalized."""
-    return degree_sweep_minimal_exps(lcm_exp(u, v) for u in x for v in y)
+    return degree_sweep_minimal_exps(tuple(map(max, u, v)) for u in x for v in y)
 
 
 def all_primes_symbolic_power(

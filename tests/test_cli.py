@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -164,6 +165,30 @@ def test_malformed_number_is_parse_error(text):
     obj = json.loads(lines[0])
     assert obj["error"]["code"] == "parse"
     jsonschema.validate(obj, SCHEMA)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_unprintable_output_exponent_is_input_error():
+    # The literal is at the int/str digit limit, and its square is past it.
+    text = f"ring A = [x]; ideal I in A = (x^{'9' * sys.get_int_max_str_digits()}); power k=2 I;"
+    code, lines = run_text(text, "text")
+    assert code == EXIT_USAGE
+    assert lines == ["error (input): the exponent of x has too many digits to print"]
+    code, lines = run_text(text, "json")
+    assert code == EXIT_USAGE
+    obj = json.loads(lines[-1])
+    assert len(lines) == 1 and obj["error"]["code"] == "input"
+    jsonschema.validate(obj, SCHEMA)
+
+
+def test_closure_of_the_zeroth_power_is_input_error():
+    text = "ring A = [x, y]; ideal I in A = (x^2, y^3); intclos k=0 I;"
+    for fmt, line in (
+        ("text", "error (input): operation requires a proper nonzero ideal, got the unit ideal"),
+        ("json", '{"error": {"code": "input", "message": '
+                 '"operation requires a proper nonzero ideal, got the unit ideal"}}'),
+    ):
+        assert run_text(text, fmt) == (EXIT_USAGE, [line])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

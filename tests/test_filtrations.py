@@ -12,6 +12,7 @@ from oracles import (
     all_primes_symbolic_power,
     box_scan_integral_closure,
     certificate_denominator_lcm,
+    fibre_scan_minimal_points,
     power_membership_oracle,
 )
 from videal import filtrations
@@ -27,6 +28,7 @@ from videal.filtrations import (
     normally_torsion_free,
 )
 from videal.ideals import (
+    from_exps,
     ideal,
     intersect_all,
     localize,
@@ -189,6 +191,36 @@ def test_closure_of_a_cube_in_six_variables_matches_oracle():
     closed = integral_closure(cube)
     assert (len(cube.exps()), len(closed.exps())) == (20, 50)
     assert closed == box_scan_integral_closure(cube)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ideals(max_gens=6, max_exp=3, max_vars=5), st.integers(1, 3))
+def test_row_enumeration_matches_fibre_scan(a, k):
+    # The facets of NP(a^k) = k NP(a), in a box holding its minimal points.
+    facets = [(w, k * d) for w, d in filtrations._newton_facets(a.exps())]
+    bounds = [k * max(column) for column in zip(*a.exps())]
+    points = filtrations._minimal_points(facets, bounds)
+    assert sorted(points) == sorted(fibre_scan_minimal_points(facets, bounds))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals(max_gens=6, max_exp=3, max_vars=4), st.integers(1, 3))
+def test_closure_of_a_power_matches_box_scan_oracle(a, k):
+    assert integral_closure(a, k) == box_scan_integral_closure(power(a, k))
+
+
+def test_closure_of_an_eight_variable_cube_matches_fibre_scan():
+    # The cube of perfbench's hang-guard ideal: 20 generators, 36 facets,
+    # and a box of 153,664 fibres around 54 minimal points.
+    ring = make_ring("S", [f"x{n}" for n in range(8)])
+    base = from_exps(ring, [(1, 1, 0, 0, 2, 0, 1, 0), (0, 2, 1, 1, 0, 0, 0, 1),
+                            (1, 0, 2, 0, 0, 1, 1, 1), (0, 0, 0, 2, 1, 2, 0, 1)])
+    cube = power(base, 3)
+    facets = filtrations._newton_facets(cube.exps())
+    bounds = [max(column) for column in zip(*cube.exps())]
+    expected = from_exps(ring, fibre_scan_minimal_points(facets, bounds))
+    assert len(expected.exps()) == 54
+    assert integral_closure(cube) == integral_closure(base, 3) == expected
 
 
 # ---------------------------------------------------------------------------
