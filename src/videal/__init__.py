@@ -38,12 +38,10 @@ from .expansion import (
 )
 from .filtrations import (
     FiltrationKind,
-    NewtonMembership,
     PropertyCheckReport,
     check_filtration_property,
     filtration_member,
     integral_closure,
-    newton_member,
     normally_torsion_free,
 )
 from .ideals import (
@@ -64,6 +62,7 @@ from .ideals import (
     unit_ideal,
     zero_ideal,
 )
+from .lp import NewtonMembership, newton_member
 from .rings import (
     Monomial,
     Ring,

@@ -41,6 +41,16 @@ def _prime_list(prime) -> list[str]:
     return list(prime.var_names)
 
 
+def _printable(n: int | None, what: str) -> int | None:
+    """n, once str(n) is known to work: an output integer past the
+    int/str digit limit is bad input, not a traceback."""
+    try:
+        str(n)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise VidealError(f"{what} has too many digits to print") from None
+    return n
+
+
 def _theorem_json(report: TheoremReport) -> dict:
     rows = []
     for row in report.rows:
@@ -49,11 +59,12 @@ def _theorem_json(report: TheoremReport) -> dict:
                 "prime": _prime_list(row.prime),
                 "p": _prime_list(row.p),
                 "q": _prime_list(row.q),
-                "lhs": row.lhs,
+                "lhs": _printable(row.lhs, f"the v-number at {row.prime}"),
                 "lhs_witness": str(row.lhs_witness),
                 "rhs": None
                 if row.rhs is None
-                else {"value": row.rhs.value, "achieved_d": list(row.rhs.achieved)},
+                else {"value": _printable(row.rhs.value, f"the formula value at {row.prime}"),
+                      "achieved_d": list(row.rhs.achieved)},
                 "equal": row.equal,
             }
         )
@@ -62,9 +73,9 @@ def _theorem_json(report: TheoremReport) -> dict:
         "rows": rows,
         "non_mixed_primes": [_prime_list(p) for p in report.non_mixed_primes],
         "global": {
-            "lhs": report.v_direct,
+            "lhs": _printable(report.v_direct, "the global v-number"),
             "prime": _prime_list(report.v_direct_prime),
-            "rhs": report.v_formula,
+            "rhs": _printable(report.v_formula, "the global formula value"),
             "equal": report.global_equal,
         },
         "findings": list(report.findings),
@@ -184,7 +195,7 @@ class _Runner:
         report = v_number(self.ideal_arg(cmd))
         obj = self.base(cmd)
         obj["result"] = {
-            "degree": report.degree,
+            "degree": _printable(report.degree, f"v({cmd.ideals[0]})"),
             "witness": str(report.witness),
             "prime": _prime_list(report.prime),
             "method": report.method,

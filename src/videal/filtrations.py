@@ -10,26 +10,22 @@ intersection: only the inclusion-maximal primes are intersected.
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
 generated by the componentwise-minimal lattice points of NP(L).  Its
-facet inequalities are computed once, in integers, and membership of a
-point is a handful of integer dot products.  For L = a^k they come from
-a alone, since NP(a^k) = k NP(a) (Huneke-Swanson, Integral Closure of
-Ideals, Rings, and Modules, 2006, ch. 1).  The minimal lattice points
-are solved one row of the box at a time: along a row the first feasible
-point follows from the facets, and the least last coordinate never
-increases.  The exact-rational LP (``newton_member``) answers single
-membership queries with a certificate; the closure does not use it.
+facet inequalities are computed once, in integers, by ``lp``, and
+membership of a point is a handful of integer dot products.  For L = a^k
+they come from a alone, since NP(a^k) = k NP(a) (Huneke-Swanson,
+Integral Closure of Ideals, Rings, and Modules, 2006, ch. 1).  The
+minimal lattice points are solved one row of the box at a time: along a
+row the first feasible point follows from the facets, and the least last
+coordinate never increases.
 """
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
-from . import lp
 from .decomposition import _require_proper_nonzero, associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import (
@@ -43,6 +39,7 @@ from .ideals import (
     power,
     unit_ideal,
 )
+from .lp import _newton_facets
 from .rings import Monomial, canonical_sort, monomials_up_to_degree
 
 
@@ -54,94 +51,6 @@ class FiltrationKind(str, Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class NewtonMembership(NamedTuple):
-    member: bool
-    certificate: tuple[Fraction, ...] | None
-
-
-def _newton_lp(a: Sequence[int], gens: Sequence[Sequence[int]]):
-    """Maximize the total weight of a nonnegative combination of the
-    generator exponent vectors staying componentwise below a.
-
-    a lies in the Newton polyhedron iff the optimum reaches 1: any heavier
-    combination rescales down to a convex one (the orthant absorbs the
-    slack), and a convex combination witnesses optimum >= 1 directly.
-    """
-    rows = [[v[i] for v in gens] for i in range(len(a))]
-    return lp.maximize(rows, a, [1] * len(gens))
-
-
-def newton_member(
-    a: Sequence[int], gens: Sequence[Sequence[int]]
-) -> NewtonMembership:
-    """Exact membership of the point a in the Newton polyhedron of gens.
-
-    When a is a member, the certificate is a rational convex-combination
-    weight vector lambda with sum 1 and sum(lambda_j * gens_j) <= a.
-    """
-    if not gens:
-        raise VidealError("newton_member needs at least one generator")
-    if any(len(v) != len(a) for v in gens):
-        raise VidealError("newton_member dimension mismatch")
-    optimum, x, _ = _newton_lp(a, gens)
-    if optimum < 1:
-        return NewtonMembership(False, None)
-    scaled = tuple(v / optimum for v in x)
-    return NewtonMembership(True, scaled)
-
-
-def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
-    """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
-    of gens (a nonempty antichain of exponent vectors).
-
-    They are the extreme rays (w, d) with d > 0 of the cone
-    C = {(w, d) : w >= 0, w.v >= d for every v in gens}; the rays with
-    d <= 0 only restate u >= 0.  Double description (Fukuda-Prodon 1996):
-    the cone cut out by w >= 0 and the first generator has the rays
-    (e_i, v0_i) and (0, -1); each further generator v keeps the rays on
-    its side of w.v >= d and joins every adjacent pair of rays on
-    opposite sides.  Two rays are adjacent iff no third ray is tight on
-    every inequality tight on both; tight sets are bit sets, with bit i
-    for w_i >= 0 and bit t + j for the j-th generator.  All arithmetic is
-    on integers, and each ray is kept divided by the gcd of its entries.
-    """
-    t = len(gens[0])
-    v0 = gens[0]
-    coords = (1 << t) - 1
-    rays = [
-        (tuple(1 if j == i else 0 for j in range(t)) + (v0[i],), coords & ~(1 << i) | 1 << t)
-        for i in range(t)
-    ]
-    rays.append(((0,) * t + (-1,), coords))
-    for j, v in enumerate(gens[1:], 1):
-        bit = 1 << (t + j)
-        kept, pos, neg = [], [], []
-        for ray, tight in rays:
-            h = sum(map(mul, ray, v)) - ray[t]  # w.v - d
-            if h > 0:
-                kept.append((ray, tight))
-                pos.append((ray, tight, h))
-            elif h < 0:
-                neg.append((ray, tight, h))
-            else:
-                kept.append((ray, tight | bit))
-        if not neg:
-            rays = kept
-            continue
-        tights = [tight for _, tight in rays]
-        for rp, tp, hp in pos:
-            for rn, tn, hn in neg:
-                common = tp & tn
-                # Distinct extreme rays have distinct tight sets.
-                if any(common & other == common and other not in (tp, tn) for other in tights):
-                    continue
-                ray = tuple(hp * b - hn * a for a, b in zip(rp, rn))
-                g = gcd(*ray)
-                kept.append((tuple(x // g for x in ray), common | bit))
-        rays = kept
-    return [(ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0]
 
 
 def _minimal_points(

@@ -1,93 +1,92 @@
-"""Exact-rational simplex for small linear programs.
+"""The Newton polyhedron NP(gens) = conv(gens) + nonnegative orthant as
+integer facet inequalities w.u >= d: ``integral_closure`` enumerates its
+lattice points, and ``newton_member`` tests a single point.
 
-Serves ``filtrations.newton_member`` only: one Newton-polyhedron
-membership query with a rational convex-combination certificate.
-(Integral closure tests membership by integer facet inequalities.)
-
-Solves  maximize c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-slack basis is feasible and no phase-one is needed.  All arithmetic is
-over Fraction; Bland's rule guards against cycling.  Problem sizes here
-are tiny (rows = number of ring variables), so a dense tableau is fine.
+The module keeps its name from the exact-rational simplex it once held
+(now a test oracle), because the benchmark harness looks up each layer
+module by name, ``videal.lp`` included.
 """
 
-from fractions import Fraction
-from numbers import Rational
-from typing import Sequence
+from math import gcd
+from operator import mul
+from typing import NamedTuple, Sequence
 
-from .errors import InternalError
-
-ZERO = Fraction(0)
+from .errors import VidealError
 
 
-def maximize(
-    a_rows: Sequence[Sequence[Rational]],
-    b: Sequence[Rational],
-    c: Sequence[Rational],
-) -> tuple[Fraction, list[Fraction], list[Fraction]]:
-    """Returns (optimum, primal solution x, dual values y).
+class NewtonMembership(NamedTuple):
+    member: bool
+    facet: tuple[tuple[int, ...], int] | None
 
-    Entries may be ints or Fractions; each is converted to Fraction once,
-    when the tableau is built.
 
-    The duals are the shadow prices of the <= constraints; at optimality
-    they satisfy y >= 0, y.A >= c componentwise, and y.b = optimum.
+def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+    """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
+    of gens (a nonempty list of exponent vectors; repeated or dominated
+    ones only add redundant inequalities to the cone below).
+
+    They are the extreme rays (w, d) with d > 0 of the cone
+    C = {(w, d) : w >= 0, w.v >= d for every v in gens}; the rays with
+    d <= 0 only restate u >= 0.  Double description (Fukuda-Prodon 1996):
+    the cone cut out by w >= 0 and the first generator has the rays
+    (e_i, v0_i) and (0, -1); each further generator v keeps the rays on
+    its side of w.v >= d and joins every adjacent pair of rays on
+    opposite sides.  Two rays are adjacent iff no third ray is tight on
+    every inequality tight on both; tight sets are bit sets, with bit i
+    for w_i >= 0 and bit t + j for the j-th generator.  All arithmetic is
+    on integers, and each ray is kept divided by the gcd of its entries.
     """
-    m = len(a_rows)
-    n = len(c)
-    if any(len(row) != n for row in a_rows) or len(b) != m:
-        raise InternalError("inconsistent LP dimensions")
-    if any(v < 0 for v in b):
-        raise InternalError("this solver needs b >= 0 (slack basis start)")
-
-    # Columns: 0..n-1 structural, n..n+m-1 slack; rows carry b in the last slot.
-    tableau = [
-        [Fraction(v) for v in row]
-        + [Fraction(1) if i == j else ZERO for j in range(m)]
-        + [Fraction(b[i])]
-        for i, row in enumerate(a_rows)
+    t = len(gens[0])
+    v0 = gens[0]
+    coords = (1 << t) - 1
+    rays = [
+        (tuple(1 if j == i else 0 for j in range(t)) + (v0[i],), coords & ~(1 << i) | 1 << t)
+        for i in range(t)
     ]
-    # Objective row holds reduced costs; entry > 0 means improving.
-    obj = [Fraction(v) for v in c] + [ZERO] * m + [ZERO]
-    basis = list(range(n, n + m))
-    total = n + m
+    rays.append(((0,) * t + (-1,), coords))
+    for j, v in enumerate(gens[1:], 1):
+        bit = 1 << (t + j)
+        kept, pos, neg = [], [], []
+        for ray, tight in rays:
+            h = sum(map(mul, ray, v)) - ray[t]  # w.v - d
+            if h > 0:
+                kept.append((ray, tight))
+                pos.append((ray, tight, h))
+            elif h < 0:
+                neg.append((ray, tight, h))
+            else:
+                kept.append((ray, tight | bit))
+        if not neg:
+            rays = kept
+            continue
+        tights = [tight for _, tight in rays]
+        for rp, tp, hp in pos:
+            for rn, tn, hn in neg:
+                common = tp & tn
+                # Distinct extreme rays have distinct tight sets.
+                if any(common & other == common and other not in (tp, tn) for other in tights):
+                    continue
+                ray = tuple(hp * b - hn * a for a, b in zip(rp, rn))
+                g = gcd(*ray)
+                kept.append((tuple(x // g for x in ray), common | bit))
+        rays = kept
+    return [(ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0]
 
-    while True:
-        enter = next((j for j in range(total) if obj[j] > 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(m):
-            coef = tableau[i][enter]
-            if coef > 0:
-                ratio = tableau[i][total] / coef
-                # Bland: smallest ratio, ties by smallest basis variable.
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            raise InternalError("LP is unbounded; malformed membership query")
-        pivot_row = tableau[leave]
-        pivot = pivot_row[enter]
-        if pivot != 1:
-            for j in range(total + 1):
-                pivot_row[j] /= pivot
-        for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
-                factor = tableau[i][enter]
-                row = tableau[i]
-                for j in range(total + 1):
-                    row[j] -= factor * pivot_row[j]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            for j in range(total + 1):
-                obj[j] -= factor * pivot_row[j]
-        basis[leave] = enter
 
-    x = [ZERO] * n
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i][total]
-    optimum = -obj[total]
-    duals = [-obj[n + i] for i in range(m)]
-    return optimum, x, duals
+def newton_member(
+    a: Sequence[int], gens: Sequence[Sequence[int]]
+) -> NewtonMembership:
+    """Exact membership of the point a in the Newton polyhedron of gens
+    (repeated, dominated and zero vectors allowed): a is a member iff it
+    satisfies every facet, and a point outside comes with the first one
+    it violates, (w, d) with w.a < d <= w.v for every generator v.
+    """
+    if not gens:
+        raise VidealError("newton_member needs at least one generator")
+    if any(len(v) != len(a) for v in gens):
+        raise VidealError("newton_member dimension mismatch")
+    if any(e < 0 for e in a) or any(e < 0 for v in gens for e in v):
+        raise VidealError("newton_member needs nonnegative exponents")
+    for w, d in _newton_facets(gens):
+        if sum(map(mul, w, a)) < d:
+            return NewtonMembership(False, (w, d))
+    return NewtonMembership(True, None)

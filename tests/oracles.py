@@ -8,12 +8,13 @@ with the operation it cross-checks.
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from numbers import Rational
 from operator import mul as times
 from typing import Sequence
 
 from videal.decomposition import associated_primes, minimal_primes
-from videal.errors import ParseError
-from videal.filtrations import FiltrationKind, _newton_lp
+from videal.errors import InternalError, ParseError
+from videal.filtrations import FiltrationKind
 from videal.ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -105,6 +106,112 @@ def splitting_decomposition(a: MonomialIdeal) -> tuple[MonomialIdeal, ...]:
     return tuple(sorted(kept, key=lambda q: tuple(canonical_key(e) for e in q.exps())))
 
 
+ZERO = Fraction(0)
+
+
+def maximize(
+    a_rows: Sequence[Sequence[Rational]],
+    b: Sequence[Rational],
+    c: Sequence[Rational],
+) -> tuple[Fraction, list[Fraction], list[Fraction]]:
+    """Exact-rational simplex: maximize c.x subject to A x <= b, x >= 0,
+    with b >= 0 so the slack basis is feasible and no phase one is
+    needed.  Returns (optimum, primal solution x, dual values y).
+
+    Entries may be ints or Fractions; each is converted to Fraction once,
+    when the dense tableau is built, and Bland's rule guards against
+    cycling.  The duals are the shadow prices of the <= constraints; at
+    optimality they satisfy y >= 0, y.A >= c componentwise, and
+    y.b = optimum.
+    """
+    m = len(a_rows)
+    n = len(c)
+    if any(len(row) != n for row in a_rows) or len(b) != m:
+        raise InternalError("inconsistent LP dimensions")
+    if any(v < 0 for v in b):
+        raise InternalError("this solver needs b >= 0 (slack basis start)")
+
+    # Columns: 0..n-1 structural, n..n+m-1 slack; rows carry b in the last slot.
+    tableau = [
+        [Fraction(v) for v in row]
+        + [Fraction(1) if i == j else ZERO for j in range(m)]
+        + [Fraction(b[i])]
+        for i, row in enumerate(a_rows)
+    ]
+    # Objective row holds reduced costs; entry > 0 means improving.
+    obj = [Fraction(v) for v in c] + [ZERO] * m + [ZERO]
+    basis = list(range(n, n + m))
+    total = n + m
+
+    while True:
+        enter = next((j for j in range(total) if obj[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tableau[i][enter]
+            if coef > 0:
+                ratio = tableau[i][total] / coef
+                # Bland: smallest ratio, ties by smallest basis variable.
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise InternalError("LP is unbounded; malformed membership query")
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
+        if pivot != 1:
+            for j in range(total + 1):
+                pivot_row[j] /= pivot
+        for i in range(m):
+            if i != leave and tableau[i][enter] != 0:
+                factor = tableau[i][enter]
+                row = tableau[i]
+                for j in range(total + 1):
+                    row[j] -= factor * pivot_row[j]
+        if obj[enter] != 0:
+            factor = obj[enter]
+            for j in range(total + 1):
+                obj[j] -= factor * pivot_row[j]
+        basis[leave] = enter
+
+    x = [ZERO] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tableau[i][total]
+    optimum = -obj[total]
+    duals = [-obj[n + i] for i in range(m)]
+    return optimum, x, duals
+
+
+def newton_lp(a: Sequence[int], gens: Sequence[Sequence[int]]):
+    """Maximize the total weight of a nonnegative combination of the
+    generator exponent vectors staying componentwise below a.
+
+    a lies in the Newton polyhedron iff the optimum reaches 1: any heavier
+    combination rescales down to a convex one (the orthant absorbs the
+    slack), and a convex combination witnesses optimum >= 1 directly.
+    Defined for a >= 0 and no zero generator (else the LP is unbounded).
+    """
+    rows = [[v[i] for v in gens] for i in range(len(a))]
+    return maximize(rows, a, [1] * len(gens))
+
+
+def lp_newton_member(
+    a: Sequence[int], gens: Sequence[Sequence[int]]
+) -> tuple[bool, tuple[Fraction, ...] | None]:
+    """Newton-polyhedron membership by the LP, against lp.newton_member.
+
+    A member comes with a rational convex-combination weight vector
+    lambda, sum 1 and sum(lambda_j * gens_j) <= a; a non-member with None.
+    """
+    optimum, x, _ = newton_lp(a, gens)
+    if optimum < 1:
+        return False, None
+    return True, tuple(v / optimum for v in x)
+
+
 def box_scan_integral_closure(a: MonomialIdeal) -> MonomialIdeal:
     """The integral closure of a proper nonzero ideal by an exact LP per
     point: scan the box u_i <= max exponent of G(a) in coordinate i in
@@ -132,7 +239,7 @@ def box_scan_integral_closure(a: MonomialIdeal) -> MonomialIdeal:
             continue
         if any(sum(wi * pi for wi, pi in zip(w, point)) < d for w, d in cuts):
             continue
-        optimum, _, duals = _newton_lp(point, gens)
+        optimum, _, duals = newton_lp(point, gens)
         if optimum >= 1:
             found.append(point)
         else:
@@ -195,7 +302,7 @@ def brute_force_local_v(
 def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:
     """True iff (x^a)^m lies in l^m for some m <= m_max.
 
-    Conservative cross-check for newton_member: False only means "not
+    Conservative cross-check for Newton membership: False only means "not
     found up to m_max".
     """
     exp = tuple(a)

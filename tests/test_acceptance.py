@@ -18,6 +18,7 @@ from oracles import (
     brute_force_ass,
     brute_force_local_v,
     certificate_denominator_lcm,
+    lp_newton_member,
     power_membership_oracle,
 )
 from videal.cli import EXIT_USAGE, run_text
@@ -28,7 +29,6 @@ from videal.filtrations import (
     check_filtration_property,
     filtration_member,
     integral_closure,
-    newton_member,
 )
 from videal.ideals import (
     colon_monomial,
@@ -41,6 +41,7 @@ from videal.ideals import (
     sum_ideals,
     zero_ideal,
 )
+from videal.lp import newton_member
 from videal.parser import parse_session
 from videal.randgen import random_ideal, random_ntf_pair, random_pair, random_ring
 from videal.rings import (
@@ -300,13 +301,20 @@ def test_acceptance_9_newton_lp_cross_check():
         bounds = [max(g.exp[i] for g in a.gens) + 1 for i in range(ring.nvars)]
         point = tuple(rng.randint(0, b) for b in bounds)
         result = newton_member(point, a.exps())
-        if result.member:
+        member, certificate = lp_newton_member(point, a.exps())
+        assert result.member == member, (str(a), point)
+        if member:
             members += 1
-            m = certificate_denominator_lcm(result.certificate)
+            assert result.facet is None
+            m = certificate_denominator_lcm(certificate)
             assert power_membership_oracle(point, a, m), (str(a), point, m)
         else:
+            w, d = result.facet
+            assert sum(wi * pi for wi, pi in zip(w, point)) < d, (str(a), point, result.facet)
+            assert all(sum(wi * vi for wi, vi in zip(w, v)) >= d for v in a.exps()), (str(a), w, d)
             assert not power_membership_oracle(point, a, 6), (str(a), point)
-    _finish(9, started, 60, f"300 membership queries ({members} inside) agree with the power oracle")
+    _finish(9, started, 60, f"300 membership queries ({members} inside) agree with the "
+            "LP and power oracles")
 
 
 def test_acceptance_10_cli_corpus():

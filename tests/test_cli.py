@@ -181,6 +181,26 @@ def test_unprintable_output_exponent_is_input_error():
     jsonschema.validate(obj, SCHEMA)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("session, message", [
+    # The exponents are at the int/str digit limit; each v-number below
+    # is 2 * 10^limit - 4, one digit more.
+    ("ring A = [x, y]; ideal I in A = (x^{n}, y^{n}); vnum I;",
+     "v(I) has too many digits to print"),
+    ("ring A = [x]; ring B = [y]; ideal I in A = (x^{n}); ideal J in B = (y^{n}); "
+     "verify-theorem kind=ordinary k=1 I J;",
+     "the v-number at (x, y) has too many digits to print"),
+], ids=["vnum", "verify-theorem"])
+def test_unprintable_output_integer_is_input_error(fmt, session, message):
+    code, lines = run_text(session.format(n="9" * sys.get_int_max_str_digits()), fmt)
+    assert code == EXIT_USAGE
+    if fmt == "text":
+        assert lines == [f"error (input): {message}"]
+    else:
+        assert [json.loads(line) for line in lines] == [{"error": {"code": "input", "message": message}}]
+        jsonschema.validate(json.loads(lines[0]), SCHEMA)
+
+
 def test_closure_of_the_zeroth_power_is_input_error():
     text = "ring A = [x, y]; ideal I in A = (x^2, y^3); intclos k=0 I;"
     for fmt, line in (

@@ -13,6 +13,7 @@ from oracles import (
     box_scan_integral_closure,
     certificate_denominator_lcm,
     fibre_scan_minimal_points,
+    lp_newton_member,
     power_membership_oracle,
 )
 from videal import filtrations
@@ -24,7 +25,6 @@ from videal.filtrations import (
     check_filtration_property,
     filtration_member,
     integral_closure,
-    newton_member,
     normally_torsion_free,
 )
 from videal.ideals import (
@@ -37,6 +37,7 @@ from videal.ideals import (
     sum_ideals,
     unit_ideal,
 )
+from videal.lp import newton_member
 from videal.randgen import random_ideal
 from videal.rings import make_ring, mono
 
@@ -51,25 +52,28 @@ def gens_str(a):
 
 
 # ---------------------------------------------------------------------------
-# Newton membership and the power-membership oracle
+# Newton membership, the LP oracle and the power-membership oracle
 # ---------------------------------------------------------------------------
 
 def test_newton_midpoint():
     result = newton_member((1, 1), [(2, 0), (0, 2)])
     assert result.member
-    assert result.certificate == (Fraction(1, 2), Fraction(1, 2))
+    assert result.facet is None
+    assert lp_newton_member((1, 1), [(2, 0), (0, 2)]) == (True, (Fraction(1, 2), Fraction(1, 2)))
 
 
 def test_newton_outside():
     result = newton_member((1, 0), [(2, 0), (0, 2)])
     assert not result.member
-    assert result.certificate is None
+    assert result.facet == ((1, 1), 2)
+    assert lp_newton_member((1, 0), [(2, 0), (0, 2)]) == (False, None)
 
 
 def test_newton_vertex():
     result = newton_member((2, 0), [(2, 0), (0, 2)])
     assert result.member
-    assert result.certificate == (Fraction(1), Fraction(0))
+    assert result.facet is None
+    assert lp_newton_member((2, 0), [(2, 0), (0, 2)]) == (True, (Fraction(1), Fraction(0)))
 
 
 def test_newton_dimension_mismatch():
@@ -85,8 +89,10 @@ def test_power_membership_oracle_examples():
 
 
 def test_certificate_bounds_oracle_power():
-    result = newton_member((1, 1), [(2, 0), (0, 2)])
-    m = certificate_denominator_lcm(result.certificate)
+    assert newton_member((1, 1), [(2, 0), (0, 2)]).member
+    member, certificate = lp_newton_member((1, 1), [(2, 0), (0, 2)])
+    assert member
+    m = certificate_denominator_lcm(certificate)
     assert m == 2
     a = ideal(R2, [mono(R2, x=2), mono(R2, y=2)])
     assert power_membership_oracle((1, 1), a, m)
@@ -128,10 +134,14 @@ def test_newton_agrees_with_power_oracle(a, data):
     bounds = [max(g.exp[i] for g in a.gens) + 1 for i in range(a.ring.nvars)]
     point = tuple(data.draw(st.integers(0, b)) for b in bounds)
     result = newton_member(point, a.exps())
-    if result.member:
-        m = certificate_denominator_lcm(result.certificate)
+    member, certificate = lp_newton_member(point, a.exps())
+    assert result.member == member
+    if member:
+        m = certificate_denominator_lcm(certificate)
         assert power_membership_oracle(point, a, m)
     else:
+        w, d = result.facet
+        assert sum(wi * pi for wi, pi in zip(w, point)) < d
         assert not power_membership_oracle(point, a, 6)
 
 
@@ -159,7 +169,7 @@ def test_newton_facets_agree_with_the_lp(a, data):
     for _ in range(10):
         point = tuple(data.draw(st.integers(0, b)) for b in bounds)
         inside = all(sum(wi * pi for wi, pi in zip(w, point)) >= d for w, d in facets)
-        assert inside == newton_member(point, gens).member
+        assert inside == newton_member(point, gens).member == lp_newton_member(point, gens)[0]
 
 
 def test_closure_check_catches_a_bad_facet(monkeypatch):
