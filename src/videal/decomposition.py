@@ -29,11 +29,19 @@ new intersection, since anything there dividing it is a multiple of a
 generator dividing u, so only the raised vectors are minimalized, by the
 degree-order sweep of ``ideals._sweep_into`` against the vectors kept
 so far.
+
+Both sweeps run once per ideal, in the memoized private step
+``_corner_set``, which returns the checked corners, top and each
+corner's support.  Three readers share it: ``irreducible_decomposition``
+builds component ideals from the corners, ``associated_primes`` reads
+the primes off the supports without building any component, and
+``vnumbers.local_v`` searches its witnesses on the corners.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le
+from typing import Iterable
 
 from .errors import ImproperIdealError, InternalError, NoWitnessError
 from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
@@ -55,6 +63,26 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
+def _keep_maximal(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...]]) -> None:
+    """Append to kept each candidate that lies componentwise below no
+    vector kept so far.
+
+    The candidates come in non-increasing degree, kept starts as an
+    antichain, and no candidate lies properly above a vector in it.  A
+    vector lies below only vectors of no smaller degree, and two distinct
+    vectors of equal degree never lie below each other, so only vectors
+    kept before a candidate can lie above it: kept ends as the antichain
+    of the maximal vectors among its own and the candidates.
+    """
+    for c in candidates:
+        for d in kept:
+            # c <= d componentwise only if c <= d lexicographically: a cheap pre-test.
+            if c <= d and all(map(le, c, d)):
+                break
+        else:
+            kept.append(c)
+
+
 def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
     """The corners of the irredundant irreducible decomposition of the
     ideal generated by gens (every exponent below top)."""
@@ -69,10 +97,8 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
             else:
                 for i in support:
                     new.add(b[:i] + (m[i],) + b[i + 1:])
-        # Sorted by decreasing degree, only earlier corners can dominate.
-        for c in sorted(new, key=sum, reverse=True):
-            if not any(c <= d and all(map(le, c, d)) for d in kept):
-                kept.append(c)
+        # No new corner lies above a kept one (see the module docstring).
+        _keep_maximal(kept, sorted(new, key=sum, reverse=True))
         corners = kept
     return corners
 
@@ -100,18 +126,32 @@ def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[
     return tuple(meet)
 
 
-def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """An irredundant set of irreducible components intersecting to a.
+@lru_cache(maxsize=16384)
+def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+    """The corners of the irredundant irreducible decomposition of a, their
+    sentinel top, and the support of each corner as a bit mask (bit i set
+    iff b_i < top), checked exactly to intersect back to a.
 
-    The intersection equality is re-checked exactly on every call.
+    This is the one decomposition step: ``irreducible_decomposition``,
+    ``associated_primes`` and ``vnumbers.local_v`` all read it.
     """
     _require_proper_nonzero(a)
     gens = a.exps()
-    n = a.ring.nvars
     top = max(map(max, gens)) + 1
     corners = _corners(gens, top)
     if _intersect_corners(corners, top) != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
+    masks = tuple(sum(1 << i for i, e in enumerate(b) if e < top) for b in corners)
+    return tuple(corners), top, masks
+
+
+def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
+    """An irredundant set of irreducible components intersecting to a.
+
+    The intersection equality is checked exactly, once per ideal.
+    """
+    corners, top, _ = _corner_set(a)
+    n = a.ring.nvars
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
     # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
     # when (e, i) < (f, j), so the sorted pairs (b_i, i) list the
@@ -127,7 +167,8 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
 
 @lru_cache(maxsize=16384)
 def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
-    """Ass(a): the radicals of the irredundant irreducible components.
+    """Ass(a): the radicals of the irredundant irreducible components,
+    read from the supports of their corners.
 
     Every returned prime is certified by exhibiting a monomial f with
     a : f = p; failure to certify is an internal error (it would mean the
@@ -135,10 +176,11 @@ def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     """
     from .vnumbers import local_v  # deferred: vnumbers imports this module
 
-    _require_proper_nonzero(a)
-    primes = sorted(
-        {c.prime for c in irreducible_decomposition(a)}, key=lambda p: p.indices
+    n = a.ring.nvars
+    supports = sorted(
+        tuple(i for i in range(n) if mask >> i & 1) for mask in set(_corner_set(a)[2])
     )
+    primes = tuple(PrimeSupport(a.ring, indices) for indices in supports)
     for p in primes:
         try:
             report = local_v(a, p)
@@ -146,7 +188,7 @@ def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
             raise InternalError(f"no colon witness for {p} in Ass({a})") from exc
         if colon_monomial(a, report.witness) != p.as_ideal():
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
-    return tuple(primes)
+    return primes
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:

@@ -7,6 +7,7 @@ The module keeps its name from the exact-rational simplex it once held
 module by name, ``videal.lp`` included.
 """
 
+from functools import lru_cache
 from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -19,10 +20,12 @@ class NewtonMembership(NamedTuple):
     facet: tuple[tuple[int, ...], int] | None
 
 
-def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=4096)
+def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
-    of gens (a nonempty list of exponent vectors; repeated or dominated
-    ones only add redundant inequalities to the cone below).
+    of gens (a nonempty tuple of exponent vectors; repeated or dominated
+    ones only add redundant inequalities to the cone below).  Memoized:
+    ``integral_closure(a, k)`` reads the facets of a for every k.
 
     They are the extreme rays (w, d) with d > 0 of the cone
     C = {(w, d) : w >= 0, w.v >= d for every v in gens}; the rays with
@@ -69,7 +72,7 @@ def _newton_facets(gens: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...
                 g = gcd(*ray)
                 kept.append((tuple(x // g for x in ray), common | bit))
         rays = kept
-    return [(ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0]
+    return tuple((ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0)
 
 
 def newton_member(
@@ -86,7 +89,7 @@ def newton_member(
         raise VidealError("newton_member dimension mismatch")
     if any(e < 0 for e in a) or any(e < 0 for v in gens for e in v):
         raise VidealError("newton_member needs nonnegative exponents")
-    for w, d in _newton_facets(gens):
+    for w, d in _newton_facets(tuple(map(tuple, gens))):
         if sum(map(mul, w, a)) < d:
             return NewtonMembership(False, (w, d))
     return NewtonMembership(True, None)

@@ -1,19 +1,34 @@
 """Local and global v-numbers of monomial ideals, with witnesses.
 
-local_v searches for witnesses among the minimal generators of
-L : p.  That set always contains a minimum-degree witness: any witness f
-(a monomial with L : f = p) lies in L : p, so some minimal generator g
-of L : p divides f; then p ⊆ L : g (g multiplies p into L) and
-L : g ⊆ L : f = p (g divides f), so g is itself a witness of degree at
-most deg f.  A candidate is tested on exponent tuples, in one pass over
-G(L), without building the colon ideal.
+local_v reads its witnesses off the irredundant irreducible
+decomposition of L, computed once per ideal (``decomposition``), and
+builds no colon ideal.  L is the intersection of its components Q_b,
+stored as corners b (Q_b is generated by the x_i^{b_i} with b_i < top),
+and Q_b : f is the whole ring when f lies in Q_b, else the irreducible
+ideal with corner b - f.  So L : f is an intersection of irreducible
+ideals, and it equals the prime p, with support P, iff one of them is p
+and all of them contain p:
+  (a) f_P = b0_P - 1 for some corner b0 with support P (then
+      Q_b0 : f = p);
+  (b) every corner b with f outside Q_b is compatible: b_P = b0_P;
+  (c) so f lies in every other Q_b: f_i >= b_i for some i in P, or
+      else for some j outside P.
+(Jaramillo-Villarreal, JCTA 2021; Saha-Sengupta, J. Algebraic Combin.
+2022.)  Given b0, only (c) constrains f outside P, and only from below,
+so the least-degree witnesses are f_P = b0_P - 1 plus the least raises
+of the coordinates outside P that meet every corner left by (c): a small
+hitting problem, solved by branch and bound (``_least_raise``).  The
+least-degree witness that is first in the canonical order (graded, then
+lexicographically greatest) is re-checked by the colon rule on G(L).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, le, lt, sub
 
+from .decomposition import _corner_set, _keep_maximal, associated_primes
 from .errors import ImproperIdealError, NoWitnessError
-from .ideals import MonomialIdeal, PrimeSupport, intersect_exps
+from .ideals import MonomialIdeal, PrimeSupport
 from .rings import Monomial, check_same_ring
 
 CANDIDATE_GENERATOR = "candidate-generator"
@@ -51,6 +66,61 @@ def _colon_is_prime(
     return len(hit) == len(support)
 
 
+def _least_raise(
+    hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
+) -> tuple[int, tuple[int, ...]] | None:
+    """The least degree of a raise g of the coordinates outside P (listed
+    in outside, in increasing order) that meets every corner b in hard
+    (g_j >= b_j < top for some j in outside), and the lexicographically
+    greatest such g of that degree, as a vector over outside; None if
+    there is none of degree at most limit.
+
+    Raising into the component of b also raises into that of every
+    corner that lies below b outside P, so only the maximal restrictions
+    of the corners to outside count.  Then branch and bound: branch on
+    the first vector not yet met, raising one g_j to its b_j, and prune
+    above the best degree so far.  Every minimum-degree raise is reached:
+    at each branch some g_j must be raised to at least b_j, and raising
+    it to exactly b_j stays below that raise.
+    """
+    if len(outside) < 2:
+        if not outside:
+            return None
+        # One coordinate j: the least raise is the largest b_j.
+        e = max(b[outside[0]] for b in hard)
+        return None if e == top or (limit is not None and e > limit) else (e, (e,))
+    vectors = set(map(itemgetter(*outside), hard))
+    # Every vector needs a raise of at least its least entry.
+    least = max(map(min, vectors))
+    if least == top or (limit is not None and least > limit):
+        return None
+    kept: list[tuple[int, ...]] = []
+    _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
+    size = len(kept)
+    if size == 1:
+        # Raise the first coordinate of least b_j: lexicographically greatest.
+        c = kept[0]
+        j = c.index(least)
+        return least, (0,) * j + (least,) + (0,) * (len(c) - j - 1)
+    best = None
+    stack = [(0, (0,) * len(outside), 0)]
+    while stack:
+        k, g, degree = stack.pop()
+        if limit is not None and degree > limit:
+            continue
+        while k < size and any(map(le, kept[k], g)):
+            k += 1
+        if k == size:
+            if best is None or degree < limit or g > best[1]:
+                limit, best = degree, (degree, g)
+        elif limit is None or degree < limit:
+            # g_j < c_j here, so each raise adds at least one degree.
+            for j, e in enumerate(kept[k]):
+                if e < top:
+                    stack.append((k + 1, g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
+    return best
+
+
 @lru_cache(maxsize=16384)
 def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     """The local v-number of a at p: the least degree of a monomial f with
@@ -61,37 +131,51 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
     check_same_ring(a, p)
-    # a : x_i is a + (u / x_i : x_i divides u in G(a)), and monomial ideals
-    # form a distributive lattice, so a : p is a plus the intersection of the parts.
-    # G(a) is a canonical antichain, and so is each part: u - e_i divides
-    # v - e_i iff u divides v, and subtracting e_i from every vector keeps
-    # both their degree order and their lex order.  The parts are met
-    # smallest first, which keeps the running intersection, and with it
-    # the pairwise lcms, small.
-    gens = a.exps()
-    parts = sorted(
-        (tuple(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i]) for i in p.indices), key=len
-    )
-    shared = parts[0]
-    for part in parts[1:]:
-        shared = intersect_exps(shared, part)
-    support = set(p.indices)
-    # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so
-    # the candidates are shared.  It is canonically sorted, so the first
-    # survivor is the minimum-degree witness with canonical tie-breaking.
-    for f in shared:
-        if _colon_is_prime(gens, f, support):
-            return VReport(sum(f), Monomial(a.ring, f), p, CANDIDATE_GENERATOR)
-    raise NoWitnessError(
-        f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
-    )
+    # The module docstring gives the corner argument: for each corner b0
+    # with support P (least degree first), f = b0 - 1 on P and 0 outside,
+    # and the corners of (c) that f misses are left to the raise.
+    corners, top, masks = _corner_set(a)
+    indices = p.indices
+    mask = sum(1 << i for i in indices)
+    firsts = sorted((b for b, m in zip(corners, masks) if m == mask), key=sum)
+    # f = b0 - shift is b0 - 1 on P and 0 outside P.
+    shift = [top] * len(corners[0])
+    for i in indices:
+        shift[i] = 1
+    outside = [j for j, e in enumerate(shift) if e == top]
+    best_degree = None
+    best = None
+    for b0 in firsts:
+        f = list(map(sub, b0, shift))
+        degree = sum(f)
+        if best_degree is not None and degree > best_degree:
+            break
+        # f lies outside the component of b iff f < b componentwise; such
+        # a b is compatible (b_P = b0_P) iff b <= b0.
+        hard = [b for b in corners if all(map(lt, f, b)) and not all(map(le, b, b0))]
+        if hard:
+            rest = _least_raise(
+                hard, outside, top, None if best_degree is None else best_degree - degree
+            )
+            if rest is None:
+                continue
+            degree += rest[0]
+            for j, e in zip(outside, rest[1]):
+                f[j] = e
+        f = tuple(f)
+        if best_degree is None or degree < best_degree or f > best:
+            best_degree, best = degree, f
+    # The pick is re-checked by the independent colon rule.
+    if best is None or not _colon_is_prime(a.exps(), best, set(indices)):
+        raise NoWitnessError(
+            f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
+        )
+    return VReport(best_degree, Monomial(a.ring, best), p, CANDIDATE_GENERATOR)
 
 
 def v_number(a: MonomialIdeal) -> VReport:
     """The v-number of a: the minimum of local_v over all associated
     primes, ties broken by the smallest prime in canonical order."""
-    from .decomposition import associated_primes
-
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
     # Ass of a proper nonzero ideal is non-empty.

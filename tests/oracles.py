@@ -13,7 +13,7 @@ from operator import mul as times
 from typing import Sequence
 
 from videal.decomposition import associated_primes, minimal_primes
-from videal.errors import InternalError, ParseError
+from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import (
     MonomialIdeal,
@@ -21,6 +21,7 @@ from videal.ideals import (
     as_prime,
     colon_monomial,
     from_exps,
+    intersect_exps,
     localize,
     power,
     sum_ideals,
@@ -28,11 +29,12 @@ from videal.ideals import (
 )
 from videal.rings import (
     Monomial,
+    check_same_ring,
     divides_exp,
     mul,
     monomials_up_to_degree,
 )
-from videal.vnumbers import VReport
+from videal.vnumbers import CANDIDATE_GENERATOR, VReport, _colon_is_prime
 
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:
@@ -297,6 +299,39 @@ def brute_force_local_v(
         if colon_monomial(a, f) == target:
             return VReport(f.degree, f, p, "brute-force")
     return None
+
+
+def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
+    """local_v by the chain of colon parts that the corner search
+    replaced: it builds G(a : p) and returns its first member f (in
+    canonical order) with a : f = p, or raises NoWitnessError."""
+    if not a.is_proper_nonzero():
+        raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
+    check_same_ring(a, p)
+    # a : x_i is a + (u / x_i : x_i divides u in G(a)), and monomial ideals
+    # form a distributive lattice, so a : p is a plus the intersection of the parts.
+    # G(a) is a canonical antichain, and so is each part: u - e_i divides
+    # v - e_i iff u divides v, and subtracting e_i from every vector keeps
+    # both their degree order and their lex order.  The parts are met
+    # smallest first, which keeps the running intersection, and with it
+    # the pairwise lcms, small.
+    gens = a.exps()
+    parts = sorted(
+        (tuple(u[:i] + (u[i] - 1,) + u[i + 1:] for u in gens if u[i]) for i in p.indices), key=len
+    )
+    shared = parts[0]
+    for part in parts[1:]:
+        shared = intersect_exps(shared, part)
+    support = set(p.indices)
+    # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so
+    # the candidates are shared.  It is canonically sorted, so the first
+    # survivor is the minimum-degree witness with canonical tie-breaking.
+    for f in shared:
+        if _colon_is_prime(gens, f, support):
+            return VReport(sum(f), Monomial(a.ring, f), p, CANDIDATE_GENERATOR)
+    raise NoWitnessError(
+        f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
+    )
 
 
 def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:

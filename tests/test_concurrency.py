@@ -9,7 +9,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from videal.decomposition import associated_primes
+from videal.decomposition import _corner_set, associated_primes
 from videal.expansion import verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.randgen import random_pair
@@ -20,7 +20,7 @@ KINDS = (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SY
 
 
 def _clear_caches():
-    for cached in (associated_primes, filtration_member, integral_closure, local_v):
+    for cached in (_corner_set, associated_primes, filtration_member, integral_closure, local_v):
         cached.cache_clear()
 
 

@@ -183,6 +183,7 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     assert len(irreducible_decomposition(a)) > 1
     corners = decomposition._corners
     monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
+    decomposition._corner_set.cache_clear()
     with pytest.raises(InternalError, match="does not intersect back"):
         irreducible_decomposition(a)
 

@@ -1,12 +1,22 @@
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals
-from oracles import brute_force_local_v
+from oracles import brute_force_local_v, colon_chain_local_v
+from videal import decomposition, ideals, vnumbers
 from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
-from videal.ideals import PrimeSupport, colon_monomial, ideal, prime_support, unit_ideal
+from videal.ideals import (
+    PrimeSupport,
+    colon_monomial,
+    from_exps,
+    ideal,
+    prime_support,
+    unit_ideal,
+)
 from videal.rings import Monomial, make_ring, mono, mul_exp
 from videal.vnumbers import _colon_is_prime, local_v, v_number
 
@@ -114,3 +124,43 @@ def test_colon_rule_matches_the_colon_ideal(data):
         for f in (witness, member, other):
             expected = colon_monomial(a, Monomial(a.ring, f)) == p.as_ideal()
             assert _colon_is_prime(a.exps(), f, set(p.indices)) == expected
+
+
+def _answer(search, a, p):
+    try:
+        report = search(a, p)
+    except NoWitnessError:
+        return None
+    return report.degree, report.witness.exp
+
+
+R4 = make_ring("R", ["x", "y", "z", "w"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_gens=7, max_exp=4, max_vars=5))
+# At (x, z) the witnesses y^3*z^3 and z^3*w^3 tie in degree; the first in canonical order wins.
+@example(from_exps(R4, [(0, 0, 4, 0), (3, 0, 2, 1), (1, 3, 2, 0), (3, 2, 2, 0), (1, 0, 3, 3)]))
+def test_corner_search_matches_the_colon_chain_on_every_prime(a):
+    # Same degree and witness on associated primes; both raise on the rest.
+    n = a.ring.nvars
+    for size in range(1, n + 1):
+        for indices in combinations(range(n), size):
+            p = PrimeSupport(a.ring, indices)
+            assert _answer(local_v, a, p) == _answer(colon_chain_local_v, a, p)
+
+
+def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
+    def no_intersections(x, y):
+        raise AssertionError("local_v formed an intersection")
+
+    monkeypatch.setattr(ideals, "intersect_exps", no_intersections)
+    assert not hasattr(vnumbers, "intersect_exps")
+    local_v.cache_clear()
+    decomposition._corner_set.cache_clear()
+    # (x^2, x*y^2, y^3*z, x*z^2): a : (x, y) needs the parts of x and y met.
+    a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
+    report = local_v(a, prime_support(R3, ["x", "y"]))
+    assert colon_monomial(a, report.witness) == prime_support(R3, ["x", "y"]).as_ideal()
+    oracle = brute_force_local_v(a, prime_support(R3, ["x", "y"]), report.degree)
+    assert (report.degree, report.witness) == (oracle.degree, oracle.witness)
