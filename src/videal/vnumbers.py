@@ -24,7 +24,7 @@ lexicographically greatest) is re-checked by the colon rule on G(L).
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, le, lt, sub
+from operator import le, lt, sub
 
 from .decomposition import _corner_set, _keep_maximal, associated_primes
 from .errors import ImproperIdealError, NoWitnessError
@@ -83,25 +83,12 @@ def _least_raise(
     at each branch some g_j must be raised to at least b_j, and raising
     it to exactly b_j stays below that raise.
     """
-    if len(outside) < 2:
-        if not outside:
-            return None
-        # One coordinate j: the least raise is the largest b_j.
-        e = max(b[outside[0]] for b in hard)
-        return None if e == top or (limit is not None and e > limit) else (e, (e,))
-    vectors = set(map(itemgetter(*outside), hard))
-    # Every vector needs a raise of at least its least entry.
-    least = max(map(min, vectors))
-    if least == top or (limit is not None and least > limit):
+    if not outside:
         return None
     kept: list[tuple[int, ...]] = []
+    vectors = {tuple(b[j] for j in outside) for b in hard}
     _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
     size = len(kept)
-    if size == 1:
-        # Raise the first coordinate of least b_j: lexicographically greatest.
-        c = kept[0]
-        j = c.index(least)
-        return least, (0,) * j + (least,) + (0,) * (len(c) - j - 1)
     best = None
     stack = [(0, (0,) * len(outside), 0)]
     while stack:
@@ -134,10 +121,9 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     # The module docstring gives the corner argument: for each corner b0
     # with support P (least degree first), f = b0 - 1 on P and 0 outside,
     # and the corners of (c) that f misses are left to the raise.
-    corners, top, masks = _corner_set(a)
+    corners, top, supports = _corner_set(a)
     indices = p.indices
-    mask = sum(1 << i for i in indices)
-    firsts = sorted((b for b, m in zip(corners, masks) if m == mask), key=sum)
+    firsts = sorted((b for b, s in zip(corners, supports) if s == indices), key=sum)
     # f = b0 - shift is b0 - 1 on P and 0 outside P.
     shift = [top] * len(corners[0])
     for i in indices:
