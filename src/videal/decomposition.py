@@ -30,22 +30,40 @@ generator dividing u, so only the raised vectors are minimalized, by the
 degree-order sweep of ``ideals._sweep_into`` against the vectors kept
 so far.
 
-Both sweeps run once per ideal, in the memoized private step
-``_corner_set``, which returns the checked corners, top and each
-corner's support.  Three readers share it: ``irreducible_decomposition``
-builds component ideals from the corners, ``associated_primes`` reads
-the primes off the supports without building any component, and
-``vnumbers.local_v`` searches its witnesses on the corners.
+Colon witnesses come from the same corners; no colon ideal is built.
+For the component Q_b of corner b, Q_b : f is the whole ring when f lies
+in Q_b, else the irreducible ideal with corner b - f.  So a : f is an
+intersection of irreducible ideals, and it equals the prime p, with
+support P, iff one of them is p and all of them contain p:
+  (a) f_P = b0_P - 1 for some corner b0 with support P (then
+      Q_b0 : f = p);
+  (b) every corner b with f outside Q_b is compatible: b_P = b0_P;
+  (c) so f lies in every other Q_b: f_i >= b_i for some i in P, or
+      else for some j outside P.
+(Jaramillo-Villarreal, JCTA 2021; Saha-Sengupta, J. Algebraic Combin.
+2022.)  Given b0, only (c) constrains f outside P, and only from below,
+so the least-degree witnesses are f_P = b0_P - 1 plus the least raises
+of the coordinates outside P that meet every corner left by (c): a small
+hitting problem, solved by branch and bound (``_least_raise``).  The
+least-degree witness that is first in the canonical order (graded, then
+lexicographically greatest) is re-checked by the colon rule on G(a).
+
+The memoized witness table ``_witnesses`` runs both sweeps and the
+search once per ideal.  ``associated_primes`` reads its primes off the
+table (and certifies each witness with the colon ideal), and
+``vnumbers.local_v`` and ``vnumbers.v_number`` look their answers up in
+it.  ``irreducible_decomposition``, which no hot path calls, recomputes
+the corners on each call.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le
+from operator import le, lt, sub
 from typing import Iterable
 
-from .errors import ImproperIdealError, InternalError, NoWitnessError
+from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
-from .rings import canonical_sort
+from .rings import Monomial, canonical_sort
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,39 +144,24 @@ def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[
     return tuple(meet)
 
 
-@lru_cache(maxsize=16384)
-def _corner_set(
-    a: MonomialIdeal,
-) -> tuple[tuple[tuple[int, ...], ...], int, tuple[tuple[int, ...], ...]]:
-    """The corners of the irredundant irreducible decomposition of a, their
-    sentinel top, and the support of each corner (the increasing indices
-    i with b_i < top), checked exactly to intersect back to a.
-
-    This is the one decomposition step: ``irreducible_decomposition``,
-    ``associated_primes`` and ``vnumbers.local_v`` all read it.
-    """
+def _corner_set(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int]:
+    """The corners of the irredundant irreducible decomposition of a and
+    their sentinel top, checked exactly to intersect back to a."""
     _require_proper_nonzero(a)
     gens = a.exps()
     top = max(map(max, gens)) + 1
     corners = _corners(gens, top)
     if _intersect_corners(corners, top) != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
-    # Corners of one support share one tuple (an ideal has few supports):
-    # unshared tuples raised peak RSS by 0.3-0.5 MB on the benchmark plans.
-    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
-    supports = []
-    for b in corners:
-        s = tuple(i for i, e in enumerate(b) if e < top)
-        supports.append(shared.setdefault(s, s))
-    return tuple(corners), top, tuple(supports)
+    return corners, top
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """An irredundant set of irreducible components intersecting to a.
 
-    The intersection equality is checked exactly, once per ideal.
+    The intersection equality is checked exactly on every call.
     """
-    corners, top, _ = _corner_set(a)
+    corners, top = _corner_set(a)
     n = a.ring.nvars
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
     # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
@@ -173,25 +176,133 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(components)
 
 
+def _colon_is_prime(
+    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], support: set[int]
+) -> bool:
+    """Whether a : f = p, for G(a) = gens and p = (x_i : i in support).
+
+    a : f is generated by the quotients u / gcd(u, f), u in gens.  It lies
+    in p iff every quotient has a positive exponent on some x_i of p.
+    Then it contains p iff every x_i of p is itself a quotient: a quotient
+    dividing x_i is 1 or x_i, and 1 does not lie in p.
+    """
+    hit = set()
+    for u in gens:
+        # The variables with a positive exponent in u / gcd(u, f).
+        over = [i for i, e in enumerate(u) if e > f[i]]
+        if support.isdisjoint(over):
+            return False
+        if len(over) == 1 and u[over[0]] == f[over[0]] + 1:
+            hit.add(over[0])
+    return len(hit) == len(support)
+
+
+def _least_raise(
+    hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
+) -> tuple[int, tuple[int, ...]] | None:
+    """The least degree of a raise g of the coordinates outside P (listed
+    in outside, in increasing order) that meets every corner b in hard
+    (g_j >= b_j < top for some j in outside), and the lexicographically
+    greatest such g of that degree, as a vector over outside; None if
+    there is none of degree at most limit.
+
+    Raising into the component of b also raises into that of every
+    corner that lies below b outside P, so only the maximal restrictions
+    of the corners to outside count.  Then branch and bound: branch on
+    the first vector not yet met, raising one g_j to its b_j, and prune
+    above the best degree so far.  Every minimum-degree raise is reached:
+    at each branch some g_j must be raised to at least b_j, and raising
+    it to exactly b_j stays below that raise.
+    """
+    if not outside:
+        return None
+    kept: list[tuple[int, ...]] = []
+    vectors = {tuple(b[j] for j in outside) for b in hard}
+    _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
+    size = len(kept)
+    best = None
+    stack = [(0, (0,) * len(outside), 0)]
+    while stack:
+        k, g, degree = stack.pop()
+        if limit is not None and degree > limit:
+            continue
+        while k < size and any(map(le, kept[k], g)):
+            k += 1
+        if k == size:
+            if best is None or degree < limit or g > best[1]:
+                limit, best = degree, (degree, g)
+        elif limit is None or degree < limit:
+            # g_j < c_j here, so each raise adds at least one degree.
+            for j, e in enumerate(kept[k]):
+                if e < top:
+                    stack.append((k + 1, g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
+    return best
+
+
+@lru_cache(maxsize=16384)
+def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, Monomial]]:
+    """The witness table of a: for each associated prime p, keyed by its
+    support P (in increasing order), the least degree of an f with
+    a : f = p and the first such f in the canonical order.
+
+    The corners are computed once, and each f is searched over the
+    corners b0 with support P as in the module docstring.  Every caller
+    shares the returned dict, so it is read only.
+    """
+    corners, top = _corner_set(a)
+    by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for b in corners:
+        by_support.setdefault(tuple(i for i, e in enumerate(b) if e < top), []).append(b)
+    gens = a.exps()
+    table = {}
+    for indices in sorted(by_support):
+        # f = b0 - shift is b0 - 1 on P and 0 outside P.
+        shift = [top] * len(gens[0])
+        for i in indices:
+            shift[i] = 1
+        outside = [j for j, e in enumerate(shift) if e == top]
+        best_degree = None
+        best = None
+        for b0 in sorted(by_support[indices], key=sum):
+            f = list(map(sub, b0, shift))
+            degree = sum(f)
+            if best_degree is not None and degree > best_degree:
+                break
+            # f lies outside the component of b iff f < b componentwise; such
+            # a b is compatible (b_P = b0_P) iff b <= b0.
+            hard = [b for b in corners if all(map(lt, f, b)) and not all(map(le, b, b0))]
+            if hard:
+                rest = _least_raise(
+                    hard, outside, top, None if best_degree is None else best_degree - degree
+                )
+                if rest is None:
+                    continue
+                degree += rest[0]
+                for j, e in zip(outside, rest[1]):
+                    f[j] = e
+            f = tuple(f)
+            if best_degree is None or degree < best_degree or f > best:
+                best_degree, best = degree, f
+        if best is None or not _colon_is_prime(gens, best, set(indices)):
+            raise InternalError(f"no colon witness for {PrimeSupport(a.ring, indices)} in Ass({a})")
+        table[indices] = (best_degree, Monomial(a.ring, best))
+    return table
+
+
 @lru_cache(maxsize=16384)
 def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     """Ass(a): the radicals of the irredundant irreducible components,
-    read from the supports of their corners.
+    read from the witness table.
 
-    Every returned prime is certified by exhibiting a monomial f with
-    a : f = p; failure to certify is an internal error (it would mean the
-    decomposition and the colon characterization disagree).
+    Every returned prime is certified by checking a : f = p on its
+    witness f with the colon ideal; failure to certify is an internal
+    error (it would mean the decomposition and the colon characterization
+    disagree).
     """
-    from .vnumbers import local_v  # deferred: vnumbers imports this module
-
-    supports = sorted(set(_corner_set(a)[2]))
-    primes = tuple(PrimeSupport(a.ring, indices) for indices in supports)
+    table = _witnesses(a)
+    primes = tuple(PrimeSupport(a.ring, indices) for indices in table)
     for p in primes:
-        try:
-            report = local_v(a, p)
-        except NoWitnessError as exc:
-            raise InternalError(f"no colon witness for {p} in Ass({a})") from exc
-        if colon_monomial(a, report.witness) != p.as_ideal():
+        if colon_monomial(a, table[p.indices][1]) != p.as_ideal():
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
     return primes
 

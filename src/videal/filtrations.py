@@ -170,14 +170,14 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
     """
     if k < 0:
         raise VidealError(f"negative filtration index {k}")
-    if k == 0:
-        return unit_ideal(a.ring)
-    _require_proper_nonzero(a)
     # A str-enum member and its value share a memo slot, so both must work.
     try:
         kind = FiltrationKind(kind)
     except ValueError:
         raise VidealError(f"unknown filtration kind {kind!r}") from None
+    if k == 0:
+        return unit_ideal(a.ring)
+    _require_proper_nonzero(a)
     if kind is FiltrationKind.ORDINARY:
         return power(a, k)
     if kind is FiltrationKind.SYMBOLIC_ASS or kind is FiltrationKind.SYMBOLIC_MIN:

@@ -247,7 +247,7 @@ class PrimeSupport:
             raise VidealError("a monomial prime needs at least one variable")
         if list(self.indices) != sorted(set(self.indices)):
             raise VidealError("prime support indices must be sorted and distinct")
-        if self.indices[-1] >= self.ring.nvars:
+        if self.indices[0] < 0 or self.indices[-1] >= self.ring.nvars:
             raise VidealError("prime support index out of range")
 
     @property

@@ -12,7 +12,7 @@ from numbers import Rational
 from operator import mul as times
 from typing import Sequence
 
-from videal.decomposition import associated_primes, minimal_primes
+from videal.decomposition import _colon_is_prime, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import (
@@ -34,7 +34,7 @@ from videal.rings import (
     mul,
     monomials_up_to_degree,
 )
-from videal.vnumbers import CANDIDATE_GENERATOR, VReport, _colon_is_prime
+from videal.vnumbers import CANDIDATE_GENERATOR, VReport
 
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:

@@ -9,18 +9,17 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from videal.decomposition import _corner_set, associated_primes
+from videal.decomposition import _witnesses, associated_primes
 from videal.expansion import verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.randgen import random_pair
-from videal.vnumbers import local_v
 
 THREADS = 6
 KINDS = (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN)
 
 
 def _clear_caches():
-    for cached in (_corner_set, associated_primes, filtration_member, integral_closure, local_v):
+    for cached in (_witnesses, associated_primes, filtration_member, integral_closure):
         cached.cache_clear()
 
 

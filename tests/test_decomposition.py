@@ -10,7 +10,7 @@ from videal.decomposition import (
     irreducible_decomposition,
     minimal_primes,
 )
-from videal.errors import ImproperIdealError, InternalError, NoWitnessError
+from videal.errors import ImproperIdealError, InternalError
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
@@ -23,6 +23,7 @@ from videal.ideals import (
     zero_ideal,
 )
 from videal.rings import make_ring, mono
+from videal.vnumbers import local_v, v_number
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
@@ -111,8 +112,6 @@ def test_component_radicals_are_their_primes(a):
 @settings(max_examples=50, deadline=None)
 @given(small_ideals())
 def test_ass_witness_soundness(a):
-    from videal.vnumbers import local_v
-
     for p in associated_primes(a):
         report = local_v(a, p)
         assert colon_monomial(a, report.witness) == p.as_ideal()
@@ -183,28 +182,25 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     assert len(irreducible_decomposition(a)) > 1
     corners = decomposition._corners
     monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
-    decomposition._corner_set.cache_clear()
     with pytest.raises(InternalError, match="does not intersect back"):
         irreducible_decomposition(a)
 
 
-def _certify_with_failing_local_v(monkeypatch, exc):
-    """Run Ass certification on a cold cache with local_v raising exc."""
-    from videal import vnumbers
+def test_witness_table_reports_a_missing_witness_as_internal(monkeypatch):
+    # (x^2, x*y) has Ass {(x), (x, y)}; its table is searched from (x).
+    a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
+    queries = (associated_primes, v_number, lambda a: local_v(a, prime_support(R2, ["x", "y"])))
 
-    def failing_local_v(a, p):
-        raise exc
+    def unrelated(gens, f, support):
+        raise RuntimeError("unrelated")
 
-    monkeypatch.setattr(vnumbers, "local_v", failing_local_v)
-    associated_primes.cache_clear()
-    return associated_primes(ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)]))
-
-
-def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
-    with pytest.raises(RuntimeError, match="unrelated"):
-        _certify_with_failing_local_v(monkeypatch, RuntimeError("unrelated"))
-
-
-def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
-    with pytest.raises(InternalError, match="no colon witness"):
-        _certify_with_failing_local_v(monkeypatch, NoWitnessError("none"))
+    for check, error, message in (
+        (lambda gens, f, support: False, InternalError, r"no colon witness for \(x\) in Ass"),
+        (unrelated, RuntimeError, "unrelated"),
+    ):
+        monkeypatch.setattr(decomposition, "_colon_is_prime", check)
+        for query in queries:
+            decomposition._witnesses.cache_clear()
+            associated_primes.cache_clear()
+            with pytest.raises(error, match=message):
+                query(a)

@@ -397,5 +397,6 @@ def test_memo_invisible_for_string_kinds():
     filtration_member.cache_clear()
     assert filtration_member("ordinary", a, 2) == power(a, 2)
     assert filtration_member(FiltrationKind.ORDINARY, a, 2) == power(a, 2)
-    with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
-        filtration_member("bogus", a, 2)
+    for k in (0, 2):
+        with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
+            filtration_member("bogus", a, k)

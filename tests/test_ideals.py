@@ -13,6 +13,7 @@ from oracles import (
 from videal.errors import VidealError
 from videal.ideals import (
     MonomialIdeal,
+    PrimeSupport,
     colon_ideal,
     colon_monomial,
     equals,
@@ -225,6 +226,12 @@ def test_localize_at_all_variables_is_identity():
     assert localize(a, p) == a
 
 
+@pytest.mark.parametrize("indices", [(-1,), (-1, 0), (2,), (0, 2)])
+def test_prime_support_rejects_an_index_outside_the_ring(indices):
+    with pytest.raises(VidealError, match="prime support index out of range"):
+        PrimeSupport(R2, indices)
+
+
 def test_localize_contains_original():
     a = ideal(R2, [mono(R2, x=2, y=1)])
     p = prime_support(R2, ["x"])
@@ -322,8 +329,6 @@ def test_localize_idempotent(a, data):
             lambda s: tuple(sorted(s))
         )
     )
-    from videal.ideals import PrimeSupport
-
     p = PrimeSupport(a.ring, indices)
     once = localize(a, p)
     assert localize(once, p) == once

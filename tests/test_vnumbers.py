@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from conftest import exponent_vectors, small_ideals
 from oracles import brute_force_local_v, colon_chain_local_v
 from videal import decomposition, ideals, vnumbers
-from videal.decomposition import associated_primes
+from videal.decomposition import _colon_is_prime, associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
 from videal.ideals import (
     PrimeSupport,
@@ -18,7 +18,7 @@ from videal.ideals import (
     unit_ideal,
 )
 from videal.rings import Monomial, make_ring, mono, mul_exp
-from videal.vnumbers import _colon_is_prime, local_v, v_number
+from videal.vnumbers import local_v, v_number
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
@@ -156,11 +156,32 @@ def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
 
     monkeypatch.setattr(ideals, "intersect_exps", no_intersections)
     assert not hasattr(vnumbers, "intersect_exps")
-    local_v.cache_clear()
-    decomposition._corner_set.cache_clear()
+    decomposition._witnesses.cache_clear()
     # (x^2, x*y^2, y^3*z, x*z^2): a : (x, y) needs the parts of x and y met.
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
     report = local_v(a, prime_support(R3, ["x", "y"]))
     assert colon_monomial(a, report.witness) == prime_support(R3, ["x", "y"]).as_ideal()
     oracle = brute_force_local_v(a, prime_support(R3, ["x", "y"]), report.degree)
     assert (report.degree, report.witness) == (oracle.degree, oracle.witness)
+
+
+def test_one_corner_computation_serves_ass_v_number_and_every_local_v(monkeypatch):
+    corners = decomposition._corners
+    calls = []
+
+    def counted(gens, top):
+        calls.append(gens)
+        return corners(gens, top)
+
+    monkeypatch.setattr(decomposition, "_corners", counted)
+    decomposition._witnesses.cache_clear()
+    associated_primes.cache_clear()
+    # (x^2, x*y^2, y^3*z, x*z^2) has three associated primes.
+    a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
+    primes = associated_primes(a)
+    assert len(primes) > 1
+    reports = [local_v(a, p) for p in primes]
+    assert v_number(a) == min(reports, key=lambda report: (report.degree, report.prime.indices))
+    with pytest.raises(NoWitnessError):
+        local_v(a, prime_support(R3, ["z"]))
+    assert calls == [a.exps()]
