@@ -186,21 +186,27 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
         irreducible_decomposition(a)
 
 
-def test_witness_table_reports_a_missing_witness_as_internal(monkeypatch):
-    # (x^2, x*y) has Ass {(x), (x, y)}; its table is searched from (x).
+def _certify_with_colon_check(monkeypatch, check, error, message):
+    """Run Ass, v and local_v on cold caches with the witness table's colon
+    check replaced by check; each must raise error. (x^2, x*y) has Ass
+    {(x), (x, y)}; its table is searched from (x)."""
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     queries = (associated_primes, v_number, lambda a: local_v(a, prime_support(R2, ["x", "y"])))
+    monkeypatch.setattr(decomposition, "_colon_is_prime", check)
+    for query in queries:
+        decomposition._witnesses.cache_clear()
+        associated_primes.cache_clear()
+        with pytest.raises(error, match=message):
+            query(a)
 
+
+def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
     def unrelated(gens, f, support):
         raise RuntimeError("unrelated")
 
-    for check, error, message in (
-        (lambda gens, f, support: False, InternalError, r"no colon witness for \(x\) in Ass"),
-        (unrelated, RuntimeError, "unrelated"),
-    ):
-        monkeypatch.setattr(decomposition, "_colon_is_prime", check)
-        for query in queries:
-            decomposition._witnesses.cache_clear()
-            associated_primes.cache_clear()
-            with pytest.raises(error, match=message):
-                query(a)
+    _certify_with_colon_check(monkeypatch, unrelated, RuntimeError, "unrelated")
+
+
+def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
+    _certify_with_colon_check(monkeypatch, lambda gens, f, support: False,
+                              InternalError, r"no colon witness for \(x\) in Ass")
