@@ -49,11 +49,13 @@ least-degree witness that is first in the canonical order (graded, then
 lexicographically greatest) is re-checked by the colon rule on G(a).
 
 The memoized witness table ``_witnesses`` runs both sweeps and the
-search once per ideal.  ``associated_primes`` reads its primes off the
-table (and certifies each witness with the colon ideal), and
-``vnumbers.local_v`` and ``vnumbers.v_number`` look their answers up in
-it.  ``irreducible_decomposition``, which no hot path calls, recomputes
-the corners on each call.
+search once per ideal, and stores one finished ``VReport`` per
+associated prime.  Every witness is certified when the table is built,
+whichever reader comes first: by the colon rule on G(a), then by the
+colon ideal itself.  ``associated_primes``, ``vnumbers.local_v``,
+``vnumbers.v_number`` and ``expansion.theorem_rhs`` only read the
+stored reports.  ``irreducible_decomposition``, which no hot path
+calls, recomputes the corners on each call.
 """
 
 from dataclasses import dataclass
@@ -64,6 +66,19 @@ from typing import Iterable
 from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
 from .rings import Monomial, canonical_sort
+
+
+CANDIDATE_GENERATOR = "candidate-generator"
+
+
+@dataclass(frozen=True, slots=True)
+class VReport:
+    """A v-number query's result: witness degree, witness, and its prime."""
+
+    degree: int
+    witness: Monomial
+    prime: PrimeSupport
+    method: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -240,14 +255,16 @@ def _least_raise(
 
 
 @lru_cache(maxsize=16384)
-def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, Monomial]]:
+def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], VReport]:
     """The witness table of a: for each associated prime p, keyed by its
-    support P (in increasing order), the least degree of an f with
-    a : f = p and the first such f in the canonical order.
+    support P (in increasing order), the report of the least degree of an
+    f with a : f = p and the first such f in the canonical order.
 
     The corners are computed once, and each f is searched over the
-    corners b0 with support P as in the module docstring.  Every caller
-    shares the returned dict, so it is read only.
+    corners b0 with support P as in the module docstring, then checked
+    by the colon rule and certified with the colon ideal (a failure is an
+    internal error).  Every caller shares the returned dict, so it is
+    read only.
     """
     corners, top = _corner_set(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -283,28 +300,21 @@ def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, Monomial]]:
             f = tuple(f)
             if best_degree is None or degree < best_degree or f > best:
                 best_degree, best = degree, f
+        p = PrimeSupport(a.ring, indices)
         if best is None or not _colon_is_prime(gens, best, set(indices)):
-            raise InternalError(f"no colon witness for {PrimeSupport(a.ring, indices)} in Ass({a})")
-        table[indices] = (best_degree, Monomial(a.ring, best))
+            raise InternalError(f"no colon witness for {p} in Ass({a})")
+        witness = Monomial(a.ring, best)
+        if colon_monomial(a, witness) != p.as_ideal():
+            raise InternalError(f"witness certification failed for {p} in Ass({a})")
+        table[indices] = VReport(best_degree, witness, p, CANDIDATE_GENERATOR)
     return table
 
 
 @lru_cache(maxsize=16384)
 def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
     """Ass(a): the radicals of the irredundant irreducible components,
-    read from the witness table.
-
-    Every returned prime is certified by checking a : f = p on its
-    witness f with the colon ideal; failure to certify is an internal
-    error (it would mean the decomposition and the colon characterization
-    disagree).
-    """
-    table = _witnesses(a)
-    primes = tuple(PrimeSupport(a.ring, indices) for indices in table)
-    for p in primes:
-        if colon_monomial(a, table[p.indices][1]) != p.as_ideal():
-            raise InternalError(f"witness certification failed for {p} in Ass({a})")
-    return primes
+    read from the witness table, where each is certified."""
+    return tuple(report.prime for report in _witnesses(a).values())
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:

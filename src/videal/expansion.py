@@ -6,11 +6,14 @@ The two sides of every comparison are computed by independent code
 paths: the "direct" side works entirely in the joined ring S, while the
 "formula" side only ever touches filtrations of the summands in their
 own rings.  They meet only in the final equality checks.
+
+Both read v-numbers off the witness tables of ``decomposition``, each
+witness certified when its table is built, whichever reader comes first.
 """
 
 from dataclasses import dataclass
 
-from .decomposition import associated_primes
+from .decomposition import _witnesses, associated_primes
 from .errors import ImproperIdealError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
@@ -116,7 +119,9 @@ def theorem_rhs(
     """The min-formula value for the pair (p, q): minimize, over split
     depths 0 <= d < k with p associated to the (k-d)-th member of i's
     filtration and q to the (d+1)-st member of j's, the sum of the two
-    local v-numbers.  None when no depth is admissible.
+    local v-numbers, read from one lookup in each summand's witness table
+    (a prime missing from it is not associated).  None when no depth is
+    admissible.
 
     All depths are evaluated eagerly so reports carry the complete
     achieving set.
@@ -126,15 +131,13 @@ def theorem_rhs(
         raise VidealError("p must live in the ring of i, and q in the ring of j")
     candidates: list[RhsCandidate] = []
     for d in range(k):
-        left = filtration_member(kind, i, k - d)
-        right = filtration_member(kind, j, d + 1)
-        if p not in associated_primes(left) or q not in associated_primes(right):
+        vi = _witnesses(filtration_member(kind, i, k - d)).get(p.indices)
+        if vi is None:
             continue
-        vi = local_v(left, p)
-        vj = local_v(right, q)
-        candidates.append(
-            RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness)
-        )
+        vj = _witnesses(filtration_member(kind, j, d + 1)).get(q.indices)
+        if vj is None:
+            continue
+        candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
     if not candidates:
         return None
     value = min(c.value for c in candidates)

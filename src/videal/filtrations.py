@@ -132,7 +132,7 @@ def _minimal_points(
 
 @lru_cache(maxsize=4096)
 def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
-    """The integral closure of a^k, for a monomial ideal a.
+    """The integral closure of a^k (the whole ring for k = 0), for a monomial ideal a.
 
     The Newton polyhedron of a^k is k NP(a): the exponents of products of
     k generators have the convex hull k conv(G(a)).  So its facets are
@@ -145,6 +145,8 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     generator of a^k is a multiple of a closure generator.
     """
     pk = power(a, k)
+    if not k:
+        return pk
     _require_proper_nonzero(pk)
     gens = pk.exps()
     facets = [(w, k * d) for w, d in _newton_facets(a.exps())]

@@ -1,31 +1,16 @@
 """Local and global v-numbers of monomial ideals, with witnesses.
 
-Both are lookups in the witness table of ``decomposition``, which reads
-the least-degree colon witness of every associated prime off the
-irreducible decomposition of the ideal, once per ideal, and re-checks
-each one by the colon rule (the argument is in the ``decomposition``
-docstring).
+Both return reports stored in the witness table of ``decomposition``
+(re-exported here with ``VReport``), which reads the least-degree colon
+witness of every associated prime off the irreducible decomposition of
+the ideal, once per ideal, and certifies each one when the table is
+built, whichever reader comes first.
 """
 
-from dataclasses import dataclass
-
-from .decomposition import _witnesses
+from .decomposition import CANDIDATE_GENERATOR, VReport, _witnesses
 from .errors import ImproperIdealError, NoWitnessError
 from .ideals import MonomialIdeal, PrimeSupport
-from .rings import Monomial, check_same_ring
-
-CANDIDATE_GENERATOR = "candidate-generator"
-
-
-@dataclass(frozen=True, slots=True)
-class VReport:
-    """Result of a v-number query: witness degree, the witness monomial,
-    and the prime it cuts out."""
-
-    degree: int
-    witness: Monomial
-    prime: PrimeSupport
-    method: str
+from .rings import check_same_ring
 
 
 def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
@@ -37,12 +22,12 @@ def local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
     check_same_ring(a, p)
-    found = _witnesses(a).get(p.indices)
-    if found is None:
+    report = _witnesses(a).get(p.indices)
+    if report is None:
         raise NoWitnessError(
             f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
         )
-    return VReport(found[0], found[1], p, CANDIDATE_GENERATOR)
+    return report
 
 
 def v_number(a: MonomialIdeal) -> VReport:
@@ -51,7 +36,4 @@ def v_number(a: MonomialIdeal) -> VReport:
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
     # Ass of a proper nonzero ideal is non-empty.
-    table = _witnesses(a)
-    indices = min(table, key=lambda s: (table[s][0], s))
-    degree, witness = table[indices]
-    return VReport(degree, witness, PrimeSupport(a.ring, indices), CANDIDATE_GENERATOR)
+    return min(_witnesses(a).values(), key=lambda report: (report.degree, report.prime.indices))

@@ -14,7 +14,8 @@ from typing import Sequence
 
 from videal.decomposition import _colon_is_prime, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
-from videal.filtrations import FiltrationKind
+from videal.expansion import RhsCandidate, RhsResult
+from videal.filtrations import FiltrationKind, filtration_member
 from videal.ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -34,7 +35,7 @@ from videal.rings import (
     mul,
     monomials_up_to_degree,
 )
-from videal.vnumbers import CANDIDATE_GENERATOR, VReport
+from videal.vnumbers import CANDIDATE_GENERATOR, VReport, local_v
 
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:
@@ -332,6 +333,35 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )
+
+
+def per_depth_theorem_rhs(
+    kind: FiltrationKind,
+    i: MonomialIdeal,
+    j: MonomialIdeal,
+    k: int,
+    p: PrimeSupport,
+    q: PrimeSupport,
+) -> RhsResult | None:
+    """theorem_rhs by its per-depth definition, as the library computed it
+    before it read each summand's witness table once: a depth d is
+    admissible when p lies in Ass of the (k-d)-th member of i's filtration
+    and q in Ass of the (d+1)-st member of j's, and it scores the sum of
+    the two local_v degrees."""
+    candidates = []
+    for d in range(k):
+        left = filtration_member(kind, i, k - d)
+        right = filtration_member(kind, j, d + 1)
+        if p not in associated_primes(left) or q not in associated_primes(right):
+            continue
+        vi = local_v(left, p)
+        vj = local_v(right, q)
+        candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
+    if not candidates:
+        return None
+    value = min(c.value for c in candidates)
+    achieved = tuple(c.d for c in candidates if c.value == value)
+    return RhsResult(value, achieved, tuple(candidates))
 
 
 def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:

@@ -201,14 +201,14 @@ def test_unprintable_output_integer_is_input_error(fmt, session, message):
         jsonschema.validate(json.loads(lines[0]), SCHEMA)
 
 
-def test_closure_of_the_zeroth_power_is_input_error():
+def test_closure_of_the_zeroth_power_is_the_unit_ideal():
     text = "ring A = [x, y]; ideal I in A = (x^2, y^3); intclos k=0 I;"
     for fmt, line in (
-        ("text", "error (input): operation requires a proper nonzero ideal, got the unit ideal"),
-        ("json", '{"error": {"code": "input", "message": '
-                 '"operation requires a proper nonzero ideal, got the unit ideal"}}'),
+        ("text", "closure(I^0) = (1)"),
+        ("json", '{"command": "intclos", "inputs": ["I"], "k": 0, "result": ["1"]}'),
     ):
-        assert run_text(text, fmt) == (EXIT_USAGE, [line])
+        assert run_text(text, fmt) == (EXIT_OK, [line])
+    jsonschema.validate(json.loads(line), SCHEMA)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

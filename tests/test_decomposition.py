@@ -186,13 +186,13 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
         irreducible_decomposition(a)
 
 
-def _certify_with_colon_check(monkeypatch, check, error, message):
+def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_is_prime"):
     """Run Ass, v and local_v on cold caches with the witness table's colon
-    check replaced by check; each must raise error. (x^2, x*y) has Ass
-    {(x), (x, y)}; its table is searched from (x)."""
+    check attr replaced by check; each must raise error. (x^2, x*y) has
+    Ass {(x), (x, y)}; its table is searched from (x)."""
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     queries = (associated_primes, v_number, lambda a: local_v(a, prime_support(R2, ["x", "y"])))
-    monkeypatch.setattr(decomposition, "_colon_is_prime", check)
+    monkeypatch.setattr(decomposition, attr, check)
     for query in queries:
         decomposition._witnesses.cache_clear()
         associated_primes.cache_clear()
@@ -210,3 +210,10 @@ def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
 def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
     _certify_with_colon_check(monkeypatch, lambda gens, f, support: False,
                               InternalError, r"no colon witness for \(x\) in Ass")
+
+
+def test_ass_certification_reaches_every_reader(monkeypatch):
+    # The colon ideal disagrees with the colon rule: every reader must see it.
+    _certify_with_colon_check(monkeypatch, lambda a, f: unit_ideal(a.ring), InternalError,
+                              r"witness certification failed for \(x\) in Ass",
+                              attr="colon_monomial")

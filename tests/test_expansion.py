@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_local_v, canonical_key
+from oracles import brute_force_local_v, canonical_key, per_depth_theorem_rhs
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     binomial_expansion,
@@ -263,6 +263,16 @@ def test_colon_chain_identity_for_reported_witnesses(seed, k):
                 ideal(s, [embed(g, s) for g in colon_monomial(right, cand.q_witness).gens]),
             )
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("kind", [ORD, SASS, SMIN])
+def test_theorem_rhs_matches_the_per_depth_oracle(kind):
+    """Value, achieving depths and candidates agree on every mixed prime."""
+    for seed in range(25):
+        i, j = random_pair(random.Random(seed), max_exp=2)
+        for k in (1, 2):
+            for row in verify_theorem(kind, i, j, k).rows:
+                assert row.rhs == per_depth_theorem_rhs(kind, i, j, k, row.p, row.q), (seed, k)
 
 
 def test_witnesses_recombine_to_direct_witness():

@@ -112,6 +112,12 @@ def test_principal_ideal_is_integrally_closed():
     assert integral_closure(a) == a
 
 
+def test_closure_of_the_zeroth_power_is_the_unit_ideal():
+    a = ideal(R2, [mono(R2, x=2), mono(R2, y=3)])
+    assert integral_closure(a, 0) == unit_ideal(R2)
+    assert integral_closure(a, 0) == filtration_member("intclos", a, 0) == power(a, 0)
+
+
 def test_integral_closure_bowtie_example():
     a = ideal(R2, [mono(R2, x=3, y=1), mono(R2, x=1, y=3)])
     closed = integral_closure(a)
