@@ -1,5 +1,10 @@
 """Command-line front end: session execution and deterministic output.
 
+The parser's ``_SIGNATURES`` and ``_HANDLERS`` here are the two command
+tables, with the same keys.  A handler takes a command and its ideals and
+returns the JSON fields after the record header, the text lines, and
+whether it found an inequality.
+
 Text mode prints one human-readable block per command; JSON mode prints
 one JSON object per command (JSON Lines, sorted keys).  Exit codes:
 0 success, 1 a verification found an inequality, 2 usage or parse or
@@ -10,7 +15,6 @@ import argparse
 import json
 import random
 import sys
-from typing import Callable
 
 from .decomposition import associated_primes, irreducible_decomposition, minimal_primes
 from .errors import InternalError, ParseError, VidealError
@@ -23,7 +27,7 @@ from .filtrations import (
     normally_torsion_free,
 )
 from .ideals import MonomialIdeal, colon_ideal, colon_monomial, power
-from .parser import Command, Session, parse_session
+from .parser import Command, parse_session
 from .randgen import random_pair
 from .vnumbers import v_number
 
@@ -109,189 +113,142 @@ def _theorem_text(report: TheoremReport, label: str) -> list[str]:
     return lines
 
 
-class _Runner:
-    """Executes one session; collects output lines and the exit code."""
+_Output = tuple[dict, list[str], bool]
 
-    def __init__(self, session: Session, fmt: str):
-        self.session = session
-        self.fmt = fmt
-        self.lines: list[str] = []
-        self.unequal = False
 
-    def emit(self, obj: dict, *text: str) -> None:
-        """One JSON line for obj in JSON mode, else the given text lines."""
-        if self.fmt == "json":
-            self.lines.append(json.dumps(obj, sort_keys=True))
-        else:
-            self.lines.extend(text)
+def _mingens(cmd: Command, a: MonomialIdeal) -> _Output:
+    return {"result": _gens_list(a)}, [f"G({cmd.ideals[0]}) = {a}"], False
 
-    def run(self) -> int:
-        for command in self.session.commands:
-            self.dispatch(command)
-        return EXIT_UNEQUAL if self.unequal else EXIT_OK
 
-    def dispatch(self, cmd: Command) -> None:
-        handler: Callable[[Command], None] = getattr(
-            self, "cmd_" + cmd.name.replace("-", "_")
-        )
-        handler(cmd)
+def _colon(cmd: Command, a: MonomialIdeal, b: MonomialIdeal | None = None) -> _Output:
+    result = colon_monomial(a, cmd.mono) if b is None else colon_ideal(a, b)
+    divisor = str(cmd.mono) if b is None else cmd.ideals[1]
+    return {"result": _gens_list(result)}, [f"{cmd.ideals[0]} : {divisor} = {result}"], False
 
-    def ideal_arg(self, cmd: Command, pos: int = 0) -> MonomialIdeal:
-        return self.session.ideals[cmd.ideals[pos]]
 
-    def base(self, cmd: Command) -> dict:
-        obj: dict = {"command": cmd.name, "inputs": list(cmd.ideals)}
-        if cmd.mono is not None:
-            obj["inputs"] = list(cmd.ideals) + [str(cmd.mono)]
-        if cmd.kind is not None:
-            obj["kind"] = cmd.kind.value
-        if cmd.k is not None:
-            obj["k"] = cmd.k
-        return obj
+def _prime_set(label: str, cmd: Command, primes) -> _Output:
+    result = [_prime_list(p) for p in primes]
+    text = ", ".join(str(p) for p in primes)
+    return {"result": result}, [f"{label}({cmd.ideals[0]}) = {{ {text} }}"], False
 
-    def cmd_mingens(self, cmd: Command) -> None:
-        ideal = self.ideal_arg(cmd)
-        obj = self.base(cmd)
-        obj["result"] = _gens_list(ideal)
-        self.emit(obj, f"G({cmd.ideals[0]}) = {ideal}")
 
-    def cmd_colon(self, cmd: Command) -> None:
-        ideal = self.ideal_arg(cmd)
-        if cmd.mono is not None:
-            result = colon_monomial(ideal, cmd.mono)
-            divisor = str(cmd.mono)
-        else:
-            result = colon_ideal(ideal, self.ideal_arg(cmd, 1))
-            divisor = cmd.ideals[1]
-        obj = self.base(cmd)
-        obj["result"] = _gens_list(result)
-        self.emit(obj, f"{cmd.ideals[0]} : {divisor} = {result}")
+def _ass(cmd: Command, a: MonomialIdeal) -> _Output:
+    return _prime_set("Ass", cmd, associated_primes(a))
 
-    def cmd_ass(self, cmd: Command) -> None:
-        primes = associated_primes(self.ideal_arg(cmd))
-        obj = self.base(cmd)
-        obj["result"] = [_prime_list(p) for p in primes]
-        text = ", ".join(str(p) for p in primes)
-        self.emit(obj, f"Ass({cmd.ideals[0]}) = {{ {text} }}")
 
-    def cmd_min(self, cmd: Command) -> None:
-        primes = minimal_primes(self.ideal_arg(cmd))
-        obj = self.base(cmd)
-        obj["result"] = [_prime_list(p) for p in primes]
-        text = ", ".join(str(p) for p in primes)
-        self.emit(obj, f"Min({cmd.ideals[0]}) = {{ {text} }}")
+def _min(cmd: Command, a: MonomialIdeal) -> _Output:
+    return _prime_set("Min", cmd, minimal_primes(a))
 
-    def cmd_irrdec(self, cmd: Command) -> None:
-        components = irreducible_decomposition(self.ideal_arg(cmd))
-        obj = self.base(cmd)
-        obj["result"] = [
-            {"generators": _gens_list(c.ideal), "prime": _prime_list(c.prime)}
-            for c in components
-        ]
-        text = ", ".join(str(c.ideal) for c in components)
-        self.emit(obj, f"irrdec({cmd.ideals[0]}) = [{text}]")
 
-    def cmd_vnum(self, cmd: Command) -> None:
-        report = v_number(self.ideal_arg(cmd))
-        obj = self.base(cmd)
-        obj["result"] = {
-            "degree": _printable(report.degree, f"v({cmd.ideals[0]})"),
-            "witness": str(report.witness),
-            "prime": _prime_list(report.prime),
-            "method": report.method,
-        }
-        self.emit(
-            obj,
-            f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
-            f"witness = {report.witness}",
-        )
+def _irrdec(cmd: Command, a: MonomialIdeal) -> _Output:
+    components = irreducible_decomposition(a)
+    result = [{"generators": _gens_list(c.ideal), "prime": _prime_list(c.prime)}
+              for c in components]
+    text = ", ".join(str(c.ideal) for c in components)
+    return {"result": result}, [f"irrdec({cmd.ideals[0]}) = [{text}]"], False
 
-    def cmd_power(self, cmd: Command) -> None:
-        result = power(self.ideal_arg(cmd), cmd.k)
-        obj = self.base(cmd)
-        obj["result"] = _gens_list(result)
-        self.emit(obj, f"{cmd.ideals[0]}^{cmd.k} = {result}")
 
-    def cmd_symb(self, cmd: Command) -> None:
-        result = filtration_member(cmd.kind, self.ideal_arg(cmd), cmd.k)
-        obj = self.base(cmd)
-        obj["result"] = _gens_list(result)
-        self.emit(obj, f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}")
+def _vnum(cmd: Command, a: MonomialIdeal) -> _Output:
+    report = v_number(a)
+    result = {
+        "degree": _printable(report.degree, f"v({cmd.ideals[0]})"),
+        "witness": str(report.witness),
+        "prime": _prime_list(report.prime),
+        "method": report.method,
+    }
+    text = (f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
+            f"witness = {report.witness}")
+    return {"result": result}, [text], False
 
-    def cmd_intclos(self, cmd: Command) -> None:
-        result = integral_closure(self.ideal_arg(cmd), cmd.k)
-        obj = self.base(cmd)
-        obj["result"] = _gens_list(result)
-        self.emit(obj, f"closure({cmd.ideals[0]}^{cmd.k}) = {result}")
 
-    def cmd_ntf(self, cmd: Command) -> None:
-        result = normally_torsion_free(self.ideal_arg(cmd), cmd.k)
-        obj = self.base(cmd)
-        obj["result"] = {"normally_torsion_free": result, "k_max": cmd.k}
-        self.emit(
-            obj, f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {cmd.k})"
-        )
+def _power(cmd: Command, a: MonomialIdeal) -> _Output:
+    result = power(a, cmd.k)
+    return {"result": _gens_list(result)}, [f"{cmd.ideals[0]}^{cmd.k} = {result}"], False
 
-    def cmd_check_property(self, cmd: Command) -> None:
-        report = check_filtration_property(cmd.kind, self.ideal_arg(cmd), cmd.k, cmd.cap)
-        obj = self.base(cmd)
-        obj["report"] = {
-            "deg_cap": cmd.cap,
-            "witnesses": [
-                {"monomial": str(f), "prime": _prime_list(p)}
-                for f, p in report.witnesses
-            ],
-            "violations": [str(f) for f in report.violations],
-            "passed": report.passed,
-        }
-        if not report.passed:
-            self.unequal = True
-        self.emit(
-            obj,
-            f"check-property kind={cmd.kind.value} k={cmd.k} cap={cmd.cap} "
-            f"{cmd.ideals[0]}: {len(report.witnesses)} witnesses, "
-            f"{len(report.violations)} violations, "
-            f"{'PASS' if report.passed else 'FAIL'}",
-        )
 
-    def cmd_verify_expansion(self, cmd: Command) -> None:
-        i, j = self.ideal_arg(cmd, 0), self.ideal_arg(cmd, 1)
-        report = verify_expansion(cmd.kind, i, j, cmd.k)
-        obj = self.base(cmd)
-        obj["report"] = {
-            "holds": report.expansion_holds,
-            "direct": _gens_list(report.direct),
-            "expanded": _gens_list(report.expanded),
-            "mismatch_witnesses": [str(m) for m in report.mismatch_witnesses],
-        }
-        if not report.expansion_holds:
-            self.unequal = True
-        label = (
-            f"verify-expansion kind={cmd.kind.value} k={cmd.k} "
-            f"{cmd.ideals[0]} {cmd.ideals[1]}"
-        )
-        if report.expansion_holds:
-            self.emit(obj, f"{label}: HOLDS")
-        else:
-            witnesses = ", ".join(str(m) for m in report.mismatch_witnesses)
-            self.emit(
-                obj,
-                f"{label}: FAILS; direct = {report.direct}; "
-                f"expanded = {report.expanded}; witnesses = [{witnesses}]",
-            )
+def _symb(cmd: Command, a: MonomialIdeal) -> _Output:
+    result = filtration_member(cmd.kind, a, cmd.k)
+    text = f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}"
+    return {"result": _gens_list(result)}, [text], False
 
-    def cmd_verify_theorem(self, cmd: Command) -> None:
-        i, j = self.ideal_arg(cmd, 0), self.ideal_arg(cmd, 1)
-        report = verify_theorem(cmd.kind, i, j, cmd.k)
-        obj = self.base(cmd)
-        obj["report"] = _theorem_json(report)
-        if not report.ok:
-            self.unequal = True
-        label = (
-            f"verify-theorem kind={cmd.kind.value} k={cmd.k} "
-            f"{cmd.ideals[0]} {cmd.ideals[1]}"
-        )
-        self.emit(obj, *_theorem_text(report, label))
+
+def _intclos(cmd: Command, a: MonomialIdeal) -> _Output:
+    result = integral_closure(a, cmd.k)
+    return {"result": _gens_list(result)}, [f"closure({cmd.ideals[0]}^{cmd.k}) = {result}"], False
+
+
+def _ntf(cmd: Command, a: MonomialIdeal) -> _Output:
+    result = normally_torsion_free(a, cmd.k)
+    text = f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {cmd.k})"
+    return {"result": {"normally_torsion_free": result, "k_max": cmd.k}}, [text], False
+
+
+def _check_property(cmd: Command, a: MonomialIdeal) -> _Output:
+    report = check_filtration_property(cmd.kind, a, cmd.k, cmd.cap)
+    fields = {"report": {
+        "deg_cap": cmd.cap,
+        "witnesses": [{"monomial": str(f), "prime": _prime_list(p)} for f, p in report.witnesses],
+        "violations": [str(f) for f in report.violations],
+        "passed": report.passed,
+    }}
+    text = (f"check-property kind={cmd.kind.value} k={cmd.k} cap={cmd.cap} {cmd.ideals[0]}: "
+            f"{len(report.witnesses)} witnesses, {len(report.violations)} violations, "
+            f"{'PASS' if report.passed else 'FAIL'}")
+    return fields, [text], not report.passed
+
+
+def _label(cmd: Command) -> str:
+    return f"{cmd.name} kind={cmd.kind.value} k={cmd.k} {cmd.ideals[0]} {cmd.ideals[1]}"
+
+
+def _verify_expansion(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Output:
+    report = verify_expansion(cmd.kind, i, j, cmd.k)
+    fields = {"report": {
+        "holds": report.expansion_holds,
+        "direct": _gens_list(report.direct),
+        "expanded": _gens_list(report.expanded),
+        "mismatch_witnesses": [str(m) for m in report.mismatch_witnesses],
+    }}
+    if report.expansion_holds:
+        return fields, [f"{_label(cmd)}: HOLDS"], False
+    witnesses = ", ".join(fields["report"]["mismatch_witnesses"])
+    return fields, [f"{_label(cmd)}: FAILS; direct = {report.direct}; "
+                    f"expanded = {report.expanded}; witnesses = [{witnesses}]"], True
+
+
+def _verify_theorem(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Output:
+    report = verify_theorem(cmd.kind, i, j, cmd.k)
+    return {"report": _theorem_json(report)}, _theorem_text(report, _label(cmd)), not report.ok
+
+
+# Keyed like the parser's _SIGNATURES.  Handlers call the library through
+# this module's globals at call time, so a tracer that rebinds them sees it.
+_HANDLERS = {
+    "mingens": _mingens,
+    "colon": _colon,
+    "ass": _ass,
+    "min": _min,
+    "irrdec": _irrdec,
+    "vnum": _vnum,
+    "power": _power,
+    "symb": _symb,
+    "intclos": _intclos,
+    "verify-expansion": _verify_expansion,
+    "verify-theorem": _verify_theorem,
+    "check-property": _check_property,
+    "ntf": _ntf,
+}
+
+
+def _header(cmd: Command) -> dict:
+    obj: dict = {"command": cmd.name, "inputs": list(cmd.ideals)}
+    if cmd.mono is not None:
+        obj["inputs"].append(str(cmd.mono))
+    if cmd.kind is not None:
+        obj["kind"] = cmd.kind.value
+    if cmd.k is not None:
+        obj["k"] = cmd.k
+    return obj
 
 
 def _error_line(fmt: str, code: str, message: str, line: int | None = None,
@@ -451,16 +408,24 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
         session = parse_session(text)
     except ParseError as exc:
         return EXIT_USAGE, [_error_line(fmt, "parse", exc.message, exc.line, exc.col)]
-    runner = _Runner(session, fmt)
+    lines: list[str] = []
+    unequal = False
     try:
-        code = runner.run()
+        for cmd in session.commands:
+            args = [session.ideals[name] for name in cmd.ideals]
+            fields, text_lines, found = _HANDLERS[cmd.name](cmd, *args)
+            unequal = unequal or found
+            if fmt == "json":
+                lines.append(json.dumps(_header(cmd) | fields, sort_keys=True))
+            else:
+                lines.extend(text_lines)
     except InternalError as exc:
-        runner.lines.append(_error_line(fmt, "internal", str(exc)))
-        return EXIT_INTERNAL, runner.lines
+        lines.append(_error_line(fmt, "internal", str(exc)))
+        return EXIT_INTERNAL, lines
     except VidealError as exc:
-        runner.lines.append(_error_line(fmt, "input", str(exc)))
-        return EXIT_USAGE, runner.lines
-    return code, runner.lines
+        lines.append(_error_line(fmt, "input", str(exc)))
+        return EXIT_USAGE, lines
+    return (EXIT_UNEQUAL if unequal else EXIT_OK), lines
 
 
 if __name__ == "__main__":

@@ -86,7 +86,6 @@ class Command:
 
 @dataclass(slots=True)
 class Session:
-    rings: dict[str, Ring] = field(default_factory=dict)
     ideals: dict[str, MonomialIdeal] = field(default_factory=dict)
     commands: list[Command] = field(default_factory=list)
 
@@ -115,6 +114,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.rings: dict[str, Ring] = {}
         self.session = Session()
 
     def peek(self) -> Token:
@@ -154,7 +154,7 @@ class _Parser:
     def ring_decl(self):
         self.advance()  # ring
         name_tok = self.expect("name", "a ring name")
-        if name_tok.text in self.session.rings:
+        if name_tok.text in self.rings:
             self.fail(f"ring {name_tok.text!r} already declared", name_tok)
         self.expect("=", "'='")
         self.expect("[", "'['")
@@ -170,7 +170,7 @@ class _Parser:
             if tok.kind != ",":
                 self.fail("expected ',' or ']' in variable list", tok)
         self.expect(";", "';'")
-        self.session.rings[name_tok.text] = Ring(name_tok.text, tuple(vars))
+        self.rings[name_tok.text] = Ring(name_tok.text, tuple(vars))
 
     def ideal_decl(self):
         self.advance()  # ideal
@@ -181,7 +181,7 @@ class _Parser:
         if in_tok.text != "in":
             self.fail("expected 'in' after the ideal name", in_tok)
         ring_tok = self.expect("name", "a ring name")
-        ring = self.session.rings.get(ring_tok.text)
+        ring = self.rings.get(ring_tok.text)
         if ring is None:
             self.fail(f"unknown ring {ring_tok.text!r}", ring_tok)
         self.expect("=", "'='")

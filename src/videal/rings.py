@@ -198,16 +198,21 @@ def embed(f: Monomial, dst: Ring) -> Monomial:
 
 
 def exps_of_degree(nvars: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All exponent vectors of total degree d, in canonical order."""
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == nvars - 1:
-            yield prefix + (remaining,)
+    """All exponent vectors of total degree d, in canonical order (lex descending)."""
+    vec = [d] + [0] * (nvars - 1)
+    while True:
+        yield tuple(vec)
+        # The rightmost nonzero entry before the last gives one unit to the
+        # entry after it, which also takes the last entry's whole value.
+        i = nvars - 2
+        while i >= 0 and not vec[i]:
+            i -= 1
+        if i < 0:
             return
-        for e in range(remaining, -1, -1):
-            yield from rec(i + 1, remaining - e, prefix + (e,))
-
-    yield from rec(0, d, ())
+        tail = vec[-1]
+        vec[-1] = 0
+        vec[i] -= 1
+        vec[i + 1] = tail + 1
 
 
 def monomials_of_degree(ring: Ring, d: int) -> Iterator[Monomial]:

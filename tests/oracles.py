@@ -45,6 +45,19 @@ def canonical_key(exp: tuple[int, ...]) -> tuple:
     return (sum(exp), tuple(-e for e in exp))
 
 
+def recursive_exps_of_degree(nvars: int, d: int):
+    """All exponent vectors of total degree d, by the recursive definition
+    the library replaced: the first exponent runs from d down to 0, and
+    the rest is each vector of the remaining degree in one variable fewer.
+    The order oracle for ``rings.exps_of_degree``."""
+    if nvars == 1:
+        yield (d,)
+        return
+    for e in range(d, -1, -1):
+        for rest in recursive_exps_of_degree(nvars - 1, d - e):
+            yield (e,) + rest
+
+
 def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(e * m for e in u)
 

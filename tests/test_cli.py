@@ -11,7 +11,7 @@ from videal.cli import (
     EXIT_OK,
     EXIT_UNEQUAL,
     EXIT_USAGE,
-    _Runner,
+    _HANDLERS,
     main,
     run_fuzz,
     run_text,
@@ -97,6 +97,58 @@ def test_verify_failure_sets_exit_one():
     assert "FAILS" in lines[0]
 
 
+FAILING_SESSION = (
+    "ring A = [x]; ring B = [y]; ideal I in A = (x^2); ideal J in B = (y^2);\n"
+    "verify-expansion kind=intclos k=1 I J; verify-theorem kind=intclos k=1 I J;\n"
+)
+FAILING_OUTPUT = {
+    "text": [
+        "verify-expansion kind=intclos k=1 I J: FAILS; direct = (x^2, x*y, y^2); "
+        "expanded = (x^2, y^2); witnesses = [x*y]",
+        "verify-theorem kind=intclos k=1 I J: expansion FAILS",
+        "  direct   = (x^2, x*y, y^2)",
+        "  expanded = (x^2, y^2)",
+        "  mismatch witnesses: x*y",
+        "  prime (x, y): lhs = 1 (witness x), rhs = 2, d in [0], UNEQUAL",
+        "  global: v = 1, formula = 2, UNEQUAL",
+        "  result: MISMATCH",
+    ],
+    "json": [
+        '{"command": "verify-expansion", "inputs": ["I", "J"], "k": 1, "kind": "intclos", '
+        '"report": {"direct": ["x^2", "x*y", "y^2"], "expanded": ["x^2", "y^2"], '
+        '"holds": false, "mismatch_witnesses": ["x*y"]}}',
+        '{"command": "verify-theorem", "inputs": ["I", "J"], "k": 1, "kind": "intclos", '
+        '"report": {"expansion_holds": false, "findings": ["binomial expansion fails; '
+        'the min-formula hypothesis is unmet", "direct v-number 1 beats the mixed-prime '
+        'formula 2; non-mixed primes present: none"], "global": {"equal": false, "lhs": 1, '
+        '"prime": ["x", "y"], "rhs": 2}, "non_mixed_primes": [], "ok": false, "rows": '
+        '[{"equal": false, "lhs": 1, "lhs_witness": "x", "p": ["x"], "prime": ["x", "y"], '
+        '"q": ["y"], "rhs": {"achieved_d": [0], "value": 2}}]}}',
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_failure_branches_are_byte_stable(fmt):
+    """The FAILS and UNEQUAL branches of both verifiers, which no corpus
+    session reaches: every line and the exit code."""
+    assert run_text(FAILING_SESSION, fmt) == (EXIT_UNEQUAL, FAILING_OUTPUT[fmt])
+    if fmt == "json":
+        for line in FAILING_OUTPUT[fmt]:
+            jsonschema.validate(json.loads(line), SCHEMA)
+
+
+def test_check_property_in_a_wide_ring():
+    """Degree enumeration in a 1,200-variable ring stays within the
+    interpreter's recursion limit."""
+    names = ", ".join(f"x{i}" for i in range(1200))
+    text = f"ring A = [{names}]; ideal I in A = (x0); check-property kind=ordinary k=1 cap=0 I;"
+    assert run_text(text, "text") == (
+        EXIT_OK,
+        ["check-property kind=ordinary k=1 cap=0 I: 1 witnesses, 0 violations, PASS"],
+    )
+
+
 def test_error_aborts_remaining_commands():
     text = "ring A = [x]; ideal I in A = (1); vnum I; mingens I;"
     code, lines = run_text(text, "json")
@@ -144,8 +196,7 @@ def test_fuzz_cli_entry(capsys):
 
 
 def test_command_table_and_handlers_agree():
-    handlers = {name[4:] for name in vars(_Runner) if name.startswith("cmd_")}
-    assert handlers == {name.replace("-", "_") for name in _SIGNATURES}
+    assert set(_HANDLERS) == set(_SIGNATURES)
 
 
 MALFORMED_NUMBERS = [

@@ -16,8 +16,8 @@ def parse_one(text):
 
 def test_minimal_session():
     session = parse_one("ring A = [x,y]; ideal I in A = (x^2, x*y); vnum I;")
-    assert list(session.rings) == ["A"]
     assert list(session.ideals) == ["I"]
+    assert session.ideals["I"].ring.name == "A"
     assert len(session.commands) == 1
     assert session.commands[0].name == "vnum"
     assert session.commands[0].ideals == ("I",)

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_rings
-from oracles import canonical_key
+from oracles import canonical_key, recursive_exps_of_degree
 from videal.errors import RingMismatchError, VidealError
 from videal.rings import (
     Monomial,
@@ -11,6 +11,7 @@ from videal.rings import (
     degree,
     divides,
     embed,
+    exps_of_degree,
     gcd,
     join_rings,
     lcm,
@@ -107,6 +108,12 @@ def test_canonical_order_graded_then_lex():
     ring = make_ring("A", ["x", "y"])
     ordered = [str(f) for f in monomials_of_degree(ring, 2)]
     assert ordered == ["x^2", "x*y", "y^2"]
+
+
+def test_exps_of_degree_matches_the_recursive_order():
+    for nvars in range(1, 6):
+        for d in range(6):
+            assert list(exps_of_degree(nvars, d)) == list(recursive_exps_of_degree(nvars, d))
 
 
 def test_monomials_up_to_degree_counts():
