@@ -2,8 +2,8 @@
 
 The parser's ``_SIGNATURES`` and ``_HANDLERS`` here are the two command
 tables, with the same keys.  A handler takes a command and its ideals and
-returns the JSON fields after the record header, the text lines, and
-whether it found an inequality.
+returns the JSON fields after the record header, the text lines (lazy for
+verdicts), and whether it found an inequality.
 
 Text mode prints one human-readable block per command; JSON mode prints
 one JSON object per command (JSON Lines, sorted keys).  Exit codes:
@@ -15,6 +15,7 @@ import argparse
 import json
 import random
 import sys
+from typing import Iterable, Iterator
 
 from .decomposition import associated_primes, irreducible_decomposition, minimal_primes
 from .errors import InternalError, ParseError, VidealError
@@ -87,33 +88,28 @@ def _theorem_json(report: TheoremReport) -> dict:
     }
 
 
-def _theorem_text(report: TheoremReport, label: str) -> list[str]:
-    lines = [
-        f"{label}: expansion {'HOLDS' if report.expansion.expansion_holds else 'FAILS'}"
-    ]
+def _theorem_text(report: TheoremReport, label: str) -> Iterator[str]:
+    yield f"{label}: expansion {'HOLDS' if report.expansion.expansion_holds else 'FAILS'}"
     if not report.expansion.expansion_holds:
-        lines.append(f"  direct   = {report.expansion.direct}")
-        lines.append(f"  expanded = {report.expansion.expanded}")
+        yield f"  direct   = {report.expansion.direct}"
+        yield f"  expanded = {report.expansion.expanded}"
         witnesses = ", ".join(str(m) for m in report.expansion.mismatch_witnesses)
-        lines.append(f"  mismatch witnesses: {witnesses}")
+        yield f"  mismatch witnesses: {witnesses}"
     for row in report.rows:
         rhs = "none" if row.rhs is None else str(row.rhs.value)
         achieved = "" if row.rhs is None else f", d in {list(row.rhs.achieved)}"
         verdict = "EQUAL" if row.equal else "UNEQUAL"
-        lines.append(
-            f"  prime {row.prime}: lhs = {row.lhs} (witness {row.lhs_witness}), "
-            f"rhs = {rhs}{achieved}, {verdict}"
-        )
+        yield (f"  prime {row.prime}: lhs = {row.lhs} (witness {row.lhs_witness}), "
+               f"rhs = {rhs}{achieved}, {verdict}")
     for prime in report.non_mixed_primes:
-        lines.append(f"  non-mixed associated prime: {prime}")
+        yield f"  non-mixed associated prime: {prime}"
     rhs = "none" if report.v_formula is None else str(report.v_formula)
     verdict = "EQUAL" if report.global_equal else "UNEQUAL"
-    lines.append(f"  global: v = {report.v_direct}, formula = {rhs}, {verdict}")
-    lines.append(f"  result: {'OK' if report.ok else 'MISMATCH'}")
-    return lines
+    yield f"  global: v = {report.v_direct}, formula = {rhs}, {verdict}"
+    yield f"  result: {'OK' if report.ok else 'MISMATCH'}"
 
 
-_Output = tuple[dict, list[str], bool]
+_Output = tuple[dict, Iterable[str], bool]
 
 
 def _mingens(cmd: Command, a: MonomialIdeal) -> _Output:
@@ -364,12 +360,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        parser = build_arg_parser()
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return EXIT_USAGE
+        args = build_arg_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits with 0 (--help) or 2
         return EXIT_USAGE if exc.code else EXIT_OK
 
     if args.fuzz > 0:
@@ -418,7 +410,8 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
             if fmt == "json":
                 lines.append(json.dumps(_header(cmd) | fields, sort_keys=True))
             else:
-                lines.extend(text_lines)
+                # Whole blocks only: a line that fails leaves none of its block.
+                lines.extend(list(text_lines))
     except InternalError as exc:
         lines.append(_error_line(fmt, "internal", str(exc)))
         return EXIT_INTERNAL, lines

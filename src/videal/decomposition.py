@@ -61,7 +61,8 @@ calls, recomputes the corners on each call.
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, lt, sub
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
@@ -255,7 +256,7 @@ def _least_raise(
 
 
 @lru_cache(maxsize=16384)
-def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], VReport]:
+def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     """The witness table of a: for each associated prime p, keyed by its
     support P (in increasing order), the report of the least degree of an
     f with a : f = p and the first such f in the canonical order.
@@ -263,8 +264,7 @@ def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], VReport]:
     The corners are computed once, and each f is searched over the
     corners b0 with support P as in the module docstring, then checked
     by the colon rule and certified with the colon ideal (a failure is an
-    internal error).  Every caller shares the returned dict, so it is
-    read only.
+    internal error).  Every caller gets the same read-only view.
     """
     corners, top = _corner_set(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -307,7 +307,7 @@ def _witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], VReport]:
         if colon_monomial(a, witness) != p.as_ideal():
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
         table[indices] = VReport(best_degree, witness, p, CANDIDATE_GENERATOR)
-    return table
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=16384)

@@ -7,18 +7,19 @@ paths: the "direct" side works entirely in the joined ring S, while the
 "formula" side only ever touches filtrations of the summands in their
 own rings.  They meet only in the final equality checks.
 
-Both read v-numbers off the witness tables of ``decomposition``, each
-witness certified when its table is built, whichever reader comes first.
+Both read v-numbers off the read-only, certified witness tables of
+``decomposition``: ``verify_theorem`` reads the direct side's table once
+per verdict, and ``theorem_rhs`` each summand's table once per depth.
 """
 
 from dataclasses import dataclass
 
-from .decomposition import _witnesses, associated_primes
+from .decomposition import _witnesses
 from .errors import ImproperIdealError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
-from .rings import Monomial, Ring, canonical_sort, join_rings
-from .vnumbers import local_v, v_number
+from .rings import Monomial, canonical_sort, join_rings
+from .vnumbers import v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -188,16 +189,6 @@ class TheoremReport:
         )
 
 
-def _split_prime(prime: PrimeSupport, ring_a: Ring, ring_b: Ring):
-    """Split a prime of S into its A-part and B-part (either may be None)."""
-    n = ring_a.nvars
-    a_part = tuple(idx for idx in prime.indices if idx < n)
-    b_part = tuple(idx - n for idx in prime.indices if idx >= n)
-    p = PrimeSupport(ring_a, a_part) if a_part else None
-    q = PrimeSupport(ring_b, b_part) if b_part else None
-    return p, q
-
-
 def verify_theorem(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> TheoremReport:
@@ -216,13 +207,16 @@ def verify_theorem(
     findings: list[str] = []
     if not expansion.expansion_holds:
         findings.append("binomial expansion fails; the min-formula hypothesis is unmet")
-    for prime in associated_primes(direct):
-        p, q = _split_prime(prime, i.ring, j.ring)
-        if p is None or q is None:
+    # The variables of S are I's (indices below n) followed by J's.
+    n = i.ring.nvars
+    for report in _witnesses(direct).values():
+        prime = report.prime
+        if not prime.indices[0] < n <= prime.indices[-1]:
             non_mixed.append(prime)
             findings.append(f"non-mixed associated prime {prime}")
             continue
-        report = local_v(direct, prime)
+        p = PrimeSupport(i.ring, tuple(idx for idx in prime.indices if idx < n))
+        q = PrimeSupport(j.ring, tuple(idx - n for idx in prime.indices if idx >= n))
         rhs = theorem_rhs(kind, i, j, k, p, q)
         rows.append(TheoremRow(prime, p, q, report.degree, report.witness, rhs))
     best_direct = v_number(direct)

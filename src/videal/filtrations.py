@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
+from math import comb
 from operator import mul
 from typing import Sequence
 
@@ -214,12 +215,22 @@ class PropertyCheckReport:
         return not self.violations
 
 
+MAX_PROPERTY_MONOMIALS = 1_000_000  # about 25 s of colon checks, at 25 us each
+
+
 def check_filtration_property(
     kind: FiltrationKind, a: MonomialIdeal, k: int, deg_cap: int
 ) -> PropertyCheckReport:
     if k < 1:
         raise VidealError("the drop-by-one property needs k >= 1")
     _require_proper_nonzero(a)
+    # C(n - 1 + d, d) >= 1 monomials have degree d: at most 10^6 + 1 terms for any cap.
+    count = 0
+    for d in range(deg_cap + 1):
+        count += comb(a.ring.nvars - 1 + d, d)
+        if count > MAX_PROPERTY_MONOMIALS:
+            raise VidealError("check-property would enumerate more than "
+                              f"{MAX_PROPERTY_MONOMIALS:,} monomials; lower the degree cap")
     member = filtration_member(kind, a, k)
     previous = filtration_member(kind, a, k - 1)
     witnesses: list[tuple[Monomial, PrimeSupport]] = []

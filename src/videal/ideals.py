@@ -192,7 +192,7 @@ def intersect_exps(
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection via pairwise lcm of generators."""
+    """Intersection of two ideals of one ring (see ``intersect_exps``)."""
     ring = check_same_ring(a, b)
     return MonomialIdeal(ring, intersect_exps(a.exps(), b.exps()))
 

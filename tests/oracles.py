@@ -30,6 +30,7 @@ from videal.ideals import (
 )
 from videal.rings import (
     Monomial,
+    Ring,
     check_same_ring,
     divides_exp,
     mul,
@@ -346,6 +347,18 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )
+
+
+def split_prime(prime: PrimeSupport, ring_a: Ring, ring_b: Ring):
+    """Split a prime of the joined ring into its part in ring_a and its
+    part in ring_b (either may be None), as the theorem verifier did
+    before it read the split off the witness table."""
+    n = ring_a.nvars
+    a_part = tuple(idx for idx in prime.indices if idx < n)
+    b_part = tuple(idx - n for idx in prime.indices if idx >= n)
+    p = PrimeSupport(ring_a, a_part) if a_part else None
+    q = PrimeSupport(ring_b, b_part) if b_part else None
+    return p, q
 
 
 def per_depth_theorem_rhs(

@@ -2,11 +2,13 @@ import io
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+from videal import cli
 from videal.cli import (
     EXIT_OK,
     EXIT_UNEQUAL,
@@ -16,6 +18,7 @@ from videal.cli import (
     run_fuzz,
     run_text,
 )
+from videal.errors import VidealError
 from videal.parser import _SIGNATURES, parse_session
 
 HERE = Path(__file__).parent
@@ -138,11 +141,78 @@ def test_failure_branches_are_byte_stable(fmt):
             jsonschema.validate(json.loads(line), SCHEMA)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("session", [None, "12_verify_theorem_ord", "20_mixed"])
+def test_verdict_text_is_formatted_only_when_printed(session, fmt):
+    """A JSON session never gets a formatted line out of _theorem_text; a
+    text session does.  Either output stays byte for byte as before.
+
+    CPython 3.11 enters a generator's frame to close it even if it never
+    started, so the test watches for a value handed back (a yielded line,
+    or a returned list of lines), not for a call.
+    """
+    code = cli._theorem_text.__code__
+    formatted = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is code and arg is not None:
+            formatted.append(arg)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        if session is None:
+            assert run_text(FAILING_SESSION, fmt) == (EXIT_UNEQUAL, FAILING_OUTPUT[fmt])
+        else:
+            check_against_golden(CORPUS / "good" / f"{session}.vid", fmt)
+    finally:
+        sys.setprofile(previous)
+    assert bool(formatted) == (fmt == "text")
+
+
+def test_a_failing_text_block_prints_none_of_its_lines(monkeypatch):
+    def failing(report, label):
+        yield f"{label}: expansion HOLDS"
+        raise VidealError("late failure")
+
+    monkeypatch.setattr(cli, "_theorem_text", failing)
+    text = "ring A = [x]; ring B = [y]; ideal I in A = (x); ideal J in B = (y); vnum I;"
+    assert run_text(text + " verify-theorem kind=ordinary k=1 I J;", "text") == (
+        EXIT_USAGE, ["v(I) = 0, prime = (x), witness = 1", "error (input): late failure"]
+    )
+
+
+WIDE_RING = "ring A = [{}]; ideal I in A = (x0);".format(", ".join(f"x{i}" for i in range(1200)))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("session", [
+    f"{WIDE_RING} check-property kind=ordinary k=1 I;",
+    "ring A = [x]; ideal I in A = (x); check-property kind=ordinary k=1 cap={cap} I;",
+], ids=["wide-ring-default-cap", "cap-at-the-digit-limit"])
+def test_check_property_enumeration_is_bounded(session, fmt):
+    """The default cap=6 in a 1,200-variable ring spans about 4 * 10^15
+    monomials, and a cap at the int/str digit limit is past any count: a
+    typed input error, at once, instead of a hang."""
+    cap = "9" * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+    start = time.perf_counter()
+    code, lines = run_text(session.replace("{cap}", cap), fmt)
+    assert time.perf_counter() - start < 2
+    assert code == EXIT_USAGE and len(lines) == 1
+    message = ("check-property would enumerate more than 1,000,000 monomials; "
+               "lower the degree cap")
+    if fmt == "text":
+        assert lines == [f"error (input): {message}"]
+    else:
+        obj = json.loads(lines[0])
+        assert obj == {"error": {"code": "input", "message": message}}
+        jsonschema.validate(obj, SCHEMA)
+
+
 def test_check_property_in_a_wide_ring():
     """Degree enumeration in a 1,200-variable ring stays within the
     interpreter's recursion limit."""
-    names = ", ".join(f"x{i}" for i in range(1200))
-    text = f"ring A = [{names}]; ideal I in A = (x0); check-property kind=ordinary k=1 cap=0 I;"
+    text = f"{WIDE_RING} check-property kind=ordinary k=1 cap=0 I;"
     assert run_text(text, "text") == (
         EXIT_OK,
         ["check-property kind=ordinary k=1 cap=0 I: 1 witnesses, 0 violations, PASS"],
@@ -169,6 +239,18 @@ def test_main_requires_input_or_fuzz(capsys):
     code = main([])
     assert code == EXIT_USAGE
     assert "no --input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--format", "xml"], EXIT_USAGE),
+    (["--seed", "x"], EXIT_USAGE),
+    (["--bogus"], EXIT_USAGE),
+    (["--help"], EXIT_OK),
+], ids=["bad-choice", "bad-int", "unknown-flag", "help"])
+def test_main_argparse_exits(argv, code, capsys):
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == EXIT_OK else err).startswith("usage: videal")
 
 
 def test_main_missing_file(capsys):

@@ -217,3 +217,11 @@ def test_ass_certification_reaches_every_reader(monkeypatch):
     _certify_with_colon_check(monkeypatch, lambda a, f: unit_ideal(a.ring), InternalError,
                               r"witness certification failed for \(x\) in Ass",
                               attr="colon_monomial")
+
+
+def test_witness_table_is_read_only():
+    a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
+    table = decomposition._witnesses(a)
+    with pytest.raises(TypeError):
+        table[(0,)] = None
+    assert decomposition._witnesses(a) is table

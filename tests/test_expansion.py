@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_local_v, canonical_key, per_depth_theorem_rhs
+from oracles import brute_force_local_v, canonical_key, per_depth_theorem_rhs, split_prime
+from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     binomial_expansion,
@@ -263,6 +264,28 @@ def test_colon_chain_identity_for_reported_witnesses(seed, k):
                 ideal(s, [embed(g, s) for g in colon_monomial(right, cand.q_witness).gens]),
             )
             assert lhs == rhs
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 2))
+def test_rows_partition_the_direct_associated_primes(seed, k):
+    """The mixed primes of Ass of the direct side, in index order, are the
+    rows, and the others are the non-mixed primes; each row carries the
+    local v-number of its prime and the split of that prime."""
+    i, j = random_pair(random.Random(seed))
+    for kind in FiltrationKind:
+        report = verify_theorem(kind, i, j, k)
+        direct = report.expansion.direct
+        ass = associated_primes(direct)
+        mixed = [None not in split_prime(prime, i.ring, j.ring) for prime in ass]
+        assert tuple(row.prime for row in report.rows) == tuple(
+            prime for prime, m in zip(ass, mixed) if m
+        )
+        assert report.non_mixed_primes == tuple(prime for prime, m in zip(ass, mixed) if not m)
+        for row in report.rows:
+            v = local_v(direct, row.prime)
+            assert (row.lhs, row.lhs_witness) == (v.degree, v.witness)
+            assert (row.p, row.q) == split_prime(row.prime, i.ring, j.ring)
 
 
 @pytest.mark.parametrize("kind", [ORD, SASS, SMIN])
