@@ -79,6 +79,6 @@ from .rings import (
     mul,
     quotient_by_gcd,
 )
-from .vnumbers import CANDIDATE_GENERATOR, VReport, local_v, v_number
+from .vnumbers import VReport, local_v, v_number
 
 __all__ = [name for name in dir() if not name.startswith("_")]

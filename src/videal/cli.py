@@ -101,8 +101,6 @@ def _theorem_text(report: TheoremReport, label: str) -> Iterator[str]:
         verdict = "EQUAL" if row.equal else "UNEQUAL"
         yield (f"  prime {row.prime}: lhs = {row.lhs} (witness {row.lhs_witness}), "
                f"rhs = {rhs}{achieved}, {verdict}")
-    for prime in report.non_mixed_primes:
-        yield f"  non-mixed associated prime: {prime}"
     rhs = "none" if report.v_formula is None else str(report.v_formula)
     verdict = "EQUAL" if report.global_equal else "UNEQUAL"
     yield f"  global: v = {report.v_direct}, formula = {rhs}, {verdict}"
@@ -150,7 +148,7 @@ def _vnum(cmd: Command, a: MonomialIdeal) -> _Output:
         "degree": _printable(report.degree, f"v({cmd.ideals[0]})"),
         "witness": str(report.witness),
         "prime": _prime_list(report.prime),
-        "method": report.method,
+        "method": "candidate-generator",
     }
     text = (f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
             f"witness = {report.witness}")

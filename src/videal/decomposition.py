@@ -69,9 +69,6 @@ from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
 from .rings import Monomial, canonical_sort
 
 
-CANDIDATE_GENERATOR = "candidate-generator"
-
-
 @dataclass(frozen=True, slots=True)
 class VReport:
     """A v-number query's result: witness degree, witness, and its prime."""
@@ -79,7 +76,6 @@ class VReport:
     degree: int
     witness: Monomial
     prime: PrimeSupport
-    method: str
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,8 +226,6 @@ def _least_raise(
     at each branch some g_j must be raised to at least b_j, and raising
     it to exactly b_j stays below that raise.
     """
-    if not outside:
-        return None
     kept: list[tuple[int, ...]] = []
     vectors = {tuple(b[j] for j in outside) for b in hard}
     _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
@@ -288,6 +282,7 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
             # f lies outside the component of b iff f < b componentwise; such
             # a b is compatible (b_P = b0_P) iff b <= b0.
             hard = [b for b in corners if all(map(lt, f, b)) and not all(map(le, b, b0))]
+            # Empty when P is every variable: then b >= b0, and the corners are an antichain.
             if hard:
                 rest = _least_raise(
                     hard, outside, top, None if best_degree is None else best_degree - degree
@@ -306,7 +301,7 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
         witness = Monomial(a.ring, best)
         if colon_monomial(a, witness) != p.as_ideal():
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
-        table[indices] = VReport(best_degree, witness, p, CANDIDATE_GENERATOR)
+        table[indices] = VReport(best_degree, witness, p)
     return MappingProxyType(table)
 
 

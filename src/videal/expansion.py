@@ -15,7 +15,7 @@ per verdict, and ``theorem_rhs`` each summand's table once per depth.
 from dataclasses import dataclass
 
 from .decomposition import _witnesses
-from .errors import ImproperIdealError, VidealError
+from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
 from .rings import Monomial, canonical_sort, join_rings
@@ -64,8 +64,6 @@ def direct_term(
 
 @dataclass(frozen=True, slots=True)
 class ExpansionReport:
-    kind: FiltrationKind
-    k: int
     expansion_holds: bool
     direct: MonomialIdeal
     expanded: MonomialIdeal
@@ -88,7 +86,7 @@ def verify_expansion(
         separating += [g.exp for g in expanded.gens if not direct.contains(g)]
         canonical_sort(separating)
         witnesses = tuple(Monomial(direct.ring, e) for e in separating[:10])
-    return ExpansionReport(kind, k, holds, direct, expanded, witnesses)
+    return ExpansionReport(holds, direct, expanded, witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,11 +167,12 @@ class TheoremReport:
     k: int
     expansion: ExpansionReport
     rows: tuple[TheoremRow, ...]
-    non_mixed_primes: tuple[PrimeSupport, ...]
     v_direct: int
     v_direct_prime: PrimeSupport
     v_formula: int | None
     findings: tuple[str, ...]
+    # Every associated prime of the direct side is mixed (verify_theorem).
+    non_mixed_primes = ()
 
     @property
     def global_equal(self) -> bool:
@@ -183,7 +182,6 @@ class TheoremReport:
     def ok(self) -> bool:
         return (
             self.expansion.expansion_holds
-            and bool(self.rows)
             and all(row.equal for row in self.rows)
             and self.global_equal
         )
@@ -196,14 +194,14 @@ def verify_theorem(
 
     Checks the binomial expansion first (a failed expansion marks the
     hypothesis unmet but everything is still computed for inspection),
-    then compares lhs and rhs for every mixed associated prime of the
-    direct side, and finally compares the direct global v-number with
-    the restricted min of the formula values.
+    then compares lhs and rhs for every associated prime of the direct
+    side, each mixed since the member contains I^k and J^k (else an
+    internal error), and finally compares the direct global v-number
+    with the restricted min of the formula values.
     """
     expansion = verify_expansion(kind, i, j, k)
     direct = expansion.direct
     rows: list[TheoremRow] = []
-    non_mixed: list[PrimeSupport] = []
     findings: list[str] = []
     if not expansion.expansion_holds:
         findings.append("binomial expansion fails; the min-formula hypothesis is unmet")
@@ -212,9 +210,7 @@ def verify_theorem(
     for report in _witnesses(direct).values():
         prime = report.prime
         if not prime.indices[0] < n <= prime.indices[-1]:
-            non_mixed.append(prime)
-            findings.append(f"non-mixed associated prime {prime}")
-            continue
+            raise InternalError(f"associated prime {prime} of {direct} is not mixed")
         p = PrimeSupport(i.ring, tuple(idx for idx in prime.indices if idx < n))
         q = PrimeSupport(j.ring, tuple(idx - n for idx in prime.indices if idx >= n))
         rhs = theorem_rhs(kind, i, j, k, p, q)
@@ -223,17 +219,15 @@ def verify_theorem(
     formula_values = [row.rhs.value for row in rows if row.rhs is not None]
     v_formula = min(formula_values) if formula_values else None
     if v_formula is not None and best_direct.degree < v_formula:
-        non_mixed_names = ", ".join(str(p) for p in non_mixed)
         findings.append(
             f"direct v-number {best_direct.degree} beats the mixed-prime formula "
-            f"{v_formula}; non-mixed primes present: {non_mixed_names or 'none'}"
+            f"{v_formula}; non-mixed primes present: none"
         )
     return TheoremReport(
         kind=kind,
         k=k,
         expansion=expansion,
         rows=tuple(rows),
-        non_mixed_primes=tuple(non_mixed),
         v_direct=best_direct.degree,
         v_direct_prime=best_direct.prime,
         v_formula=v_formula,

@@ -22,7 +22,7 @@ coordinate never increases.
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 from operator import mul
 from typing import Sequence
@@ -224,13 +224,11 @@ def check_filtration_property(
     if k < 1:
         raise VidealError("the drop-by-one property needs k >= 1")
     _require_proper_nonzero(a)
-    # C(n - 1 + d, d) >= 1 monomials have degree d: at most 10^6 + 1 terms for any cap.
-    count = 0
-    for d in range(deg_cap + 1):
-        count += comb(a.ring.nvars - 1 + d, d)
-        if count > MAX_PROPERTY_MONOMIALS:
-            raise VidealError("check-property would enumerate more than "
-                              f"{MAX_PROPERTY_MONOMIALS:,} monomials; lower the degree cap")
+    # C(n - 1 + d, d) >= 1 monomials have degree d: a cap at the limit is past it.
+    counts = accumulate(comb(a.ring.nvars - 1 + d, d) for d in range(deg_cap + 1))
+    if deg_cap >= MAX_PROPERTY_MONOMIALS or any(c > MAX_PROPERTY_MONOMIALS for c in counts):
+        raise VidealError("check-property would enumerate more than "
+                          f"{MAX_PROPERTY_MONOMIALS:,} monomials; lower the degree cap")
     member = filtration_member(kind, a, k)
     previous = filtration_member(kind, a, k - 1)
     witnesses: list[tuple[Monomial, PrimeSupport]] = []

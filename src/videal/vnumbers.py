@@ -7,7 +7,7 @@ the ideal, once per ideal, and certifies each one when the table is
 built, whichever reader comes first.
 """
 
-from .decomposition import CANDIDATE_GENERATOR, VReport, _witnesses
+from .decomposition import VReport, _witnesses
 from .errors import ImproperIdealError, NoWitnessError
 from .ideals import MonomialIdeal, PrimeSupport
 from .rings import check_same_ring

@@ -36,7 +36,7 @@ from videal.rings import (
     mul,
     monomials_up_to_degree,
 )
-from videal.vnumbers import CANDIDATE_GENERATOR, VReport, local_v
+from videal.vnumbers import VReport, local_v
 
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:
@@ -312,7 +312,7 @@ def brute_force_local_v(
     target = p.as_ideal()
     for f in monomials_up_to_degree(a.ring, deg_cap):
         if colon_monomial(a, f) == target:
-            return VReport(f.degree, f, p, "brute-force")
+            return VReport(f.degree, f, p)
     return None
 
 
@@ -343,7 +343,7 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     # survivor is the minimum-degree witness with canonical tie-breaking.
     for f in shared:
         if _colon_is_prime(gens, f, support):
-            return VReport(sum(f), Monomial(a.ring, f), p, CANDIDATE_GENERATOR)
+            return VReport(sum(f), Monomial(a.ring, f), p)
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )

@@ -8,8 +8,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from videal import cli
+from videal import cli, expansion, filtrations
 from videal.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNEQUAL,
     EXIT_USAGE,
@@ -18,8 +19,13 @@ from videal.cli import (
     run_fuzz,
     run_text,
 )
-from videal.errors import VidealError
+from videal.errors import InternalError, VidealError
+from videal.expansion import TheoremReport, verify_theorem
+from videal.filtrations import FiltrationKind
+from videal.ideals import PrimeSupport
 from videal.parser import _SIGNATURES, parse_session
+from videal.rings import Monomial
+from videal.vnumbers import VReport
 
 HERE = Path(__file__).parent
 CORPUS = HERE / "corpus"
@@ -141,6 +147,42 @@ def test_failure_branches_are_byte_stable(fmt):
             jsonschema.validate(json.loads(line), SCHEMA)
 
 
+def expected_error(fmt, code, message, line=None, col=None):
+    """The error line run_text should print; a JSON one is first checked
+    against the schema."""
+    if fmt == "text":
+        return f"error ({code}){'' if line is None else f' at {line}:{col}'}: {message}"
+    err = {"code": code, "message": message}
+    if line is not None:
+        err |= {"line": line, "col": col}
+    obj = {"error": err}
+    jsonschema.validate(obj, SCHEMA)
+    return json.dumps(obj, sort_keys=True)
+
+
+ONE_VAR = "ring A = [x]; ideal I in A = (x);"
+PAIR = "ring A = [x]; ring B = [y]; ideal I in A = (x); ideal J in B = (y);"
+
+
+@pytest.mark.parametrize("field, value", [
+    (("report", "non_mixed_primes"), [["x"]]),
+    (("result", "method"), "brute-force"),
+], ids=["non-mixed-prime", "brute-force-method"])
+def test_schema_states_the_invariants(field, value):
+    """Every associated prime of a verdict is mixed, and every v-number
+    comes from the candidate generator: a record saying otherwise is
+    invalid."""
+    session = f"{PAIR} verify-theorem kind=ordinary k=1 I J; vnum I;"
+    code, lines = run_text(session, "json")
+    assert code == EXIT_OK
+    section, key = field
+    record = next(r for r in map(json.loads, lines) if section in r)
+    jsonschema.validate(record, SCHEMA)
+    record[section][key] = value
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(record, SCHEMA)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("session", [None, "12_verify_theorem_ord", "20_mixed"])
 def test_verdict_text_is_formatted_only_when_printed(session, fmt):
@@ -207,6 +249,130 @@ def test_check_property_enumeration_is_bounded(session, fmt):
         obj = json.loads(lines[0])
         assert obj == {"error": {"code": "input", "message": message}}
         jsonschema.validate(obj, SCHEMA)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("cap", [
+    "1000000", "9" * getattr(sys, "get_int_max_str_digits", lambda: 4300)()
+], ids=["limit", "digit-limit"])
+def test_check_property_refuses_a_cap_at_the_limit_without_counting(monkeypatch, cap, fmt):
+    """Every degree holds a monomial, so a cap at the limit is refused
+    before a single binomial is summed."""
+    def comb(n, k):
+        raise AssertionError("comb called")
+
+    monkeypatch.setattr(filtrations, "comb", comb)
+    session = f"ring A = [x]; ideal I in A = (x); check-property kind=ordinary k=1 cap={cap} I;"
+    message = ("check-property would enumerate more than 1,000,000 monomials; "
+               "lower the degree cap")
+    assert run_text(session, fmt) == (EXIT_USAGE, [expected_error(fmt, "input", message)])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("session, code, message, col", [
+    ("ring A = [x y];", "parse", "expected ',' or ']' in variable list", 13),
+    ("ring A = [x]; ideal I in A = (x x);", "parse", "expected ',' or ')' in generator list", 33),
+    (f"{ONE_VAR} power k=; I;", "parse", "expected a value, found ';'", 43),
+    (f"{ONE_VAR} vnum k=2 I;", "parse", "command 'vnum' takes no argument 'k'", 40),
+    (f"{ONE_VAR} power k=2 k=3 I;", "parse", "duplicate argument 'k'", 45),
+    (f"{ONE_VAR} verify-theorem kind=ordinary k=1 I;", "parse",
+     "command 'verify-theorem' needs 2 ideal argument(s), got 1", 35),
+    (f"{PAIR} verify-theorem kind=ordinary k=0 I J;", "input",
+     "expansion checks need k >= 1", None),
+    (f"{PAIR} verify-expansion kind=ordinary k=0 I J;", "input",
+     "expansion checks need k >= 1", None),
+    (f"{ONE_VAR} check-property kind=ordinary k=0 I;", "input",
+     "the drop-by-one property needs k >= 1", None),
+    (f"{ONE_VAR} ntf k=0 I;", "input", "k_max must be at least 1", None),
+], ids=["variable-list", "generator-list", "missing-value", "unknown-argument",
+        "duplicate-argument", "one-ideal-theorem", "theorem-k0", "expansion-k0",
+        "property-k0", "ntf-k0"])
+def test_error_paths_outside_the_corpus(session, code, message, col, fmt):
+    """Parse and input errors that no corpus session reaches: one error
+    line and exit 2 in either format."""
+    line = None if col is None else 1
+    assert run_text(session, fmt) == (EXIT_USAGE, [expected_error(fmt, code, message, line, col)])
+
+
+@pytest.fixture
+def non_mixed_direct_prime(monkeypatch):
+    """Give every witness table of a 2-variable ring a first entry for the
+    prime (x) of its first variable, as if the direct side of an instance
+    with one variable per summand had an associated prime in I's variables
+    only."""
+    witnesses = expansion._witnesses
+
+    def patched(a):
+        table = witnesses(a)
+        if a.ring.nvars != 2:
+            return table
+        prime = PrimeSupport(a.ring, (0,))
+        return {(0,): VReport(0, Monomial(a.ring, (0, 0)), prime)} | dict(table)
+
+    monkeypatch.setattr(expansion, "_witnesses", patched)
+
+
+def test_a_non_mixed_prime_is_an_internal_error(non_mixed_direct_prime):
+    session = parse_session(PAIR)
+    i, j = session.ideals["I"], session.ideals["J"]
+    with pytest.raises(InternalError, match=r"associated prime \(x\) of \(x, y\) is not mixed"):
+        verify_theorem(FiltrationKind.ORDINARY, i, j, 1)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_an_internal_error_ends_the_session_with_exit_three(non_mixed_direct_prime, fmt):
+    session = f"{PAIR} vnum I; verify-theorem kind=ordinary k=1 I J; vnum J;"
+    first = {
+        "text": "v(I) = 0, prime = (x), witness = 1",
+        "json": '{"command": "vnum", "inputs": ["I"], "result": {"degree": 0, '
+                '"method": "candidate-generator", "prime": ["x"], "witness": "1"}}',
+    }[fmt]
+    error = expected_error(fmt, "internal", "associated prime (x) of (x, y) is not mixed")
+    assert run_text(session, fmt) == (EXIT_INTERNAL, [first, error])
+    if fmt == "json":
+        jsonschema.validate(json.loads(first), SCHEMA)
+
+
+def test_fuzz_reports_an_unmet_hypothesis():
+    """Seed 0 draws one integral-closure instance whose binomial
+    expansion fails: reported, not counted as a mismatch."""
+    first = "I=(x1*x2^2) J=(y1^2, y1*y2)"
+    assert run_fuzz(2, 0, "text") == (EXIT_OK, [
+        f"fuzz[0] kind=ordinary k=2 {first}: OK",
+        f"fuzz[0] kind=symb-ass k=2 {first}: OK",
+        f"fuzz[0] kind=symb-min k=2 {first}: OK",
+        f"fuzz[0] kind=intclos k=2 {first}: HYPOTHESIS-UNMET",
+        "fuzz[1] kind=ordinary k=1 I=(x1^2) J=(y1): OK",
+        "fuzz[1] kind=symb-ass k=1 I=(x1^2) J=(y1): OK",
+        "fuzz[1] kind=symb-min k=1 I=(x1^2) J=(y1): OK",
+        "fuzz[1] kind=intclos k=1 I=(x1^2) J=(y1): OK",
+        "fuzz: 2 instances, 0 mismatches, 1 hypothesis-unmet",
+    ])
+    code, lines = run_fuzz(2, 0, "json")
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        jsonschema.validate(record, SCHEMA)
+    assert [r["status"] for r in records[:-1]].count("HYPOTHESIS-UNMET") == 1
+    assert records[-1] == {"command": "fuzz-summary", "instances": 2, "mismatches": 0,
+                           "hypothesis_unmet": 1}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_fuzz_counts_mismatches(monkeypatch, fmt):
+    monkeypatch.setattr(TheoremReport, "ok", property(lambda self: False))
+    code, lines = run_fuzz(2, 0, fmt)
+    assert code == EXIT_UNEQUAL
+    # 2 instances x 4 kinds, less the one unmet hypothesis.
+    if fmt == "text":
+        assert sum(line.endswith(": MISMATCH") for line in lines) == 7
+        assert lines[-1] == "fuzz: 2 instances, 7 mismatches, 1 hypothesis-unmet"
+    else:
+        records = [json.loads(line) for line in lines]
+        assert [r["status"] for r in records[:-1]].count("MISMATCH") == 7
+        assert records[-1]["mismatches"] == 7
+        for record in records:
+            jsonschema.validate(record, SCHEMA)
 
 
 def test_check_property_in_a_wide_ring():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,9 +18,11 @@ from videal.ideals import (
     colon_monomial,
     from_exps,
     ideal,
+    intersect,
     intersect_all,
     power,
     prime_support,
+    sum_ideals,
     unit_ideal,
     zero_ideal,
 )
@@ -225,3 +229,29 @@ def test_witness_table_is_read_only():
     with pytest.raises(TypeError):
         table[(0,)] = None
     assert decomposition._witnesses(a) is table
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_ideals(max_vars=4, max_exp=3, max_gens=5), st.data())
+def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
+    """When P is every variable, f = b0 - 1 lies in the component of every
+    corner but b0's (a corner above f is above b0, and the corners are an
+    antichain), so the raise search is never asked to raise nothing.  Run
+    on cold tables of a plus a pure power of each variable, whose only
+    associated prime is the maximal ideal, and of a met with those powers,
+    where the maximal ideal sits beside a's primes."""
+    n = a.ring.nvars
+    powers = from_exps(a.ring, [
+        (0,) * i + (data.draw(st.integers(1, 4)),) + (0,) * (n - i - 1) for i in range(n)
+    ])
+    least_raise = decomposition._least_raise
+
+    def checked(hard, outside, top, limit):
+        assert outside
+        return least_raise(hard, outside, top, limit)
+
+    cold_table = decomposition._witnesses.__wrapped__
+    with mock.patch.object(decomposition, "_least_raise", checked):
+        assert list(cold_table(sum_ideals(a, powers))) == [tuple(range(n))]
+        cold_table(intersect(a, powers))
+        cold_table(a)
