@@ -48,21 +48,23 @@ hitting problem, solved by branch and bound (``_least_raise``).  The
 least-degree witness that is first in the canonical order (graded, then
 lexicographically greatest) is re-checked by the colon rule on G(a).
 
-The memoized witness table ``_witnesses`` runs both sweeps and the
-search once per ideal, and stores one finished ``VReport`` per
-associated prime.  Every witness is certified when the table is built,
-whichever reader comes first: by the colon rule on G(a), then by the
-colon ideal itself.  ``associated_primes``, ``vnumbers.local_v``,
-``vnumbers.v_number`` and ``expansion.theorem_rhs`` only read the
-stored reports.  ``irreducible_decomposition``, which no hot path
-calls, recomputes the corners on each call.
+Two memos hold the work per ideal, and both store only immutable
+values.  ``_corner_set`` runs both sweeps once and keeps the checked
+corners as a tuple; ``irreducible_decomposition`` and the symbolic
+powers of ``filtrations`` read them from there.  The witness table
+``_witnesses`` runs the search on those corners once, and stores one
+finished ``VReport`` per associated prime.  Every witness is certified
+when the table is built, whichever reader comes first: by the colon
+rule on G(a), then by the colon ideal itself.  ``associated_primes``,
+``vnumbers.local_v``, ``vnumbers.v_number`` and
+``expansion.theorem_rhs`` only read the stored reports.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import le, lt, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
@@ -133,7 +135,7 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
     return corners
 
 
-def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[int, ...], ...]:
+def _intersect_corners(corners: Sequence[tuple[int, ...]], top: int) -> tuple[tuple[int, ...], ...]:
     """Minimal generators of the intersection of the components of the
     given corners, canonically sorted (every corner entry at most top)."""
     meet = [(0,) * len(corners[0])]
@@ -156,23 +158,23 @@ def _intersect_corners(corners: list[tuple[int, ...]], top: int) -> tuple[tuple[
     return tuple(meet)
 
 
-def _corner_set(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int]:
+@lru_cache(maxsize=16384)
+def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The corners of the irredundant irreducible decomposition of a and
     their sentinel top, checked exactly to intersect back to a."""
     _require_proper_nonzero(a)
     gens = a.exps()
     top = max(map(max, gens)) + 1
-    corners = _corners(gens, top)
+    corners = tuple(_corners(gens, top))
     if _intersect_corners(corners, top) != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     return corners, top
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
-    """An irredundant set of irreducible components intersecting to a.
-
-    The intersection equality is checked exactly on every call.
-    """
+    """An irredundant set of irreducible components intersecting to a,
+    read from the memoized corners, which were checked exactly to
+    intersect back to a when first computed."""
     corners, top = _corner_set(a)
     n = a.ring.nvars
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
@@ -255,10 +257,11 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     support P (in increasing order), the report of the least degree of an
     f with a : f = p and the first such f in the canonical order.
 
-    The corners are computed once, and each f is searched over the
-    corners b0 with support P as in the module docstring, then checked
-    by the colon rule and certified with the colon ideal (a failure is an
-    internal error).  Every caller gets the same read-only view.
+    The corners are read from ``_corner_set``, and each f is searched
+    over the corners b0 with support P as in the module docstring, then
+    checked by the colon rule and certified with the colon ideal (a
+    failure is an internal error).  Every caller gets the same read-only
+    view.
     """
     corners, top = _corner_set(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

@@ -1,11 +1,14 @@
 """Graded filtrations of a monomial ideal: ordinary powers, the two
 symbolic-power variants, and integral closures of powers.
 
-Symbolic powers never need a saturation loop: localizing a monomial
-ideal at a monomial prime has the closed form "delete the exponents of
-the other variables".  For primes p inside p', that deletes more at p,
-so the localization at p contains the one at p' and drops out of the
-intersection: only the inclusion-maximal primes are intersected.
+Symbolic powers need neither a saturation loop nor a localization.
+Localizing a monomial ideal at a monomial prime p keeps exactly its
+irreducible components whose support lies in p, and turns the others
+into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
+2017).  So a^(k) is the intersection of the components of a^k whose
+support lies in some associated (or minimal) prime of a.  They are read
+from the memoized, checked corners of a^k, which the witness table of
+a^k shares.  When every component is kept, a^(k) is a^k itself.
 
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
@@ -27,16 +30,15 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _require_proper_nonzero, associated_primes, minimal_primes
+from .decomposition import _corner_set, _intersect_corners, _require_proper_nonzero
+from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
     as_prime,
     colon_monomial,
-    intersect_all,
     is_squarefree,
-    localize,
     power,
     unit_ideal,
 )
@@ -167,9 +169,10 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
 def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> MonomialIdeal:
     """The k-th member of the chosen filtration of a.
 
-    Index 0 is the whole ring for every kind.  Symbolic powers intersect
-    the localized ordinary power over the inclusion-maximal associated
-    (or minimal) primes of a; the integral-closure filtration closes a^k.
+    Index 0 is the whole ring for every kind.  Symbolic powers keep the
+    corners of a^k whose support lies in an associated (or minimal) prime
+    of a, and return a^k itself, the ordinary member, when all of them
+    are kept; the integral-closure filtration closes a^k.
     """
     if k < 0:
         raise VidealError(f"negative filtration index {k}")
@@ -183,16 +186,17 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
     _require_proper_nonzero(a)
     if kind is FiltrationKind.ORDINARY:
         return power(a, k)
-    if kind is FiltrationKind.SYMBOLIC_ASS or kind is FiltrationKind.SYMBOLIC_MIN:
-        primes = (
-            associated_primes(a)
-            if kind is FiltrationKind.SYMBOLIC_ASS
-            else minimal_primes(a)
-        )
-        maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
-        pk = power(a, k)
-        return intersect_all((localize(pk, p) for p in maximal), a.ring)
-    return integral_closure(a, k)
+    if kind is FiltrationKind.INTEGRAL_CLOSURE:
+        return integral_closure(a, k)
+    pk = filtration_member(FiltrationKind.ORDINARY, a, k)
+    corners, top = _corner_set(pk)
+    primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
+    primes = [set(p.indices) for p in primes]
+    supports = [{i for i, e in enumerate(b) if e < top} for b in corners]
+    kept = [b for b, support in zip(corners, supports) if any(support <= p for p in primes)]
+    # kept holds the corners of Min(a^k) = Min(a) at least, and is the
+    # irredundant decomposition of its intersection, as a subset of one.
+    return pk if len(kept) == len(corners) else MonomialIdeal(a.ring, _intersect_corners(kept, top))
 
 
 @dataclass(frozen=True, slots=True)

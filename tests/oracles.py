@@ -22,6 +22,7 @@ from videal.ideals import (
     as_prime,
     colon_monomial,
     from_exps,
+    intersect_all,
     intersect_exps,
     localize,
     power,
@@ -437,6 +438,18 @@ def all_primes_symbolic_power(
     for p in primes:
         meet = pairwise_lcm_intersection(meet, localize(power(a, k), p).exps())
     return MonomialIdeal(a.ring, meet)
+
+
+def localized_symbolic_power(
+    kind: FiltrationKind, a: MonomialIdeal, k: int
+) -> MonomialIdeal:
+    """The k-th symbolic power of a proper nonzero ideal by the definition
+    the library replaced: a^k localized at each inclusion-maximal
+    associated (or minimal) prime of a, the results intersected.  The
+    oracle for the corner filter of ``filtrations.filtration_member``."""
+    primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
+    maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
+    return intersect_all((localize(power(a, k), p) for p in maximal), a.ring)
 
 
 def scan_chars(text: str):

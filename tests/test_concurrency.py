@@ -9,9 +9,10 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from videal.decomposition import _witnesses, associated_primes
+from videal.decomposition import _corner_set, _witnesses, associated_primes
 from videal.expansion import verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
+from videal.lp import _newton_facets
 from videal.randgen import random_pair
 
 THREADS = 6
@@ -19,7 +20,8 @@ KINDS = (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SY
 
 
 def _clear_caches():
-    for cached in (_witnesses, associated_primes, filtration_member, integral_closure):
+    for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
+                   integral_closure, _newton_facets):
         cached.cache_clear()
 
 

@@ -186,8 +186,27 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     assert len(irreducible_decomposition(a)) > 1
     corners = decomposition._corners
     monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
+    # The first call memoized the checked corners; the check runs on a cold memo.
+    decomposition._corner_set.cache_clear()
     with pytest.raises(InternalError, match="does not intersect back"):
         irreducible_decomposition(a)
+
+
+def test_irreducible_decomposition_reads_the_memoized_corners(monkeypatch):
+    corners = decomposition._corners
+    calls = []
+
+    def counted(gens, top):
+        calls.append(gens)
+        return corners(gens, top)
+
+    monkeypatch.setattr(decomposition, "_corners", counted)
+    decomposition._corner_set.cache_clear()
+    a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=2, z=1), mono(R3, x=2, z=2)])
+    first = irreducible_decomposition(a)
+    assert len(first) > 1
+    assert irreducible_decomposition(a) == first
+    assert calls == [a.exps()]
 
 
 def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_is_prime"):

@@ -13,6 +13,7 @@ from oracles import (
     box_scan_integral_closure,
     certificate_denominator_lcm,
     fibre_scan_minimal_points,
+    localized_symbolic_power,
     lp_newton_member,
     power_membership_oracle,
 )
@@ -322,23 +323,54 @@ def test_symbolic_power_matches_all_primes_oracle(a, kind, k):
 
 
 def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
-    # Ass((x^2, xy)) = {(x), (x, y)}: localizing at the embedded prime
-    # (x, y) changes nothing, and (x) lies inside it, so it is skipped.
+    # Ass((x^2, xy)) = {(x), (x, y)}, and a^k is (x^k) met with k components
+    # of support (x, y): symb-ass keeps them all and returns a^k itself, while
+    # symb-min keeps only (x^k).
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     assert [p.var_names for p in associated_primes(a)] == [("x",), ("x", "y")]
-    localized = []
+    met = []
 
-    def recording_localize(b, p):
-        localized.append(p.var_names)
-        return localize(b, p)
+    def recording_intersect_corners(corners, top):
+        met.append(corners)
+        return intersect_corners(corners, top)
 
-    monkeypatch.setattr(filtrations, "localize", recording_localize)
+    intersect_corners = filtrations._intersect_corners
+    monkeypatch.setattr(filtrations, "_intersect_corners", recording_intersect_corners)
     filtration_member.cache_clear()
     for k in (1, 2, 3):
         member = filtration_member(FiltrationKind.SYMBOLIC_ASS, a, k)
+        assert member is filtration_member(FiltrationKind.ORDINARY, a, k)
         assert member == power(a, k)
         assert member == all_primes_symbolic_power(FiltrationKind.SYMBOLIC_ASS, a, k)
-    assert localized == [("x", "y")] * 3
+    assert met == []
+    for k in (1, 2, 3):
+        member = filtration_member(FiltrationKind.SYMBOLIC_MIN, a, k)
+        assert member == ideal(R2, [mono(R2, x=k)])
+        assert member == all_primes_symbolic_power(FiltrationKind.SYMBOLIC_MIN, a, k)
+    assert len(met) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_ideals(max_vars=4),
+    st.sampled_from([FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN]),
+    st.integers(1, 3),
+)
+def test_symbolic_power_matches_the_localized_oracle(a, kind, k):
+    assert filtration_member(kind, a, k) == localized_symbolic_power(kind, a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_ideals(max_vars=2, name="A", prefix="x"),
+    small_ideals(max_vars=2, name="B", prefix="y"),
+    st.sampled_from([FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN]),
+    st.integers(1, 3),
+)
+def test_symbolic_power_of_a_joined_pair_matches_the_localized_oracle(i, j, kind, k):
+    # The direct side of a verdict takes symbolic powers of I + J in the joined ring.
+    s = join_ideals(i, j)
+    assert filtration_member(kind, s, k) == localized_symbolic_power(kind, s, k)
 
 
 def test_embedded_prime_q_power_exploration():

@@ -156,6 +156,7 @@ def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
 
     monkeypatch.setattr(ideals, "intersect_exps", no_intersections)
     assert not hasattr(vnumbers, "intersect_exps")
+    decomposition._corner_set.cache_clear()
     decomposition._witnesses.cache_clear()
     # (x^2, x*y^2, y^3*z, x*z^2): a : (x, y) needs the parts of x and y met.
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
@@ -174,6 +175,7 @@ def test_one_corner_computation_serves_ass_v_number_and_every_local_v(monkeypatc
         return corners(gens, top)
 
     monkeypatch.setattr(decomposition, "_corners", counted)
+    decomposition._corner_set.cache_clear()
     decomposition._witnesses.cache_clear()
     associated_primes.cache_clear()
     # (x^2, x*y^2, y^3*z, x*z^2) has three associated primes.
