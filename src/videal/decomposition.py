@@ -51,13 +51,13 @@ lexicographically greatest) is re-checked by the colon rule on G(a).
 Two memos hold the work per ideal, and both store only immutable
 values.  ``_corner_set`` runs both sweeps once and keeps the checked
 corners as a tuple; ``irreducible_decomposition`` and the symbolic
-powers of ``filtrations`` read them from there.  The witness table
-``_witnesses`` runs the search on those corners once, and stores one
-finished ``VReport`` per associated prime.  Every witness is certified
-when the table is built, whichever reader comes first: by the colon
-rule on G(a), then by the colon ideal itself.  ``associated_primes``,
-``vnumbers.local_v``, ``vnumbers.v_number`` and
-``expansion.theorem_rhs`` only read the stored reports.
+powers' filter ``_components_inside`` read them from there.  The
+witness table ``_witnesses`` runs the search on those corners once, and
+stores one finished ``VReport`` per associated prime.  Every witness is
+certified when the table is built, whichever reader comes first: by the
+colon rule on G(a), then by the colon ideal itself.
+``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
+``expansion`` only read the stored reports.
 """
 
 from dataclasses import dataclass
@@ -169,6 +169,15 @@ def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int]:
     if _intersect_corners(corners, top) != gens:
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     return corners, top
+
+
+def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
+    """The intersection of the components of a with support in one of the
+    primes (one at least), from the memoized corners; a if all are kept."""
+    corners, top = _corner_set(a)
+    primes = [set(p.indices) for p in primes]
+    kept = [b for b in corners if any({i for i, e in enumerate(b) if e < top} <= p for p in primes)]
+    return a if len(kept) == len(corners) else MonomialIdeal(a.ring, _intersect_corners(kept, top))
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:

@@ -8,8 +8,8 @@ paths: the "direct" side works entirely in the joined ring S, while the
 own rings.  They meet only in the final equality checks.
 
 Both read v-numbers off the read-only, certified witness tables of
-``decomposition``: ``verify_theorem`` reads the direct side's table once
-per verdict, and ``theorem_rhs`` each summand's table once per depth.
+``decomposition``: a verdict reads the direct side's table, and each
+summand's once per depth, in the formula reader ``theorem_rhs`` shares.
 """
 
 from dataclasses import dataclass
@@ -19,7 +19,6 @@ from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
 from .rings import Monomial, canonical_sort, join_rings
-from .vnumbers import v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -128,20 +127,28 @@ def theorem_rhs(
     _require_inputs(i, j, k)
     if p.ring != i.ring or q.ring != j.ring:
         raise VidealError("p must live in the ring of i, and q in the ring of j")
-    candidates: list[RhsCandidate] = []
-    for d in range(k):
-        vi = _witnesses(filtration_member(kind, i, k - d)).get(p.indices)
-        if vi is None:
-            continue
-        vj = _witnesses(filtration_member(kind, j, d + 1)).get(q.indices)
-        if vj is None:
-            continue
-        candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
-    if not candidates:
-        return None
-    value = min(c.value for c in candidates)
-    achieved = tuple(c.d for c in candidates if c.value == value)
-    return RhsResult(value, achieved, tuple(candidates))
+    return _formula_reader(kind, i, j, k)(p.indices, q.indices)
+
+
+def _formula_reader(kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int):
+    """The min-formula of ``theorem_rhs`` as a function of the supports
+    (P, Q), over the summand tables of every depth, each read once here."""
+    tables = [(_witnesses(filtration_member(kind, i, k - d)),
+               _witnesses(filtration_member(kind, j, d + 1))) for d in range(k)]
+
+    def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
+        candidates: list[RhsCandidate] = []
+        for d, (left, right) in enumerate(tables):
+            vi, vj = left.get(p), right.get(q)
+            if vi is not None and vj is not None:
+                candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
+        if not candidates:
+            return None
+        value = min(c.value for c in candidates)
+        achieved = tuple(c.d for c in candidates if c.value == value)
+        return RhsResult(value, achieved, tuple(candidates))
+
+    return read
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,20 +214,21 @@ def verify_theorem(
         findings.append("binomial expansion fails; the min-formula hypothesis is unmet")
     # The variables of S are I's (indices below n) followed by J's.
     n = i.ring.nvars
+    formula = _formula_reader(kind, i, j, k)
     for report in _witnesses(direct).values():
         prime = report.prime
         if not prime.indices[0] < n <= prime.indices[-1]:
             raise InternalError(f"associated prime {prime} of {direct} is not mixed")
-        p = PrimeSupport(i.ring, tuple(idx for idx in prime.indices if idx < n))
-        q = PrimeSupport(j.ring, tuple(idx - n for idx in prime.indices if idx >= n))
-        rhs = theorem_rhs(kind, i, j, k, p, q)
-        rows.append(TheoremRow(prime, p, q, report.degree, report.witness, rhs))
-    best_direct = v_number(direct)
-    formula_values = [row.rhs.value for row in rows if row.rhs is not None]
-    v_formula = min(formula_values) if formula_values else None
-    if v_formula is not None and best_direct.degree < v_formula:
+        p = tuple(idx for idx in prime.indices if idx < n)
+        q = tuple(idx - n for idx in prime.indices if idx >= n)
+        rows.append(TheoremRow(prime, PrimeSupport(i.ring, p), PrimeSupport(j.ring, q),
+                               report.degree, report.witness, formula(p, q)))
+    # Rows are in increasing index order: the first of least lhs is v_number's.
+    best_direct = min(rows, key=lambda row: row.lhs)
+    v_formula = min((row.rhs.value for row in rows if row.rhs is not None), default=None)
+    if v_formula is not None and best_direct.lhs < v_formula:
         findings.append(
-            f"direct v-number {best_direct.degree} beats the mixed-prime formula "
+            f"direct v-number {best_direct.lhs} beats the mixed-prime formula "
             f"{v_formula}; non-mixed primes present: none"
         )
     return TheoremReport(
@@ -228,7 +236,7 @@ def verify_theorem(
         k=k,
         expansion=expansion,
         rows=tuple(rows),
-        v_direct=best_direct.degree,
+        v_direct=best_direct.lhs,
         v_direct_prime=best_direct.prime,
         v_formula=v_formula,
         findings=tuple(findings),

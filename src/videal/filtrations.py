@@ -6,9 +6,9 @@ Localizing a monomial ideal at a monomial prime p keeps exactly its
 irreducible components whose support lies in p, and turns the others
 into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
 2017).  So a^(k) is the intersection of the components of a^k whose
-support lies in some associated (or minimal) prime of a.  They are read
-from the memoized, checked corners of a^k, which the witness table of
-a^k shares.  When every component is kept, a^(k) is a^k itself.
+support lies in some associated (or minimal) prime of a: ``decomposition``
+reads them from the memoized, checked corners of a^k, which the witness
+table of a^k shares.  When every component is kept, a^(k) is a^k itself.
 
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
@@ -30,7 +30,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _corner_set, _intersect_corners, _require_proper_nonzero
+from .decomposition import _components_inside, _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import (
@@ -171,8 +171,8 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
 
     Index 0 is the whole ring for every kind.  Symbolic powers keep the
     corners of a^k whose support lies in an associated (or minimal) prime
-    of a, and return a^k itself, the ordinary member, when all of them
-    are kept; the integral-closure filtration closes a^k.
+    of a, those of Min(a^k) = Min(a) among them, and return a^k itself,
+    the ordinary member, when all are kept; integral closures close a^k.
     """
     if k < 0:
         raise VidealError(f"negative filtration index {k}")
@@ -188,15 +188,8 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
         return power(a, k)
     if kind is FiltrationKind.INTEGRAL_CLOSURE:
         return integral_closure(a, k)
-    pk = filtration_member(FiltrationKind.ORDINARY, a, k)
-    corners, top = _corner_set(pk)
     primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
-    primes = [set(p.indices) for p in primes]
-    supports = [{i for i, e in enumerate(b) if e < top} for b in corners]
-    kept = [b for b, support in zip(corners, supports) if any(support <= p for p in primes)]
-    # kept holds the corners of Min(a^k) = Min(a) at least, and is the
-    # irredundant decomposition of its intersection, as a subset of one.
-    return pk if len(kept) == len(corners) else MonomialIdeal(a.ring, _intersect_corners(kept, top))
+    return _components_inside(filtration_member(FiltrationKind.ORDINARY, a, k), primes)
 
 
 @dataclass(frozen=True, slots=True)

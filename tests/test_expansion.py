@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_local_v, canonical_key, per_depth_theorem_rhs, split_prime
+from videal import expansion
 from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
@@ -25,7 +26,7 @@ from videal.ideals import (
 )
 from videal.randgen import random_ntf_pair, random_pair
 from videal.rings import embed, join_rings, make_ring, mono, mul
-from videal.vnumbers import local_v
+from videal.vnumbers import local_v, v_number
 
 A1 = make_ring("A", ["x"])
 B1 = make_ring("B", ["y"])
@@ -280,16 +281,41 @@ def test_rows_partition_the_direct_associated_primes(seed, k):
             v = local_v(direct, row.prime)
             assert (row.lhs, row.lhs_witness) == (v.degree, v.witness)
             assert (row.p, row.q) == split_prime(row.prime, i.ring, j.ring)
+        best = v_number(direct)
+        assert (report.v_direct, report.v_direct_prime) == (best.degree, best.prime)
 
 
-@pytest.mark.parametrize("kind", [ORD, SASS, SMIN])
+@pytest.mark.parametrize("kind", list(FiltrationKind))
 def test_theorem_rhs_matches_the_per_depth_oracle(kind):
-    """Value, achieving depths and candidates agree on every mixed prime."""
+    """Value, achieving depths and candidates agree on every mixed prime,
+    from theorem_rhs, from the verdict's rows and from the oracle."""
     for seed in range(25):
         i, j = random_pair(random.Random(seed), max_exp=2)
-        for k in (1, 2):
+        for k in (1, 2, 3):
             for row in verify_theorem(kind, i, j, k).rows:
-                assert row.rhs == per_depth_theorem_rhs(kind, i, j, k, row.p, row.q), (seed, k)
+                oracle = per_depth_theorem_rhs(kind, i, j, k, row.p, row.q)
+                assert theorem_rhs(kind, i, j, k, row.p, row.q) == row.rhs == oracle, (seed, k)
+
+
+@pytest.mark.parametrize("kind", [ORD, SASS, ICL])
+def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
+    """One read of the direct table and one of each summand table per
+    depth, however many rows the verdict has."""
+    witnesses = expansion._witnesses
+    reads = []
+
+    def counted(a):
+        reads.append(a)
+        return witnesses(a)
+
+    monkeypatch.setattr(expansion, "_witnesses", counted)
+    i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
+    j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
+    for k in (1, 2, 3):
+        reads.clear()
+        report = verify_theorem(kind, i, j, k)
+        assert len(report.rows) >= 2
+        assert len(reads) == 1 + 2 * k
 
 
 def test_witnesses_recombine_to_direct_witness():
