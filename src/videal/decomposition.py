@@ -44,7 +44,14 @@ support P, iff one of them is p and all of them contain p:
 2022.)  Given b0, only (c) constrains f outside P, and only from below,
 so the least-degree witnesses are f_P = b0_P - 1 plus the least raises
 of the coordinates outside P that meet every corner left by (c): a small
-hitting problem, solved by branch and bound (``_least_raise``).  The
+hitting problem.  It is solved on integer bitmasks over the corner list,
+built once per table (``_corner_masks``): with f = b0 - 1 on P and 0
+outside, f lies outside Q_b iff b_P >= b0_P, so the hard set is an AND
+of per-coordinate masks less the compatible corners (``_hard_mask``).
+A branch and bound carries the mask of the corners not yet met, and
+raising g_j to b_j clears the corners with b_j <= g_j < top from it in
+one operation (``_raise_search``).  With a single corner, or when P is
+every variable, the hard set is empty and no mask is built.  The
 least-degree witness that is first in the canonical order (graded, then
 lexicographically greatest) is re-checked by the colon rule on G(a).
 
@@ -62,7 +69,7 @@ colon rule on G(a), then by the colon ideal itself.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import le, lt, sub
+from operator import add, le, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -220,43 +227,96 @@ def _colon_is_prime(
     return len(hit) == len(support)
 
 
-def _least_raise(
-    hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
+def _corner_masks(
+    corners: Sequence[tuple[int, ...]], top: int
+) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """Bitmasks over the corners, bit r standing for corners[r]: for each
+    coordinate i and each value v that some b_i takes, ge[i][v] marks the
+    corners with b_i >= v, and le[i][v] those with b_i <= v and b_i < top
+    (so le[i][top], when some b_i is top, marks every finite b_i)."""
+    full = (1 << len(corners)) - 1
+    ge, le = [], []
+    for column in zip(*corners):
+        at: dict[int, int] = {}
+        bit = 1
+        for v in column:
+            at[v] = at.get(v, 0) | bit
+            bit <<= 1
+        above, below = {}, {}
+        mask = 0
+        for v in sorted(at):
+            above[v] = full ^ mask
+            if v < top:
+                mask |= at[v]
+            below[v] = mask
+        ge.append(above)
+        le.append(below)
+    return ge, le
+
+
+def _hard_mask(
+    ge: list[dict[int, int]], le: list[dict[int, int]], b0: tuple[int, ...], indices: tuple[int, ...]
+) -> int:
+    """The mask of the corners b that f = b0 - 1 on P lies outside
+    (b_P >= b0_P) and that are not compatible with b0 (b_P != b0_P)."""
+    above = below = -1
+    for i in indices:
+        above &= ge[i][b0[i]]
+        below &= le[i][b0[i]]
+    return above & ~below
+
+
+def _raise_search(
+    hard: int, corners: Sequence[tuple[int, ...]], top: int, le: list[dict[int, int]],
+    outside: list[int], limit: int | None,
 ) -> tuple[int, tuple[int, ...]] | None:
     """The least degree of a raise g of the coordinates outside P (listed
-    in outside, in increasing order) that meets every corner b in hard
-    (g_j >= b_j < top for some j in outside), and the lexicographically
-    greatest such g of that degree, as a vector over outside; None if
-    there is none of degree at most limit.
+    in outside) that meets every corner b in the mask hard (g_j >= b_j < top
+    for some j in outside), and the lexicographically greatest such g of
+    that degree, as a vector with 0 on P; None if there is none of degree
+    at most limit.
 
-    Raising into the component of b also raises into that of every
-    corner that lies below b outside P, so only the maximal restrictions
-    of the corners to outside count.  Then branch and bound: branch on
-    the first vector not yet met, raising one g_j to its b_j, and prune
-    above the best degree so far.  Every minimum-degree raise is reached:
-    at each branch some g_j must be raised to at least b_j, and raising
-    it to exactly b_j stays below that raise.
+    Branch and bound on the mask of the corners not yet met: raising g_j
+    to b_j meets le[j][b_j], and raises above the best degree so far are
+    pruned.  A node branches on a corner with no finite entry outside P
+    if there is one (a dead end), else on one with a single such entry (a
+    forced raise), else on the first.  Every minimum-degree raise g* is
+    reached whatever corner a node branches on: each g*_j is some b_j
+    (else lowering it would meet the same corners), and below g* some
+    g*_j >= b_j > g_j meets the branched corner b, so raising g_j to
+    exactly b_j stays below g*.  So the leaf rule below keeps the
+    lexicographically greatest of them.
     """
-    kept: list[tuple[int, ...]] = []
-    vectors = {tuple(b[j] for j in outside) for b in hard}
-    _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
-    size = len(kept)
-    best = None
-    stack = [(0, (0,) * len(outside), 0)]
+    best = dead_or_forced = None
+    stack = [(hard, (0,) * len(corners[0]), 0)]
     while stack:
-        k, g, degree = stack.pop()
+        unmet, g, degree = stack.pop()
         if limit is not None and degree > limit:
             continue
-        while k < size and any(map(le, kept[k], g)):
-            k += 1
-        if k == size:
+        if not unmet:
             if best is None or degree < limit or g > best[1]:
                 limit, best = degree, (degree, g)
         elif limit is None or degree < limit:
-            # g_j < c_j here, so each raise adds at least one degree.
-            for j, e in enumerate(kept[k]):
-                if e < top:
-                    stack.append((k + 1, g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
+            low = unmet & -unmet
+            if low != unmet:
+                if dead_or_forced is None:
+                    # The corners with no finite entry outside P, then those with one.
+                    some = more = 0
+                    for j in outside:
+                        finite = le[j].get(top, -1)
+                        more |= some & finite
+                        some |= finite
+                    dead_or_forced = (~some, some & ~more)
+                for mask in dead_or_forced:
+                    if unmet & mask:
+                        low = unmet & mask & -(unmet & mask)
+                        break
+            b = corners[low.bit_length() - 1]
+            for j in outside:
+                # b is not met, so b_j > g_j: each raise adds at least one degree.
+                e = b[j]
+                if e < top and (limit is None or degree + e - g[j] <= limit):
+                    stack.append((unmet & ~le[j][e], g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
     return best
 
 
@@ -267,44 +327,48 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     f with a : f = p and the first such f in the canonical order.
 
     The corners are read from ``_corner_set``, and each f is searched
-    over the corners b0 with support P as in the module docstring, then
-    checked by the colon rule and certified with the colon ideal (a
-    failure is an internal error).  Every caller gets the same read-only
-    view.
+    over the corners b0 with support P in increasing degree, as in the
+    module docstring: the hard set of b0 is one mask, and its least raise
+    comes from the branch and bound on masks.  The masks live only while
+    the table is built.  The f found is checked by the colon rule and
+    certified with the colon ideal (a failure is an internal error).
+    Every caller gets the same read-only view.
     """
     corners, top = _corner_set(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for b in corners:
         by_support.setdefault(tuple(i for i, e in enumerate(b) if e < top), []).append(b)
     gens = a.exps()
+    n = len(gens[0])
+    masks = None
     table = {}
     for indices in sorted(by_support):
         # f = b0 - shift is b0 - 1 on P and 0 outside P.
-        shift = [top] * len(gens[0])
+        shift = [top] * n
         for i in indices:
             shift[i] = 1
         outside = [j for j, e in enumerate(shift) if e == top]
         best_degree = None
         best = None
         for b0 in sorted(by_support[indices], key=sum):
-            f = list(map(sub, b0, shift))
+            f = tuple(map(sub, b0, shift))
             degree = sum(f)
             if best_degree is not None and degree > best_degree:
                 break
-            # f lies outside the component of b iff f < b componentwise; such
-            # a b is compatible (b_P = b0_P) iff b <= b0.
-            hard = [b for b in corners if all(map(lt, f, b)) and not all(map(le, b, b0))]
-            # Empty when P is every variable: then b >= b0, and the corners are an antichain.
+            # The hard set is empty for a single corner, and when P is every
+            # variable: then b_P >= b0_P means b >= b0, and the corners are an
+            # antichain.
+            hard = 0
+            if len(corners) > 1 and outside:
+                masks = masks or _corner_masks(corners, top)
+                hard = _hard_mask(*masks, b0, indices)
             if hard:
-                rest = _least_raise(
-                    hard, outside, top, None if best_degree is None else best_degree - degree
-                )
+                rest = _raise_search(hard, corners, top, masks[1], outside,
+                                     None if best_degree is None else best_degree - degree)
                 if rest is None:
                     continue
                 degree += rest[0]
-                for j, e in zip(outside, rest[1]):
-                    f[j] = e
-            f = tuple(f)
+                f = tuple(map(add, f, rest[1]))
             if best_degree is None or degree < best_degree or f > best:
                 best_degree, best = degree, f
         p = PrimeSupport(a.ring, indices)

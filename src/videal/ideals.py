@@ -1,16 +1,16 @@
 """Monomial ideals with canonical minimal generating sets.
 
 A MonomialIdeal stores its ring and the exponent tuples of its minimal
-generators, and nothing else.  Every constructor drops non-minimal
-generators eagerly, so two ideals are equal exactly when their rings and
-exponent tuples are identical.  The tuples are kept in the canonical
+generators, and nothing else but its hash, once first asked for.  Every
+constructor drops non-minimal generators eagerly, so two ideals are
+equal exactly when their rings and exponent tuples are identical.  The tuples are kept in the canonical
 graded-lex order and always form an antichain under divisibility.  The
 zero ideal has no generators; the unit ideal is generated by the
 all-zeros tuple (the monomial 1).  Monomial objects are built only on
 request, by ``gens``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import le
 from typing import Iterable, Sequence
 
@@ -72,6 +72,19 @@ class MonomialIdeal:
 
     ring: Ring
     _exps: tuple[tuple[int, ...], ...]
+    # Filled by the first __hash__: memo lookups hash the same ideal often.
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __hash__(self) -> int:
+        value = self._hash
+        if value is None:
+            value = hash((self.ring, self._exps))
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    def __reduce__(self):
+        # String hashes differ between processes, so a pickle carries no hash.
+        return MonomialIdeal, (self.ring, self._exps)
 
     @property
     def gens(self) -> tuple[Monomial, ...]:

@@ -9,10 +9,17 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 from numbers import Rational
+from operator import le, lt, sub
 from operator import mul as times
 from typing import Sequence
 
-from videal.decomposition import _colon_is_prime, associated_primes, minimal_primes
+from videal.decomposition import (
+    _colon_is_prime,
+    _corner_set,
+    _keep_maximal,
+    associated_primes,
+    minimal_primes,
+)
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
 from videal.filtrations import FiltrationKind, filtration_member
@@ -348,6 +355,90 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )
+
+
+def _least_raise(
+    hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
+) -> tuple[int, tuple[int, ...]] | None:
+    """The least degree of a raise g of the coordinates outside P (listed
+    in outside, in increasing order) that meets every corner b in hard
+    (g_j >= b_j < top for some j in outside), and the lexicographically
+    greatest such g of that degree, as a vector over outside; None if
+    there is none of degree at most limit.
+
+    Raising into the component of b also raises into that of every
+    corner that lies below b outside P, so only the maximal restrictions
+    of the corners to outside count.  Then branch and bound: branch on
+    the first vector not yet met, raising one g_j to its b_j, and prune
+    above the best degree so far.  Every minimum-degree raise is reached:
+    at each branch some g_j must be raised to at least b_j, and raising
+    it to exactly b_j stays below that raise.
+    """
+    kept: list[tuple[int, ...]] = []
+    vectors = {tuple(b[j] for j in outside) for b in hard}
+    _keep_maximal(kept, sorted(vectors, key=sum, reverse=True))
+    size = len(kept)
+    best = None
+    stack = [(0, (0,) * len(outside), 0)]
+    while stack:
+        k, g, degree = stack.pop()
+        if limit is not None and degree > limit:
+            continue
+        while k < size and any(map(le, kept[k], g)):
+            k += 1
+        if k == size:
+            if best is None or degree < limit or g > best[1]:
+                limit, best = degree, (degree, g)
+        elif limit is None or degree < limit:
+            # g_j < c_j here, so each raise adds at least one degree.
+            for j, e in enumerate(kept[k]):
+                if e < top:
+                    stack.append((k + 1, g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
+    return best
+
+
+def scan_witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, tuple[int, ...]]]:
+    """The witness search that the bitmask kernel of
+    ``decomposition._witnesses`` replaced, uncertified: for each support P
+    of a corner, the least degree of an f with a : f = p and the
+    lexicographically greatest such f, from one scan of every corner per
+    P-primary corner b0 and a branch and bound over the maximal
+    restrictions of the hard corners outside P."""
+    corners, top = _corner_set(a)
+    by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for b in corners:
+        by_support.setdefault(tuple(i for i, e in enumerate(b) if e < top), []).append(b)
+    table = {}
+    for indices in sorted(by_support):
+        # f = b0 - shift is b0 - 1 on P and 0 outside P.
+        shift = [top] * a.ring.nvars
+        for i in indices:
+            shift[i] = 1
+        outside = [j for j, e in enumerate(shift) if e == top]
+        best_degree = None
+        best = None
+        for b0 in sorted(by_support[indices], key=sum):
+            f = list(map(sub, b0, shift))
+            degree = sum(f)
+            if best_degree is not None and degree > best_degree:
+                break
+            # f lies outside the component of b iff f < b componentwise; such
+            # a b is compatible (b_P = b0_P) iff b <= b0.
+            hard = [b for b in corners if all(map(lt, f, b)) and not all(map(le, b, b0))]
+            if hard:
+                rest = _least_raise(
+                    hard, outside, top, None if best_degree is None else best_degree - degree
+                )
+                if rest is None:
+                    continue
+                degree += rest[0]
+                for j, e in zip(outside, rest[1]):
+                    f[j] = e
+            f = tuple(f)
+            if best_degree is None or degree < best_degree or f > best:
+                best_degree, best = degree, f
+        table[indices] = (best_degree, best)
+    return table
 
 
 def split_prime(prime: PrimeSupport, ring_a: Ring, ring_b: Ring):

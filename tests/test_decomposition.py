@@ -1,11 +1,16 @@
-from unittest import mock
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import small_ideals
-from oracles import brute_force_ass, pairwise_lcm_intersection, splitting_decomposition
+from oracles import (
+    brute_force_ass,
+    pairwise_lcm_intersection,
+    scan_witnesses,
+    splitting_decomposition,
+)
 from videal import decomposition
 from videal.decomposition import (
     associated_primes,
@@ -13,6 +18,7 @@ from videal.decomposition import (
     minimal_primes,
 )
 from videal.errors import ImproperIdealError, InternalError
+from videal.expansion import join_ideals
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
@@ -26,6 +32,7 @@ from videal.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from videal.randgen import random_ideal
 from videal.rings import make_ring, mono
 from videal.vnumbers import local_v, v_number
 
@@ -250,27 +257,62 @@ def test_witness_table_is_read_only():
     assert decomposition._witnesses(a) is table
 
 
+def _table(witnesses):
+    return {indices: (report.degree, report.witness.exp) for indices, report in witnesses.items()}
+
+
 @settings(max_examples=80, deadline=None)
 @given(small_ideals(max_vars=4, max_exp=3, max_gens=5), st.data())
 def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
     """When P is every variable, f = b0 - 1 lies in the component of every
     corner but b0's (a corner above f is above b0, and the corners are an
-    antichain), so the raise search is never asked to raise nothing.  Run
-    on cold tables of a plus a pure power of each variable, whose only
-    associated prime is the maximal ideal, and of a met with those powers,
-    where the maximal ideal sits beside a's primes."""
+    antichain), so the hard mask is 0 and the table skips the raise search.
+    Checked on the masks of a plus a pure power of each variable, whose
+    only associated prime is the maximal ideal, of a met with those
+    powers, where the maximal ideal sits beside a's primes, and of a; each
+    table must also match the scan it replaced."""
     n = a.ring.nvars
     powers = from_exps(a.ring, [
         (0,) * i + (data.draw(st.integers(1, 4)),) + (0,) * (n - i - 1) for i in range(n)
     ])
-    least_raise = decomposition._least_raise
+    joined = sum_ideals(a, powers)
+    assert list(scan_witnesses(joined)) == [tuple(range(n))]
+    for b in (joined, intersect(a, powers), a):
+        corners, top = decomposition._corner_set(b)
+        ge, le = decomposition._corner_masks(corners, top)
+        for b0 in corners:
+            if all(e < top for e in b0):
+                assert decomposition._hard_mask(ge, le, b0, tuple(range(n))) == 0
+        assert _table(decomposition._witnesses.__wrapped__(b)) == scan_witnesses(b)
 
-    def checked(hard, outside, top, limit):
-        assert outside
-        return least_raise(hard, outside, top, limit)
 
-    cold_table = decomposition._witnesses.__wrapped__
-    with mock.patch.object(decomposition, "_least_raise", checked):
-        assert list(cold_table(sum_ideals(a, powers))) == [tuple(range(n))]
-        cold_table(intersect(a, powers))
-        cold_table(a)
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
+def test_the_mask_kernel_matches_the_corner_scan(a):
+    assert _table(decomposition._witnesses.__wrapped__(a)) == scan_witnesses(a)
+
+
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_the_mask_kernel_matches_the_corner_scan_on_4x4_powers(seed):
+    """(I+J)^k for seeded 4+4 pairs with up to 8 generators of exponent at
+    most 3 per side: up to a few hundred corners at k = 3."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    joined = join_ideals(i, j)
+    for k in (1, 2, 3):
+        b = power(joined, k)
+        assert _table(decomposition._witnesses.__wrapped__(b)) == scan_witnesses(b)
+
+
+def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
+    """(x^2, x*y, x*z) = (x) meet (x^2, y, z).  For P = (x), f = 1 is not in
+    the component (x^2, y, z), and raising y or z alone meets it, both of
+    degree 1.  The canonical witness is y, the lexicographically greater
+    raise, whichever of the two the branch and bound reaches first."""
+    a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=1), mono(R3, x=1, z=1)])
+    for f in (mono(R3, y=1), mono(R3, z=1)):
+        assert colon_monomial(a, f) == prime_support(R3, ["x"]).as_ideal()
+    report = decomposition._witnesses.__wrapped__(a)[(0,)]
+    assert (report.degree, str(report.witness)) == (1, "y")
+    assert scan_witnesses(a)[(0,)] == (1, (0, 1, 0))

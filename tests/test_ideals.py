@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,6 +358,21 @@ def test_gens_are_derived_from_the_stored_tuples(a):
     elsewhere = from_exps(make_ring("S", a.ring.vars), a.exps())
     assert elsewhere.exps() == a.exps()
     assert elsewhere != a
+
+
+@settings(max_examples=60)
+@given(small_ideals())
+def test_the_hash_is_cached_and_never_pickled(a):
+    rebuilt = from_exps(a.ring, reversed(a.exps()))
+    assert hash(a) == hash(a) == hash((a.ring, a.exps()))
+    # rebuilt is hashed only now: equal ideals hash equal whichever is hashed first.
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert repr(rebuilt) == repr(a)
+    fresh = from_exps(a.ring, a.exps())
+    # A string hash differs between processes, so no cached hash is pickled.
+    assert pickle.dumps(a) == pickle.dumps(fresh)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and copy.exps() == a.exps()
 
 
 @settings(max_examples=30)
