@@ -6,29 +6,34 @@ exponent and means "no generator in x_i".  A monomial m lies in the
 component of b iff m_i >= b_i for some i, and the component of b lies
 inside that of c iff c <= b componentwise.
 
-Generators are added one at a time to the single corner (top, ..., top)
-of the zero ideal.  A component Q that contains the new generator m
-stays; otherwise Q + (m) is the intersection over i in supp(m) of
-Q + (x_i^{m_i}), the corner with b_i lowered to m_i.  New corners that
-another corner dominates componentwise are dropped, so the components
-stay pairwise incomparable (a kept corner is never dominated by a new
-one, which lies below some other old corner).  That is irredundancy: an
-irreducible monomial ideal Q is intersection-prime, since if no
-component lies in Q, one monomial per component outside Q has an lcm in
-the intersection whose exponents on supp(Q) stay below Q's.  The
-irredundant decomposition is unique, so generator order does not matter.
-
-The intersect-back check runs the same sweep in the dual direction
-(Alexander duality; Miller-Sturmfels, Combinatorial Commutative Algebra,
-ch. 5): components are met one at a time with the running intersection,
-starting from the unit ideal.  For a corner b, a generator u of the
-running intersection that lies in the component of b stays; any other u
-is replaced by u with u_i raised to b_i, for each i with b_i < top (the
-lcms of u with the component's generators).  A kept u is minimal in the
-new intersection, since anything there dividing it is a multiple of a
+One sweep serves both directions of Alexander duality (Miller-Sturmfels,
+Combinatorial Commutative Algebra, ch. 5).  ``_intersect_corners`` meets
+components one at a time with the running intersection, starting from
+the unit ideal.  For a corner b, a generator u of the running
+intersection that lies in the component of b stays; any other u is
+replaced by u with u_i raised to b_i, for each i with b_i < top (the lcms
+of u with the component's generators).  A kept u is minimal in the new
+intersection, since anything there dividing it is a multiple of a
 generator dividing u, so only the raised vectors are minimalized, by the
-degree-order sweep of ``ideals._sweep_into`` against the vectors kept
-so far.
+degree-order sweep of ``ideals._sweep_into`` against the vectors kept so
+far; the result is the antichain of minimal generators.  ``_corners``
+runs the same sweep on reflected vectors, e -> top - e.  Adding a
+generator m to an ideal keeps each corner b with b_i <= m_i for some i,
+and replaces any other b by b with b_i lowered to m_i, for each i in
+supp(m).  Reflected, b_i <= m_i reads (top - m)_i <= (top - b)_i,
+lowering b_i to m_i reads raising (top - b)_i to (top - m)_i, and the
+zero ideal's corner (top, ..., top) reads (0, ..., 0): so the corners of
+a are the reflections of the minimal generators of the meet of the
+components whose corners are the reflected generators of a.  Minimal
+there is maximal here: no corner lies below another, so no component
+contains another.  That is irredundancy: an irreducible monomial ideal Q is
+intersection-prime, since if no component lies in Q, one monomial per
+component outside Q has an lcm in the intersection whose exponents on
+supp(Q) stay below Q's.  The irredundant decomposition is unique, so
+generator order does not matter.  Neither direction sorts its result:
+the corners stay in sweep order, the intersect-back check compares sets,
+and only ``_components_inside``, which builds an ideal from a meet,
+sorts it canonically.
 
 Colon witnesses come from the same corners; no colon ideal is built.
 For the component Q_b of corner b, Q_b : f is the whole ring when f lies
@@ -56,8 +61,8 @@ least-degree witness that is first in the canonical order (graded, then
 lexicographically greatest) is re-checked by the colon rule on G(a).
 
 Two memos hold the work per ideal, and both store only immutable
-values.  ``_corner_set`` runs both sweeps once and keeps the checked
-corners as a tuple; ``irreducible_decomposition`` and the symbolic
+values.  ``_corner_set`` runs the sweep once each way and keeps the
+checked corners as a tuple; ``irreducible_decomposition`` and the symbolic
 powers' filter ``_components_inside`` read them from there.  The
 witness table ``_witnesses`` runs the search on those corners once, and
 stores one finished ``VReport`` per associated prime.  Every witness is
@@ -102,49 +107,9 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
-def _keep_maximal(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...]]) -> None:
-    """Append to kept each candidate that lies componentwise below no
-    vector kept so far.
-
-    The candidates come in non-increasing degree, kept starts as an
-    antichain, and no candidate lies properly above a vector in it.  A
-    vector lies below only vectors of no smaller degree, and two distinct
-    vectors of equal degree never lie below each other, so only vectors
-    kept before a candidate can lie above it: kept ends as the antichain
-    of the maximal vectors among its own and the candidates.
-    """
-    for c in candidates:
-        for d in kept:
-            # c <= d componentwise only if c <= d lexicographically: a cheap pre-test.
-            if c <= d and all(map(le, c, d)):
-                break
-        else:
-            kept.append(c)
-
-
-def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
-    """The corners of the irredundant irreducible decomposition of the
-    ideal generated by gens (every exponent below top)."""
-    corners = [(top,) * len(gens[0])]
-    for m in gens:
-        support = [i for i, e in enumerate(m) if e]
-        kept = []
-        new = set()
-        for b in corners:
-            if any(map(le, b, m)):
-                kept.append(b)
-            else:
-                for i in support:
-                    new.add(b[:i] + (m[i],) + b[i + 1:])
-        # No new corner lies above a kept one (see the module docstring).
-        _keep_maximal(kept, sorted(new, key=sum, reverse=True))
-        corners = kept
-    return corners
-
-
-def _intersect_corners(corners: Sequence[tuple[int, ...]], top: int) -> tuple[tuple[int, ...], ...]:
+def _intersect_corners(corners: Sequence[tuple[int, ...]], top: int) -> list[tuple[int, ...]]:
     """Minimal generators of the intersection of the components of the
-    given corners, canonically sorted (every corner entry at most top)."""
+    given corners (every corner entry at most top), in sweep order."""
     meet = [(0,) * len(corners[0])]
     for b in corners:
         kept = []
@@ -161,8 +126,16 @@ def _intersect_corners(corners: Sequence[tuple[int, ...]], top: int) -> tuple[tu
         # so it never properly divides a kept one.
         _sweep_into(kept, sorted(raised, key=sum))
         meet = kept
-    canonical_sort(meet)
-    return tuple(meet)
+    return meet
+
+
+def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
+    """The corners of the irredundant irreducible decomposition of the
+    ideal generated by gens (every exponent below top), in sweep order:
+    the reflections of the minimal generators of the intersection of the
+    components whose corners are the reflected generators."""
+    reflected = [tuple([top - e for e in m]) for m in gens]
+    return [tuple([top - e for e in u]) for u in _intersect_corners(reflected, top)]
 
 
 @lru_cache(maxsize=16384)
@@ -173,7 +146,8 @@ def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int]:
     gens = a.exps()
     top = max(map(max, gens)) + 1
     corners = tuple(_corners(gens, top))
-    if _intersect_corners(corners, top) != gens:
+    # Both sides are duplicate-free antichains, so equal sets are equal ideals.
+    if set(_intersect_corners(corners, top)) != set(gens):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     return corners, top
 
@@ -184,7 +158,11 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     corners, top = _corner_set(a)
     primes = [set(p.indices) for p in primes]
     kept = [b for b in corners if any({i for i, e in enumerate(b) if e < top} <= p for p in primes)]
-    return a if len(kept) == len(corners) else MonomialIdeal(a.ring, _intersect_corners(kept, top))
+    if len(kept) == len(corners):
+        return a
+    meet = _intersect_corners(kept, top)
+    canonical_sort(meet)
+    return MonomialIdeal(a.ring, tuple(meet))
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:

@@ -36,6 +36,9 @@ def _sweep_into(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...
     distinct vectors of equal degree never divide each other, so only
     vectors kept before a candidate can divide it: kept ends as the
     antichain of the minimal vectors among its own and the candidates.
+    It is the one antichain filter of the library: on reflected vectors
+    (e -> top - e) minimal reads maximal, so it also keeps the maximal
+    corners of ``decomposition._corners``.
     """
     for e in candidates:
         for m in kept:

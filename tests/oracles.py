@@ -11,15 +11,9 @@ from math import lcm
 from numbers import Rational
 from operator import le, lt, sub
 from operator import mul as times
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from videal.decomposition import (
-    _colon_is_prime,
-    _corner_set,
-    _keep_maximal,
-    associated_primes,
-    minimal_primes,
-)
+from videal.decomposition import _colon_is_prime, _corner_set, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
 from videal.filtrations import FiltrationKind, filtration_member
@@ -355,6 +349,51 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"
     )
+
+
+def _keep_maximal(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...]]) -> None:
+    """Append to kept each candidate that lies componentwise below no
+    vector kept so far.
+
+    The candidates come in non-increasing degree, kept starts as an
+    antichain, and no candidate lies properly above a vector in it.  A
+    vector lies below only vectors of no smaller degree, and two distinct
+    vectors of equal degree never lie below each other, so only vectors
+    kept before a candidate can lie above it: kept ends as the antichain
+    of the maximal vectors among its own and the candidates.
+    """
+    for c in candidates:
+        for d in kept:
+            # c <= d componentwise only if c <= d lexicographically: a cheap pre-test.
+            if c <= d and all(map(le, c, d)):
+                break
+        else:
+            kept.append(c)
+
+
+def dominance_corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
+    """The corners of the irredundant irreducible decomposition of the
+    ideal generated by gens (every exponent below top), by the corner step
+    that ``decomposition._corners`` replaced with the reflected meet sweep:
+    generators are added one at a time to the corner (top, ..., top) of
+    the zero ideal.  A corner b whose component holds the new generator m
+    stays; otherwise b is replaced by b with b_i lowered to m_i, for each
+    i in supp(m), and a new corner below another corner is dropped."""
+    corners = [(top,) * len(gens[0])]
+    for m in gens:
+        support = [i for i, e in enumerate(m) if e]
+        kept = []
+        new = set()
+        for b in corners:
+            if any(map(le, b, m)):
+                kept.append(b)
+            else:
+                for i in support:
+                    new.add(b[:i] + (m[i],) + b[i + 1:])
+        # A new corner lies below some old corner, so never above a kept one.
+        _keep_maximal(kept, sorted(new, key=sum, reverse=True))
+        corners = kept
+    return corners
 
 
 def _least_raise(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import small_ideals
 from oracles import (
     brute_force_ass,
+    dominance_corners,
     pairwise_lcm_intersection,
     scan_witnesses,
     splitting_decomposition,
@@ -32,7 +33,7 @@ from videal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from videal.randgen import random_ideal
+from videal.randgen import random_ideal, random_pair
 from videal.rings import make_ring, mono
 from videal.vnumbers import local_v, v_number
 
@@ -168,24 +169,61 @@ def test_cube_of_four_generators_in_eight_variables():
 
 @st.composite
 def corner_families(draw):
-    """A bound top and 1-6 corners over at most 5 variables, with entries
+    """A bound top and 1-10 corners over at most 6 variables, with entries
     in 0..top (top: no generator in that variable)."""
-    t = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 6))
     top = draw(st.integers(1, 4))
     corner = st.lists(st.integers(0, top), min_size=t, max_size=t).map(tuple)
-    return draw(st.lists(corner, min_size=1, max_size=6)), top
+    return draw(st.lists(corner, min_size=1, max_size=10)), top
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(corner_families())
 def test_intersect_corners_matches_pairwise_lcms(family):
+    """The meet sweep is both the corner step (on reflected generators) and
+    the intersect-back check, so this test's pairwise lcms are the guard
+    that shares no code with either."""
     corners, top = family
     t = len(corners[0])
     meet = ((0,) * t,)
     for b in corners:
         powers = [(0,) * i + (e,) + (0,) * (t - i - 1) for i, e in enumerate(b) if e < top]
         meet = pairwise_lcm_intersection(meet, powers)
-    assert decomposition._intersect_corners(corners, top) == meet
+    assert sorted(decomposition._intersect_corners(corners, top)) == sorted(meet)
+
+
+def _assert_corners_match_the_dominance_step(a):
+    gens = a.exps()
+    top = max(map(max, gens)) + 1
+    corners = decomposition._corners(gens, top)
+    assert len(set(corners)) == len(corners)
+    assert set(corners) == set(dominance_corners(gens, top))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
+def test_the_reflected_meet_matches_the_dominance_corner_step(a):
+    _assert_corners_match_the_dominance_step(a)
+
+
+def test_the_reflected_meet_matches_the_dominance_corner_step_on_small_powers():
+    """(I+J)^k for k <= 3 of seeded 3+3 pairs with up to 4 generators of
+    exponent at most 3 per side."""
+    rng = random.Random(21)
+    for _ in range(100):
+        joined = join_ideals(*random_pair(rng, 3, 4, 3))
+        for k in (1, 2, 3):
+            _assert_corners_match_the_dominance_step(power(joined, k))
+
+
+@pytest.mark.parametrize("seed", [13, 16])
+def test_the_reflected_meet_matches_the_dominance_corner_step_on_4x4_powers(seed):
+    """(I+J)^3 for the seeded 4+4 pairs with 8 generators of exponent at
+    most 3 per side: about 500 corners each."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    _assert_corners_match_the_dominance_step(power(join_ideals(i, j), 3))
 
 
 def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
