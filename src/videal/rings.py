@@ -140,7 +140,7 @@ def mul_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
 
 def quot_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     """u / gcd(u, f) componentwise: exp(u) - min(exp(u), exp(f))."""
-    return tuple(a - b if a > b else 0 for a, b in zip(u, f))
+    return tuple([a - b if a > b else 0 for a, b in zip(u, f)])
 
 
 def canonical_sort(exps: list[tuple[int, ...]]) -> None:

@@ -443,7 +443,7 @@ def scan_witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, tuple[i
     lexicographically greatest such f, from one scan of every corner per
     P-primary corner b0 and a branch and bound over the maximal
     restrictions of the hard corners outside P."""
-    corners, top = _corner_set(a)
+    corners, top, _ = _corner_set(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for b in corners:
         by_support.setdefault(tuple(i for i, e in enumerate(b) if e < top), []).append(b)

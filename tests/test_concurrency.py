@@ -10,13 +10,15 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from videal.decomposition import _corner_set, _witnesses, associated_primes
-from videal.expansion import verify_theorem
+from videal.expansion import join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.lp import _newton_facets
-from videal.randgen import random_pair
+from videal.randgen import random_ideal, random_pair
+from videal.rings import make_ring
 
 THREADS = 6
-KINDS = (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN)
+SYMBOLIC = (FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN)
+KINDS = (FiltrationKind.ORDINARY,) + SYMBOLIC
 
 
 def _clear_caches():
@@ -60,3 +62,40 @@ def test_threads_on_distinct_ideals_agree_with_one_caller():
     _clear_caches()
     expected = [_work(pair, k) for pair, k in tasks]
     assert _run_threaded(tasks) == expected
+
+
+def _ladder_pairs(seed, count):
+    """3+3 pairs with up to 4 generators of exponent at most 3, and k in
+    2..3: many of their symbolic members differ from the ordinary ones."""
+    rng = random.Random(seed)
+    ring_a = make_ring("A", ["x1", "x2", "x3"])
+    ring_b = make_ring("B", ["y1", "y2", "y3"])
+    return [((random_ideal(rng, ring_a, 4, 3), random_ideal(rng, ring_b, 4, 3)),
+             rng.randint(2, 3)) for _ in range(count)]
+
+
+def test_threads_seed_member_corners_as_one_caller_would():
+    """Each symbolic member is handed the corners of a^k by the thread that
+    builds it.  After threads race over symbolic verdicts on cold caches,
+    every memoized member corner set equals a serial cold sweep."""
+    distinct = _ladder_pairs(43, 6)
+    _clear_caches()
+    expected = [_work(pair, k) for pair, k in distinct]
+    assert _run_threaded(distinct * THREADS) == expected * THREADS
+    misses = _corner_set.cache_info().misses
+    seeded = 0
+    for (i, j), k in distinct:
+        summands = [(a, h) for a in (i, j) for h in range(1, k + 1)]
+        for kind in SYMBOLIC:
+            for a, h in summands + [(join_ideals(i, j), k)]:
+                member = filtration_member(kind, a, h)
+                if member == filtration_member(FiltrationKind.ORDINARY, a, h):
+                    continue
+                seeded += 1
+                corners, top, supports = _corner_set(member)
+                cold, cold_top, cold_supports = _corner_set.__wrapped__(member)
+                assert top == cold_top and len(corners) == len(cold)
+                assert dict(zip(corners, supports)) == dict(zip(cold, cold_supports))
+    # Every set read was the one the threads memoized.
+    assert _corner_set.cache_info().misses == misses
+    assert seeded >= 10

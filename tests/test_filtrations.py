@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction
 from math import gcd
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -335,7 +336,9 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
         return intersect_corners(corners, top)
 
     intersect_corners = decomposition._intersect_corners
-    # The intersect-back check of a^k's corners also meets corners: run it first.
+    # The intersect-back check of a^k's corners also meets corners: run it
+    # first, on a memo that holds no member yet.
+    decomposition._corner_set.cache_clear()
     for k in (1, 2, 3):
         decomposition._corner_set(power(a, k))
     monkeypatch.setattr(decomposition, "_intersect_corners", recording_intersect_corners)
@@ -350,7 +353,59 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
         member = filtration_member(FiltrationKind.SYMBOLIC_MIN, a, k)
         assert member == ideal(R2, [mono(R2, x=k)])
         assert member == all_primes_symbolic_power(FiltrationKind.SYMBOLIC_MIN, a, k)
-    assert len(met) == 3
+    # Per k: the meet of the kept corner of a^k (top 2k + 1) builds (x^k), and
+    # the intersect-back check of the inherited corner, at (x^k)'s own top
+    # k + 1, seeds its corner set.
+    assert met == [((k, top),) for k in (1, 2, 3) for top in (2 * k + 1, k + 1)]
+
+
+def _assert_the_member_inherits_its_corners(kind, a, k):
+    """Builds the k-th member of a on cold corner and member memos and reads
+    its witness table, recording every corner sweep.  Only a and a^k may be
+    swept: a member other than a^k inherits its corner set, which must equal
+    a cold sweep's, with the same top and supports."""
+    swept = []
+
+    def recording_corners(gens, top):
+        swept.append(gens)
+        return corners(gens, top)
+
+    corners = decomposition._corners
+    decomposition._corner_set.cache_clear()
+    filtration_member.cache_clear()
+    with patch.object(decomposition, "_corners", recording_corners):
+        member = filtration_member(kind, a, k)
+        decomposition._witnesses(member)
+    assert set(swept) <= {a.exps(), power(a, k).exps()}
+    assert decomposition._SEED.get() is None
+    if member is filtration_member(FiltrationKind.ORDINARY, a, k):
+        return
+    seeded, top, supports = decomposition._corner_set(member)
+    cold, cold_top, cold_supports = decomposition._corner_set.__wrapped__(member)
+    assert top == cold_top
+    assert len(seeded) == len(cold)
+    assert dict(zip(seeded, supports)) == dict(zip(cold, cold_supports))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    small_ideals(max_vars=4),
+    st.sampled_from([FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN]),
+    st.integers(1, 3),
+)
+def test_a_symbolic_member_inherits_the_corners_of_a_cold_sweep(a, kind, k):
+    _assert_the_member_inherits_its_corners(kind, a, k)
+
+
+@pytest.mark.parametrize("kind", [FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN])
+@pytest.mark.parametrize("seed", [13, 16])
+def test_a_symbolic_member_inherits_its_corners_on_4x4_powers(seed, kind):
+    """(I+J)^(3) for the seeded 4+4 pairs with 8 generators of exponent at
+    most 3 per side."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    _assert_the_member_inherits_its_corners(kind, join_ideals(i, j), 3)
 
 
 @settings(max_examples=60, deadline=None)
