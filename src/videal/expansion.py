@@ -10,23 +10,45 @@ own rings.  They meet only in the final equality checks.
 Both read v-numbers off the read-only, certified witness tables of
 ``decomposition``: a verdict reads the direct side's table, and each
 summand's once per depth, in the formula reader ``theorem_rhs`` shares.
+
+A verdict depends on the filtration only through its members: the k-th
+member of I+J and the members 0..k of I and of J.  Symbolic powers often
+equal ordinary powers, and then the verdicts of those kinds coincide.
+So ``verify_theorem`` looks the members up (memo reads once the tables
+exist) and hands them to ``_verdict``, an ``lru_cache`` keyed by the
+member tuple ``(direct, (I_0..I_k), (J_0..J_k))`` and bounded at 64
+entries: the kinds of one pair at one k run together, so hits are
+adjacent.  It stores only immutable values, and the key only bundles
+the two sides: each is still computed from its own members.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .decomposition import _witnesses
 from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
-from .rings import Monomial, canonical_sort, join_rings
+from .rings import Monomial, Ring, canonical_sort, join_rings
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """The sum ideal IS + JS inside the joined ring S, whose variables are
-    I's followed by J's."""
+    I's followed by J's.
+
+    G(I) and G(J) are antichains in disjoint variables, so a padded
+    generator of one divides a padded generator of the other only if it
+    is the monomial 1: unless a summand is the unit ideal, the padded
+    union is already G(IS + JS) and only needs the canonical sort.
+    """
+    ring = join_rings(i.ring, j.ring)
     pad_i, pad_j = (0,) * i.ring.nvars, (0,) * j.ring.nvars
     exps = [u + pad_j for u in i.exps()] + [pad_i + v for v in j.exps()]
-    return from_exps(join_rings(i.ring, j.ring), exps)
+    if i.is_unit() or j.is_unit():
+        return from_exps(ring, exps)
+    canonical_sort(exps)
+    return MonomialIdeal(ring, tuple(exps))
 
 
 def _require_inputs(i: MonomialIdeal, j: MonomialIdeal, k: int) -> None:
@@ -36,20 +58,33 @@ def _require_inputs(i: MonomialIdeal, j: MonomialIdeal, k: int) -> None:
         raise ImproperIdealError("expansion checks need proper nonzero summands")
 
 
+def _members(kind: FiltrationKind, a: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ...]:
+    """The members 0..k of the filtration of a."""
+    return tuple([filtration_member(kind, a, m) for m in range(k + 1)])
+
+
+def _expand(
+    ring: Ring, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
+) -> MonomialIdeal:
+    """The expansion of the member tuples (I_0..I_k) and (J_0..J_k): the
+    sum over d of I_{k-d} J_d in S = ring, whose variables are I's
+    followed by J's, so the product of u and v has exponent u + v."""
+    k = len(left) - 1
+    exps: set[tuple[int, ...]] = set()
+    for d in range(k + 1):
+        right_exps = right[d].exps()
+        for u in left[k - d].exps():
+            exps.update(u + v for v in right_exps)
+    return from_exps(ring, exps)
+
+
 def binomial_expansion(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> MonomialIdeal:
     """The expanded k-th member: the sum over i+j = k of the products of
-    the summand filtration members, embedded into S.  The variables of S
-    are I's followed by J's, so the product of u and v has exponent u + v."""
+    the summand filtration members, embedded into S."""
     _require_inputs(i, j, k)
-    exps: set[tuple[int, ...]] = set()
-    for d in range(k + 1):
-        left = filtration_member(kind, i, k - d).exps()
-        right = filtration_member(kind, j, d).exps()
-        for u in left:
-            exps.update(u + v for v in right)
-    return from_exps(join_rings(i.ring, j.ring), exps)
+    return _expand(join_rings(i.ring, j.ring), _members(kind, i, k), _members(kind, j, k))
 
 
 def direct_term(
@@ -75,17 +110,25 @@ def verify_expansion(
     """Compare the direct k-th member of the sum against the binomial
     expansion; list up to ten generators separating the two."""
     direct = direct_term(kind, i, j, k)
-    expanded = binomial_expansion(kind, i, j, k)
-    holds = direct == expanded
-    witnesses: tuple[Monomial, ...] = ()
-    if not holds:
-        # No generator of one side lies in the other's ideal, so it is not
-        # a generator there: the separating exponent tuples are distinct.
-        separating = [g.exp for g in direct.gens if not expanded.contains(g)]
-        separating += [g.exp for g in expanded.gens if not direct.contains(g)]
-        canonical_sort(separating)
-        witnesses = tuple(Monomial(direct.ring, e) for e in separating[:10])
-    return ExpansionReport(holds, direct, expanded, witnesses)
+    return _expansion_report(direct, _members(kind, i, k), _members(kind, j, k))
+
+
+def _expansion_report(
+    direct: MonomialIdeal, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
+) -> ExpansionReport:
+    """``verify_expansion`` on the direct member and the summands' member
+    tuples.  When the expansion holds the two ideals are equal, and the
+    report holds one copy."""
+    expanded = _expand(direct.ring, left, right)
+    if direct == expanded:
+        return ExpansionReport(True, direct, direct, ())
+    # No generator of one side lies in the other's ideal, so it is not
+    # a generator there: the separating exponent tuples are distinct.
+    separating = [g.exp for g in direct.gens if not expanded.contains(g)]
+    separating += [g.exp for g in expanded.gens if not direct.contains(g)]
+    canonical_sort(separating)
+    witnesses = tuple(Monomial(direct.ring, e) for e in separating[:10])
+    return ExpansionReport(False, direct, expanded, witnesses)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,14 +170,15 @@ def theorem_rhs(
     _require_inputs(i, j, k)
     if p.ring != i.ring or q.ring != j.ring:
         raise VidealError("p must live in the ring of i, and q in the ring of j")
-    return _formula_reader(kind, i, j, k)(p.indices, q.indices)
+    return _formula_reader(_members(kind, i, k), _members(kind, j, k))(p.indices, q.indices)
 
 
-def _formula_reader(kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int):
-    """The min-formula of ``theorem_rhs`` as a function of the supports
-    (P, Q), over the summand tables of every depth, each read once here."""
-    tables = [(_witnesses(filtration_member(kind, i, k - d)),
-               _witnesses(filtration_member(kind, j, d + 1))) for d in range(k)]
+def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]):
+    """The min-formula of ``theorem_rhs`` on the member tuples (I_0..I_k)
+    and (J_0..J_k), as a function of the supports (P, Q), over the summand
+    tables of every depth, each read once here."""
+    k = len(left) - 1
+    tables = [(_witnesses(left[k - d]), _witnesses(right[d + 1])) for d in range(k)]
 
     def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
         candidates: list[RhsCandidate] = []
@@ -204,25 +248,44 @@ def verify_theorem(
     then compares lhs and rhs for every associated prime of the direct
     side, each mixed since the member contains I^k and J^k (else an
     internal error), and finally compares the direct global v-number
-    with the restricted min of the formula values.
+    with the restricted min of the formula values.  All of it depends on
+    the filtration only through the members, so kinds whose members
+    coincide share one ``_verdict``.
     """
-    expansion = verify_expansion(kind, i, j, k)
-    direct = expansion.direct
-    rows: list[TheoremRow] = []
+    direct = direct_term(kind, i, j, k)
+    return TheoremReport(kind, k, *_verdict(direct, _members(kind, i, k), _members(kind, j, k)))
+
+
+@lru_cache(maxsize=64)
+def _verdict(
+    direct: MonomialIdeal, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
+) -> tuple[ExpansionReport, tuple[TheoremRow, ...], int, PrimeSupport, int | None, tuple[str, ...]]:
+    """The fields of ``verify_theorem``'s report after kind and k, for the
+    direct member and the summands' member tuples (I_0..I_k), (J_0..J_k)."""
+    expansion = _expansion_report(direct, left, right)
     findings: list[str] = []
     if not expansion.expansion_holds:
         findings.append("binomial expansion fails; the min-formula hypothesis is unmet")
+    ring_i, ring_j = left[0].ring, right[0].ring
     # The variables of S are I's (indices below n) followed by J's.
-    n = i.ring.nvars
-    formula = _formula_reader(kind, i, j, k)
+    n = ring_i.nvars
+    formula = _formula_reader(left, right)
+    # One PrimeSupport per distinct split part: rows share them.
+    p_supports: dict[tuple[int, ...], PrimeSupport] = {}
+    q_supports: dict[tuple[int, ...], PrimeSupport] = {}
+    rows: list[TheoremRow] = []
     for report in _witnesses(direct).values():
         prime = report.prime
-        if not prime.indices[0] < n <= prime.indices[-1]:
+        indices = prime.indices
+        cut = bisect_left(indices, n)
+        if not 0 < cut < len(indices):
             raise InternalError(f"associated prime {prime} of {direct} is not mixed")
-        p = tuple(idx for idx in prime.indices if idx < n)
-        q = tuple(idx - n for idx in prime.indices if idx >= n)
-        rows.append(TheoremRow(prime, PrimeSupport(i.ring, p), PrimeSupport(j.ring, q),
-                               report.degree, report.witness, formula(p, q)))
+        p = indices[:cut]
+        q = tuple([idx - n for idx in indices[cut:]])
+        p_support = p_supports.get(p) or p_supports.setdefault(p, PrimeSupport(ring_i, p))
+        q_support = q_supports.get(q) or q_supports.setdefault(q, PrimeSupport(ring_j, q))
+        rows.append(TheoremRow(prime, p_support, q_support, report.degree, report.witness,
+                               formula(p, q)))
     # Rows are in increasing index order: the first of least lhs is v_number's.
     best_direct = min(rows, key=lambda row: row.lhs)
     v_formula = min((row.rhs.value for row in rows if row.rhs is not None), default=None)
@@ -231,13 +294,4 @@ def verify_theorem(
             f"direct v-number {best_direct.lhs} beats the mixed-prime formula "
             f"{v_formula}; non-mixed primes present: none"
         )
-    return TheoremReport(
-        kind=kind,
-        k=k,
-        expansion=expansion,
-        rows=tuple(rows),
-        v_direct=best_direct.lhs,
-        v_direct_prime=best_direct.prime,
-        v_formula=v_formula,
-        findings=tuple(findings),
-    )
+    return expansion, tuple(rows), best_direct.lhs, best_direct.prime, v_formula, tuple(findings)

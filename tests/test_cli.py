@@ -299,7 +299,8 @@ def non_mixed_direct_prime(monkeypatch):
     """Give every witness table of a 2-variable ring a first entry for the
     prime (x) of its first variable, as if the direct side of an instance
     with one variable per summand had an associated prime in I's variables
-    only."""
+    only.  The verdict memo is cleared around it: an error is never
+    cached, but a warm verdict would not read the patched tables."""
     witnesses = expansion._witnesses
 
     def patched(a):
@@ -310,6 +311,9 @@ def non_mixed_direct_prime(monkeypatch):
         return {(0,): VReport(0, Monomial(a.ring, (0, 0)), prime)} | dict(table)
 
     monkeypatch.setattr(expansion, "_witnesses", patched)
+    expansion._verdict.cache_clear()
+    yield
+    expansion._verdict.cache_clear()
 
 
 def test_a_non_mixed_prime_is_an_internal_error(non_mixed_direct_prime):

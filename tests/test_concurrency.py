@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from videal.decomposition import _corner_set, _witnesses, associated_primes
-from videal.expansion import join_ideals, verify_theorem
+from videal.expansion import _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
@@ -23,7 +23,7 @@ KINDS = (FiltrationKind.ORDINARY,) + SYMBOLIC
 
 def _clear_caches():
     for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
-                   integral_closure, _newton_facets):
+                   integral_closure, _newton_facets, _verdict):
         cached.cache_clear()
 
 
@@ -55,6 +55,9 @@ def test_threads_sharing_ideals_agree_with_one_caller():
     _clear_caches()
     expected = [_work(pair, k) for pair, k in tasks]
     assert _run_threaded(tasks) == expected
+    # Some of the reports the threads returned were served by a verdict
+    # another thread or kind had filled.
+    assert _verdict.cache_info().hits > 0
 
 
 def test_threads_on_distinct_ideals_agree_with_one_caller():

@@ -1,14 +1,17 @@
 import random
+from dataclasses import fields
 
 import pytest
+from conftest import small_ideals
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_local_v, canonical_key, per_depth_theorem_rhs, split_prime
 from videal import expansion
-from videal.decomposition import associated_primes
+from videal.decomposition import _corner_set, _witnesses, associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
+    TheoremReport,
     binomial_expansion,
     direct_term,
     join_ideals,
@@ -16,14 +19,17 @@ from videal.expansion import (
     verify_expansion,
     verify_theorem,
 )
-from videal.filtrations import FiltrationKind, filtration_member
+from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.ideals import (
     colon_monomial,
+    from_exps,
     ideal,
     prime_support,
     sum_ideals,
+    unit_ideal,
     zero_ideal,
 )
+from videal.lp import _newton_facets
 from videal.randgen import random_ntf_pair, random_pair
 from videal.rings import embed, join_rings, make_ring, mono, mul
 from videal.vnumbers import local_v, v_number
@@ -56,6 +62,25 @@ def test_join_ideals_examples():
 def test_join_with_zero_summand():
     j = ideal(B1, [mono(B1, y=1)])
     assert gens_str(join_ideals(zero_ideal(A1), j)) == {"y"}
+
+
+def _with_unit_and_zero(ring_name, prefix):
+    proper = small_ideals(max_vars=3, name=ring_name, prefix=prefix)
+    return st.one_of(
+        proper,
+        proper.map(lambda a: unit_ideal(a.ring)),
+        proper.map(lambda a: zero_ideal(a.ring)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_with_unit_and_zero("A", "x"), _with_unit_and_zero("B", "y"))
+def test_join_ideals_is_the_minimalized_padded_union(i, j):
+    """The padded union of G(I) and G(J) is G(IS + JS), canonically
+    sorted, whenever neither summand is the unit ideal."""
+    pad_i, pad_j = (0,) * i.ring.nvars, (0,) * j.ring.nvars
+    union = [u + pad_j for u in i.exps()] + [pad_i + v for v in j.exps()]
+    assert join_ideals(i, j) == from_exps(join_rings(i.ring, j.ring), union)
 
 
 def test_join_rejects_shared_variables():
@@ -300,7 +325,8 @@ def test_theorem_rhs_matches_the_per_depth_oracle(kind):
 @pytest.mark.parametrize("kind", [ORD, SASS, ICL])
 def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
     """One read of the direct table and one of each summand table per
-    depth, however many rows the verdict has."""
+    depth, however many rows the verdict has (on a cold verdict memo: a
+    kind whose members repeat an earlier verdict's reads no table)."""
     witnesses = expansion._witnesses
     reads = []
 
@@ -313,6 +339,7 @@ def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
     j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
     for k in (1, 2, 3):
         reads.clear()
+        expansion._verdict.cache_clear()
         report = verify_theorem(kind, i, j, k)
         assert len(report.rows) >= 2
         assert len(reads) == 1 + 2 * k
@@ -331,3 +358,69 @@ def test_witnesses_recombine_to_direct_witness():
         for cand in best:
             f = mul(embed(cand.p_witness, s), embed(cand.q_witness, s))
             assert colon_monomial(report.expansion.direct, f) == row.prime.as_ideal()
+
+
+def _clear_memos():
+    for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
+                   integral_closure, _newton_facets, expansion._verdict):
+        cached.cache_clear()
+
+
+def _field_values(report):
+    return [getattr(report, f.name) for f in fields(TheoremReport)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_a_shared_verdict_equals_a_cold_one(seed):
+    """Every kind at k <= 2, run in turn so that kinds whose members
+    coincide are served by one verdict, gives field for field the report
+    computed on cleared memos, kind and findings included."""
+    i, j = random_pair(random.Random(seed))
+    steps = [(kind, k) for k in (1, 2) for kind in FiltrationKind]
+    _clear_memos()
+    warm = [verify_theorem(kind, i, j, k) for kind, k in steps]
+    for (kind, k), report in zip(steps, warm):
+        _clear_memos()
+        cold = verify_theorem(kind, i, j, k)
+        assert report.kind is kind and report.k == k
+        assert _field_values(report) == _field_values(cold), (kind, k, str(i), str(j))
+
+
+def test_kinds_share_a_verdict_only_when_their_members_coincide():
+    """I = (x1) ∩ (x1^2, x2, x3) and J = (y1) ∩ (y1^3, y2^2) have embedded
+    primes: symb-ass reads the ordinary members and is served by their
+    verdict, while the symb-min members (x1^k), (y1^k) and the closure of
+    J^k differ, so those verdicts miss the memo."""
+    i = ideal(A3, [mono(A3, x1=2), mono(A3, x1=1, x2=1), mono(A3, x1=1, x3=1)])
+    j = ideal(B2, [mono(B2, y1=3), mono(B2, y1=1, y2=2)])
+    assert filtration_member(SMIN, i, 2) != filtration_member(ORD, i, 2)
+    expansion._verdict.cache_clear()
+    reports = {}
+    for kind, (hits, misses) in [(ORD, (0, 1)), (SASS, (1, 1)), (SMIN, (1, 2)), (ICL, (1, 3))]:
+        reports[kind] = verify_theorem(kind, i, j, 2)
+        info = expansion._verdict.cache_info()
+        assert (info.hits, info.misses) == (hits, misses), kind
+    assert reports[SASS].kind is SASS
+    assert _field_values(reports[SASS])[1:] == _field_values(reports[ORD])[1:]
+    assert reports[SMIN].v_direct == 1 and reports[ORD].v_direct == 5
+    assert not reports[ICL].expansion.expansion_holds
+
+
+@pytest.mark.parametrize("kind", list(FiltrationKind))
+def test_rows_carry_the_validated_split_once_per_support(kind):
+    """Each row's p and q equal the validated PrimeSupports of the split
+    of its prime, and rows with the same part share one object; an
+    expansion that holds keeps one copy of the direct member."""
+    for seed in range(15):
+        i, j = random_pair(random.Random(seed))
+        for k in (1, 2):
+            expansion._verdict.cache_clear()
+            report = verify_theorem(kind, i, j, k)
+            if report.expansion.expansion_holds:
+                assert report.expansion.expanded is report.expansion.direct
+            shared = {}
+            for row in report.rows:
+                assert (row.p, row.q) == split_prime(row.prime, i.ring, j.ring)
+                assert shared.setdefault(("p", row.p), row.p) is row.p
+                assert shared.setdefault(("q", row.q), row.q) is row.q
