@@ -14,10 +14,13 @@ intersection that lies in the component of b stays; any other u is
 replaced by u with u_i raised to b_i, for each i with b_i < top (the lcms
 of u with the component's generators).  A kept u is minimal in the new
 intersection, since anything there dividing it is a multiple of a
-generator dividing u, so only the raised vectors are minimalized, by the
-degree-order sweep of ``ideals._sweep_into`` against the vectors kept so
-far; the result is the antichain of minimal generators.  ``_corners``
-runs the same sweep on reflected vectors, e -> top - e.  Adding a
+generator dividing u, so only the raised vectors are minimalized, by a
+degree-order sweep against the vectors kept so far; the result is the
+antichain of minimal generators.  It runs on packed exponent vectors,
+one lane per coordinate with a guard bit, so that no borrow crosses a
+lane and each comparison of two vectors is one subtraction and one mask
+(Bachmann-Schoenemann, ISSAC 1998).  ``_corners`` runs the same sweep
+on reflected vectors, e -> top - e, one subtraction each.  Adding a
 generator m to an ideal keeps each corner b with b_i <= m_i for some i,
 and replaces any other b by b with b_i lowered to m_i, for each i in
 supp(m).  Reflected, b_i <= m_i reads (top - m)_i <= (top - b)_i,
@@ -58,7 +61,8 @@ raising g_j to b_j clears the corners with b_j <= g_j < top from it in
 one operation (``_raise_search``).  With a single corner, or when P is
 every variable, the hard set is empty and no mask is built.  The
 least-degree witness that is first in the canonical order (graded, then
-lexicographically greatest) is re-checked by the colon rule on G(a).
+lexicographically greatest) is certified twice on G(a): by the colon
+rule, then by membership.
 
 Two memos hold the work per ideal, and both store only immutable
 values.  ``_corner_set`` keeps the corners of a as a tuple, each with its
@@ -80,7 +84,10 @@ the memo keeps its entry, and no thread sees another's hand-off.
 The witness table ``_witnesses`` runs the search on those corners once,
 and stores one finished ``VReport`` per associated prime.  Every witness
 is certified when the table is built, whichever reader comes first: by
-the colon rule on G(a), then by the colon ideal itself.
+the colon rule on G(a), which reads the quotients u / gcd(u, f), then
+by membership, which asks only whether monomials lie in a: x_i f does
+for every i in P, and f with every coordinate outside P set to top - 1
+does not.  Neither builds the colon ideal.
 ``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
 ``expansion`` only read the stored reports.
 """
@@ -93,7 +100,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
-from .ideals import MonomialIdeal, PrimeSupport, _sweep_into, colon_monomial
+from .ideals import MonomialIdeal, PrimeSupport
 from .rings import Monomial, canonical_sort
 
 
@@ -121,26 +128,74 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
-def _intersect_corners(corners: Sequence[tuple[int, ...]], top: int) -> list[tuple[int, ...]]:
+def _intersect_corners(
+    corners: Sequence[tuple[int, ...]], top: int, reflect: bool = False
+) -> list[tuple[int, ...]]:
     """Minimal generators of the intersection of the components of the
-    given corners (every corner entry at most top), in sweep order."""
-    meet = [(0,) * len(corners[0])]
+    given corners (every corner entry at most top), in sweep order.  With
+    reflect, each given vector v stands for the corner top - v, and each
+    generator u is returned as top - u.
+
+    Every vector is packed into one int, coordinate i in the lane of W =
+    top.bit_length() + 1 bits at shift i * W, whose high bit is a guard
+    bit; G is the mask of the guard bits.  Every lane value is at most
+    top < 2^(W - 1), so in (u | G) - b lane i holds u_i + 2^(W - 1) - b_i,
+    which lies in [1, 2^W): no borrow crosses a lane, and the guard bit
+    survives iff b_i <= u_i.  So "some b_i <= u_i" is ((u | G) - b) & G
+    != 0, "m divides e" is ((e | G) - m) & G == G, and raising lane i to
+    b_i is (u & ~lane_i) | (b_i << i * W).  A vector of the meet also
+    carries its degree in the bits above the lanes, which no guard test
+    reads, so its int sorts by degree first.  Vectors are unpacked to
+    tuples once, on the way out.  ``ideals.minimal_exps`` keeps its own
+    sweep on tuples: it sees each vector once, so packing costs it more
+    than it saves.
+    """
+    width = top.bit_length() + 1
+    lane = (1 << width) - 1
+    # The lanes fill the bits below high, and the degree sits above them.
+    high = len(corners[0]) * width
+    shifts = range(0, high, width)
+    guard = ((1 << high) - 1) // lane << (width - 1)
+    packed = []
     for b in corners:
+        # A plain loop: a call or a comprehension per vector costs more.
+        v = 0
+        for e in reversed(b):
+            v = v << width | e
+        packed.append(v)
+    if reflect:
+        full = sum([top << s for s in shifts])
+        packed = [full - v for v in packed]
+    meet = [0]
+    for b in packed:
+        # Exponents of the meet stay below top, so b_i <= u_i needs b_i < top.
+        powers = [(s, ~(lane << s), e << s, e) for s in shifts if (e := b >> s & lane) < top]
         kept = []
         raised = set()
-        powers = [(i, e) for i, e in enumerate(b) if e < top]
         for u in meet:
-            # Exponents of the meet stay below top, so b_i <= u_i needs b_i < top.
-            if any(map(le, b, u)):
+            if ((u | guard) - b) & guard:
                 kept.append(u)
             else:
-                for i, e in powers:
-                    raised.add(u[:i] + (e,) + u[i + 1:])
-        # A raised vector is a multiple of a vector of the antichain meet,
-        # so it never properly divides a kept one.
-        _sweep_into(kept, sorted(raised, key=sum))
+                # u is outside the component, so u_i < b_i: the degree grows.
+                for s, clear, put, e in powers:
+                    raised.add((u & clear | put) + (e - (u >> s & lane) << high))
+        # A raised vector is a multiple of a vector of the antichain meet, so
+        # it never properly divides a kept one.  A vector is divisible only by
+        # vectors of no greater degree, and two distinct vectors of equal
+        # degree never divide each other, so in degree order only the vectors
+        # kept before a candidate can divide it.  A divisor packs to no
+        # greater int: a cheap pre-test.
+        for v in sorted(raised):
+            test = v | guard
+            for m in kept:
+                if m <= v and (test - m) & guard == guard:
+                    break
+            else:
+                kept.append(v)
         meet = kept
-    return meet
+    if reflect:
+        meet = [full - (u & (1 << high) - 1) for u in meet]
+    return [tuple([u >> s & lane for s in shifts]) for u in meet]
 
 
 def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
@@ -148,8 +203,7 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
     ideal generated by gens (every exponent below top), in sweep order:
     the reflections of the minimal generators of the intersection of the
     components whose corners are the reflected generators."""
-    reflected = [tuple([top - e for e in m]) for m in gens]
-    return [tuple([top - e for e in u]) for u in _intersect_corners(reflected, top)]
+    return _intersect_corners(gens, top, reflect=True)
 
 
 # The corners a symbolic member inherits from a^k, as (corners, top of a^k,
@@ -262,6 +316,36 @@ def _colon_is_prime(
     return len(hit) == len(support)
 
 
+def _membership_certifies(
+    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], indices: tuple[int, ...]
+) -> bool:
+    """Whether a : f = p, for G(a) = gens and p = (x_i : i in indices), by
+    membership in a alone.
+
+    p lies in a : f iff x_i f lies in a for every i in P.  The monomials
+    outside p are those in the variables outside P, so a : f lies in p
+    iff no multiple of f by such a monomial lies in a, that is, iff f
+    with every coordinate outside P set to top - 1 lies outside a (top
+    exceeds every exponent of G(a)).  A generator u divides that monomial
+    iff u_i <= f_i for every i in P.
+    """
+    for u in gens:
+        for i in indices:
+            if u[i] > f[i]:
+                break
+        else:
+            return False
+    for i in indices:
+        e = f[:i] + (f[i] + 1,) + f[i + 1:]
+        for u in gens:
+            # u divides e only if u <= e lexicographically: a cheap pre-test.
+            if u <= e and all(map(le, u, e)):
+                break
+        else:
+            return False
+    return True
+
+
 def _corner_masks(
     corners: Sequence[tuple[int, ...]], top: int
 ) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
@@ -366,8 +450,8 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     support P in increasing degree, as in the module docstring: the hard
     set of b0 is one mask, and its least raise comes from the branch and
     bound on masks.  The masks live only while the table is built.  The
-    f found is checked by the colon rule and certified with the colon
-    ideal (a failure is an internal error).  Every caller gets the same
+    f found is checked by the colon rule and certified by membership (a
+    failure is an internal error).  Every caller gets the same
     read-only view.
     """
     corners, top, supports = _corner_set(a)
@@ -412,10 +496,9 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
         p = PrimeSupport(a.ring, indices)
         if best is None or not _colon_is_prime(gens, best, set(indices)):
             raise InternalError(f"no colon witness for {p} in Ass({a})")
-        witness = Monomial(a.ring, best)
-        if colon_monomial(a, witness) != p.as_ideal():
+        if not _membership_certifies(gens, best, indices):
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
-        table[indices] = VReport(best_degree, witness, p)
+        table[indices] = VReport(best_degree, Monomial(a.ring, best), p)
     return MappingProxyType(table)
 
 

@@ -27,19 +27,23 @@ from .rings import (
 )
 
 
-def _sweep_into(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...]]) -> None:
-    """Append to kept each candidate that no vector kept so far divides.
+def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """Antichain of componentwise-minimal vectors, canonically sorted.
 
-    The candidates come in non-decreasing degree, kept starts as an
-    antichain, and no candidate is a proper divisor of a vector in it.  A
-    vector is divisible only by vectors of no greater degree, and two
-    distinct vectors of equal degree never divide each other, so only
-    vectors kept before a candidate can divide it: kept ends as the
-    antichain of the minimal vectors among its own and the candidates.
-    It is the one antichain filter of the library: on reflected vectors
-    (e -> top - e) minimal reads maximal, so it also keeps the maximal
-    corners of ``decomposition._corners``.
+    The all-zeros vector (the monomial 1) divides everything, so its
+    presence collapses the result to the unit ideal's generator set.
+
+    The canonical order is graded, and a vector is divisible only by
+    vectors of no greater degree, while two distinct vectors of equal
+    degree never divide each other: so one sweep in that order, testing
+    each vector against those kept before it, keeps the minimal vectors,
+    and they inherit the order.  It runs on tuples, unlike the packed meet
+    of ``decomposition._intersect_corners``: its inputs are used once, so
+    packing them costs more than it saves.
     """
+    candidates = list(set(exps))
+    canonical_sort(candidates)
+    kept: list[tuple[int, ...]] = []
     for e in candidates:
         for m in kept:
             # m divides e only if m <= e lexicographically: a cheap pre-test.
@@ -47,20 +51,6 @@ def _sweep_into(kept: list[tuple[int, ...]], candidates: Iterable[tuple[int, ...
                 break
         else:
             kept.append(e)
-
-
-def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Antichain of componentwise-minimal vectors, canonically sorted.
-
-    The all-zeros vector (the monomial 1) divides everything, so its
-    presence collapses the result to the unit ideal's generator set.
-    """
-    candidates = list(set(exps))
-    # The canonical order is graded, so one sweep keeps the minimal
-    # vectors, and they inherit that order.
-    canonical_sort(candidates)
-    kept: list[tuple[int, ...]] = []
-    _sweep_into(kept, candidates)
     return tuple(kept)
 
 
@@ -179,7 +169,8 @@ def intersect_exps(
     passes through: a member of (x) dividing u is a multiple of some u' in
     x dividing u, so u' = u, and u is minimal.  The same holds for y, and
     an lcm with a passed vector is its multiple, so only the other pairs
-    need lcms.
+    need lcms; ``minimal_exps`` keeps the minimal vectors among the passed
+    ones and those lcms.
     """
     kept = []
     x_rest = []
@@ -196,15 +187,11 @@ def intersect_exps(
     for v in y:
         for u in x:
             if u <= v and all(map(le, u, v)):
-                if u != v:  # a v in x is already kept
-                    kept.append(v)
+                kept.append(v)
                 break
         else:
             y_rest.append(v)
-    # No lcm properly divides a passed generator, which is minimal.
-    _sweep_into(kept, sorted({lcm_exp(u, v) for u in x_rest for v in y_rest}, key=sum))
-    canonical_sort(kept)
-    return tuple(kept)
+    return minimal_exps(kept + [lcm_exp(u, v) for u in x_rest for v in y_rest])
 
 
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:

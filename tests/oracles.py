@@ -480,6 +480,13 @@ def scan_witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, tuple[i
     return table
 
 
+def colon_ideal_certifies(a: MonomialIdeal, f: tuple[int, ...], indices: tuple[int, ...]) -> bool:
+    """Whether a : f = p, for p = (x_i : i in indices), by building the
+    colon ideal and comparing it with p: the witness certificate that
+    ``decomposition._membership_certifies`` replaced."""
+    return colon_monomial(a, Monomial(a.ring, f)) == PrimeSupport(a.ring, indices).as_ideal()
+
+
 def split_prime(prime: PrimeSupport, ring_a: Ring, ring_b: Ring):
     """Split a prime of the joined ring into its part in ring_a and its
     part in ring_b (either may be None), as the theorem verifier did

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import small_ideals
 from oracles import (
     brute_force_ass,
+    colon_ideal_certifies,
     dominance_corners,
     pairwise_lcm_intersection,
     scan_witnesses,
@@ -177,12 +178,31 @@ def corner_families(draw):
     return draw(st.lists(corner, min_size=1, max_size=10)), top
 
 
+# Tops at the edges of a lane of top.bit_length() + 1 bits, and one above 10^6.
+LANE_EDGE_TOPS = sorted({t for m in range(1, 7) for t in (2**m - 1, 2**m, 2**m + 1)} | {10**6 + 3})
+
+
+@st.composite
+def lane_edge_families(draw):
+    """A top at a lane edge and 1-5 corners over at most 64 variables, each
+    with at most 3 entries below top (the meet stays small)."""
+    t = draw(st.integers(1, 64))
+    top = draw(st.sampled_from(LANE_EDGE_TOPS))
+    entries = st.dictionaries(st.integers(0, t - 1), st.integers(0, top), max_size=3)
+    corners = [
+        tuple(finite.get(i, top) for i in range(t))
+        for finite in draw(st.lists(entries, min_size=1, max_size=5))
+    ]
+    return corners, top
+
+
 @settings(max_examples=300, deadline=None)
-@given(corner_families())
+@given(st.one_of(corner_families(), lane_edge_families()))
 def test_intersect_corners_matches_pairwise_lcms(family):
     """The meet sweep is both the corner step (on reflected generators) and
     the intersect-back check, so this test's pairwise lcms are the guard
-    that shares no code with either."""
+    that shares no code with either.  The lane-edge families put lane
+    values at top = 2^m - 1, 2^m and 2^m + 1, next to the guard bit."""
     corners, top = family
     t = len(corners[0])
     meet = ((0,) * t,)
@@ -192,9 +212,9 @@ def test_intersect_corners_matches_pairwise_lcms(family):
     assert sorted(decomposition._intersect_corners(corners, top)) == sorted(meet)
 
 
-def _assert_corners_match_the_dominance_step(a):
+def _assert_corners_match_the_dominance_step(a, top=None):
     gens = a.exps()
-    top = max(map(max, gens)) + 1
+    top = top or max(map(max, gens)) + 1
     corners = decomposition._corners(gens, top)
     assert len(set(corners)) == len(corners)
     assert set(corners) == set(dominance_corners(gens, top))
@@ -204,6 +224,21 @@ def _assert_corners_match_the_dominance_step(a):
 @given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
 def test_the_reflected_meet_matches_the_dominance_corner_step(a):
     _assert_corners_match_the_dominance_step(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_reflected_meet_matches_the_dominance_corner_step_at_lane_edges(data):
+    """Up to 5 generators over at most 64 variables, each with at most 3
+    positive exponents, below a top at a lane edge."""
+    t = data.draw(st.integers(1, 64))
+    top = data.draw(st.sampled_from(LANE_EDGE_TOPS[1:]))
+    entries = st.dictionaries(st.integers(0, t - 1), st.integers(1, top - 1), min_size=1, max_size=3)
+    a = from_exps(make_ring("R", [f"x{i}" for i in range(t)]), [
+        tuple(powers.get(i, 0) for i in range(t))
+        for powers in data.draw(st.lists(entries, min_size=1, max_size=5))
+    ])
+    _assert_corners_match_the_dominance_step(a, top)
 
 
 def test_the_reflected_meet_matches_the_dominance_corner_step_on_small_powers():
@@ -309,10 +344,53 @@ def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
 
 
 def test_ass_certification_reaches_every_reader(monkeypatch):
-    # The colon ideal disagrees with the colon rule: every reader must see it.
-    _certify_with_colon_check(monkeypatch, lambda a, f: unit_ideal(a.ring), InternalError,
+    # The membership certificate disagrees with the colon rule: every reader must see it.
+    _certify_with_colon_check(monkeypatch, lambda gens, f, indices: False, InternalError,
                               r"witness certification failed for \(x\) in Ass",
-                              attr="colon_monomial")
+                              attr="_membership_certifies")
+
+
+def _assert_membership_matches_the_colon_ideal(a, rng):
+    """The membership certificate against the colon ideal on every entry
+    of a's witness table: the witness, each of its shifts by +-e_i, each
+    other associated prime's support and one random support.  Returns the
+    number of checks."""
+    gens = a.exps()
+    n = a.ring.nvars
+    table = decomposition._witnesses(a)
+    checks = 0
+    for indices, report in table.items():
+        f = report.witness.exp
+        cases = [(f, other) for other in table]
+        cases.append((f, tuple(sorted(rng.sample(range(n), rng.randint(1, n))))))
+        for i in range(n):
+            cases.append((f[:i] + (f[i] + 1,) + f[i + 1:], indices))
+            if f[i]:
+                cases.append((f[:i] + (f[i] - 1,) + f[i + 1:], indices))
+        for g, support in cases:
+            expected = colon_ideal_certifies(a, g, support)
+            assert decomposition._membership_certifies(gens, g, support) == expected, (
+                str(a), g, support)
+        checks += len(cases)
+    return checks
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6), st.randoms(use_true_random=False))
+def test_the_membership_certificate_matches_the_colon_ideal(a, rng):
+    _assert_membership_matches_the_colon_ideal(a, rng)
+
+
+@pytest.mark.parametrize("seed", [13, 16])
+def test_the_membership_certificate_matches_the_colon_ideal_on_4x4_powers(seed):
+    """(I+J)^k, k <= 3, for the seeded 4+4 pairs with 8 generators of
+    exponent at most 3 per side."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    joined = join_ideals(i, j)
+    assert sum(_assert_membership_matches_the_colon_ideal(power(joined, k), rng)
+               for k in (1, 2, 3)) > 1000
 
 
 def test_witness_table_is_read_only():
