@@ -68,19 +68,9 @@ Two memos hold the work per ideal, and both store only immutable
 values.  ``_corner_set`` keeps the corners of a as a tuple, each with its
 support as a bit mask, computed once; ``irreducible_decomposition`` and
 the symbolic powers' filter ``_components_inside`` read them from there.
-A cold ideal's corners come from the sweep, and are checked by the
-sweep the other way: they must intersect back to a.  A symbolic member,
-built by ``_components_inside`` as the meet of a subset of the corners
-of a^k, inherits that subset instead, which is exact.  A subset of an
-antichain is an antichain, hence irredundant.  Each finite entry b_i is
-the i-th exponent of a minimal generator of the meet: x^(b - 1) lies
-outside it, while x_i x^(b - 1) lies inside, since every other kept
-corner c has some c_j < b_j.  So every finite entry stays below the
-member's own top, and only the entries at a^k's top, which stand for no
-generator, change to it.  The inherited corners pass the same
-intersect-back check.  The hand-off is a context variable, set only
-around the ``_corner_set`` call on the new member: an ideal already in
-the memo keeps its entry, and no thread sees another's hand-off.
+Every ideal's corners, a symbolic member's included, come from the
+sweep, and are checked by the sweep the other way: they must intersect
+back to a.
 The witness table ``_witnesses`` runs the search on those corners once,
 and stores one finished ``VReport`` per associated prime.  Every witness
 is certified when the table is built, whichever reader comes first: by
@@ -92,7 +82,6 @@ does not.  Neither builds the colon ideal.
 ``expansion`` only read the stored reports.
 """
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, le, sub
@@ -206,45 +195,24 @@ def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...
     return _intersect_corners(gens, top, reflect=True)
 
 
-# The corners a symbolic member inherits from a^k, as (corners, top of a^k,
-# supports): set by ``_components_inside`` only around its ``_corner_set``
-# call on the member, so no other ideal's build sees it.
-_SEED: ContextVar = ContextVar("corner seed", default=None)
-
-
 @lru_cache(maxsize=16384)
 def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
     """The corners of the irredundant irreducible decomposition of a,
     their sentinel top, and the support of each corner as a bit mask
-    (bit i set iff b_i < top), checked exactly to intersect back to a.
-
-    The corners of a cold ideal come from the sweep.  A symbolic member
-    handed over by ``_components_inside`` inherits its kept corners of
-    a^k, with a^k's top replaced by its own, which every finite entry
-    stays below (module docstring); a finite entry at or above it is an
-    internal error.
-    """
+    (bit i set iff b_i < top), checked exactly to intersect back to a."""
     _require_proper_nonzero(a)
     gens = a.exps()
     top = max(map(max, gens)) + 1
-    seed = _SEED.get()
-    if seed is not None:
-        corners, seed_top, supports = seed
-        if top != seed_top:
-            if max([e for b in corners for e in b if e < seed_top]) >= top:
-                raise InternalError(f"an inherited corner of {a} reaches its top {top}")
-            corners = tuple([tuple([top if e == seed_top else e for e in b]) for b in corners])
-    else:
-        corners = tuple(_corners(gens, top))
-        # A plain loop: a call or a comprehension per corner costs more.
-        supports = []
-        for b in corners:
-            mask, bit = 0, 1
-            for e in b:
-                if e < top:
-                    mask |= bit
-                bit <<= 1
-            supports.append(mask)
+    corners = tuple(_corners(gens, top))
+    # A plain loop: a call or a comprehension per corner costs more.
+    supports = []
+    for b in corners:
+        mask, bit = 0, 1
+        for e in b:
+            if e < top:
+                mask |= bit
+            bit <<= 1
+        supports.append(mask)
     # Both sides are duplicate-free antichains, so equal sets are equal ideals.
     if set(_intersect_corners(corners, top)) != set(gens):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
@@ -253,27 +221,15 @@ def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int, tup
 
 def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
     """The intersection of the components of a with support in one of the
-    primes (one at least), from the memoized corners; a if all are kept.
-
-    A new member is handed its kept corners, which are its own corners
-    (module docstring), so its ``_corner_set`` entry is checked from them
-    and no sweep runs on it.
-    """
+    primes (one at least), from the memoized corners; a if all are kept."""
     corners, top, supports = _corner_set(a)
     masks = [sum([1 << i for i in p.indices]) for p in primes]
     dropped = {s for s in set(supports) if not any(s | m == m for m in masks)}
     if not dropped:
         return a
-    kept, kept_supports = zip(*[(b, s) for b, s in zip(corners, supports) if s not in dropped])
-    meet = _intersect_corners(kept, top)
+    meet = _intersect_corners([b for b, s in zip(corners, supports) if s not in dropped], top)
     canonical_sort(meet)
-    member = MonomialIdeal(a.ring, tuple(meet))
-    token = _SEED.set((kept, top, kept_supports))
-    try:
-        _corner_set(member)
-    finally:
-        _SEED.reset(token)
-    return member
+    return MonomialIdeal(a.ring, tuple(meet))
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:

@@ -8,9 +8,8 @@ into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
 2017).  So a^(k) is the intersection of the components of a^k whose
 support lies in some associated (or minimal) prime of a: ``decomposition``
 reads them from the memoized, checked corners of a^k, which the witness
-table of a^k shares, and hands the kept corners to a^(k) as its own, so
-no corner sweep runs on a^(k).  When every component is kept, a^(k) is
-a^k itself.
+table of a^k shares, and meets the kept ones.  When every component is
+kept, a^(k) is a^k itself.
 
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is

@@ -77,16 +77,15 @@ def _ladder_pairs(seed, count):
              rng.randint(2, 3)) for _ in range(count)]
 
 
-def test_threads_seed_member_corners_as_one_caller_would():
-    """Each symbolic member is handed the corners of a^k by the thread that
-    builds it.  After threads race over symbolic verdicts on cold caches,
-    every memoized member corner set equals a serial cold sweep."""
+def test_threads_build_member_corners_as_one_caller_would():
+    """After threads race over symbolic verdicts on cold caches, every
+    memoized corner set of a symbolic member equals a serial cold sweep."""
     distinct = _ladder_pairs(43, 6)
     _clear_caches()
     expected = [_work(pair, k) for pair, k in distinct]
     assert _run_threaded(distinct * THREADS) == expected * THREADS
     misses = _corner_set.cache_info().misses
-    seeded = 0
+    members = 0
     for (i, j), k in distinct:
         summands = [(a, h) for a in (i, j) for h in range(1, k + 1)]
         for kind in SYMBOLIC:
@@ -94,11 +93,11 @@ def test_threads_seed_member_corners_as_one_caller_would():
                 member = filtration_member(kind, a, h)
                 if member == filtration_member(FiltrationKind.ORDINARY, a, h):
                     continue
-                seeded += 1
+                members += 1
                 corners, top, supports = _corner_set(member)
                 cold, cold_top, cold_supports = _corner_set.__wrapped__(member)
                 assert top == cold_top and len(corners) == len(cold)
                 assert dict(zip(corners, supports)) == dict(zip(cold, cold_supports))
     # Every set read was the one the threads memoized.
     assert _corner_set.cache_info().misses == misses
-    assert seeded >= 10
+    assert members >= 10

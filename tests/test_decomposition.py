@@ -272,34 +272,6 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
         irreducible_decomposition(a)
 
 
-def _seed_corner_set(a, corners, top, supports):
-    """The corner set of a on a cold memo, handed the given corners."""
-    decomposition._corner_set.cache_clear()
-    token = decomposition._SEED.set((corners, top, supports))
-    try:
-        return decomposition._corner_set(a)
-    finally:
-        decomposition._SEED.reset(token)
-
-
-def test_inherited_corners_are_checked_before_they_are_stored():
-    a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=2, z=1), mono(R3, x=2, z=2)])
-    corners, top, supports = decomposition._corner_set.__wrapped__(a)
-    assert len(corners) > 1
-    # Inherited at a larger top, the corners read back at a's own.
-    lifted = tuple(tuple(top + 2 if e == top else e for e in b) for b in corners)
-    assert _seed_corner_set(a, lifted, top + 2, supports) == (corners, top, supports)
-    with pytest.raises(InternalError, match="does not intersect back"):
-        _seed_corner_set(a, corners[1:], top, supports[1:])
-    # A finite entry raised to a's top would read as "no generator" there.
-    lifted = tuple(tuple(top + 1 if e == top else e for e in b) for b in corners)
-    b, i = lifted[0], supports[0].bit_length() - 1
-    raised = (b[:i] + (top,) + b[i + 1:],) + lifted[1:]
-    with pytest.raises(InternalError, match="reaches its top"):
-        _seed_corner_set(a, raised, top + 1, supports)
-    assert decomposition._SEED.get() is None
-
-
 def test_irreducible_decomposition_reads_the_memoized_corners(monkeypatch):
     corners = decomposition._corners
     calls = []

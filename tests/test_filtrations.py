@@ -332,7 +332,7 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
     met = []
 
     def recording_intersect_corners(corners, top):
-        met.append(corners)
+        met.append(tuple(corners))
         return intersect_corners(corners, top)
 
     intersect_corners = decomposition._intersect_corners
@@ -353,17 +353,20 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
         member = filtration_member(FiltrationKind.SYMBOLIC_MIN, a, k)
         assert member == ideal(R2, [mono(R2, x=k)])
         assert member == all_primes_symbolic_power(FiltrationKind.SYMBOLIC_MIN, a, k)
-    # Per k: the meet of the kept corner of a^k (top 2k + 1) builds (x^k), and
-    # the intersect-back check of the inherited corner, at (x^k)'s own top
-    # k + 1, seeds its corner set.
-    assert met == [((k, top),) for k in (1, 2, 3) for top in (2 * k + 1, k + 1)]
+    # Per k: one meet, of the kept corner of a^k (top 2k + 1), builds (x^k);
+    # building the member sweeps no corner set.
+    assert met == [((k, 2 * k + 1),) for k in (1, 2, 3)]
 
 
 def _assert_the_member_inherits_its_corners(kind, a, k):
-    """Builds the k-th member of a on cold corner and member memos and reads
-    its witness table, recording every corner sweep.  Only a and a^k may be
-    swept: a member other than a^k inherits its corner set, which must equal
-    a cold sweep's, with the same top and supports."""
+    """Builds the k-th member of a on cold corner, table and member memos
+    and reads its witness table, recording every corner sweep.  A member
+    other than a^k is swept on its own generators, and its corners are the
+    corners of a^k it keeps, with a^k's top replaced by its own: a subset
+    of an antichain is an antichain, and every finite entry b_i of a kept
+    corner is the i-th exponent of a minimal generator of the meet
+    (x^(b - 1) lies outside it and x_i x^(b - 1) inside), so it stays
+    below the member's top."""
     swept = []
 
     def recording_corners(gens, top):
@@ -372,19 +375,28 @@ def _assert_the_member_inherits_its_corners(kind, a, k):
 
     corners = decomposition._corners
     decomposition._corner_set.cache_clear()
+    decomposition._witnesses.cache_clear()
     filtration_member.cache_clear()
     with patch.object(decomposition, "_corners", recording_corners):
         member = filtration_member(kind, a, k)
         decomposition._witnesses(member)
-    assert set(swept) <= {a.exps(), power(a, k).exps()}
-    assert decomposition._SEED.get() is None
+    ordinary = power(a, k)
+    assert set(swept) <= {a.exps(), ordinary.exps(), member.exps()}
     if member is filtration_member(FiltrationKind.ORDINARY, a, k):
         return
-    seeded, top, supports = decomposition._corner_set(member)
-    cold, cold_top, cold_supports = decomposition._corner_set.__wrapped__(member)
-    assert top == cold_top
-    assert len(seeded) == len(cold)
-    assert dict(zip(seeded, supports)) == dict(zip(cold, cold_supports))
+    assert member.exps() in swept
+    primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
+    masks = [sum(1 << i for i in p.indices) for p in primes]
+    power_corners, power_top, power_supports = decomposition._corner_set(ordinary)
+    own, top, supports = decomposition._corner_set(member)
+    assert top == max(map(max, member.exps())) + 1 <= power_top
+    expected = {
+        tuple(top if e == power_top else e for e in b): s
+        for b, s in zip(power_corners, power_supports)
+        if any(s | m == m for m in masks)
+    }
+    assert len(own) == len(expected) < len(power_corners)
+    assert dict(zip(own, supports)) == expected
 
 
 @settings(max_examples=80, deadline=None)

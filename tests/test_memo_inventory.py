@@ -3,8 +3,8 @@
 Every ``src/videal/*.py`` file is parsed with ``ast``.  The functions
 decorated with ``functools.lru_cache`` (or ``functools.cache``) must be
 exactly the seven memos the project keeps, and ``decomposition.py`` must
-bind no dict, set or list at module level: a symbolic member's corners
-are handed to ``_corner_set``'s own memo, never kept in a side table.
+bind no dict, set or list at module level: per-ideal work lives in the
+memos, never in a side table beside them.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
 seen.
 """
