@@ -29,10 +29,8 @@ from .expansion import (
     RhsResult,
     TheoremReport,
     TheoremRow,
-    binomial_expansion,
     direct_term,
     join_ideals,
-    theorem_rhs,
     verify_expansion,
     verify_theorem,
 )
@@ -50,11 +48,9 @@ from .ideals import (
     as_prime,
     colon_ideal,
     colon_monomial,
-    equals,
     ideal,
     intersect,
     is_squarefree,
-    localize,
     power,
     prime_support,
     product,
@@ -66,18 +62,11 @@ from .lp import NewtonMembership, newton_member
 from .rings import (
     Monomial,
     Ring,
-    degree,
-    divides,
-    embed,
-    gcd,
     join_rings,
-    lcm,
     make_ring,
     mono,
     monomials_of_degree,
     monomials_up_to_degree,
-    mul,
-    quotient_by_gcd,
 )
 from .vnumbers import VReport, local_v, v_number
 

@@ -8,8 +8,8 @@ paths: the "direct" side works entirely in the joined ring S, while the
 own rings.  They meet only in the final equality checks.
 
 Both read v-numbers off the read-only, certified witness tables of
-``decomposition``: a verdict reads the direct side's table, and each
-summand's once per depth, in the formula reader ``theorem_rhs`` shares.
+``decomposition``: a verdict reads the direct side's table, and the
+formula reader ``_formula_reader`` reads each summand's once per depth.
 
 A verdict depends on the filtration only through its members: the k-th
 member of I+J and the members 0..k of I and of J.  Symbolic powers often
@@ -31,6 +31,7 @@ from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
 from .rings import Monomial, Ring, canonical_sort, join_rings
+from .vnumbers import v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -49,13 +50,6 @@ def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
         return from_exps(ring, exps)
     canonical_sort(exps)
     return MonomialIdeal(ring, tuple(exps))
-
-
-def _require_inputs(i: MonomialIdeal, j: MonomialIdeal, k: int) -> None:
-    if k < 1:
-        raise VidealError("expansion checks need k >= 1")
-    if not (i.is_proper_nonzero() and j.is_proper_nonzero()):
-        raise ImproperIdealError("expansion checks need proper nonzero summands")
 
 
 def _members(kind: FiltrationKind, a: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ...]:
@@ -78,21 +72,15 @@ def _expand(
     return from_exps(ring, exps)
 
 
-def binomial_expansion(
-    kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
-) -> MonomialIdeal:
-    """The expanded k-th member: the sum over i+j = k of the products of
-    the summand filtration members, embedded into S."""
-    _require_inputs(i, j, k)
-    return _expand(join_rings(i.ring, j.ring), _members(kind, i, k), _members(kind, j, k))
-
-
 def direct_term(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> MonomialIdeal:
     """The k-th filtration member of the sum ideal, computed entirely in
     S with no expansion."""
-    _require_inputs(i, j, k)
+    if k < 1:
+        raise VidealError("expansion checks need k >= 1")
+    if not (i.is_proper_nonzero() and j.is_proper_nonzero()):
+        raise ImproperIdealError("expansion checks need proper nonzero summands")
     return filtration_member(kind, join_ideals(i, j), k)
 
 
@@ -149,34 +137,15 @@ class RhsResult:
     candidates: tuple[RhsCandidate, ...]
 
 
-def theorem_rhs(
-    kind: FiltrationKind,
-    i: MonomialIdeal,
-    j: MonomialIdeal,
-    k: int,
-    p: PrimeSupport,
-    q: PrimeSupport,
-) -> RhsResult | None:
-    """The min-formula value for the pair (p, q): minimize, over split
-    depths 0 <= d < k with p associated to the (k-d)-th member of i's
-    filtration and q to the (d+1)-st member of j's, the sum of the two
-    local v-numbers, read from one lookup in each summand's witness table
-    (a prime missing from it is not associated).  None when no depth is
-    admissible.
-
-    All depths are evaluated eagerly so reports carry the complete
-    achieving set.
-    """
-    _require_inputs(i, j, k)
-    if p.ring != i.ring or q.ring != j.ring:
-        raise VidealError("p must live in the ring of i, and q in the ring of j")
-    return _formula_reader(_members(kind, i, k), _members(kind, j, k))(p.indices, q.indices)
-
-
 def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]):
-    """The min-formula of ``theorem_rhs`` on the member tuples (I_0..I_k)
-    and (J_0..J_k), as a function of the supports (P, Q), over the summand
-    tables of every depth, each read once here."""
+    """The min-formula on the member tuples (I_0..I_k) and (J_0..J_k), as
+    a function of the supports (P, Q): minimize, over the split depths
+    0 <= d < k at which P is associated to I_{k-d} and Q to J_{d+1}, the
+    sum of the two local v-numbers, read from one lookup in each summand's
+    witness table (a prime missing from it is not associated).  None when
+    no depth is admissible.  The tables of every depth are read once here,
+    and every depth is evaluated, so a result carries the complete
+    achieving set."""
     k = len(left) - 1
     tables = [(_witnesses(left[k - d]), _witnesses(right[d + 1])) for d in range(k)]
 
@@ -286,12 +255,11 @@ def _verdict(
         q_support = q_supports.get(q) or q_supports.setdefault(q, PrimeSupport(ring_j, q))
         rows.append(TheoremRow(prime, p_support, q_support, report.degree, report.witness,
                                formula(p, q)))
-    # Rows are in increasing index order: the first of least lhs is v_number's.
-    best_direct = min(rows, key=lambda row: row.lhs)
+    best_direct = v_number(direct)
     v_formula = min((row.rhs.value for row in rows if row.rhs is not None), default=None)
-    if v_formula is not None and best_direct.lhs < v_formula:
+    if v_formula is not None and best_direct.degree < v_formula:
         findings.append(
-            f"direct v-number {best_direct.lhs} beats the mixed-prime formula "
+            f"direct v-number {best_direct.degree} beats the mixed-prime formula "
             f"{v_formula}; non-mixed primes present: none"
         )
-    return expansion, tuple(rows), best_direct.lhs, best_direct.prime, v_formula, tuple(findings)
+    return expansion, tuple(rows), best_direct.degree, best_direct.prime, v_formula, tuple(findings)

@@ -284,25 +284,5 @@ def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
     return PrimeSupport(a.ring, tuple(u.index(1) for u in exps))
 
 
-def localize(a: MonomialIdeal, p: PrimeSupport) -> MonomialIdeal:
-    """The contraction a R_p ∩ R for a monomial prime p.
-
-    Variables outside p become units in R_p, so localization just
-    deletes their exponents from every generator.  A generator supported
-    entirely outside p becomes 1 and the result is the unit ideal.
-    """
-    ring = check_same_ring(a, p)
-    keep = set(p.indices)
-    mapped = {
-        tuple(e if i in keep else 0 for i, e in enumerate(u)) for u in a.exps()
-    }
-    return from_exps(ring, mapped)
-
-
-def equals(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    check_same_ring(a, b)
-    return a == b
-
-
 def is_squarefree(a: MonomialIdeal) -> bool:
     return all(e <= 1 for u in a.exps() for e in u)

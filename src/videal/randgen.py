@@ -1,13 +1,15 @@
-"""Random instance generation for fuzz sweeps and property tests.
+"""Random rings, ideals and ideal pairs for the CLI's ``--fuzz`` sweeps
+and for property tests.
 
 All sampling goes through an explicit random.Random so identical seeds
-reproduce identical instances everywhere (CLI fuzz mode, tests).
+reproduce identical instances everywhere (CLI fuzz mode, tests).  Draws
+kept only when the ideal has a property, such as the normally
+torsion-free pairs of the integral-closure tests, are made by the tests
+(``tests/oracles.py``).
 """
 
 import random
 
-from .errors import InternalError
-from .filtrations import normally_torsion_free
 from .ideals import MonomialIdeal, from_exps
 from .rings import Ring, make_ring
 
@@ -50,23 +52,3 @@ def random_pair(
     i = random_ideal(rng, ring_a, max_gens, max_exp, squarefree=squarefree_first)
     j = random_ideal(rng, ring_b, max_gens, max_exp)
     return i, j
-
-
-def random_ntf_pair(
-    rng: random.Random,
-    max_vars: int = 3,
-    max_gens: int = 4,
-    max_exp: int = 2,
-    k_max: int = 3,
-    max_attempts: int = 1000,
-) -> tuple[MonomialIdeal, MonomialIdeal, int]:
-    """A random pair whose first ideal is square-free and normally
-    torsion-free up to k_max.  Rejected draws are counted, never skipped
-    silently; the attempt count is returned."""
-    attempts = 0
-    while attempts < max_attempts:
-        attempts += 1
-        i, j = random_pair(rng, max_vars, max_gens, max_exp, squarefree_first=True)
-        if normally_torsion_free(i, k_max):
-            return i, j, attempts
-    raise InternalError("could not draw a normally-torsion-free ideal")

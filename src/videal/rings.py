@@ -125,10 +125,6 @@ def divides_exp(u: tuple[int, ...], f: tuple[int, ...]) -> bool:
     return all(map(le, u, f))
 
 
-def gcd_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(min, u, f))
-
-
 def lcm_exp(u: tuple[int, ...], f: tuple[int, ...]) -> tuple[int, ...]:
     # A two-argument max() call costs more than the comparison it makes.
     return tuple([a if a > b else b for a, b in zip(u, f)])
@@ -156,45 +152,6 @@ def canonical_sort(exps: list[tuple[int, ...]]) -> None:
     """
     exps.sort(reverse=True)
     exps.sort(key=sum)
-
-
-def degree(f: Monomial) -> int:
-    return f.degree
-
-
-def divides(u: Monomial, f: Monomial) -> bool:
-    check_same_ring(u, f)
-    return divides_exp(u.exp, f.exp)
-
-
-def gcd(u: Monomial, f: Monomial) -> Monomial:
-    ring = check_same_ring(u, f)
-    return Monomial(ring, gcd_exp(u.exp, f.exp))
-
-
-def lcm(u: Monomial, f: Monomial) -> Monomial:
-    ring = check_same_ring(u, f)
-    return Monomial(ring, lcm_exp(u.exp, f.exp))
-
-
-def mul(u: Monomial, f: Monomial) -> Monomial:
-    ring = check_same_ring(u, f)
-    return Monomial(ring, mul_exp(u.exp, f.exp))
-
-
-def quotient_by_gcd(u: Monomial, f: Monomial) -> Monomial:
-    """The per-generator kernel of the colon formula: u / gcd(u, f)."""
-    ring = check_same_ring(u, f)
-    return Monomial(ring, quot_exp(u.exp, f.exp))
-
-
-def embed(f: Monomial, dst: Ring) -> Monomial:
-    """Embed a monomial into a larger ring containing its variables,
-    matched by name, padding the new coordinates with zeros."""
-    vec = [0] * dst.nvars
-    for var, e in zip(f.ring.vars, f.exp):
-        vec[dst.index(var)] = e
-    return Monomial(dst, tuple(vec))
 
 
 def exps_of_degree(nvars: int, d: int) -> Iterator[tuple[int, ...]]:

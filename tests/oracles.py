@@ -2,9 +2,12 @@
 
 Each oracle answers by direct enumeration of the defining condition, or
 by an older algorithm the library replaced, so it shares no code path
-with the operation it cross-checks.
+with the operation it cross-checks.  A few helpers the tests build
+instances with live here too, since the library never needs them:
+``mul``, ``embed``, ``localize`` and ``random_ntf_pair``.
 """
 
+import random
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -16,7 +19,7 @@ from typing import Iterable, Sequence
 from videal.decomposition import _colon_is_prime, _corner_set, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
-from videal.filtrations import FiltrationKind, filtration_member
+from videal.filtrations import FiltrationKind, filtration_member, normally_torsion_free
 from videal.ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -25,20 +28,67 @@ from videal.ideals import (
     from_exps,
     intersect_all,
     intersect_exps,
-    localize,
     power,
     sum_ideals,
     unit_ideal,
 )
+from videal.randgen import random_pair
 from videal.rings import (
     Monomial,
     Ring,
     check_same_ring,
     divides_exp,
-    mul,
     monomials_up_to_degree,
+    mul_exp,
 )
 from videal.vnumbers import VReport, local_v
+
+
+def mul(u: Monomial, f: Monomial) -> Monomial:
+    """The product of two monomials of one ring."""
+    return Monomial(check_same_ring(u, f), mul_exp(u.exp, f.exp))
+
+
+def embed(f: Monomial, dst: Ring) -> Monomial:
+    """Embed a monomial into a larger ring containing its variables,
+    matched by name, padding the new coordinates with zeros."""
+    vec = [0] * dst.nvars
+    for var, e in zip(f.ring.vars, f.exp):
+        vec[dst.index(var)] = e
+    return Monomial(dst, tuple(vec))
+
+
+def localize(a: MonomialIdeal, p: PrimeSupport) -> MonomialIdeal:
+    """The contraction a R_p ∩ R for a monomial prime p.
+
+    Variables outside p become units in R_p, so localization just
+    deletes their exponents from every generator.  A generator supported
+    entirely outside p becomes 1 and the result is the unit ideal.
+    """
+    ring = check_same_ring(a, p)
+    keep = set(p.indices)
+    mapped = {
+        tuple(e if i in keep else 0 for i, e in enumerate(u)) for u in a.exps()
+    }
+    return from_exps(ring, mapped)
+
+
+def random_ntf_pair(
+    rng: random.Random,
+    max_vars: int = 3,
+    max_gens: int = 4,
+    max_exp: int = 2,
+    k_max: int = 3,
+    max_attempts: int = 1000,
+) -> tuple[MonomialIdeal, MonomialIdeal, int]:
+    """A random pair whose first ideal is square-free and normally
+    torsion-free up to k_max.  Rejected draws are counted, never skipped
+    silently; the attempt count is returned."""
+    for attempts in range(1, max_attempts + 1):
+        i, j = random_pair(rng, max_vars, max_gens, max_exp, squarefree_first=True)
+        if normally_torsion_free(i, k_max):
+            return i, j, attempts
+    raise InternalError("could not draw a normally-torsion-free ideal")
 
 
 def canonical_key(exp: tuple[int, ...]) -> tuple:
@@ -507,11 +557,12 @@ def per_depth_theorem_rhs(
     p: PrimeSupport,
     q: PrimeSupport,
 ) -> RhsResult | None:
-    """theorem_rhs by its per-depth definition, as the library computed it
-    before it read each summand's witness table once: a depth d is
-    admissible when p lies in Ass of the (k-d)-th member of i's filtration
-    and q in Ass of the (d+1)-st member of j's, and it scores the sum of
-    the two local_v degrees."""
+    """The rhs of a ``verify_theorem`` row for the pair (p, q) by its
+    per-depth definition, as the library computed it before it read each
+    summand's witness table once: a depth d is admissible when p lies in
+    Ass of the (k-d)-th member of i's filtration and q in Ass of the
+    (d+1)-st member of j's, and it scores the sum of the two local_v
+    degrees."""
     candidates = []
     for d in range(k):
         left = filtration_member(kind, i, k - d)

@@ -18,8 +18,11 @@ from oracles import (
     brute_force_ass,
     brute_force_local_v,
     certificate_denominator_lcm,
+    embed,
     lp_newton_member,
+    mul,
     power_membership_oracle,
+    random_ntf_pair,
 )
 from videal.cli import EXIT_USAGE, run_text
 from videal.decomposition import associated_primes, irreducible_decomposition
@@ -43,13 +46,12 @@ from videal.ideals import (
 )
 from videal.lp import newton_member
 from videal.parser import parse_session
-from videal.randgen import random_ideal, random_ntf_pair, random_pair, random_ring
+from videal.randgen import random_ideal, random_pair, random_ring
 from videal.rings import (
     Monomial,
     make_ring,
     mono,
     monomials_up_to_degree,
-    mul,
 )
 from videal.vnumbers import local_v, v_number
 
@@ -96,7 +98,7 @@ def test_acceptance_1_colon_and_facts():
         assert colon_monomial(total, f) == split
 
         # Fact 2: over disjoint variables the product colon splits.
-        from videal.rings import embed, join_rings
+        from videal.rings import join_rings
 
         ring_b = random_ring(rng, "B", "y")
         j = random_ideal(rng, ring_b, max_gens=3, max_exp=3)

@@ -14,6 +14,7 @@ from oracles import (
     box_scan_integral_closure,
     certificate_denominator_lcm,
     fibre_scan_minimal_points,
+    localize,
     localized_symbolic_power,
     lp_newton_member,
     power_membership_oracle,
@@ -33,7 +34,6 @@ from videal.ideals import (
     from_exps,
     ideal,
     intersect_all,
-    localize,
     power,
     product,
     sum_ideals,
