@@ -9,6 +9,8 @@ binomial-expansion min-formula relating the v-function of a sum of
 ideals in disjoint variables to the v-functions of the summands.
 """
 
+from types import ModuleType as _ModuleType
+
 from .decomposition import (
     IrreducibleComponent,
     associated_primes,
@@ -70,4 +72,7 @@ from .rings import (
 )
 from .vnumbers import VReport, local_v, v_number
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The imported objects only: importing from a submodule also binds the
+# submodule's name here, and `from videal import *` should not bind it.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -2,8 +2,10 @@
 
 The parser's ``_SIGNATURES`` and ``_HANDLERS`` here are the two command
 tables, with the same keys.  A handler takes a command and its ideals and
-returns the JSON fields after the record header, the text lines (lazy for
-verdicts), and whether it found an inequality.
+returns the JSON fields after the record header, a function that builds
+the text lines, and whether it found an inequality.  The fields are built
+in both formats, since building them checks that every integer printed
+is within the int/str digit limit; the text lines only in text mode.
 
 Text mode prints one human-readable block per command; JSON mode prints
 one JSON object per command (JSON Lines, sorted keys).  Exit codes:
@@ -15,7 +17,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .decomposition import associated_primes, irreducible_decomposition, minimal_primes
 from .errors import InternalError, ParseError, VidealError
@@ -46,13 +48,14 @@ def _prime_list(prime) -> list[str]:
     return list(prime.var_names)
 
 
-def _printable(n: int | None, what: str) -> int | None:
+def _printable(n: int | None, what: str, *args) -> int | None:
     """n, once str(n) is known to work: an output integer past the
-    int/str digit limit is bad input, not a traceback."""
+    int/str digit limit is bad input, not a traceback.  The message names
+    what.format(*args), built only then."""
     try:
         str(n)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise VidealError(f"{what} has too many digits to print") from None
+        raise VidealError(f"{what.format(*args)} has too many digits to print") from None
     return n
 
 
@@ -64,11 +67,11 @@ def _theorem_json(report: TheoremReport) -> dict:
                 "prime": _prime_list(row.prime),
                 "p": _prime_list(row.p),
                 "q": _prime_list(row.q),
-                "lhs": _printable(row.lhs, f"the v-number at {row.prime}"),
+                "lhs": _printable(row.lhs, "the v-number at {}", row.prime),
                 "lhs_witness": str(row.lhs_witness),
                 "rhs": None
                 if row.rhs is None
-                else {"value": _printable(row.rhs.value, f"the formula value at {row.prime}"),
+                else {"value": _printable(row.rhs.value, "the formula value at {}", row.prime),
                       "achieved_d": list(row.rhs.achieved)},
                 "equal": row.equal,
             }
@@ -107,23 +110,24 @@ def _theorem_text(report: TheoremReport, label: str) -> Iterator[str]:
     yield f"  result: {'OK' if report.ok else 'MISMATCH'}"
 
 
-_Output = tuple[dict, Iterable[str], bool]
+_Output = tuple[dict, Callable[[], Iterable[str]], bool]
 
 
 def _mingens(cmd: Command, a: MonomialIdeal) -> _Output:
-    return {"result": _gens_list(a)}, [f"G({cmd.ideals[0]}) = {a}"], False
+    return {"result": _gens_list(a)}, lambda: [f"G({cmd.ideals[0]}) = {a}"], False
 
 
 def _colon(cmd: Command, a: MonomialIdeal, b: MonomialIdeal | None = None) -> _Output:
     result = colon_monomial(a, cmd.mono) if b is None else colon_ideal(a, b)
-    divisor = str(cmd.mono) if b is None else cmd.ideals[1]
-    return {"result": _gens_list(result)}, [f"{cmd.ideals[0]} : {divisor} = {result}"], False
+    divisor = cmd.mono if b is None else cmd.ideals[1]
+    return ({"result": _gens_list(result)},
+            lambda: [f"{cmd.ideals[0]} : {divisor} = {result}"], False)
 
 
 def _prime_set(label: str, cmd: Command, primes) -> _Output:
-    result = [_prime_list(p) for p in primes]
-    text = ", ".join(str(p) for p in primes)
-    return {"result": result}, [f"{label}({cmd.ideals[0]}) = {{ {text} }}"], False
+    def text():
+        return [f"{label}({cmd.ideals[0]}) = {{ {', '.join(str(p) for p in primes)} }}"]
+    return {"result": [_prime_list(p) for p in primes]}, text, False
 
 
 def _ass(cmd: Command, a: MonomialIdeal) -> _Output:
@@ -138,43 +142,47 @@ def _irrdec(cmd: Command, a: MonomialIdeal) -> _Output:
     components = irreducible_decomposition(a)
     result = [{"generators": _gens_list(c.ideal), "prime": _prime_list(c.prime)}
               for c in components]
-    text = ", ".join(str(c.ideal) for c in components)
-    return {"result": result}, [f"irrdec({cmd.ideals[0]}) = [{text}]"], False
+    def text():
+        return [f"irrdec({cmd.ideals[0]}) = [{', '.join(str(c.ideal) for c in components)}]"]
+    return {"result": result}, text, False
 
 
 def _vnum(cmd: Command, a: MonomialIdeal) -> _Output:
     report = v_number(a)
     result = {
-        "degree": _printable(report.degree, f"v({cmd.ideals[0]})"),
+        "degree": _printable(report.degree, "v({})", cmd.ideals[0]),
         "witness": str(report.witness),
         "prime": _prime_list(report.prime),
         "method": "candidate-generator",
     }
-    text = (f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
-            f"witness = {report.witness}")
-    return {"result": result}, [text], False
+    def text():
+        return [f"v({cmd.ideals[0]}) = {report.degree}, prime = {report.prime}, "
+                f"witness = {report.witness}"]
+    return {"result": result}, text, False
 
 
 def _power(cmd: Command, a: MonomialIdeal) -> _Output:
     result = power(a, cmd.k)
-    return {"result": _gens_list(result)}, [f"{cmd.ideals[0]}^{cmd.k} = {result}"], False
+    return {"result": _gens_list(result)}, lambda: [f"{cmd.ideals[0]}^{cmd.k} = {result}"], False
 
 
 def _symb(cmd: Command, a: MonomialIdeal) -> _Output:
     result = filtration_member(cmd.kind, a, cmd.k)
-    text = f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}"
-    return {"result": _gens_list(result)}, [text], False
+    return ({"result": _gens_list(result)},
+            lambda: [f"{cmd.ideals[0]}^({cmd.k}) [{cmd.kind.value}] = {result}"], False)
 
 
 def _intclos(cmd: Command, a: MonomialIdeal) -> _Output:
     result = integral_closure(a, cmd.k)
-    return {"result": _gens_list(result)}, [f"closure({cmd.ideals[0]}^{cmd.k}) = {result}"], False
+    return ({"result": _gens_list(result)},
+            lambda: [f"closure({cmd.ideals[0]}^{cmd.k}) = {result}"], False)
 
 
 def _ntf(cmd: Command, a: MonomialIdeal) -> _Output:
     result = normally_torsion_free(a, cmd.k)
-    text = f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {cmd.k})"
-    return {"result": {"normally_torsion_free": result, "k_max": cmd.k}}, [text], False
+    return ({"result": {"normally_torsion_free": result, "k_max": cmd.k}},
+            lambda: [f"ntf({cmd.ideals[0]}) = {str(result).lower()} (checked k <= {cmd.k})"],
+            False)
 
 
 def _check_property(cmd: Command, a: MonomialIdeal) -> _Output:
@@ -185,10 +193,11 @@ def _check_property(cmd: Command, a: MonomialIdeal) -> _Output:
         "violations": [str(f) for f in report.violations],
         "passed": report.passed,
     }}
-    text = (f"check-property kind={cmd.kind.value} k={cmd.k} cap={cmd.cap} {cmd.ideals[0]}: "
-            f"{len(report.witnesses)} witnesses, {len(report.violations)} violations, "
-            f"{'PASS' if report.passed else 'FAIL'}")
-    return fields, [text], not report.passed
+    def text():
+        return [f"check-property kind={cmd.kind.value} k={cmd.k} cap={cmd.cap} {cmd.ideals[0]}: "
+                f"{len(report.witnesses)} witnesses, {len(report.violations)} violations, "
+                f"{'PASS' if report.passed else 'FAIL'}"]
+    return fields, text, not report.passed
 
 
 def _label(cmd: Command) -> str:
@@ -203,16 +212,19 @@ def _verify_expansion(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Outp
         "expanded": _gens_list(report.expanded),
         "mismatch_witnesses": [str(m) for m in report.mismatch_witnesses],
     }}
-    if report.expansion_holds:
-        return fields, [f"{_label(cmd)}: HOLDS"], False
-    witnesses = ", ".join(fields["report"]["mismatch_witnesses"])
-    return fields, [f"{_label(cmd)}: FAILS; direct = {report.direct}; "
-                    f"expanded = {report.expanded}; witnesses = [{witnesses}]"], True
+    def text():
+        if report.expansion_holds:
+            return [f"{_label(cmd)}: HOLDS"]
+        witnesses = ", ".join(fields["report"]["mismatch_witnesses"])
+        return [f"{_label(cmd)}: FAILS; direct = {report.direct}; "
+                f"expanded = {report.expanded}; witnesses = [{witnesses}]"]
+    return fields, text, not report.expansion_holds
 
 
 def _verify_theorem(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Output:
     report = verify_theorem(cmd.kind, i, j, cmd.k)
-    return {"report": _theorem_json(report)}, _theorem_text(report, _label(cmd)), not report.ok
+    return ({"report": _theorem_json(report)}, lambda: _theorem_text(report, _label(cmd)),
+            not report.ok)
 
 
 # Keyed like the parser's _SIGNATURES.  Handlers call the library through
@@ -274,6 +286,11 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
     for index in range(count):
         i, j = random_pair(rng)
         k = rng.randint(1, 3)
+        # The instance is rendered once per draw, not once per kind.
+        if fmt == "json":
+            instance = {"I": _gens_list(i), "J": _gens_list(j), "k": k}
+        else:
+            instance = f"k={k} I={i} J={j}"
         for kind in FiltrationKind:
             report = verify_theorem(kind, i, j, k)
             if not report.expansion.expansion_holds:
@@ -290,11 +307,7 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
                         {
                             "command": "fuzz",
                             "index": index,
-                            "instance": {
-                                "I": _gens_list(i),
-                                "J": _gens_list(j),
-                                "k": k,
-                            },
+                            "instance": instance,
                             "kind": kind.value,
                             "status": status,
                             "report": _theorem_json(report),
@@ -304,7 +317,7 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
                 )
             else:
                 lines.append(
-                    f"fuzz[{index}] kind={kind.value} k={k} I={i} J={j}: {status}"
+                    f"fuzz[{index}] kind={kind.value} {instance}: {status}"
                 )
     summary = f"fuzz: {count} instances, {failures} mismatches, " \
               f"{hypothesis_unmet} hypothesis-unmet"
@@ -403,13 +416,13 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
     try:
         for cmd in session.commands:
             args = [session.ideals[name] for name in cmd.ideals]
-            fields, text_lines, found = _HANDLERS[cmd.name](cmd, *args)
+            fields, text, found = _HANDLERS[cmd.name](cmd, *args)
             unequal = unequal or found
             if fmt == "json":
                 lines.append(json.dumps(_header(cmd) | fields, sort_keys=True))
             else:
                 # Whole blocks only: a line that fails leaves none of its block.
-                lines.extend(list(text_lines))
+                lines.extend(list(text()))
     except InternalError as exc:
         lines.append(_error_line(fmt, "internal", str(exc)))
         return EXIT_INTERNAL, lines

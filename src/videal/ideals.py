@@ -255,7 +255,8 @@ class PrimeSupport:
 
     @property
     def var_names(self) -> tuple[str, ...]:
-        return tuple(self.ring.vars[i] for i in self.indices)
+        names = self.ring.vars
+        return tuple([names[i] for i in self.indices])
 
     def as_ideal(self) -> MonomialIdeal:
         # Unit vectors in increasing index order are already canonical.

@@ -13,11 +13,17 @@ Command arguments are named key=value pairs (kind, k, cap) plus
 positional ideal names; ``colon`` additionally accepts a monomial.  The
 command table ``_SIGNATURES`` gives each command's arguments and the
 defaults of its optional ones.  All errors carry a line:column position.
+
+Tokens carry no position: the scanner yields (kind, text) pairs, and a
+position is computed only when an error is raised, by scanning the text
+again up to the failing token.  Only a line feed breaks lines; a
+carriage return, form feed, NEL or Unicode line separator is whitespace
+one column wide.
 """
 
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, NoReturn
+from typing import NoReturn
 
 from .errors import ParseError
 from .filtrations import FiltrationKind
@@ -26,13 +32,13 @@ from .rings import Monomial, Ring
 
 KINDS = {kind.value: kind for kind in FiltrationKind}
 
-# The lexical grammar, one alternative per token class.  \d is a Unicode
-# decimal digit (str.isdecimal) and \w is str.isalnum() or "_"; a name
-# must also start with a letter or "_", which _tokenize checks.
+# The lexical grammar, one alternative per token class; a match with no
+# group set is whitespace or a comment.  \d is a Unicode decimal digit
+# (str.isdecimal) and \w is str.isalnum() or "_"; a name must also start
+# with a letter or "_", which _tokenize checks.
 _SCANNER = re.compile(
     r"""
-      (?P<newline> \n )
-    | [^\S\n]+                  # other whitespace: no token
+      \s+                       # whitespace: no token
     | \#[^\n]*                  # comment: no token
     | (?P<nat> \d+ )
     | (?P<name> \w+ )
@@ -43,35 +49,38 @@ _SCANNER = re.compile(
 )
 
 
-class Token(NamedTuple):
-    kind: str  # "name" | "nat" | one-character punctuation | "eof"
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    for m in _SCANNER.finditer(text):
-        kind = m.lastgroup
-        if kind is None:  # whitespace or a comment
-            continue
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        tok = m.group()
-        col = m.start() - line_start + 1
-        if kind == "punct":
-            kind = tok
-        elif kind == "other" or (kind == "name" and not (tok[0].isalpha() or tok[0] == "_")):
-            raise ParseError(f"unexpected character {tok[0]!r}", line, col)
-        tokens.append(Token(kind, tok, line, col))
-    # A comment on the last line runs to the end; input ends where it starts.
-    end = text.find("#", line_start)
-    tokens.append(Token("eof", "", line, (len(text) if end < 0 else end) - line_start + 1))
+def _tokenize(text: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of text, ending with ("eof", ""); kind is
+    "name", "nat" or the punctuation character itself.  A token is known
+    by its index; _position finds where it starts."""
+    tokens: list[tuple[str, str]] = []
+    for nat, name, punct, other in _SCANNER.findall(text):
+        if punct:
+            tokens.append((punct, punct))
+        elif name:
+            if not (name[0].isalpha() or name[0] == "_"):
+                raise ParseError(f"unexpected character {name[0]!r}", *_position(text, len(tokens)))
+            tokens.append(("name", name))
+        elif nat:
+            tokens.append(("nat", nat))
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", *_position(text, len(tokens)))
+    tokens.append(("eof", ""))
     return tokens
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The (line, col) where token index of text starts, by scanning the
+    text again.  Past the last token is the end of input: the end of the
+    last line, or where a comment on it starts."""
+    starts = [m.start() for m in _SCANNER.finditer(text) if m.lastindex]
+    if index < len(starts):
+        start = starts[index]
+    else:
+        start = text.find("#", text.rfind("\n") + 1)
+        if start < 0:
+            start = len(text)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,41 +120,45 @@ _SIGNATURES: dict[str, tuple[int, tuple[str, ...], dict[str, int]]] = {
 
 
 class _Parser:
+    """Recursive descent over the token list.  self.pos is the index of
+    the next token; a token is named by its index, and fail() turns one
+    into a line:column position."""
+
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.rings: dict[str, Ring] = {}
         self.session = Session()
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
+    def advance(self) -> int:
+        """Consumes the next token; returns its index."""
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-            )
-        return self.advance()
+    def expect(self, kind: str, what: str) -> str:
+        """Consumes the next token, which must be of this kind; returns its text."""
+        found, text = self.tokens[self.pos]
+        if found != kind:
+            self.fail(f"expected {what}, found {text or 'end of input'!r}", self.pos)
+        self.pos += 1
+        return text
 
-    def fail(self, message: str, tok: Token) -> NoReturn:
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, at: int) -> NoReturn:
+        raise ParseError(message, *_position(self.text, at))
 
     def parse(self) -> Session:
-        while self.peek().kind != "eof":
-            tok = self.peek()
-            if tok.kind != "name":
-                self.fail(f"expected a statement, found {tok.text!r}", tok)
-            if tok.text == "ring":
+        while self.peek() != "eof":
+            kind, text = self.tokens[self.pos]
+            if kind != "name":
+                self.fail(f"expected a statement, found {text!r}", self.pos)
+            if text == "ring":
                 self.ring_decl()
-            elif tok.text == "ideal":
+            elif text == "ideal":
                 self.ideal_decl()
             else:
                 self.command()
@@ -153,200 +166,190 @@ class _Parser:
 
     def ring_decl(self):
         self.advance()  # ring
-        name_tok = self.expect("name", "a ring name")
-        if name_tok.text in self.rings:
-            self.fail(f"ring {name_tok.text!r} already declared", name_tok)
+        name = self.expect("name", "a ring name")
+        if name in self.rings:
+            self.fail(f"ring {name!r} already declared", self.pos - 1)
         self.expect("=", "'='")
         self.expect("[", "'['")
         vars: list[str] = []
         while True:
-            var_tok = self.expect("name", "a variable name")
-            if var_tok.text in vars:
-                self.fail(f"duplicate variable {var_tok.text!r}", var_tok)
-            vars.append(var_tok.text)
-            tok = self.advance()
-            if tok.kind == "]":
+            var = self.expect("name", "a variable name")
+            if var in vars:
+                self.fail(f"duplicate variable {var!r}", self.pos - 1)
+            vars.append(var)
+            at = self.advance()
+            if self.tokens[at][0] == "]":
                 break
-            if tok.kind != ",":
-                self.fail("expected ',' or ']' in variable list", tok)
+            if self.tokens[at][0] != ",":
+                self.fail("expected ',' or ']' in variable list", at)
         self.expect(";", "';'")
-        self.rings[name_tok.text] = Ring(name_tok.text, tuple(vars))
+        self.rings[name] = Ring(name, tuple(vars))
 
     def ideal_decl(self):
         self.advance()  # ideal
-        name_tok = self.expect("name", "an ideal name")
-        if name_tok.text in self.session.ideals:
-            self.fail(f"ideal {name_tok.text!r} already declared", name_tok)
-        in_tok = self.expect("name", "'in'")
-        if in_tok.text != "in":
-            self.fail("expected 'in' after the ideal name", in_tok)
-        ring_tok = self.expect("name", "a ring name")
-        ring = self.rings.get(ring_tok.text)
+        name = self.expect("name", "an ideal name")
+        if name in self.session.ideals:
+            self.fail(f"ideal {name!r} already declared", self.pos - 1)
+        if self.expect("name", "'in'") != "in":
+            self.fail("expected 'in' after the ideal name", self.pos - 1)
+        ring_name = self.expect("name", "a ring name")
+        ring = self.rings.get(ring_name)
         if ring is None:
-            self.fail(f"unknown ring {ring_tok.text!r}", ring_tok)
+            self.fail(f"unknown ring {ring_name!r}", self.pos - 1)
         self.expect("=", "'='")
         self.expect("(", "'('")
         exps: list[tuple[int, ...]] = []
-        if self.peek().kind == ")":
+        if self.peek() == ")":
             self.advance()
         else:
             while True:
                 exps.append(self.mono_exp(ring))
-                tok = self.advance()
-                if tok.kind == ")":
+                at = self.advance()
+                if self.tokens[at][0] == ")":
                     break
-                if tok.kind != ",":
-                    self.fail("expected ',' or ')' in generator list", tok)
+                if self.tokens[at][0] != ",":
+                    self.fail("expected ',' or ')' in generator list", at)
         self.expect(";", "';'")
-        self.session.ideals[name_tok.text] = from_exps(ring, exps)
+        self.session.ideals[name] = from_exps(ring, exps)
 
     def mono_exp(self, ring: Ring) -> tuple[int, ...]:
         """mono := "1" | term ("*" term)*  with term := NAME ("^" NAT)?"""
         vec = [0] * ring.nvars
-        tok = self.peek()
-        if tok.kind == "nat":
-            if tok.text != "1":
-                self.fail("the only numeric monomial is 1 (write () for the zero ideal)", tok)
+        kind, text = self.tokens[self.pos]
+        if kind == "nat":
+            if text != "1":
+                self.fail("the only numeric monomial is 1 (write () for the zero ideal)", self.pos)
             self.advance()
             return tuple(vec)
         while True:
-            var_tok = self.expect("name", "a variable name")
-            if var_tok.text not in ring.vars:
-                self.fail(
-                    f"variable {var_tok.text!r} is not in ring {ring.name!r}", var_tok
-                )
+            var = self.expect("name", "a variable name")
+            if var not in ring.vars:
+                self.fail(f"variable {var!r} is not in ring {ring.name!r}", self.pos - 1)
             exp = 1
-            if self.peek().kind == "^":
+            if self.peek() == "^":
                 self.advance()
-                exp = self.nat(self.expect("nat", "an exponent"))
-            vec[ring.index(var_tok.text)] += exp
-            if self.peek().kind == "*":
+                self.expect("nat", "an exponent")
+                exp = self.nat(self.pos - 1)
+            vec[ring.index(var)] += exp
+            if self.peek() == "*":
                 self.advance()
                 continue
             return tuple(vec)
 
-    def hyphenated(self, tok: Token, rest: str) -> Token:
-        """The name tok joined with any following "-name" parts
-        (verify-expansion, symb-ass); rest names a missing part."""
-        text = tok.text
-        while self.peek().kind == "-":
+    def hyphenated(self, text: str, rest: str) -> str:
+        """text, a name just read, joined with any following "-name"
+        parts (verify-expansion, symb-ass); rest names a missing part."""
+        while self.peek() == "-":
             self.advance()
-            text += "-" + self.expect("name", rest).text
-        return Token("name", text, tok.line, tok.col)
+            text += "-" + self.expect("name", rest)
+        return text
 
-    def value_token(self) -> Token:
-        """A key=value right-hand side; kind values may be hyphenated."""
-        tok = self.advance()
-        if tok.kind == "nat":
-            return tok
-        if tok.kind != "name":
-            self.fail(f"expected a value, found {tok.text!r}", tok)
-        return self.hyphenated(tok, "the rest of the value")
+    def value(self) -> tuple[int, str]:
+        """A key=value right-hand side as (index, text): a nat, or a name
+        that may be hyphenated (kind values)."""
+        at = self.advance()
+        kind, text = self.tokens[at]
+        if kind == "nat":
+            return at, text
+        if kind != "name":
+            self.fail(f"expected a value, found {text!r}", at)
+        return at, self.hyphenated(text, "the rest of the value")
 
     def command(self):
-        head = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
-        if head.text not in _SIGNATURES:
-            self.fail(f"unknown command {head.text!r}", head)
-        arity, required, defaults = _SIGNATURES[head.text]
-        named: dict[str, Token] = {}
+        head = self.pos
+        name = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
+        if name not in _SIGNATURES:
+            self.fail(f"unknown command {name!r}", head)
+        arity, required, defaults = _SIGNATURES[name]
+        named: dict[str, tuple[int, str]] = {}
         ideals: list[str] = []
         mono_val: Monomial | None = None
-        while self.peek().kind != ";":
-            tok = self.peek()
-            if tok.kind == "eof":
-                self.fail("unterminated command; expected ';'", tok)
-            if tok.kind == "name" and self.tokens[self.pos + 1].kind == "=":
-                key_tok = self.advance()
-                self.advance()  # '='
-                if key_tok.text not in required and key_tok.text not in defaults:
-                    self.fail(
-                        f"command {head.text!r} takes no argument {key_tok.text!r}",
-                        key_tok,
-                    )
-                if key_tok.text in named:
-                    self.fail(f"duplicate argument {key_tok.text!r}", key_tok)
-                named[key_tok.text] = self.value_token()
+        while self.peek() != ";":
+            kind, text = self.tokens[self.pos]
+            if kind == "eof":
+                self.fail("unterminated command; expected ';'", self.pos)
+            if kind == "name" and self.tokens[self.pos + 1][0] == "=":
+                key = self.pos
+                self.pos += 2  # the key and '='
+                if text not in required and text not in defaults:
+                    self.fail(f"command {name!r} takes no argument {text!r}", key)
+                if text in named:
+                    self.fail(f"duplicate argument {text!r}", key)
+                named[text] = self.value()
                 continue
             # Positional argument: an ideal name, or (for colon) a monomial.
-            if head.text == "colon" and len(ideals) == 1 and mono_val is None:
+            if name == "colon" and len(ideals) == 1 and mono_val is None:
                 base_ring = self.session.ideals[ideals[0]].ring
-                lookahead = self.tokens[self.pos + 1]
                 if (
-                    tok.kind == "name"
-                    and tok.text in self.session.ideals
-                    and lookahead.kind not in ("^", "*")
+                    kind == "name"
+                    and text in self.session.ideals
+                    and self.tokens[self.pos + 1][0] not in ("^", "*")
                 ):
                     # A bare declared-ideal name means the ideal colon;
                     # anything else is a monomial in the first ideal's ring.
                     self.advance()
-                    ideals.append(tok.text)
+                    ideals.append(text)
                 else:
                     mono_val = Monomial(base_ring, self.mono_exp(base_ring))
                 continue
-            if tok.kind != "name" or len(ideals) >= arity:
-                self.fail(
-                    f"unexpected argument {tok.text!r} for command {head.text!r}", tok
-                )
-            self.advance()
-            if tok.text not in self.session.ideals:
-                self.fail(f"unknown ideal {tok.text!r}", tok)
-            ideals.append(tok.text)
+            if kind != "name" or len(ideals) >= arity:
+                self.fail(f"unexpected argument {text!r} for command {name!r}", self.pos)
+            at = self.advance()
+            if text not in self.session.ideals:
+                self.fail(f"unknown ideal {text!r}", at)
+            ideals.append(text)
         self.advance()  # ';'
-        if head.text == "colon":
+        if name == "colon":
             if not (len(ideals) == 2 or (len(ideals) == 1 and mono_val is not None)):
-                self.fail(
-                    "colon needs an ideal and a monomial (or a second ideal)", head
-                )
+                self.fail("colon needs an ideal and a monomial (or a second ideal)", head)
         elif len(ideals) != arity:
             self.fail(
-                f"command {head.text!r} needs {arity} ideal argument(s), got {len(ideals)}",
+                f"command {name!r} needs {arity} ideal argument(s), got {len(ideals)}",
                 head,
             )
-        missing = sorted(key for key in required if key not in named)
+        missing = sorted([key for key in required if key not in named])
         if missing:
             self.fail(
-                f"command {head.text!r} is missing argument(s): {', '.join(missing)}",
+                f"command {name!r} is missing argument(s): {', '.join(missing)}",
                 head,
             )
-        kind = None
+        filtration = None
         if "kind" in named:
-            kind_tok = named["kind"]
-            kind = KINDS.get(kind_tok.text)
-            if kind is None:
+            at, text = named["kind"]
+            filtration = KINDS.get(text)
+            if filtration is None:
                 self.fail(
-                    f"unknown kind {kind_tok.text!r} (expected one of: "
-                    f"{', '.join(sorted(KINDS))})",
-                    kind_tok,
+                    f"unknown kind {text!r} (expected one of: {', '.join(sorted(KINDS))})",
+                    at,
                 )
-            if head.text == "symb" and kind not in (
+            if name == "symb" and filtration not in (
                 FiltrationKind.SYMBOLIC_ASS,
                 FiltrationKind.SYMBOLIC_MIN,
             ):
-                self.fail("symb takes kind=symb-ass or kind=symb-min", kind_tok)
+                self.fail("symb takes kind=symb-ass or kind=symb-min", at)
         k = self.nat_arg(named, "k", defaults)
         cap = self.nat_arg(named, "cap", defaults)
-        self.session.commands.append(
-            Command(head.text, tuple(ideals), mono_val, kind, k, cap)
-        )
+        self.session.commands.append(Command(name, tuple(ideals), mono_val, filtration, k, cap))
 
     def nat_arg(
-        self, named: dict[str, Token], key: str, defaults: dict[str, int]
+        self, named: dict[str, tuple[int, str]], key: str, defaults: dict[str, int]
     ) -> int | None:
         """The value given for key, else its default (None if it has none)."""
-        tok = named.get(key)
-        if tok is None:
+        if key not in named:
             return defaults.get(key)
-        if tok.kind != "nat":
-            self.fail(f"argument {key} must be a natural number", tok)
-        return self.nat(tok)
+        at = named[key][0]
+        if self.tokens[at][0] != "nat":
+            self.fail(f"argument {key} must be a natural number", at)
+        return self.nat(at)
 
-    def nat(self, tok: Token) -> int:
-        """The value of a nat token.  Its text is decimal digits, so int()
+    def nat(self, at: int) -> int:
+        """The value of nat token at.  Its text is decimal digits, so int()
         fails only past the interpreter's limit on digits in a conversion."""
+        text = self.tokens[at][1]
         try:
-            return int(tok.text)
+            return int(text)
         except ValueError:
-            self.fail(f"number too long ({len(tok.text)} digits)", tok)
+            self.fail(f"number too long ({len(text)} digits)", at)
 
 
 def parse_session(text: str) -> Session:

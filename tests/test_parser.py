@@ -6,12 +6,18 @@ from oracles import scan_chars
 from videal.errors import ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import ideal
-from videal.parser import _tokenize, parse_session
+from videal.parser import _position, _tokenize, parse_session
 from videal.rings import make_ring, mono
 
 
 def parse_one(text):
     return parse_session(text)
+
+
+def positioned(text):
+    """_tokenize's tokens as (kind, text, line, col), the last one eof."""
+    return [(kind, tok, *_position(text, index))
+            for index, (kind, tok) in enumerate(_tokenize(text))]
 
 
 def test_minimal_session():
@@ -157,8 +163,36 @@ def test_position_tracking_across_lines():
 
 def test_end_of_input_after_trailing_comment():
     # A comment produces no token; input ends at the column where it starts.
-    assert _tokenize("vnum I; # done")[-1] == ("eof", "", 1, 9)
-    assert _tokenize("# one\nvnum I;")[-1] == ("eof", "", 2, 8)
+    assert positioned("vnum I; # done")[-1] == ("eof", "", 1, 9)
+    assert positioned("# one\nvnum I;")[-1] == ("eof", "", 2, 8)
+
+
+@pytest.mark.parametrize("sep", ["\r", "\x0b", "\x0c", "\x1c", "\u0085", "\u2028", "\u2029"])
+def test_only_line_feed_breaks_lines(sep):
+    # These are whitespace, and str.splitlines would break a line at each;
+    # the scanner counts them as one column.
+    text = f"vnum{sep}I;{sep}\r\nvnum J;{sep}# x{sep}y"
+    assert positioned(text) == [
+        ("name", "vnum", 1, 1), ("name", "I", 1, 6), (";", ";", 1, 7),
+        ("name", "vnum", 2, 1), ("name", "J", 2, 6), (";", ";", 2, 7),
+        ("eof", "", 2, 9),
+    ]
+    with pytest.raises(ParseError) as err:
+        parse_session(f"ring A = [x];{sep}{sep}\r\n{sep}ideal I in B = (x);")
+    assert (err.value.line, err.value.col) == (2, 13)
+
+
+def test_error_on_the_last_token_of_a_long_session():
+    header = "ring A = [x, y]; ideal I in A = (x^2, x*y);\n"
+    text = header + "vnum I;\n" * 4998 + "vnum I I;"
+    with pytest.raises(ParseError) as err:
+        parse_session(text)
+    assert err.value.message == "unexpected argument 'I' for command 'vnum'"
+    assert (err.value.line, err.value.col) == (5000, 8)
+    with pytest.raises(ParseError) as err:
+        parse_session(text[:-3])
+    assert err.value.message == "unterminated command; expected ';'"
+    assert (err.value.line, err.value.col) == (5000, 7)
 
 
 @pytest.mark.parametrize(
@@ -231,7 +265,7 @@ def test_scanner_matches_character_loop(text):
             _tokenize(text)
         return
     try:
-        new = [tuple(tok) for tok in _tokenize(text)]
+        new = positioned(text)
     except ParseError as exc:
         assert (exc.message, exc.line, exc.col) == old_error
     else:

@@ -1,7 +1,7 @@
 """The public surface of ``videal`` is the README's contract.
 
 README's "API" section lists every export by the module that provides
-it, and must equal ``videal.__all__`` without its submodules.  Its
+it, and must equal ``videal.__all__``, which holds no submodule.  Its
 "Library use" example must run and print what it promises.  The library
 calls that no CLI command and no part of the README needed stay gone.
 """
@@ -39,12 +39,20 @@ def _api_list() -> dict[str, list[str]]:
 
 
 def test_the_readme_api_list_is_the_package_exports():
-    exports = {name for name in videal.__all__
-               if not isinstance(getattr(videal, name), types.ModuleType)}
+    exports = set(videal.__all__)
     listed = [name for names in _api_list().values() for name in names]
     assert len(listed) == len(set(listed)), "a name is listed twice"
     assert set(listed) - exports == set(), "listed in README but not exported"
     assert exports - set(listed) == set(), "exported but not listed in README"
+
+
+def test_no_export_is_a_module():
+    modules = [name for name in videal.__all__
+               if isinstance(getattr(videal, name), types.ModuleType)]
+    assert modules == []
+    namespace: dict = {}
+    exec("from videal import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(videal.__all__)
 
 
 def test_each_listed_name_comes_from_its_module():
