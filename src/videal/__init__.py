@@ -47,7 +47,6 @@ from .filtrations import (
 from .ideals import (
     MonomialIdeal,
     PrimeSupport,
-    as_prime,
     colon_ideal,
     colon_monomial,
     ideal,
@@ -67,8 +66,6 @@ from .rings import (
     join_rings,
     make_ring,
     mono,
-    monomials_of_degree,
-    monomials_up_to_degree,
 )
 from .vnumbers import VReport, local_v, v_number
 

@@ -74,10 +74,12 @@ back to a.
 The witness table ``_witnesses`` runs the search on those corners once,
 and stores one finished ``VReport`` per associated prime.  Every witness
 is certified when the table is built, whichever reader comes first: by
-the colon rule on G(a), which reads the quotients u / gcd(u, f), then
-by membership, which asks only whether monomials lie in a: x_i f does
-for every i in P, and f with every coordinate outside P set to top - 1
-does not.  Neither builds the colon ideal.
+the colon rule on G(a) (``_colon_prime``, which reads the quotients
+u / gcd(u, f) and is also the per-monomial test of the bounded
+``filtrations.check_filtration_property``), then by membership, which
+asks only whether monomials lie in a: x_i f does for every i in P, and
+f with every coordinate outside P set to top - 1 does not.  Neither
+builds the colon ideal.
 ``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
 ``expansion`` only read the stored reports.
 """
@@ -251,25 +253,34 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(components)
 
 
-def _colon_is_prime(
-    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], support: set[int]
-) -> bool:
-    """Whether a : f = p, for G(a) = gens and p = (x_i : i in support).
+def _colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The support, in increasing order, of the prime p with a : f = p,
+    for G(a) = gens; None if a : f is not a monomial prime.
 
-    a : f is generated by the quotients u / gcd(u, f), u in gens.  It lies
-    in p iff every quotient has a positive exponent on some x_i of p.
-    Then it contains p iff every x_i of p is itself a quotient: a quotient
-    dividing x_i is 1 or x_i, and 1 does not lie in p.
+    a : f is generated by the quotients u / gcd(u, f), u in gens.  Let H
+    be the set of i for which x_i is itself a quotient.  Then a : f = p
+    iff H is the support of p: a minimal generator x_i of p is a quotient,
+    and a quotient x_i lies in p.  So a : f is a prime exactly when H is
+    non-empty and every quotient has a positive exponent on some x_i with
+    i in H.  A quotient of 1 means f lies in a, and a : f is the whole ring.
     """
     hit = set()
+    others = []
     for u in gens:
         # The variables with a positive exponent in u / gcd(u, f).
         over = [i for i, e in enumerate(u) if e > f[i]]
-        if support.isdisjoint(over):
-            return False
+        if not over:
+            return None
         if len(over) == 1 and u[over[0]] == f[over[0]] + 1:
             hit.add(over[0])
-    return len(hit) == len(support)
+        else:
+            others.append(over)
+    if not hit:
+        return None
+    for over in others:
+        if hit.isdisjoint(over):
+            return None
+    return tuple(sorted(hit))
 
 
 def _membership_certifies(
@@ -450,7 +461,7 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
             if best_degree is None or degree < best_degree or f > best:
                 best_degree, best = degree, f
         p = PrimeSupport(a.ring, indices)
-        if best is None or not _colon_is_prime(gens, best, set(indices)):
+        if best is None or _colon_prime(gens, best) != indices:
             raise InternalError(f"no colon witness for {p} in Ass({a})")
         if not _membership_certifies(gens, best, indices):
             raise InternalError(f"witness certification failed for {p} in Ass({a})")

@@ -31,20 +31,12 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _components_inside, _require_proper_nonzero
+from .decomposition import _colon_prime, _components_inside, _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
-from .ideals import (
-    MonomialIdeal,
-    PrimeSupport,
-    as_prime,
-    colon_monomial,
-    is_squarefree,
-    power,
-    unit_ideal,
-)
+from .ideals import MonomialIdeal, PrimeSupport, is_squarefree, power, unit_ideal
 from .lp import _newton_facets
-from .rings import Monomial, canonical_sort, monomials_up_to_degree
+from .rings import Monomial, canonical_sort, exps_of_degree
 
 
 class FiltrationKind(str, Enum):
@@ -200,6 +192,10 @@ class PropertyCheckReport:
     For every monomial f up to the degree cap whose colon out of the k-th
     member is a prime, the witness must already lie in the (k-1)-st
     member.  This is an enumeration up to deg_cap, not a proof.
+    ``witnesses`` lists each such f in increasing canonical order with its
+    prime, read off the generators of the k-th member by the colon rule
+    of ``decomposition._colon_prime``, without building the colon ideal;
+    ``violations`` lists those of them outside the (k-1)-st member.
     """
 
     kind: FiltrationKind
@@ -213,7 +209,9 @@ class PropertyCheckReport:
         return not self.violations
 
 
-MAX_PROPERTY_MONOMIALS = 1_000_000  # about 25 s of colon checks, at 25 us each
+# About 17 s of colon-rule checks, at 17 us a monomial: measured on the
+# 10-generator square of a 4-generator ideal in 35 variables.
+MAX_PROPERTY_MONOMIALS = 1_000_000
 
 
 def check_filtration_property(
@@ -229,15 +227,18 @@ def check_filtration_property(
                           f"{MAX_PROPERTY_MONOMIALS:,} monomials; lower the degree cap")
     member = filtration_member(kind, a, k)
     previous = filtration_member(kind, a, k - 1)
+    gens = member.exps()
     witnesses: list[tuple[Monomial, PrimeSupport]] = []
     violations: list[Monomial] = []
-    for f in monomials_up_to_degree(a.ring, deg_cap):
-        p = as_prime(colon_monomial(member, f))
-        if p is None:
-            continue
-        witnesses.append((f, p))
-        if not previous.contains(f):
-            violations.append(f)
+    for d in range(deg_cap + 1):
+        for f in exps_of_degree(a.ring.nvars, d):
+            indices = _colon_prime(gens, f)
+            if indices is None:
+                continue
+            witness = Monomial(a.ring, f)
+            witnesses.append((witness, PrimeSupport(a.ring, indices)))
+            if not previous.contains(witness):
+                violations.append(witness)
     return PropertyCheckReport(kind, k, deg_cap, tuple(witnesses), tuple(violations))
 
 

@@ -276,14 +276,5 @@ def prime_support(ring: Ring, var_names: Iterable[str]) -> PrimeSupport:
     return PrimeSupport(ring, tuple(sorted(ring.index(v) for v in var_names)))
 
 
-def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
-    """The prime support of a, or None if a is not a monomial prime."""
-    exps = a.exps()
-    if not exps or any(sum(u) != 1 for u in exps):
-        return None
-    # Canonical order lists the variables x_i in increasing index i.
-    return PrimeSupport(a.ring, tuple(u.index(1) for u in exps))
-
-
 def is_squarefree(a: MonomialIdeal) -> bool:
     return all(e <= 1 for u in a.exps() for e in u)

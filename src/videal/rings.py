@@ -171,13 +171,3 @@ def exps_of_degree(nvars: int, d: int) -> Iterator[tuple[int, ...]]:
         vec[i] -= 1
         vec[i + 1] = tail + 1
 
-
-def monomials_of_degree(ring: Ring, d: int) -> Iterator[Monomial]:
-    for exp in exps_of_degree(ring.nvars, d):
-        yield Monomial(ring, exp)
-
-
-def monomials_up_to_degree(ring: Ring, cap: int) -> Iterator[Monomial]:
-    """All monomials of degree <= cap, in increasing canonical order."""
-    for d in range(cap + 1):
-        yield from monomials_of_degree(ring, d)

@@ -4,7 +4,8 @@ Each oracle answers by direct enumeration of the defining condition, or
 by an older algorithm the library replaced, so it shares no code path
 with the operation it cross-checks.  A few helpers the tests build
 instances with live here too, since the library never needs them:
-``mul``, ``embed``, ``localize`` and ``random_ntf_pair``.
+``mul``, ``embed``, ``localize``, ``random_ntf_pair`` and the monomial
+enumerations ``monomials_of_degree`` and ``monomials_up_to_degree``.
 """
 
 import random
@@ -16,18 +17,16 @@ from operator import le, lt, sub
 from operator import mul as times
 from typing import Iterable, Sequence
 
-from videal.decomposition import _colon_is_prime, _corner_set, associated_primes, minimal_primes
+from videal.decomposition import _corner_set, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
 from videal.filtrations import FiltrationKind, filtration_member, normally_torsion_free
 from videal.ideals import (
     MonomialIdeal,
     PrimeSupport,
-    as_prime,
     colon_monomial,
     from_exps,
     intersect_all,
-    intersect_exps,
     power,
     sum_ideals,
     unit_ideal,
@@ -38,7 +37,6 @@ from videal.rings import (
     Ring,
     check_same_ring,
     divides_exp,
-    monomials_up_to_degree,
     mul_exp,
 )
 from videal.vnumbers import VReport, local_v
@@ -111,6 +109,31 @@ def recursive_exps_of_degree(nvars: int, d: int):
             yield (e,) + rest
 
 
+def monomials_of_degree(ring: Ring, d: int):
+    """All monomials of degree d, in canonical order, enumerated by
+    ``recursive_exps_of_degree``: a copy of the library call that no CLI
+    command needed."""
+    for exp in recursive_exps_of_degree(ring.nvars, d):
+        yield Monomial(ring, exp)
+
+
+def monomials_up_to_degree(ring: Ring, cap: int):
+    """All monomials of degree <= cap, in increasing canonical order."""
+    for d in range(cap + 1):
+        yield from monomials_of_degree(ring, d)
+
+
+def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
+    """The prime support of a, or None if a is not a monomial prime: the
+    test on a built colon ideal that ``decomposition._colon_prime``
+    replaced."""
+    exps = a.exps()
+    if not exps or any(sum(u) != 1 for u in exps):
+        return None
+    # Canonical order lists the variables x_i in increasing index i.
+    return PrimeSupport(a.ring, tuple(u.index(1) for u in exps))
+
+
 def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
     return tuple(e * m for e in u)
 
@@ -136,6 +159,26 @@ def brute_force_ass(a: MonomialIdeal, deg_cap: int):
         if p is not None:
             primes.add(p)
     return tuple(sorted(primes, key=lambda p: p.indices))
+
+
+def enumerated_property_check(
+    kind: FiltrationKind, a: MonomialIdeal, k: int, deg_cap: int
+) -> tuple[tuple[tuple[Monomial, PrimeSupport], ...], tuple[Monomial, ...]]:
+    """The witnesses and violations of the bounded drop-by-one check, by
+    building the colon ideal of the k-th member by each monomial f of
+    degree <= deg_cap: f is a witness when that colon ideal is a prime,
+    and a violation when it also lies outside the (k-1)-st member."""
+    member = filtration_member(kind, a, k)
+    previous = filtration_member(kind, a, k - 1)
+    witnesses = []
+    violations = []
+    for f in monomials_up_to_degree(a.ring, deg_cap):
+        p = as_prime(colon_monomial(member, f))
+        if p is not None:
+            witnesses.append((f, p))
+            if not previous.contains(f):
+                violations.append(f)
+    return tuple(witnesses), tuple(violations)
 
 
 def same_ideal_up_to(a: MonomialIdeal, b: MonomialIdeal, deg_cap: int) -> bool:
@@ -370,8 +413,10 @@ def brute_force_local_v(
 
 def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     """local_v by the chain of colon parts that the corner search
-    replaced: it builds G(a : p) and returns its first member f (in
-    canonical order) with a : f = p, or raises NoWitnessError."""
+    replaced: it builds G(a : p) with pairwise lcms and returns its first
+    member f (in canonical order) whose colon ideal a : f is p, or raises
+    NoWitnessError.  It calls neither the library's intersection nor its
+    colon rule."""
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
     check_same_ring(a, p)
@@ -388,13 +433,12 @@ def colon_chain_local_v(a: MonomialIdeal, p: PrimeSupport) -> VReport:
     )
     shared = parts[0]
     for part in parts[1:]:
-        shared = intersect_exps(shared, part)
-    support = set(p.indices)
+        shared = pairwise_lcm_intersection(shared, part)
     # G(a : p) lies in G(a) ∪ shared, and members of a fail the test, so
     # the candidates are shared.  It is canonically sorted, so the first
     # survivor is the minimum-degree witness with canonical tie-breaking.
     for f in shared:
-        if _colon_is_prime(gens, f, support):
+        if colon_ideal_certifies(a, f, p.indices):
             return VReport(sum(f), Monomial(a.ring, f), p)
     raise NoWitnessError(
         f"no monomial f satisfies {a} : f = {p}; the prime is not associated"

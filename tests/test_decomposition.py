@@ -289,7 +289,7 @@ def test_irreducible_decomposition_reads_the_memoized_corners(monkeypatch):
     assert calls == [a.exps()]
 
 
-def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_is_prime"):
+def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_prime"):
     """Run Ass, v and local_v on cold caches with the witness table's colon
     check attr replaced by check; each must raise error. (x^2, x*y) has
     Ass {(x), (x, y)}; its table is searched from (x)."""
@@ -304,14 +304,14 @@ def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_i
 
 
 def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
-    def unrelated(gens, f, support):
+    def unrelated(gens, f):
         raise RuntimeError("unrelated")
 
     _certify_with_colon_check(monkeypatch, unrelated, RuntimeError, "unrelated")
 
 
 def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
-    _certify_with_colon_check(monkeypatch, lambda gens, f, support: False,
+    _certify_with_colon_check(monkeypatch, lambda gens, f: None,
                               InternalError, r"no colon witness for \(x\) in Ass")
 
 

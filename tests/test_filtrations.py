@@ -13,6 +13,7 @@ from oracles import (
     all_primes_symbolic_power,
     box_scan_integral_closure,
     certificate_denominator_lcm,
+    enumerated_property_check,
     fibre_scan_minimal_points,
     localize,
     localized_symbolic_power,
@@ -477,6 +478,16 @@ def test_property_check_integral_closure():
     a = ideal(R2, [mono(R2, x=2), mono(R2, y=2)])
     report = check_filtration_property(FiltrationKind.INTEGRAL_CLOSURE, a, 2, 5)
     assert report.passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_ideals(), st.sampled_from(list(FiltrationKind)), st.integers(1, 3), st.integers(0, 5))
+def test_property_check_matches_the_colon_ideal_enumeration(a, kind, k, cap):
+    report = check_filtration_property(kind, a, k, cap)
+    witnesses, violations = enumerated_property_check(kind, a, k, cap)
+    assert report.witnesses == witnesses
+    assert report.violations == violations
+    assert report.passed == (not violations)
 
 
 def test_ntf_path_true_triangle_false():

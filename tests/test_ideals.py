@@ -11,6 +11,7 @@ from oracles import (
     degree_sweep_minimal_exps,
     embed,
     localize,
+    monomials_up_to_degree,
     mul,
     pairwise_lcm_intersection,
     same_ideal_up_to,
@@ -38,7 +39,6 @@ from videal.rings import (
     divides_exp,
     make_ring,
     mono,
-    monomials_up_to_degree,
     mul_exp,
 )
 

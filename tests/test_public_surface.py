@@ -19,9 +19,10 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 
 REMOVED = {
     "expansion": ("binomial_expansion", "theorem_rhs"),
-    "ideals": ("equals", "localize"),
+    "ideals": ("as_prime", "equals", "localize"),
     "randgen": ("random_ntf_pair",),
-    "rings": ("degree", "divides", "embed", "gcd", "gcd_exp", "lcm", "mul", "quotient_by_gcd"),
+    "rings": ("degree", "divides", "embed", "gcd", "gcd_exp", "lcm", "monomials_of_degree",
+              "monomials_up_to_degree", "mul", "quotient_by_gcd"),
 }
 
 

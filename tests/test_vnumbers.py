@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals
-from oracles import brute_force_local_v, colon_chain_local_v
+from oracles import as_prime, brute_force_local_v, colon_chain_local_v
 from videal import decomposition, ideals, vnumbers
-from videal.decomposition import _colon_is_prime, associated_primes
+from videal.decomposition import _colon_prime, associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
 from videal.ideals import (
     PrimeSupport,
@@ -111,7 +111,6 @@ def test_v_number_is_min_of_local_values(a):
 def test_colon_rule_matches_the_colon_ideal(data):
     a = data.draw(small_ideals(max_vars=4))
     n = a.ring.nvars
-    chosen = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
     associated = data.draw(st.sampled_from(associated_primes(a)))
     # A witness, a member of a, and an arbitrary monomial.
     witness = local_v(a, associated).witness.exp
@@ -120,10 +119,11 @@ def test_colon_rule_matches_the_colon_ideal(data):
         data.draw(exponent_vectors(n, max_exp=2, nonzero=False)),
     )
     other = data.draw(exponent_vectors(n, max_exp=4, nonzero=False))
-    for p in (PrimeSupport(a.ring, tuple(sorted(chosen))), associated):
-        for f in (witness, member, other):
-            expected = colon_monomial(a, Monomial(a.ring, f)) == p.as_ideal()
-            assert _colon_is_prime(a.exps(), f, set(p.indices)) == expected
+    for f in (witness, member, other):
+        prime = as_prime(colon_monomial(a, Monomial(a.ring, f)))
+        assert _colon_prime(a.exps(), f) == (None if prime is None else prime.indices)
+    assert _colon_prime(a.exps(), witness) == associated.indices
+    assert _colon_prime(a.exps(), member) is None
 
 
 def _answer(search, a, p):
