@@ -65,28 +65,33 @@ lexicographically greatest) is certified twice on G(a): by the colon
 rule, then by membership.
 
 Two memos hold the work per ideal, and both store only immutable
-values.  ``_corner_set`` keeps the corners of a as a tuple, each with its
-support as a bit mask, computed once; ``irreducible_decomposition`` and
-the symbolic powers' filter ``_components_inside`` read them from there.
-Every ideal's corners, a symbolic member's included, come from the
-sweep, and are checked by the sweep the other way: they must intersect
-back to a.
+values.  ``_corner_set`` keeps the corners of a as a tuple of packed
+ints, one per corner, exactly as the sweep returns them, with top and
+each corner's support as a bit mask.  Nothing else reads tuples: the
+intersect-back check meets those ints and compares the meet, as a set,
+with G(a) packed once; the symbolic powers' filter
+``_components_inside`` meets the kept ints; only ``_witnesses`` and
+``irreducible_decomposition`` unpack the corners, for one build.  Every
+ideal's corners, a symbolic member's included, come from the sweep, and
+are checked by the sweep the other way: they must intersect back to a.
 The witness table ``_witnesses`` runs the search on those corners once,
 and stores one finished ``VReport`` per associated prime.  Every witness
-is certified when the table is built, whichever reader comes first: by
-the colon rule on G(a) (``_colon_prime``, which reads the quotients
-u / gcd(u, f) and is also the per-monomial test of the bounded
-``filtrations.check_filtration_property``), then by membership, which
-asks only whether monomials lie in a: x_i f does for every i in P, and
-f with every coordinate outside P set to top - 1 does not.  Neither
-builds the colon ideal.
+is certified when the table is built, whichever reader comes first, on
+G(a) and the witness packed on the corners' lanes: by the colon rule
+(``_colon_prime``, which reads the quotients u / gcd(u, f) with a few
+integer operations per generator, and is also the per-monomial test of
+the bounded ``filtrations.check_filtration_property``), then by
+membership, which asks only whether monomials lie in a: x_i f does for
+every i in P, and f with every coordinate outside P set to top - 1 does
+not.  A witness has every coordinate at most top - 1, so x_i f stays
+within the lanes.  Neither certificate builds the colon ideal.
 ``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
 ``expansion`` only read the stored reports.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, le, sub
+from operator import add, sub
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -119,46 +124,65 @@ def _require_proper_nonzero(a: MonomialIdeal) -> None:
         raise ImproperIdealError(f"operation requires a proper nonzero ideal, got the {kind} ideal")
 
 
-def _intersect_corners(
-    corners: Sequence[tuple[int, ...]], top: int, reflect: bool = False
-) -> list[tuple[int, ...]]:
-    """Minimal generators of the intersection of the components of the
-    given corners (every corner entry at most top), in sweep order.  With
-    reflect, each given vector v stands for the corner top - v, and each
-    generator u is returned as top - u.
-
-    Every vector is packed into one int, coordinate i in the lane of W =
-    top.bit_length() + 1 bits at shift i * W, whose high bit is a guard
-    bit; G is the mask of the guard bits.  Every lane value is at most
-    top < 2^(W - 1), so in (u | G) - b lane i holds u_i + 2^(W - 1) - b_i,
-    which lies in [1, 2^W): no borrow crosses a lane, and the guard bit
-    survives iff b_i <= u_i.  So "some b_i <= u_i" is ((u | G) - b) & G
-    != 0, "m divides e" is ((e | G) - m) & G == G, and raising lane i to
-    b_i is (u & ~lane_i) | (b_i << i * W).  A vector of the meet also
-    carries its degree in the bits above the lanes, which no guard test
-    reads, so its int sorts by degree first.  Vectors are unpacked to
-    tuples once, on the way out.  ``ideals.minimal_exps`` keeps its own
-    sweep on tuples: it sees each vector once, so packing costs it more
-    than it saves.
-    """
-    width = top.bit_length() + 1
-    lane = (1 << width) - 1
-    # The lanes fill the bits below high, and the degree sits above them.
-    high = len(corners[0]) * width
-    shifts = range(0, high, width)
-    guard = ((1 << high) - 1) // lane << (width - 1)
+def _pack(vectors: Iterable[Sequence[int]], width: int) -> list[int]:
+    """Each vector as one int, coordinate i in the lane at shift i * width."""
     packed = []
-    for b in corners:
+    for b in vectors:
         # A plain loop: a call or a comprehension per vector costs more.
         v = 0
         for e in reversed(b):
             v = v << width | e
         packed.append(v)
+    return packed
+
+
+def _unpack(packed: Iterable[int], n: int, width: int) -> list[tuple[int, ...]]:
+    """The n coordinates of each packed vector, as a tuple."""
+    lane = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    return [tuple([v >> s & lane for s in shifts]) for v in packed]
+
+
+def _guard(n: int, width: int) -> int:
+    """The guard bits of n lanes of width bits: the high bit of each."""
+    return ((1 << n * width) - 1) // ((1 << width) - 1) << (width - 1)
+
+
+def _intersect_corners(corners: Sequence[int], top: int, n: int, reflect: bool = False) -> list[int]:
+    """Minimal generators of the intersection of the components of the
+    given packed corners of n coordinates (every entry at most top), in
+    sweep order.  With reflect, each given vector v stands for the corner
+    top - v, and each generator u is returned as top - u.
+
+    A vector packs into one int, coordinate i in the lane of W =
+    top.bit_length() + 1 bits at shift i * W, whose high bit is a guard
+    bit (``_pack``); G is the mask of the guard bits.  Every lane value is
+    at most top < 2^(W - 1), so in (u | G) - b lane i holds u_i + 2^(W -
+    1) - b_i, which lies in [1, 2^W): no borrow crosses a lane, and the
+    guard bit survives iff b_i <= u_i.  So "some b_i <= u_i" is ((u | G) -
+    b) & G != 0, "m divides e" is ((e | G) - m) & G == G, and raising lane
+    i to b_i is (u & ~lane_i) | (b_i << i * W).  The same holds for any
+    vector whose entries are at most top: so the witness certificates
+    (``_colon_prime`` and ``_membership_certifies``) read witnesses f on
+    these lanes, whose entries are at most top - 1 (below b0_i on P, at
+    most some finite b_j outside P), and x_i f on them too.  A vector of
+    the meet also carries its degree in the bits above the lanes, which no
+    guard test reads, so its int sorts by degree first; the degree is
+    cleared on the way out.  ``ideals.minimal_exps`` keeps its own sweep
+    on tuples: it sees each vector once, so packing costs it more than it
+    saves.
+    """
+    width = top.bit_length() + 1
+    lane = (1 << width) - 1
+    # The lanes fill the bits below high, and the degree sits above them.
+    high = n * width
+    shifts = range(0, high, width)
+    guard = _guard(n, width)
     if reflect:
-        full = sum([top << s for s in shifts])
-        packed = [full - v for v in packed]
+        full = (guard >> width - 1) * top
+        corners = [full - v for v in corners]
     meet = [0]
-    for b in packed:
+    for b in corners:
         # Exponents of the meet stay below top, so b_i <= u_i needs b_i < top.
         powers = [(s, ~(lane << s), e << s, e) for s in shifts if (e := b >> s & lane) < top]
         kept = []
@@ -184,39 +208,46 @@ def _intersect_corners(
             else:
                 kept.append(v)
         meet = kept
+    lanes = (1 << high) - 1
     if reflect:
-        meet = [full - (u & (1 << high) - 1) for u in meet]
-    return [tuple([u >> s & lane for s in shifts]) for u in meet]
+        return [full - (u & lanes) for u in meet]
+    return [u & lanes for u in meet]
 
 
-def _corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple[int, ...]]:
-    """The corners of the irredundant irreducible decomposition of the
-    ideal generated by gens (every exponent below top), in sweep order:
-    the reflections of the minimal generators of the intersection of the
-    components whose corners are the reflected generators."""
-    return _intersect_corners(gens, top, reflect=True)
+def _corners(gens: Sequence[int], top: int, n: int) -> list[int]:
+    """The packed corners of the irredundant irreducible decomposition of
+    the ideal generated by the packed vectors gens of n coordinates (every
+    exponent below top), in sweep order: the reflections of the minimal
+    generators of the intersection of the components whose corners are
+    the reflected generators."""
+    return _intersect_corners(gens, top, n, reflect=True)
 
 
 @lru_cache(maxsize=16384)
-def _corner_set(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
-    """The corners of the irredundant irreducible decomposition of a,
-    their sentinel top, and the support of each corner as a bit mask
+def _corner_set(a: MonomialIdeal) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """The packed corners of the irredundant irreducible decomposition of
+    a, their sentinel top, and the support of each corner as a bit mask
     (bit i set iff b_i < top), checked exactly to intersect back to a."""
     _require_proper_nonzero(a)
     gens = a.exps()
+    n = len(gens[0])
     top = max(map(max, gens)) + 1
-    corners = tuple(_corners(gens, top))
+    width = top.bit_length() + 1
+    packed = _pack(gens, width)
+    corners = tuple(_corners(packed, top, n))
+    lane = (1 << width) - 1
+    shifts = range(0, n * width, width)
     # A plain loop: a call or a comprehension per corner costs more.
     supports = []
     for b in corners:
         mask, bit = 0, 1
-        for e in b:
-            if e < top:
+        for s in shifts:
+            if b >> s & lane < top:
                 mask |= bit
             bit <<= 1
         supports.append(mask)
     # Both sides are duplicate-free antichains, so equal sets are equal ideals.
-    if set(_intersect_corners(corners, top)) != set(gens):
+    if set(_intersect_corners(corners, top, n)) != set(packed):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
     return corners, top, tuple(supports)
 
@@ -229,9 +260,11 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     dropped = {s for s in set(supports) if not any(s | m == m for m in masks)}
     if not dropped:
         return a
-    meet = _intersect_corners([b for b, s in zip(corners, supports) if s not in dropped], top)
-    canonical_sort(meet)
-    return MonomialIdeal(a.ring, tuple(meet))
+    n = a.ring.nvars
+    meet = _intersect_corners([b for b, s in zip(corners, supports) if s not in dropped], top, n)
+    exps = _unpack(meet, n, top.bit_length() + 1)
+    canonical_sort(exps)
+    return MonomialIdeal(a.ring, tuple(exps))
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
@@ -246,70 +279,85 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     # component's generators canonically, and compared as lists they
     # order the components as their canonical generator lists would.
     components = []
-    for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
+    for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top)
+                         for b in _unpack(corners, n, top.bit_length() + 1)):
         exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
         prime = PrimeSupport(a.ring, tuple(sorted(i for _, i in powers)))
         components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))
     return tuple(components)
 
 
-def _colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The support, in increasing order, of the prime p with a : f = p,
-    for G(a) = gens; None if a : f is not a monomial prime.
+def _colon_prime(gens: Sequence[int], f: int, guard: int) -> int:
+    """The guard bits of the lanes of P, for the prime p with support P
+    and a : f = p, where gens packs G(a) and f packs f on the lanes whose
+    guard bits are guard (``_intersect_corners``); 0 if a : f is not a
+    monomial prime.
 
-    a : f is generated by the quotients u / gcd(u, f), u in gens.  Let H
+    a : f is generated by the quotients u / gcd(u, f), u in G(a).  Let H
     be the set of i for which x_i is itself a quotient.  Then a : f = p
     iff H is the support of p: a minimal generator x_i of p is a quotient,
     and a quotient x_i lies in p.  So a : f is a prime exactly when H is
     non-empty and every quotient has a positive exponent on some x_i with
     i in H.  A quotient of 1 means f lies in a, and a : f is the whole ring.
+
+    On lanes, D = (f | G) - u keeps the guard bit of lane i iff u_i <=
+    f_i, so over = G & ~D marks the variables of the quotient of u.  A
+    single bit of over, at lane i, is x_i itself iff u_i = f_i + 1: then
+    adding 1 to lane i of D, which holds 2^(W - 1) - (u_i - f_i), sets its
+    guard bit.  The lanes stay apart while every lane of f is at most top
+    (``_intersect_corners``).  A coordinate of f at or above top may be
+    given as top - 1: no exponent of G(a) reaches top, so u_i > f_i and
+    u_i = f_i + 1 fail for either value.
     """
-    hit = set()
+    shift = (guard & -guard).bit_length() - 1
+    test = f | guard
+    hit = 0
     others = []
     for u in gens:
-        # The variables with a positive exponent in u / gcd(u, f).
-        over = [i for i, e in enumerate(u) if e > f[i]]
+        d = test - u
+        over = guard & ~d
         if not over:
-            return None
-        if len(over) == 1 and u[over[0]] == f[over[0]] + 1:
-            hit.add(over[0])
-        else:
+            return 0
+        if over & (over - 1) or not (d + (over >> shift)) & over:
             others.append(over)
-    if not hit:
-        return None
+        else:
+            hit |= over
     for over in others:
-        if hit.isdisjoint(over):
-            return None
-    return tuple(sorted(hit))
+        if not over & hit:
+            return 0
+    return hit
 
 
-def _membership_certifies(
-    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], indices: tuple[int, ...]
-) -> bool:
-    """Whether a : f = p, for G(a) = gens and p = (x_i : i in indices), by
-    membership in a alone.
+def _membership_certifies(gens: Sequence[int], f: int, hit: int, guard: int, top: int) -> bool:
+    """Whether a : f = p, for the packed G(a) = gens and f, and p the
+    prime on the lanes whose guard bits are hit, by membership in a alone.
 
     p lies in a : f iff x_i f lies in a for every i in P.  The monomials
     outside p are those in the variables outside P, so a : f lies in p
     iff no multiple of f by such a monomial lies in a, that is, iff f
     with every coordinate outside P set to top - 1 lies outside a (top
-    exceeds every exponent of G(a)).  A generator u divides that monomial
-    iff u_i <= f_i for every i in P.
+    exceeds every exponent of G(a)).  Both tests are divisibility by a
+    generator, one guard test each.  Every lane of a witness is at most
+    top - 1 (below b0_i on P, and at most some finite b_j outside P), so
+    x_i f stays at most top < 2^(W - 1) and its lanes stay apart.
     """
+    shift = (guard & -guard).bit_length() - 1
+    # The low bit of each lane of P, and every bit of those lanes.
+    ones = hit >> shift
+    inside = (hit << 1) - ones
+    test = f & inside | ((guard >> shift) - ones) * (top - 1) | guard
     for u in gens:
-        for i in indices:
-            if u[i] > f[i]:
-                break
-        else:
+        if (test - u) & guard == guard:
             return False
-    for i in indices:
-        e = f[:i] + (f[i] + 1,) + f[i + 1:]
+    while ones:
+        low = ones & -ones
+        test = (f + low) | guard
         for u in gens:
-            # u divides e only if u <= e lexicographically: a cheap pre-test.
-            if u <= e and all(map(le, u, e)):
+            if (test - u) & guard == guard:
                 break
         else:
             return False
+        ones ^= low
     return True
 
 
@@ -412,23 +460,26 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     support P (in increasing order), the report of the least degree of an
     f with a : f = p and the first such f in the canonical order.
 
-    The corners are read from ``_corner_set`` and grouped by their
-    memoized supports, and each f is searched over the corners b0 with
-    support P in increasing degree, as in the module docstring: the hard
-    set of b0 is one mask, and its least raise comes from the branch and
-    bound on masks.  The masks live only while the table is built.  The
-    f found is checked by the colon rule and certified by membership (a
-    failure is an internal error).  Every caller gets the same
+    The corners are read from ``_corner_set``, unpacked for this build
+    only, and grouped by their memoized supports.  Each f is searched
+    over the corners b0 with support P in increasing degree, as in the
+    module docstring: the hard set of b0 is one mask, and its least raise
+    comes from the branch and bound on masks.  The masks live only while
+    the table is built.  Each f found is packed on the corners' lanes,
+    with G(a), then checked by the colon rule and certified by membership
+    (a failure is an internal error).  Every caller gets the same
     read-only view.
     """
     corners, top, supports = _corner_set(a)
+    gens = a.exps()
+    n = len(gens[0])
+    width = top.bit_length() + 1
+    corners = _unpack(corners, n, width)
     by_support: dict[int, list[tuple[int, ...]]] = {}
     for b, s in zip(corners, supports):
         by_support.setdefault(s, []).append(b)
-    gens = a.exps()
-    n = len(gens[0])
     masks = None
-    table = {}
+    found = []
     for indices, group in sorted(
         (tuple([i for i in range(n) if s >> i & 1]), group) for s, group in by_support.items()
     ):
@@ -461,11 +512,20 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
             if best_degree is None or degree < best_degree or f > best:
                 best_degree, best = degree, f
         p = PrimeSupport(a.ring, indices)
-        if best is None or _colon_prime(gens, best) != indices:
+        if best is None:
             raise InternalError(f"no colon witness for {p} in Ass({a})")
-        if not _membership_certifies(gens, best, indices):
+        found.append((p, best_degree, best))
+    guard = _guard(n, width)
+    packed = _pack(gens, width)
+    table = {}
+    for (p, degree, f), v in zip(found, _pack([f for _, _, f in found], width)):
+        # The guard bits of the lanes of P: the colon rule's answer on f.
+        hit = sum([1 << i * width for i in p.indices]) << width - 1
+        if _colon_prime(packed, v, guard) != hit:
+            raise InternalError(f"no colon witness for {p} in Ass({a})")
+        if not _membership_certifies(packed, v, hit, guard, top):
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
-        table[indices] = VReport(best_degree, Monomial(a.ring, best), p)
+        table[p.indices] = VReport(degree, Monomial(a.ring, f), p)
     return MappingProxyType(table)
 
 
@@ -477,10 +537,9 @@ def associated_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
 
 
 def minimal_primes(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
-    """Min(a): the inclusion-minimal associated primes."""
+    """Min(a): the inclusion-minimal associated primes, in the order of
+    Ass(a).  A prime is dropped when another one's support, as a bit mask,
+    is a proper subset of its own."""
     primes = associated_primes(a)
-    return tuple(
-        p
-        for p in primes
-        if not any(q is not p and p.contains_prime(q) for q in primes)
-    )
+    masks = [sum([1 << i for i in p.indices]) for p in primes]
+    return tuple([p for p, m in zip(primes, masks) if not any([q & m == q != m for q in masks])])

@@ -31,7 +31,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _colon_prime, _components_inside, _require_proper_nonzero
+from .decomposition import _colon_prime, _components_inside, _guard, _pack, _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import MonomialIdeal, PrimeSupport, is_squarefree, power, unit_ideal
@@ -209,14 +209,27 @@ class PropertyCheckReport:
         return not self.violations
 
 
-# About 17 s of colon-rule checks, at 17 us a monomial: measured on the
-# 10-generator square of a 4-generator ideal in 35 variables.
+# About 3.5 s of enumeration and packed colon-rule checks, at 3.5 us a
+# monomial: measured on the 10-generator square of a 4-generator ideal in
+# 35 variables (658,008 monomials in 2.3 s, CPython 3.11 on one core of a
+# shared 2-CPU Linux host).
 MAX_PROPERTY_MONOMIALS = 1_000_000
 
 
 def check_filtration_property(
     kind: FiltrationKind, a: MonomialIdeal, k: int, deg_cap: int
 ) -> PropertyCheckReport:
+    """The bounded drop-by-one check of the k-th member of a's filtration
+    up to degree deg_cap (``PropertyCheckReport``).
+
+    The colon rule runs on packed lanes, over the coordinates where some
+    generator of the member is positive: a quotient u / gcd(u, f) has no
+    other variable, so f's other coordinates cannot change it.  A
+    coordinate of f at or above top, one more than the largest exponent of
+    the generators, is packed as top - 1.  No generator exponent reaches
+    top, so neither test of the rule changes (u_i > f_i, and u_i = f_i +
+    1), and every lane stays at most top.
+    """
     if k < 1:
         raise VidealError("the drop-by-one property needs k >= 1")
     _require_proper_nonzero(a)
@@ -228,15 +241,28 @@ def check_filtration_property(
     member = filtration_member(kind, a, k)
     previous = filtration_member(kind, a, k - 1)
     gens = member.exps()
+    support = [i for i, column in enumerate(zip(*gens)) if any(column)]
+    top = max(map(max, gens)) + 1
+    width = top.bit_length() + 1
+    guard = _guard(len(support), width)
+    packed = _pack([[u[i] for i in support] for u in gens], width)
+    lanes = {1 << j * width + width - 1: i for j, i in enumerate(support)}
+    backwards = support[::-1]
     witnesses: list[tuple[Monomial, PrimeSupport]] = []
     violations: list[Monomial] = []
     for d in range(deg_cap + 1):
         for f in exps_of_degree(a.ring.nvars, d):
-            indices = _colon_prime(gens, f)
-            if indices is None:
+            # A plain loop: a call per monomial costs more.
+            v = 0
+            for i in backwards:
+                e = f[i]
+                v = v << width | (e if e < top else top - 1)
+            hit = _colon_prime(packed, v, guard)
+            if not hit:
                 continue
             witness = Monomial(a.ring, f)
-            witnesses.append((witness, PrimeSupport(a.ring, indices)))
+            witnesses.append((witness, PrimeSupport(a.ring, tuple(
+                [i for bit, i in lanes.items() if hit & bit]))))
             if not previous.contains(witness):
                 violations.append(witness)
     return PropertyCheckReport(kind, k, deg_cap, tuple(witnesses), tuple(violations))

@@ -265,9 +265,6 @@ class PrimeSupport:
             self.ring, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in self.indices)
         )
 
-    def contains_prime(self, other: "PrimeSupport") -> bool:
-        return set(other.indices) <= set(self.indices)
-
     def __str__(self) -> str:
         return "(" + ", ".join(self.var_names) + ")"
 

@@ -17,6 +17,7 @@ from operator import le, lt, sub
 from operator import mul as times
 from typing import Iterable, Sequence
 
+from videal import decomposition
 from videal.decomposition import _corner_set, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
@@ -125,8 +126,8 @@ def monomials_up_to_degree(ring: Ring, cap: int):
 
 def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
     """The prime support of a, or None if a is not a monomial prime: the
-    test on a built colon ideal that ``decomposition._colon_prime``
-    replaced."""
+    test on a built colon ideal that the colon rule replaced
+    (``tuple_colon_prime``, now ``decomposition._colon_prime``)."""
     exps = a.exps()
     if not exps or any(sum(u) != 1 for u in exps):
         return None
@@ -537,7 +538,7 @@ def scan_witnesses(a: MonomialIdeal) -> dict[tuple[int, ...], tuple[int, tuple[i
     lexicographically greatest such f, from one scan of every corner per
     P-primary corner b0 and a branch and bound over the maximal
     restrictions of the hard corners outside P."""
-    corners, top, _ = _corner_set(a)
+    corners, top, _ = corner_tuples(a)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for b in corners:
         by_support.setdefault(tuple(i for i, e in enumerate(b) if e < top), []).append(b)
@@ -579,6 +580,112 @@ def colon_ideal_certifies(a: MonomialIdeal, f: tuple[int, ...], indices: tuple[i
     colon ideal and comparing it with p: the witness certificate that
     ``decomposition._membership_certifies`` replaced."""
     return colon_monomial(a, Monomial(a.ring, f)) == PrimeSupport(a.ring, indices).as_ideal()
+
+
+def tuple_colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:
+    """The support, in increasing order, of the prime p with a : f = p,
+    for G(a) = gens; None if a : f is not a monomial prime.  The colon
+    rule read coordinate by coordinate, as ``decomposition._colon_prime``
+    read it before it moved to packed lanes: a : f is generated by the
+    quotients u / gcd(u, f), and it is the prime on H, the set of i with
+    x_i a quotient, iff H is non-empty and every quotient meets H."""
+    hit = set()
+    others = []
+    for u in gens:
+        over = [i for i, e in enumerate(u) if e > f[i]]
+        if not over:
+            return None
+        if len(over) == 1 and u[over[0]] == f[over[0]] + 1:
+            hit.add(over[0])
+        else:
+            others.append(over)
+    if not hit or any(hit.isdisjoint(over) for over in others):
+        return None
+    return tuple(sorted(hit))
+
+
+def tuple_membership_certifies(
+    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], indices: tuple[int, ...]
+) -> bool:
+    """Whether a : f = p, for G(a) = gens and p = (x_i : i in indices), by
+    membership in a, coordinate by coordinate, as
+    ``decomposition._membership_certifies`` read it before it moved to
+    packed lanes: no generator divides f on P alone, and x_i f lies in a
+    for every i in P."""
+    if any(all(u[i] <= f[i] for i in indices) for u in gens):
+        return False
+    return all(
+        any(all(map(le, u, f[:i] + (f[i] + 1,) + f[i + 1:])) for u in gens) for i in indices
+    )
+
+
+def pack_exps(vectors: Iterable[Sequence[int]], width: int) -> list[int]:
+    """Each vector as one int, coordinate i in bits i * width and up: the
+    lane layout of ``decomposition``, written as a sum so that it shares
+    no code with ``decomposition._pack``."""
+    return [sum(e << i * width for i, e in enumerate(v)) for v in vectors]
+
+
+def unpack_exps(packed: Iterable[int], n: int, width: int) -> list[tuple[int, ...]]:
+    """The n coordinates of each int packed by ``pack_exps``."""
+    return [tuple(v >> i * width & (1 << width) - 1 for i in range(n)) for v in packed]
+
+
+def lane_width(top: int) -> int:
+    """The lane width of vectors whose entries are at most top: room for
+    top and a guard bit above it."""
+    return top.bit_length() + 1
+
+
+def guard_bits(indices: Iterable[int], width: int) -> int:
+    """The guard bits (the high bit of each lane) of the given lanes."""
+    return sum(1 << i * width + width - 1 for i in indices)
+
+
+def corner_tuples(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
+    """The memoized corners of a (``decomposition._corner_set``) as
+    exponent tuples, with their top and memoized support masks."""
+    corners, top, supports = _corner_set(a)
+    return unpack_exps(corners, a.ring.nvars, lane_width(top)), top, supports
+
+
+def packed_colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:
+    """``decomposition._colon_prime`` on G(a) = gens and f, given as
+    tuples: packed below top = max exponent + 1, every coordinate of f at
+    or above top clamped to top - 1 as ``check-property`` clamps it, and
+    the answer's guard bits read back as a support (None for 0)."""
+    n = len(f)
+    top = max(map(max, gens)) + 1
+    width = lane_width(top)
+    [v] = pack_exps([[min(e, top - 1) for e in f]], width)
+    hit = decomposition._colon_prime(pack_exps(gens, width), v, guard_bits(range(n), width))
+    return tuple(i for i in range(n) if hit & guard_bits([i], width)) or None
+
+
+def packed_membership_certifies(
+    gens: tuple[tuple[int, ...], ...], f: tuple[int, ...], indices: tuple[int, ...]
+) -> bool:
+    """``decomposition._membership_certifies`` on G(a) = gens, f and the
+    prime on indices, given as tuples and packed as in
+    ``packed_colon_prime``: clamping f below top changes neither
+    divisibility test."""
+    top = max(map(max, gens)) + 1
+    width = lane_width(top)
+    [v] = pack_exps([[min(e, top - 1) for e in f]], width)
+    return decomposition._membership_certifies(
+        pack_exps(gens, width), v, guard_bits(indices, width), guard_bits(range(len(f)), width), top)
+
+
+def minimal_primes_by_containment(a: MonomialIdeal) -> tuple[PrimeSupport, ...]:
+    """Min(a) by set containment over every pair of associated primes, in
+    the order of Ass(a): the scan (``PrimeSupport.contains_prime``, which
+    left the library) that ``decomposition.minimal_primes`` replaced with
+    support bit masks."""
+    primes = associated_primes(a)
+    return tuple(
+        p for p in primes
+        if not any(q is not p and set(q.indices) <= set(p.indices) for q in primes)
+    )
 
 
 def split_prime(prime: PrimeSupport, ring_a: Ring, ring_b: Ring):
@@ -680,7 +787,8 @@ def localized_symbolic_power(
     associated (or minimal) prime of a, the results intersected.  The
     oracle for the corner filter of ``filtrations.filtration_member``."""
     primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
-    maximal = [p for p in primes if not any(q is not p and q.contains_prime(p) for q in primes)]
+    maximal = [p for p in primes
+               if not any(q is not p and set(p.indices) <= set(q.indices) for q in primes)]
     return intersect_all((localize(power(a, k), p) for p in maximal), a.ring)
 
 

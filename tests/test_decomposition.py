@@ -8,10 +8,19 @@ from conftest import small_ideals
 from oracles import (
     brute_force_ass,
     colon_ideal_certifies,
+    corner_tuples,
     dominance_corners,
+    lane_width,
+    minimal_primes_by_containment,
+    pack_exps,
+    packed_colon_prime,
+    packed_membership_certifies,
     pairwise_lcm_intersection,
     scan_witnesses,
     splitting_decomposition,
+    tuple_colon_prime,
+    tuple_membership_certifies,
+    unpack_exps,
 )
 from videal import decomposition
 from videal.decomposition import (
@@ -143,7 +152,7 @@ def test_min_inside_ass_and_covering(a):
     mins = minimal_primes(a)
     assert set(mins) <= set(ass)
     for p in ass:
-        assert any(p.contains_prime(q) for q in mins)
+        assert any(set(q.indices) <= set(p.indices) for q in mins)
 
 
 @settings(max_examples=150, deadline=None)
@@ -209,13 +218,17 @@ def test_intersect_corners_matches_pairwise_lcms(family):
     for b in corners:
         powers = [(0,) * i + (e,) + (0,) * (t - i - 1) for i, e in enumerate(b) if e < top]
         meet = pairwise_lcm_intersection(meet, powers)
-    assert sorted(decomposition._intersect_corners(corners, top)) == sorted(meet)
+    width = lane_width(top)
+    packed = decomposition._intersect_corners(pack_exps(corners, width), top, t)
+    assert sorted(unpack_exps(packed, t, width)) == sorted(meet)
 
 
 def _assert_corners_match_the_dominance_step(a, top=None):
     gens = a.exps()
     top = top or max(map(max, gens)) + 1
-    corners = decomposition._corners(gens, top)
+    n = len(gens[0])
+    width = lane_width(top)
+    corners = unpack_exps(decomposition._corners(pack_exps(gens, width), top, n), n, width)
     assert len(set(corners)) == len(corners)
     assert set(corners) == set(dominance_corners(gens, top))
 
@@ -261,11 +274,18 @@ def test_the_reflected_meet_matches_the_dominance_corner_step_on_4x4_powers(seed
     _assert_corners_match_the_dominance_step(power(join_ideals(i, j), 3))
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
+def test_the_memoized_supports_match_the_packed_corners(a):
+    corners, top, supports = corner_tuples(a)
+    assert list(supports) == [sum(1 << i for i, e in enumerate(b) if e < top) for b in corners]
+
+
 def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=2, z=1), mono(R3, x=2, z=2)])
     assert len(irreducible_decomposition(a)) > 1
     corners = decomposition._corners
-    monkeypatch.setattr(decomposition, "_corners", lambda gens, top: corners(gens, top)[1:])
+    monkeypatch.setattr(decomposition, "_corners", lambda gens, top, n: corners(gens, top, n)[1:])
     # The first call memoized the checked corners; the check runs on a cold memo.
     decomposition._corner_set.cache_clear()
     with pytest.raises(InternalError, match="does not intersect back"):
@@ -276,9 +296,9 @@ def test_irreducible_decomposition_reads_the_memoized_corners(monkeypatch):
     corners = decomposition._corners
     calls = []
 
-    def counted(gens, top):
-        calls.append(gens)
-        return corners(gens, top)
+    def counted(gens, top, n):
+        calls.append(tuple(unpack_exps(gens, n, lane_width(top))))
+        return corners(gens, top, n)
 
     monkeypatch.setattr(decomposition, "_corners", counted)
     decomposition._corner_set.cache_clear()
@@ -304,20 +324,20 @@ def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_p
 
 
 def test_ass_certification_does_not_relabel_unrelated_errors(monkeypatch):
-    def unrelated(gens, f):
+    def unrelated(gens, f, guard):
         raise RuntimeError("unrelated")
 
     _certify_with_colon_check(monkeypatch, unrelated, RuntimeError, "unrelated")
 
 
 def test_ass_certification_reports_a_missing_witness_as_internal(monkeypatch):
-    _certify_with_colon_check(monkeypatch, lambda gens, f: None,
+    _certify_with_colon_check(monkeypatch, lambda gens, f, guard: 0,
                               InternalError, r"no colon witness for \(x\) in Ass")
 
 
 def test_ass_certification_reaches_every_reader(monkeypatch):
     # The membership certificate disagrees with the colon rule: every reader must see it.
-    _certify_with_colon_check(monkeypatch, lambda gens, f, indices: False, InternalError,
+    _certify_with_colon_check(monkeypatch, lambda gens, f, hit, guard, top: False, InternalError,
                               r"witness certification failed for \(x\) in Ass",
                               attr="_membership_certifies")
 
@@ -341,7 +361,7 @@ def _assert_membership_matches_the_colon_ideal(a, rng):
                 cases.append((f[:i] + (f[i] - 1,) + f[i + 1:], indices))
         for g, support in cases:
             expected = colon_ideal_certifies(a, g, support)
-            assert decomposition._membership_certifies(gens, g, support) == expected, (
+            assert packed_membership_certifies(gens, g, support) == expected, (
                 str(a), g, support)
         checks += len(cases)
     return checks
@@ -363,6 +383,76 @@ def test_the_membership_certificate_matches_the_colon_ideal_on_4x4_powers(seed):
     joined = join_ideals(i, j)
     assert sum(_assert_membership_matches_the_colon_ideal(power(joined, k), rng)
                for k in (1, 2, 3)) > 1000
+
+
+@st.composite
+def lane_edge_colons(draw):
+    """Up to 5 generators in up to 6 variables whose largest exponent is
+    top - 1, top at a lane edge, and an f whose coordinates are drawn from
+    the edges of the rule: u_i - 1, u_i and u_i + 1 for a generator u,
+    0, top - 1, and values at or above top, which the packed rule clamps."""
+    n = draw(st.integers(1, 6))
+    top = draw(st.sampled_from(LANE_EDGE_TOPS[1:]))
+    entries = st.integers(0, top - 1)
+    gens = draw(st.lists(st.tuples(*[entries] * n), min_size=1, max_size=5))
+    j = draw(st.integers(0, n - 1))
+    gens[0] = gens[0][:j] + (top - 1,) + gens[0][j + 1:]
+    f = []
+    for i in range(n):
+        u = draw(st.sampled_from(gens))
+        f.append(draw(st.sampled_from([
+            max(u[i] - 1, 0), u[i], u[i] + 1, 0, top - 1, top, top + draw(st.integers(1, 2 * top)),
+        ])))
+    indices = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    return tuple(gens), tuple(f), indices
+
+
+@settings(max_examples=500, deadline=None)
+@given(lane_edge_colons())
+def test_the_packed_rules_match_the_tuple_rules_at_lane_edges(case):
+    """The packed colon rule and membership certificate against their
+    coordinate-by-coordinate forms, on f clamped below top."""
+    gens, f, indices = case
+    assert packed_colon_prime(gens, f) == tuple_colon_prime(gens, f)
+    assert packed_membership_certifies(gens, f, indices) == tuple_membership_certifies(gens, f, indices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6), st.data())
+def test_the_packed_rules_match_the_tuple_rules_on_witnesses(a, data):
+    """Every witness of a's table, a shift of it by -e_i, and a random
+    monomial, under both colon rules and both membership certificates."""
+    gens = a.exps()
+    n = a.ring.nvars
+    for indices, report in decomposition._witnesses(a).items():
+        f = report.witness.exp
+        i = data.draw(st.integers(0, n - 1))
+        shifted = f[:i] + (max(f[i] - 1, 0),) + f[i + 1:]
+        other = data.draw(st.tuples(*[st.integers(0, 6)] * n))
+        assert packed_colon_prime(gens, f) == tuple_colon_prime(gens, f) == indices
+        for g in (f, shifted, other):
+            assert packed_colon_prime(gens, g) == tuple_colon_prime(gens, g)
+            assert packed_membership_certifies(gens, g, indices) == (
+                tuple_membership_certifies(gens, g, indices))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
+def test_minimal_primes_match_the_containment_scan(a):
+    assert minimal_primes(a) == minimal_primes_by_containment(a)
+
+
+def test_minimal_primes_match_the_containment_scan_on_small_powers():
+    """(I+J)^k for k <= 3 of seeded 3+3 pairs: embedded primes abound."""
+    rng = random.Random(29)
+    embedded = 0
+    for _ in range(60):
+        joined = join_ideals(*random_pair(rng, 3, 4, 3))
+        for k in (1, 2, 3):
+            b = power(joined, k)
+            assert minimal_primes(b) == minimal_primes_by_containment(b)
+            embedded += len(minimal_primes(b)) < len(associated_primes(b))
+    assert embedded > 20
 
 
 def test_witness_table_is_read_only():
@@ -394,7 +484,7 @@ def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
     joined = sum_ideals(a, powers)
     assert list(scan_witnesses(joined)) == [tuple(range(n))]
     for b in (joined, intersect(a, powers), a):
-        corners, top, _ = decomposition._corner_set(b)
+        corners, top, _ = corner_tuples(b)
         ge, le = decomposition._corner_masks(corners, top)
         for b0 in corners:
             if all(e < top for e in b0):

@@ -13,12 +13,15 @@ from oracles import (
     all_primes_symbolic_power,
     box_scan_integral_closure,
     certificate_denominator_lcm,
+    corner_tuples,
     enumerated_property_check,
     fibre_scan_minimal_points,
+    lane_width,
     localize,
     localized_symbolic_power,
     lp_newton_member,
     power_membership_oracle,
+    unpack_exps,
 )
 from videal import decomposition, filtrations
 from videal.decomposition import associated_primes, minimal_primes
@@ -332,9 +335,9 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
     assert [p.var_names for p in associated_primes(a)] == [("x",), ("x", "y")]
     met = []
 
-    def recording_intersect_corners(corners, top):
-        met.append(tuple(corners))
-        return intersect_corners(corners, top)
+    def recording_intersect_corners(corners, top, n):
+        met.append(tuple(unpack_exps(corners, n, lane_width(top))))
+        return intersect_corners(corners, top, n)
 
     intersect_corners = decomposition._intersect_corners
     # The intersect-back check of a^k's corners also meets corners: run it
@@ -370,9 +373,9 @@ def _assert_the_member_inherits_its_corners(kind, a, k):
     below the member's top."""
     swept = []
 
-    def recording_corners(gens, top):
-        swept.append(gens)
-        return corners(gens, top)
+    def recording_corners(gens, top, n):
+        swept.append(tuple(unpack_exps(gens, n, lane_width(top))))
+        return corners(gens, top, n)
 
     corners = decomposition._corners
     decomposition._corner_set.cache_clear()
@@ -388,8 +391,8 @@ def _assert_the_member_inherits_its_corners(kind, a, k):
     assert member.exps() in swept
     primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
     masks = [sum(1 << i for i in p.indices) for p in primes]
-    power_corners, power_top, power_supports = decomposition._corner_set(ordinary)
-    own, top, supports = decomposition._corner_set(member)
+    power_corners, power_top, power_supports = corner_tuples(ordinary)
+    own, top, supports = corner_tuples(member)
     assert top == max(map(max, member.exps())) + 1 <= power_top
     expected = {
         tuple(top if e == power_top else e for e in b): s
@@ -488,6 +491,23 @@ def test_property_check_matches_the_colon_ideal_enumeration(a, kind, k, cap):
     assert report.witnesses == witnesses
     assert report.violations == violations
     assert report.passed == (not violations)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_exp=2), st.sampled_from(list(FiltrationKind)), st.integers(3, 7))
+def test_property_check_matches_the_enumeration_past_the_clamp(a, kind, cap):
+    """At k = 1 no exponent of the member exceeds a's largest, at most 2:
+    a symbolic member meets some of a's corners, and the closure's
+    generators lie in the box of a's exponents.  So the cap passes top in
+    every variable, and the packed rule clamps those coordinates of f;
+    w, a variable of no generator, is projected away."""
+    ring = make_ring("R", list(a.ring.vars) + ["w"])
+    padded = from_exps(ring, [u + (0,) for u in a.exps()])
+    report = check_filtration_property(kind, padded, 1, cap)
+    witnesses, violations = enumerated_property_check(kind, padded, 1, cap)
+    assert max(map(max, filtration_member(kind, padded, 1).exps())) < cap
+    assert report.witnesses == witnesses
+    assert report.violations == violations
 
 
 def test_ntf_path_true_triangle_false():

@@ -5,9 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors, small_ideals
-from oracles import as_prime, brute_force_local_v, colon_chain_local_v
+from oracles import (
+    as_prime,
+    brute_force_local_v,
+    colon_chain_local_v,
+    lane_width,
+    packed_colon_prime,
+    unpack_exps,
+)
 from videal import decomposition, ideals, vnumbers
-from videal.decomposition import _colon_prime, associated_primes
+from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, NoWitnessError
 from videal.ideals import (
     PrimeSupport,
@@ -121,9 +128,9 @@ def test_colon_rule_matches_the_colon_ideal(data):
     other = data.draw(exponent_vectors(n, max_exp=4, nonzero=False))
     for f in (witness, member, other):
         prime = as_prime(colon_monomial(a, Monomial(a.ring, f)))
-        assert _colon_prime(a.exps(), f) == (None if prime is None else prime.indices)
-    assert _colon_prime(a.exps(), witness) == associated.indices
-    assert _colon_prime(a.exps(), member) is None
+        assert packed_colon_prime(a.exps(), f) == (None if prime is None else prime.indices)
+    assert packed_colon_prime(a.exps(), witness) == associated.indices
+    assert packed_colon_prime(a.exps(), member) is None
 
 
 def _answer(search, a, p):
@@ -170,9 +177,9 @@ def test_one_corner_computation_serves_ass_v_number_and_every_local_v(monkeypatc
     corners = decomposition._corners
     calls = []
 
-    def counted(gens, top):
-        calls.append(gens)
-        return corners(gens, top)
+    def counted(gens, top, n):
+        calls.append(tuple(unpack_exps(gens, n, lane_width(top))))
+        return corners(gens, top, n)
 
     monkeypatch.setattr(decomposition, "_corners", counted)
     decomposition._corner_set.cache_clear()
