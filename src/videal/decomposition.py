@@ -65,28 +65,32 @@ lexicographically greatest) is certified twice on G(a): by the colon
 rule, then by membership.
 
 Two memos hold the work per ideal, and both store only immutable
-values.  ``_corner_set`` keeps the corners of a as a tuple of packed
-ints, one per corner, exactly as the sweep returns them, with top and
-each corner's support as a bit mask.  Nothing else reads tuples: the
-intersect-back check meets those ints and compares the meet, as a set,
-with G(a) packed once; the symbolic powers' filter
-``_components_inside`` meets the kept ints; only ``_witnesses`` and
-``irreducible_decomposition`` unpack the corners, for one build.  Every
-ideal's corners, a symbolic member's included, come from the sweep, and
-are checked by the sweep the other way: they must intersect back to a.
-The witness table ``_witnesses`` runs the search on those corners once,
-and stores one finished ``VReport`` per associated prime.  Every witness
-is certified when the table is built, whichever reader comes first, on
-G(a) and the witness packed on the corners' lanes: by the colon rule
-(``_colon_prime``, which reads the quotients u / gcd(u, f) with a few
-integer operations per generator, and is also the per-monomial test of
-the bounded ``filtrations.check_filtration_property``), then by
-membership, which asks only whether monomials lie in a: x_i f does for
-every i in P, and f with every coordinate outside P set to top - 1 does
-not.  A witness has every coordinate at most top - 1, so x_i f stays
-within the lanes.  Neither certificate builds the colon ideal.
-``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
-``expansion`` only read the stored reports.
+values.  ``_corner_set`` keeps the whole corner set of a as one value:
+a bytes object holding each corner, packed as the sweep returns it, in
+a fixed-width little-endian record, then each corner's support as a bit
+mask in records of its own, together with top and the count.  The
+intersect-back check meets the sweep's ints before they are stored, and
+compares the meet, as a set, with G(a) packed once.  Readers slice the
+records back into ints (``_read``), in time linear in the value's size:
+the symbolic powers' filter ``_components_inside`` reads the supports,
+and the corners only when it drops some, to meet the kept ones;
+``_witnesses`` and ``irreducible_decomposition`` unpack the corners to
+tuples, for one build.  Every ideal's corners, a symbolic member's
+included, come from the sweep, and are checked by the sweep the other
+way: they must intersect back to a.  The witness table ``_witnesses``
+runs the search on those corners once, and stores one finished
+``VReport`` per associated prime.  Every witness is certified when the
+table is built, whichever reader comes first, on G(a) and the witness
+packed on the corners' lanes: by the colon rule (``_colon_prime``,
+which reads the quotients u / gcd(u, f) with a few integer operations
+per generator, and is also the per-monomial test of the bounded
+``filtrations.check_filtration_property``), then by membership, which
+asks only whether monomials lie in a: x_i f does for every i in P, and
+f with every coordinate outside P set to top - 1 does not.  A witness
+has every coordinate at most top - 1, so x_i f stays within the lanes.
+Neither certificate builds the colon ideal.  ``associated_primes``,
+``vnumbers.local_v``, ``vnumbers.v_number`` and ``expansion`` only read
+the stored reports.
 """
 
 from dataclasses import dataclass
@@ -223,18 +227,33 @@ def _corners(gens: Sequence[int], top: int, n: int) -> list[int]:
     return _intersect_corners(gens, top, n, reflect=True)
 
 
+def _record_sizes(n: int, top: int) -> tuple[int, int]:
+    """The bytes that ``_corner_set`` gives one packed corner of n
+    coordinates on lanes of top.bit_length() + 1 bits, and one support."""
+    return (n * (top.bit_length() + 1) + 7) // 8, (n + 7) // 8
+
+
+def _read(data: bytes, start: int, count: int, size: int) -> list[int]:
+    """The count ints of size little-endian bytes each that data holds
+    from byte start on: one slice each, so reading is linear in size."""
+    from_bytes = int.from_bytes
+    return [from_bytes(data[o:o + size], "little") for o in range(start, start + count * size, size)]
+
+
 @lru_cache(maxsize=16384)
-def _corner_set(a: MonomialIdeal) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """The packed corners of the irredundant irreducible decomposition of
-    a, their sentinel top, and the support of each corner as a bit mask
-    (bit i set iff b_i < top), checked exactly to intersect back to a."""
+def _corner_set(a: MonomialIdeal) -> tuple[bytes, int, int]:
+    """The corners of the irredundant irreducible decomposition of a,
+    checked exactly to intersect back to a, as one value (data, top,
+    count): data holds the count packed corners in sweep order, then
+    the support of each as a bit mask (bit i set iff b_i < top), in
+    fixed-width little-endian records of ``_record_sizes`` bytes."""
     _require_proper_nonzero(a)
     gens = a.exps()
     n = len(gens[0])
     top = max(map(max, gens)) + 1
     width = top.bit_length() + 1
     packed = _pack(gens, width)
-    corners = tuple(_corners(packed, top, n))
+    corners = _corners(packed, top, n)
     lane = (1 << width) - 1
     shifts = range(0, n * width, width)
     # A plain loop: a call or a comprehension per corner costs more.
@@ -249,18 +268,26 @@ def _corner_set(a: MonomialIdeal) -> tuple[tuple[int, ...], int, tuple[int, ...]
     # Both sides are duplicate-free antichains, so equal sets are equal ideals.
     if set(_intersect_corners(corners, top, n)) != set(packed):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
-    return corners, top, tuple(supports)
+    size, mask_size = _record_sizes(n, top)
+    records = [b.to_bytes(size, "little") for b in corners]
+    records += [s.to_bytes(mask_size, "little") for s in supports]
+    return b"".join(records), top, len(corners)
 
 
 def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
     """The intersection of the components of a with support in one of the
-    primes (one at least), from the memoized corners; a if all are kept."""
-    corners, top, supports = _corner_set(a)
+    primes (one at least), from the memoized corners; a if all are kept.
+    The corners themselves are read only when some are dropped."""
+    data, top, count = _corner_set(a)
+    n = a.ring.nvars
+    size, mask_size = _record_sizes(n, top)
+    supports = _read(data, count * size, count, mask_size)
     masks = [sum([1 << i for i in p.indices]) for p in primes]
-    dropped = {s for s in set(supports) if not any(s | m == m for m in masks)}
+    # A support that is a prime's own mask is kept with no scan.
+    dropped = {s for s in set(supports).difference(masks) if not any(s | m == m for m in masks)}
     if not dropped:
         return a
-    n = a.ring.nvars
+    corners = _read(data, 0, count, size)
     meet = _intersect_corners([b for b, s in zip(corners, supports) if s not in dropped], top, n)
     exps = _unpack(meet, n, top.bit_length() + 1)
     canonical_sort(exps)
@@ -271,8 +298,9 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     """An irredundant set of irreducible components intersecting to a,
     read from the memoized corners, which were checked exactly to
     intersect back to a when first computed."""
-    corners, top, _ = _corner_set(a)
+    data, top, count = _corner_set(a)
     n = a.ring.nvars
+    corners = _read(data, 0, count, _record_sizes(n, top)[0])
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
     # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
     # when (e, i) < (f, j), so the sorted pairs (b_i, i) list the
@@ -470,11 +498,13 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     (a failure is an internal error).  Every caller gets the same
     read-only view.
     """
-    corners, top, supports = _corner_set(a)
+    data, top, count = _corner_set(a)
     gens = a.exps()
     n = len(gens[0])
     width = top.bit_length() + 1
-    corners = _unpack(corners, n, width)
+    size, mask_size = _record_sizes(n, top)
+    corners = _unpack(_read(data, 0, count, size), n, width)
+    supports = _read(data, count * size, count, mask_size)
     by_support: dict[int, list[tuple[int, ...]]] = {}
     for b, s in zip(corners, supports):
         by_support.setdefault(s, []).append(b)

@@ -19,7 +19,10 @@ exist) and hands them to ``_verdict``, an ``lru_cache`` keyed by the
 member tuple ``(direct, (I_0..I_k), (J_0..J_k))`` and bounded at 64
 entries: the kinds of one pair at one k run together, so hits are
 adjacent.  It stores only immutable values, and the key only bundles
-the two sides: each is still computed from its own members.
+the two sides: each is still computed from its own members.  The
+members of I+J are keyed by one copy of I+J per pair, and so share one
+joined ring: ``direct_term`` reads that copy from the memo slot of the
+ordinary first member.
 """
 
 from bisect import bisect_left
@@ -76,12 +79,14 @@ def direct_term(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> MonomialIdeal:
     """The k-th filtration member of the sum ideal, computed entirely in
-    S with no expansion."""
+    S with no expansion, and keyed by the copy of I+J that the memo slot
+    of the ordinary first member holds (a^1 is a)."""
     if k < 1:
         raise VidealError("expansion checks need k >= 1")
     if not (i.is_proper_nonzero() and j.is_proper_nonzero()):
         raise ImproperIdealError("expansion checks need proper nonzero summands")
-    return filtration_member(kind, join_ideals(i, j), k)
+    joined = filtration_member(FiltrationKind.ORDINARY, join_ideals(i, j), 1)
+    return filtration_member(kind, joined, k)
 
 
 @dataclass(frozen=True, slots=True)

@@ -155,7 +155,8 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     closure = MonomialIdeal(a.ring, tuple(points))
     if not closure.contains_ideal(pk):
         raise InternalError(f"integral closure of {pk} does not contain {pk}")
-    return closure
+    # A closed power is handed back itself: the memos then hold one copy.
+    return pk if closure == pk else closure
 
 
 @lru_cache(maxsize=8192)

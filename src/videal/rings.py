@@ -3,11 +3,14 @@
 A Ring here is nothing more than an ordered list of distinct variable
 names; no coefficient field is involved anywhere, so every computation
 in the library is exact integer combinatorics on exponent vectors.
+Every name is interned, so the rings a session builds, the joined rings
+among them, share one string per name.
 The fixed variable order is the basis of the canonical monomial order
 (total degree first, ties broken lexicographically) that makes all
 output deterministic.
 """
 
+import sys
 from dataclasses import dataclass
 from operator import add, le
 from typing import Iterator, Sequence
@@ -23,6 +26,13 @@ class Ring:
     vars: tuple[str, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "name", sys.intern(self.name))
+            object.__setattr__(self, "vars", tuple(map(sys.intern, self.vars)))
+        except TypeError:
+            raise VidealError(
+                f"ring and variable names must be strings, got {self.name!r} and {self.vars!r}"
+            ) from None
         if not self.vars:
             raise VidealError(f"ring {self.name!r} needs at least one variable")
         if len(set(self.vars)) != len(self.vars):

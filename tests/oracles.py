@@ -642,11 +642,30 @@ def guard_bits(indices: Iterable[int], width: int) -> int:
     return sum(1 << i * width + width - 1 for i in indices)
 
 
+def unpack_corner_set(
+    value: tuple[bytes, int, int], n: int
+) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
+    """A value of ``decomposition._corner_set`` for an ideal in n variables
+    as its corners' exponent tuples, their top and their support masks.
+    The value packs count corners of n lanes of ``lane_width(top)`` bits
+    each in ceil(n * width / 8) little-endian bytes, then count supports
+    of ceil(n / 8) bytes each; read here through one int of all the
+    bytes."""
+    data, top, count = value
+    width = lane_width(top)
+    size, mask_size = -(-n * width // 8), -(-n // 8)
+    assert len(data) == count * (size + mask_size)
+    whole = int.from_bytes(data, "little")
+    corners = [whole >> 8 * size * r & (1 << 8 * size) - 1 for r in range(count)]
+    supports = [whole >> 8 * (count * size + mask_size * r) & (1 << 8 * mask_size) - 1
+                for r in range(count)]
+    return unpack_exps(corners, n, width), top, tuple(supports)
+
+
 def corner_tuples(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
     """The memoized corners of a (``decomposition._corner_set``) as
     exponent tuples, with their top and memoized support masks."""
-    corners, top, supports = _corner_set(a)
-    return unpack_exps(corners, a.ring.nvars, lane_width(top)), top, supports
+    return unpack_corner_set(_corner_set(a), a.ring.nvars)
 
 
 def packed_colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -9,6 +9,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from oracles import corner_tuples, unpack_corner_set
 from videal.decomposition import _corner_set, _witnesses, associated_primes
 from videal.expansion import _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
@@ -94,8 +95,9 @@ def test_threads_build_member_corners_as_one_caller_would():
                 if member == filtration_member(FiltrationKind.ORDINARY, a, h):
                     continue
                 members += 1
-                corners, top, supports = _corner_set(member)
-                cold, cold_top, cold_supports = _corner_set.__wrapped__(member)
+                corners, top, supports = corner_tuples(member)
+                cold, cold_top, cold_supports = unpack_corner_set(
+                    _corner_set.__wrapped__(member), member.ring.nvars)
                 assert top == cold_top and len(corners) == len(cold)
                 assert dict(zip(corners, supports)) == dict(zip(cold, cold_supports))
     # Every set read was the one the threads memoized.

@@ -1,4 +1,5 @@
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -274,11 +275,42 @@ def test_the_reflected_meet_matches_the_dominance_corner_step_on_4x4_powers(seed
     _assert_corners_match_the_dominance_step(power(join_ideals(i, j), 3))
 
 
+def _assert_the_stored_corners_are_the_sweeps(a):
+    """The corner set memoized for a, unpacked, is the corners the sweep
+    returned for G(a) while building it, in sweep order, each with its
+    support."""
+    swept = []
+    corners = decomposition._corners
+
+    def recording_corners(gens, top, n):
+        found = corners(gens, top, n)
+        swept.append((unpack_exps(found, n, lane_width(top)), top))
+        return found
+
+    decomposition._corner_set.cache_clear()
+    with patch.object(decomposition, "_corners", recording_corners):
+        stored, top, supports = corner_tuples(a)
+    assert swept == [(stored, top)]
+    assert list(supports) == [sum(1 << i for i, e in enumerate(b) if e < top) for b in stored]
+    return stored
+
+
 @settings(max_examples=200, deadline=None)
 @given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
 def test_the_memoized_supports_match_the_packed_corners(a):
-    corners, top, supports = corner_tuples(a)
-    assert list(supports) == [sum(1 << i for i, e in enumerate(b) if e < top) for b in corners]
+    _assert_the_stored_corners_are_the_sweeps(a)
+
+
+def test_the_packed_corner_set_round_trips_on_a_4x4_power():
+    """(I+J)^6 for the seed-13 4+4 pair with 8 generators of exponent at
+    most 3 per side, and an ideal in 12 variables, whose supports take
+    two bytes each."""
+    rng = random.Random(13)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    assert len(_assert_the_stored_corners_are_the_sweeps(power(join_ideals(i, j), 6))) == 3591
+    wide = random_ideal(random.Random(13), make_ring("W", [f"w{n}" for n in range(12)]), 6, 3)
+    assert len(_assert_the_stored_corners_are_the_sweeps(wide)) > 1
 
 
 def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):

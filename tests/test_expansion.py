@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import fields
 
@@ -37,7 +38,7 @@ from videal.ideals import (
 )
 from videal.lp import _newton_facets
 from videal.randgen import random_pair
-from videal.rings import join_rings, make_ring, mono
+from videal.rings import Ring, join_rings, make_ring, mono
 from videal.vnumbers import local_v, v_number
 
 A1 = make_ring("A", ["x"])
@@ -374,6 +375,32 @@ def _clear_memos():
     for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
                    integral_closure, _newton_facets, expansion._verdict):
         cached.cache_clear()
+
+
+def test_a_pair_keeps_one_joined_ideal():
+    """Every kind at k = 1, 2 on one pair, each call on fresh equal copies
+    of I and J, leaves one live copy of I+J and of its ring: every member
+    of the pair is keyed by the copy the first verdict stored.  I+J is
+    integrally closed, so its closure is I+J again, and its symbolic
+    powers by minimal primes drop the embedded component of (p1^2, p1*p2)."""
+
+    def fresh():
+        a = make_ring("".join(["P", "a"]), ["p1", "p2"])
+        b = make_ring("".join(["P", "b"]), ["q1", "q2"])
+        return from_exps(a, [(2, 0), (1, 1)]), from_exps(b, [(1, 1)])
+
+    _clear_memos()
+    for k in (1, 2):
+        for kind in FiltrationKind:
+            verify_theorem(kind, *fresh(), k)
+    joined = join_ideals(*fresh())
+    gc.collect()
+    live = gc.get_objects()
+    ideals = [o for o in live if type(o) is type(joined) and o is not joined and o == joined]
+    rings = [o for o in live if type(o) is Ring and o is not joined.ring and o == joined.ring]
+    assert len(ideals) == 1
+    assert len(rings) == 1
+    assert ideals[0].ring is rings[0]
 
 
 def _field_values(report):

@@ -40,6 +40,28 @@ def test_make_ring_rejects_empty():
         make_ring("A", [])
 
 
+def test_make_ring_rejects_names_that_are_not_strings():
+    with pytest.raises(VidealError, match="must be strings"):
+        make_ring("A", [1, 2])
+    with pytest.raises(VidealError, match="must be strings"):
+        make_ring(7, ["x"])
+
+
+def test_rings_share_one_string_per_name():
+    # Equal names made separately are distinct objects until the ring interns them.
+    names = ["".join(["x", str(n)]) for n in range(2)]
+    again = ["".join(["x", str(n)]) for n in range(2)]
+    assert names[0] is not again[0]
+    a = make_ring("".join(["R", "1"]), names)
+    b = make_ring("".join(["R", "1"]), again)
+    assert a.name is b.name
+    assert all(u is v for u, v in zip(a.vars, b.vars))
+    c = make_ring("B", ["y"])
+    first, second = join_rings(a, c), join_rings(b, c)
+    assert first.name is second.name
+    assert all(u is v for u, v in zip(first.vars, a.vars + c.vars))
+
+
 def test_join_rings_concatenates_variables():
     a = make_ring("A", ["x1", "x2"])
     b = make_ring("B", ["y1"])
