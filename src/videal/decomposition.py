@@ -20,23 +20,13 @@ antichain of minimal generators.  It runs on packed exponent vectors,
 one lane per coordinate with a guard bit, so that no borrow crosses a
 lane and each comparison of two vectors is one subtraction and one mask
 (Bachmann-Schoenemann, ISSAC 1998).  ``_corners`` runs the same sweep
-on reflected vectors, e -> top - e, one subtraction each.  Adding a
-generator m to an ideal keeps each corner b with b_i <= m_i for some i,
-and replaces any other b by b with b_i lowered to m_i, for each i in
-supp(m).  Reflected, b_i <= m_i reads (top - m)_i <= (top - b)_i,
-lowering b_i to m_i reads raising (top - b)_i to (top - m)_i, and the
-zero ideal's corner (top, ..., top) reads (0, ..., 0): so the corners of
-a are the reflections of the minimal generators of the meet of the
-components whose corners are the reflected generators of a.  Minimal
-there is maximal here: no corner lies below another, so no component
-contains another.  That is irredundancy: an irreducible monomial ideal Q is
-intersection-prime, since if no component lies in Q, one monomial per
-component outside Q has an lcm in the intersection whose exponents on
-supp(Q) stay below Q's.  The irredundant decomposition is unique, so
-generator order does not matter.  Neither direction sorts its result:
-the corners stay in sweep order, the intersect-back check compares sets,
-and only ``_components_inside``, which builds an ideal from a meet,
-sorts it canonically.
+on reflected vectors, e -> top - e, one subtraction each, and reflects
+the meet back: its docstring shows why that gives the corners, and why
+no component contains another.  The irredundant decomposition is
+unique, so generator order does not matter.  Neither direction sorts
+its result: the corners stay in sweep order, the intersect-back check
+compares sets, and only ``_components_inside``, which builds an ideal
+from a meet, sorts it canonically.
 
 Colon witnesses come from the same corners; no colon ideal is built.
 For the component Q_b of corner b, Q_b : f is the whole ring when f lies
@@ -64,33 +54,32 @@ least-degree witness that is first in the canonical order (graded, then
 lexicographically greatest) is certified twice on G(a): by the colon
 rule, then by membership.
 
-Two memos hold the work per ideal, and both store only immutable
-values.  ``_corner_set`` keeps the whole corner set of a as one value:
-a bytes object holding each corner, packed as the sweep returns it, in
-a fixed-width little-endian record, then each corner's support as a bit
-mask in records of its own, together with top and the count.  The
-intersect-back check meets the sweep's ints before they are stored, and
-compares the meet, as a set, with G(a) packed once.  Readers slice the
-records back into ints (``_read``), in time linear in the value's size:
-the symbolic powers' filter ``_components_inside`` reads the supports,
-and the corners only when it drops some, to meet the kept ones;
-``_witnesses`` and ``irreducible_decomposition`` unpack the corners to
-tuples, for one build.  Every ideal's corners, a symbolic member's
-included, come from the sweep, and are checked by the sweep the other
-way: they must intersect back to a.  The witness table ``_witnesses``
-runs the search on those corners once, and stores one finished
-``VReport`` per associated prime.  Every witness is certified when the
-table is built, whichever reader comes first, on G(a) and the witness
-packed on the corners' lanes: by the colon rule (``_colon_prime``,
-which reads the quotients u / gcd(u, f) with a few integer operations
-per generator, and is also the per-monomial test of the bounded
-``filtrations.check_filtration_property``), then by membership, which
-asks only whether monomials lie in a: x_i f does for every i in P, and
-f with every coordinate outside P set to top - 1 does not.  A witness
-has every coordinate at most top - 1, so x_i f stays within the lanes.
-Neither certificate builds the colon ideal.  ``associated_primes``,
-``vnumbers.local_v``, ``vnumbers.v_number`` and ``expansion`` only read
-the stored reports.
+One memo, ``_decomposition``, holds the work per ideal, and it stores
+only immutable values, built in one call: the corners from the sweep,
+checked by the sweep the other way (the intersect-back check meets the
+sweep's ints before they are stored, and compares the meet, as a set,
+with G(a) packed once); the witness table, searched on the sweep's
+corners and support masks (bit i set iff b_i < top); and one bytes value
+holding each corner, packed as the sweep returns it, in a fixed-width
+little-endian record, then each support in records of its own, with top
+and the count beside it.  Every ideal's corners, a symbolic member's
+included, come from the sweep.  Readers slice the records back into
+ints (``_read``), in time linear in the value's size: the symbolic
+powers' filter ``_components_inside`` reads the supports, and the
+corners only when it drops some, to meet the kept ones;
+``irreducible_decomposition`` unpacks the corners to tuples.  The table
+stores one finished ``VReport`` per associated prime, each witness
+certified as the table is built, whichever reader comes first, on G(a)
+and the witness packed on the corners' lanes: by the colon rule
+(``_colon_prime``, which reads the quotients u / gcd(u, f) with a few
+integer operations per generator, and is also the per-monomial test of
+the bounded ``filtrations.check_filtration_property``), then by
+membership, which asks only whether monomials lie in a: x_i f does for
+every i in P, and f with every coordinate outside P set to top - 1 does
+not.  A witness has every coordinate at most top - 1, so x_i f stays
+within the lanes.  Neither certificate builds the colon ideal.
+``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
+``expansion`` read the table through ``_witnesses``.
 """
 
 from dataclasses import dataclass
@@ -152,11 +141,10 @@ def _guard(n: int, width: int) -> int:
     return ((1 << n * width) - 1) // ((1 << width) - 1) << (width - 1)
 
 
-def _intersect_corners(corners: Sequence[int], top: int, n: int, reflect: bool = False) -> list[int]:
+def _intersect_corners(corners: Sequence[int], top: int, n: int) -> list[int]:
     """Minimal generators of the intersection of the components of the
     given packed corners of n coordinates (every entry at most top), in
-    sweep order.  With reflect, each given vector v stands for the corner
-    top - v, and each generator u is returned as top - u.
+    sweep order.
 
     A vector packs into one int, coordinate i in the lane of W =
     top.bit_length() + 1 bits at shift i * W, whose high bit is a guard
@@ -182,9 +170,6 @@ def _intersect_corners(corners: Sequence[int], top: int, n: int, reflect: bool =
     high = n * width
     shifts = range(0, high, width)
     guard = _guard(n, width)
-    if reflect:
-        full = (guard >> width - 1) * top
-        corners = [full - v for v in corners]
     meet = [0]
     for b in corners:
         # Exponents of the meet stay below top, so b_i <= u_i needs b_i < top.
@@ -213,8 +198,6 @@ def _intersect_corners(corners: Sequence[int], top: int, n: int, reflect: bool =
                 kept.append(v)
         meet = kept
     lanes = (1 << high) - 1
-    if reflect:
-        return [full - (u & lanes) for u in meet]
     return [u & lanes for u in meet]
 
 
@@ -223,12 +206,26 @@ def _corners(gens: Sequence[int], top: int, n: int) -> list[int]:
     the ideal generated by the packed vectors gens of n coordinates (every
     exponent below top), in sweep order: the reflections of the minimal
     generators of the intersection of the components whose corners are
-    the reflected generators."""
-    return _intersect_corners(gens, top, n, reflect=True)
+    the reflected generators, v -> top - v, one subtraction each.
+
+    Adding a generator m to an ideal keeps each corner b with b_i <= m_i
+    for some i, and replaces any other b by b with b_i lowered to m_i,
+    for each i in supp(m).  Reflected, b_i <= m_i reads (top - m)_i <=
+    (top - b)_i, lowering b_i to m_i reads raising (top - b)_i to (top -
+    m)_i, and the zero ideal's corner (top, ..., top) reads (0, ..., 0):
+    the step of ``_intersect_corners`` on the reflections.  Minimal there
+    is maximal here: no corner lies below another, so no component
+    contains another.  That is irredundancy: an irreducible monomial
+    ideal Q is intersection-prime, since if no component lies in Q, one
+    monomial per component outside Q has an lcm in the intersection
+    whose exponents on supp(Q) stay below Q's.
+    """
+    full = (_guard(n, top.bit_length() + 1) >> top.bit_length()) * top
+    return [full - u for u in _intersect_corners([full - v for v in gens], top, n)]
 
 
 def _record_sizes(n: int, top: int) -> tuple[int, int]:
-    """The bytes that ``_corner_set`` gives one packed corner of n
+    """The bytes that ``_decomposition`` gives one packed corner of n
     coordinates on lanes of top.bit_length() + 1 bits, and one support."""
     return (n * (top.bit_length() + 1) + 7) // 8, (n + 7) // 8
 
@@ -241,12 +238,12 @@ def _read(data: bytes, start: int, count: int, size: int) -> list[int]:
 
 
 @lru_cache(maxsize=16384)
-def _corner_set(a: MonomialIdeal) -> tuple[bytes, int, int]:
-    """The corners of the irredundant irreducible decomposition of a,
-    checked exactly to intersect back to a, as one value (data, top,
-    count): data holds the count packed corners in sweep order, then
-    the support of each as a bit mask (bit i set iff b_i < top), in
-    fixed-width little-endian records of ``_record_sizes`` bytes."""
+def _decomposition(a: MonomialIdeal) -> tuple[bytes, int, int, Mapping[tuple[int, ...], VReport]]:
+    """The decomposition of a as (data, top, count, table): data holds
+    the count packed corners of the irredundant irreducible decomposition
+    in sweep order, checked exactly to intersect back to a, then the
+    support of each as a bit mask (bit i set iff b_i < top), in records
+    of ``_record_sizes`` bytes; table is a's ``_witness_table``."""
     _require_proper_nonzero(a)
     gens = a.exps()
     n = len(gens[0])
@@ -268,17 +265,23 @@ def _corner_set(a: MonomialIdeal) -> tuple[bytes, int, int]:
     # Both sides are duplicate-free antichains, so equal sets are equal ideals.
     if set(_intersect_corners(corners, top, n)) != set(packed):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
+    table = _witness_table(a, packed, _unpack(corners, n, width), supports, top)
     size, mask_size = _record_sizes(n, top)
     records = [b.to_bytes(size, "little") for b in corners]
     records += [s.to_bytes(mask_size, "little") for s in supports]
-    return b"".join(records), top, len(corners)
+    return b"".join(records), top, len(corners), table
+
+
+def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
+    """The read-only witness table of a, from its memoized decomposition."""
+    return _decomposition(a)[3]
 
 
 def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
     """The intersection of the components of a with support in one of the
     primes (one at least), from the memoized corners; a if all are kept.
     The corners themselves are read only when some are dropped."""
-    data, top, count = _corner_set(a)
+    data, top, count, _ = _decomposition(a)
     n = a.ring.nvars
     size, mask_size = _record_sizes(n, top)
     supports = _read(data, count * size, count, mask_size)
@@ -298,7 +301,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     """An irredundant set of irreducible components intersecting to a,
     read from the memoized corners, which were checked exactly to
     intersect back to a when first computed."""
-    data, top, count = _corner_set(a)
+    data, top, count, _ = _decomposition(a)
     n = a.ring.nvars
     corners = _read(data, 0, count, _record_sizes(n, top)[0])
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
@@ -482,29 +485,24 @@ def _raise_search(
     return best
 
 
-@lru_cache(maxsize=16384)
-def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
+def _witness_table(a: MonomialIdeal, gens: Sequence[int], corners: Sequence[tuple[int, ...]],
+                   supports: Sequence[int], top: int) -> Mapping[tuple[int, ...], VReport]:
     """The witness table of a: for each associated prime p, keyed by its
     support P (in increasing order), the report of the least degree of an
     f with a : f = p and the first such f in the canonical order.
 
-    The corners are read from ``_corner_set``, unpacked for this build
-    only, and grouped by their memoized supports.  Each f is searched
-    over the corners b0 with support P in increasing degree, as in the
-    module docstring: the hard set of b0 is one mask, and its least raise
-    comes from the branch and bound on masks.  The masks live only while
-    the table is built.  Each f found is packed on the corners' lanes,
-    with G(a), then checked by the colon rule and certified by membership
-    (a failure is an internal error).  Every caller gets the same
-    read-only view.
+    gens packs G(a) on the lanes of top (``_intersect_corners``), and the
+    corners, as tuples, come with their support masks, in sweep order;
+    they are grouped by support.  Each f is searched over the corners b0
+    with support P in increasing degree, as in the module docstring: the
+    hard set of b0 is one mask, and its least raise comes from the branch
+    and bound on masks.  The masks live only while the table is built.
+    Each f found is packed on the same lanes, then checked by the colon
+    rule and certified by membership (a failure is an internal error).
+    Every caller gets the same read-only view.
     """
-    data, top, count = _corner_set(a)
-    gens = a.exps()
-    n = len(gens[0])
+    n = len(corners[0])
     width = top.bit_length() + 1
-    size, mask_size = _record_sizes(n, top)
-    corners = _unpack(_read(data, 0, count, size), n, width)
-    supports = _read(data, count * size, count, mask_size)
     by_support: dict[int, list[tuple[int, ...]]] = {}
     for b, s in zip(corners, supports):
         by_support.setdefault(s, []).append(b)
@@ -546,14 +544,13 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
             raise InternalError(f"no colon witness for {p} in Ass({a})")
         found.append((p, best_degree, best))
     guard = _guard(n, width)
-    packed = _pack(gens, width)
     table = {}
     for (p, degree, f), v in zip(found, _pack([f for _, _, f in found], width)):
         # The guard bits of the lanes of P: the colon rule's answer on f.
         hit = sum([1 << i * width for i in p.indices]) << width - 1
-        if _colon_prime(packed, v, guard) != hit:
+        if _colon_prime(gens, v, guard) != hit:
             raise InternalError(f"no colon witness for {p} in Ass({a})")
-        if not _membership_certifies(packed, v, hit, guard, top):
+        if not _membership_certifies(gens, v, hit, guard, top):
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
         table[p.indices] = VReport(degree, Monomial(a.ring, f), p)
     return MappingProxyType(table)

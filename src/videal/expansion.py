@@ -7,16 +7,17 @@ paths: the "direct" side works entirely in the joined ring S, while the
 "formula" side only ever touches filtrations of the summands in their
 own rings.  They meet only in the final equality checks.
 
-Both read v-numbers off the read-only, certified witness tables of
-``decomposition``: a verdict reads the direct side's table, and the
-formula reader ``_formula_reader`` reads each summand's once per depth.
+Both read v-numbers off the certified witness tables of ``decomposition``:
+a verdict reads the direct side's once, for its rows and the global
+value, and ``_formula_reader`` each summand's once per depth.
 
 A verdict depends on the filtration only through its members: the k-th
-member of I+J and the members 0..k of I and of J.  Symbolic powers often
-equal ordinary powers, and then the verdicts of those kinds coincide.
+member of I+J and the members 1..k of I and of J (the 0-th is the whole
+ring).  Symbolic powers often equal ordinary powers, and then the
+verdicts of those kinds coincide.
 So ``verify_theorem`` looks the members up (memo reads once the tables
 exist) and hands them to ``_verdict``, an ``lru_cache`` keyed by the
-member tuple ``(direct, (I_0..I_k), (J_0..J_k))`` and bounded at 64
+member tuple ``(direct, (I_1..I_k), (J_1..J_k))`` and bounded at 64
 entries: the kinds of one pair at one k run together, so hits are
 adjacent.  It stores only immutable values, and the key only bundles
 the two sides: each is still computed from its own members.  The
@@ -34,7 +35,6 @@ from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
 from .rings import Monomial, Ring, canonical_sort, join_rings
-from .vnumbers import v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -56,21 +56,24 @@ def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
 
 
 def _members(kind: FiltrationKind, a: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ...]:
-    """The members 0..k of the filtration of a."""
-    return tuple([filtration_member(kind, a, m) for m in range(k + 1)])
+    """The members 1..k of the filtration of a."""
+    return tuple([filtration_member(kind, a, m) for m in range(1, k + 1)])
 
 
 def _expand(
     ring: Ring, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
 ) -> MonomialIdeal:
-    """The expansion of the member tuples (I_0..I_k) and (J_0..J_k): the
+    """The expansion of the member tuples (I_1..I_k) and (J_1..J_k): the
     sum over d of I_{k-d} J_d in S = ring, whose variables are I's
-    followed by J's, so the product of u and v has exponent u + v."""
-    k = len(left) - 1
-    exps: set[tuple[int, ...]] = set()
-    for d in range(k + 1):
-        right_exps = right[d].exps()
-        for u in left[k - d].exps():
+    followed by J's, so the product of u and v has exponent u + v.  The
+    terms I_k J_0 and I_0 J_k are I_k and J_k, padded with zeros."""
+    pad_i, pad_j = (0,) * left[0].ring.nvars, (0,) * right[0].ring.nvars
+    exps = {u + pad_j for u in left[-1].exps()}
+    exps.update(pad_i + v for v in right[-1].exps())
+    # I_{k-d} J_d for 0 < d < k.
+    for i, j in zip(left[-2::-1], right):
+        right_exps = j.exps()
+        for u in i.exps():
             exps.update(u + v for v in right_exps)
     return from_exps(ring, exps)
 
@@ -143,7 +146,7 @@ class RhsResult:
 
 
 def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]):
-    """The min-formula on the member tuples (I_0..I_k) and (J_0..J_k), as
+    """The min-formula on the member tuples (I_1..I_k) and (J_1..J_k), as
     a function of the supports (P, Q): minimize, over the split depths
     0 <= d < k at which P is associated to I_{k-d} and Q to J_{d+1}, the
     sum of the two local v-numbers, read from one lookup in each summand's
@@ -151,8 +154,7 @@ def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal,
     no depth is admissible.  The tables of every depth are read once here,
     and every depth is evaluated, so a result carries the complete
     achieving set."""
-    k = len(left) - 1
-    tables = [(_witnesses(left[k - d]), _witnesses(right[d + 1])) for d in range(k)]
+    tables = [(_witnesses(i), _witnesses(j)) for i, j in zip(reversed(left), right)]
 
     def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
         candidates: list[RhsCandidate] = []
@@ -235,7 +237,7 @@ def _verdict(
     direct: MonomialIdeal, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
 ) -> tuple[ExpansionReport, tuple[TheoremRow, ...], int, PrimeSupport, int | None, tuple[str, ...]]:
     """The fields of ``verify_theorem``'s report after kind and k, for the
-    direct member and the summands' member tuples (I_0..I_k), (J_0..J_k)."""
+    direct member and the summands' member tuples (I_1..I_k), (J_1..J_k)."""
     expansion = _expansion_report(direct, left, right)
     findings: list[str] = []
     if not expansion.expansion_holds:
@@ -260,11 +262,12 @@ def _verdict(
         q_support = q_supports.get(q) or q_supports.setdefault(q, PrimeSupport(ring_j, q))
         rows.append(TheoremRow(prime, p_support, q_support, report.degree, report.witness,
                                formula(p, q)))
-    best_direct = v_number(direct)
+    # Rows are in the table's index order: the first least lhs is v_number's.
+    best = min(rows, key=lambda row: row.lhs)
     v_formula = min((row.rhs.value for row in rows if row.rhs is not None), default=None)
-    if v_formula is not None and best_direct.degree < v_formula:
+    if v_formula is not None and best.lhs < v_formula:
         findings.append(
-            f"direct v-number {best_direct.degree} beats the mixed-prime formula "
+            f"direct v-number {best.lhs} beats the mixed-prime formula "
             f"{v_formula}; non-mixed primes present: none"
         )
-    return expansion, tuple(rows), best_direct.degree, best_direct.prime, v_formula, tuple(findings)
+    return expansion, tuple(rows), best.lhs, best.prime, v_formula, tuple(findings)

@@ -7,8 +7,8 @@ irreducible components whose support lies in p, and turns the others
 into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
 2017).  So a^(k) is the intersection of the components of a^k whose
 support lies in some associated (or minimal) prime of a: ``decomposition``
-reads them from the memoized, checked corners of a^k, which the witness
-table of a^k shares, and meets the kept ones.  When every component is
+reads them from the memoized, checked corners of a^k, built with the
+witness table of a^k, and meets the kept ones.  When every component is
 kept, a^(k) is a^k itself.
 
 Integral closure goes through the Newton polyhedron NP(L) =

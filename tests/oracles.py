@@ -18,7 +18,7 @@ from operator import mul as times
 from typing import Iterable, Sequence
 
 from videal import decomposition
-from videal.decomposition import _corner_set, associated_primes, minimal_primes
+from videal.decomposition import _decomposition, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
 from videal.filtrations import FiltrationKind, filtration_member, normally_torsion_free
@@ -643,15 +643,15 @@ def guard_bits(indices: Iterable[int], width: int) -> int:
 
 
 def unpack_corner_set(
-    value: tuple[bytes, int, int], n: int
+    value: tuple, n: int
 ) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
-    """A value of ``decomposition._corner_set`` for an ideal in n variables
-    as its corners' exponent tuples, their top and their support masks.
-    The value packs count corners of n lanes of ``lane_width(top)`` bits
-    each in ceil(n * width / 8) little-endian bytes, then count supports
-    of ceil(n / 8) bytes each; read here through one int of all the
-    bytes."""
-    data, top, count = value
+    """A value (data, top, count, table) of ``decomposition._decomposition``
+    for an ideal in n variables as its corners' exponent tuples, their top
+    and their support masks; the table is not read.  data packs count
+    corners of n lanes of ``lane_width(top)`` bits each in ceil(n * width
+    / 8) little-endian bytes, then count supports of ceil(n / 8) bytes
+    each; read here through one int of all the bytes."""
+    data, top, count, _ = value
     width = lane_width(top)
     size, mask_size = -(-n * width // 8), -(-n // 8)
     assert len(data) == count * (size + mask_size)
@@ -663,9 +663,9 @@ def unpack_corner_set(
 
 
 def corner_tuples(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
-    """The memoized corners of a (``decomposition._corner_set``) as
+    """The memoized corners of a (``decomposition._decomposition``) as
     exponent tuples, with their top and memoized support masks."""
-    return unpack_corner_set(_corner_set(a), a.ring.nvars)
+    return unpack_corner_set(_decomposition(a), a.ring.nvars)
 
 
 def packed_colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:

@@ -10,7 +10,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from oracles import corner_tuples, unpack_corner_set
-from videal.decomposition import _corner_set, _witnesses, associated_primes
+from videal.decomposition import _decomposition, associated_primes
 from videal.expansion import _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.lp import _newton_facets
@@ -23,7 +23,7 @@ KINDS = (FiltrationKind.ORDINARY,) + SYMBOLIC
 
 
 def _clear_caches():
-    for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
+    for cached in (_decomposition, associated_primes, filtration_member,
                    integral_closure, _newton_facets, _verdict):
         cached.cache_clear()
 
@@ -80,12 +80,13 @@ def _ladder_pairs(seed, count):
 
 def test_threads_build_member_corners_as_one_caller_would():
     """After threads race over symbolic verdicts on cold caches, every
-    memoized corner set of a symbolic member equals a serial cold sweep."""
+    memoized corner set and witness table of a symbolic member equals a
+    serial cold build."""
     distinct = _ladder_pairs(43, 6)
     _clear_caches()
     expected = [_work(pair, k) for pair, k in distinct]
     assert _run_threaded(distinct * THREADS) == expected * THREADS
-    misses = _corner_set.cache_info().misses
+    misses = _decomposition.cache_info().misses
     members = 0
     for (i, j), k in distinct:
         summands = [(a, h) for a in (i, j) for h in range(1, k + 1)]
@@ -96,10 +97,11 @@ def test_threads_build_member_corners_as_one_caller_would():
                     continue
                 members += 1
                 corners, top, supports = corner_tuples(member)
-                cold, cold_top, cold_supports = unpack_corner_set(
-                    _corner_set.__wrapped__(member), member.ring.nvars)
+                built = _decomposition.__wrapped__(member)
+                cold, cold_top, cold_supports = unpack_corner_set(built, member.ring.nvars)
                 assert top == cold_top and len(corners) == len(cold)
                 assert dict(zip(corners, supports)) == dict(zip(cold, cold_supports))
-    # Every set read was the one the threads memoized.
-    assert _corner_set.cache_info().misses == misses
+                assert _decomposition(member)[3] == built[3]
+    # Every set and table read was the one the threads memoized.
+    assert _decomposition.cache_info().misses == misses
     assert members >= 10

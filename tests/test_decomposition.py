@@ -287,7 +287,7 @@ def _assert_the_stored_corners_are_the_sweeps(a):
         swept.append((unpack_exps(found, n, lane_width(top)), top))
         return found
 
-    decomposition._corner_set.cache_clear()
+    decomposition._decomposition.cache_clear()
     with patch.object(decomposition, "_corners", recording_corners):
         stored, top, supports = corner_tuples(a)
     assert swept == [(stored, top)]
@@ -319,7 +319,7 @@ def test_intersect_back_check_catches_a_dropped_corner(monkeypatch):
     corners = decomposition._corners
     monkeypatch.setattr(decomposition, "_corners", lambda gens, top, n: corners(gens, top, n)[1:])
     # The first call memoized the checked corners; the check runs on a cold memo.
-    decomposition._corner_set.cache_clear()
+    decomposition._decomposition.cache_clear()
     with pytest.raises(InternalError, match="does not intersect back"):
         irreducible_decomposition(a)
 
@@ -333,7 +333,7 @@ def test_irreducible_decomposition_reads_the_memoized_corners(monkeypatch):
         return corners(gens, top, n)
 
     monkeypatch.setattr(decomposition, "_corners", counted)
-    decomposition._corner_set.cache_clear()
+    decomposition._decomposition.cache_clear()
     a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=2, z=1), mono(R3, x=2, z=2)])
     first = irreducible_decomposition(a)
     assert len(first) > 1
@@ -349,7 +349,7 @@ def _certify_with_colon_check(monkeypatch, check, error, message, attr="_colon_p
     queries = (associated_primes, v_number, lambda a: local_v(a, prime_support(R2, ["x", "y"])))
     monkeypatch.setattr(decomposition, attr, check)
     for query in queries:
-        decomposition._witnesses.cache_clear()
+        decomposition._decomposition.cache_clear()
         associated_primes.cache_clear()
         with pytest.raises(error, match=message):
             query(a)
@@ -521,13 +521,13 @@ def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
         for b0 in corners:
             if all(e < top for e in b0):
                 assert decomposition._hard_mask(ge, le, b0, tuple(range(n))) == 0
-        assert _table(decomposition._witnesses.__wrapped__(b)) == scan_witnesses(b)
+        assert _table(decomposition._decomposition.__wrapped__(b)[3]) == scan_witnesses(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
 def test_the_mask_kernel_matches_the_corner_scan(a):
-    assert _table(decomposition._witnesses.__wrapped__(a)) == scan_witnesses(a)
+    assert _table(decomposition._decomposition.__wrapped__(a)[3]) == scan_witnesses(a)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -540,7 +540,7 @@ def test_the_mask_kernel_matches_the_corner_scan_on_4x4_powers(seed):
     joined = join_ideals(i, j)
     for k in (1, 2, 3):
         b = power(joined, k)
-        assert _table(decomposition._witnesses.__wrapped__(b)) == scan_witnesses(b)
+        assert _table(decomposition._decomposition.__wrapped__(b)[3]) == scan_witnesses(b)
 
 
 def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
@@ -551,6 +551,6 @@ def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=1), mono(R3, x=1, z=1)])
     for f in (mono(R3, y=1), mono(R3, z=1)):
         assert colon_monomial(a, f) == prime_support(R3, ["x"]).as_ideal()
-    report = decomposition._witnesses.__wrapped__(a)[(0,)]
+    report = decomposition._decomposition.__wrapped__(a)[3][(0,)]
     assert (report.degree, str(report.witness)) == (1, "y")
     assert scan_witnesses(a)[(0,)] == (1, (0, 1, 0))

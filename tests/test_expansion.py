@@ -17,7 +17,7 @@ from oracles import (
     split_prime,
 )
 from videal import expansion
-from videal.decomposition import _corner_set, _witnesses, associated_primes
+from videal.decomposition import _decomposition, associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     TheoremReport,
@@ -336,8 +336,7 @@ def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
     """One read of the direct table and one of each summand table per
     depth, however many rows the verdict has (on a cold verdict memo: a
     kind whose members repeat an earlier verdict's reads no table).  The
-    global value comes from ``v_number``, whose lookup of the finished
-    direct table goes through ``vnumbers`` and is not counted here."""
+    global value comes from the rows, so the direct table is read once."""
     witnesses = expansion._witnesses
     reads = []
 
@@ -356,6 +355,27 @@ def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
         assert len(reads) == 1 + 2 * k
 
 
+@pytest.mark.parametrize("kind", list(FiltrationKind))
+def test_no_verdict_asks_for_the_zeroth_member(kind, monkeypatch):
+    """The 0-th member is the whole ring for every kind, so the verdicts
+    and the expansion pad I_k and J_k themselves instead of memoizing a
+    unit ideal per (kind, ideal)."""
+    member = expansion.filtration_member
+    asked = []
+
+    def recorded(kind, a, k):
+        asked.append(k)
+        return member(kind, a, k)
+
+    monkeypatch.setattr(expansion, "filtration_member", recorded)
+    i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
+    j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
+    for k in (1, 2, 3):
+        verify_theorem(kind, i, j, k)
+        verify_expansion(kind, i, j, k)
+    assert asked and 0 not in asked
+
+
 def test_witnesses_recombine_to_direct_witness():
     """A pair of summand witnesses at an achieving depth multiplies to a
     monomial whose colon out of the direct side is exactly the mixed prime."""
@@ -372,7 +392,7 @@ def test_witnesses_recombine_to_direct_witness():
 
 
 def _clear_memos():
-    for cached in (_corner_set, _witnesses, associated_primes, filtration_member,
+    for cached in (_decomposition, associated_primes, filtration_member,
                    integral_closure, _newton_facets, expansion._verdict):
         cached.cache_clear()
 

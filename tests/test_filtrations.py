@@ -342,9 +342,9 @@ def test_symbolic_power_skips_an_embedded_prime(monkeypatch):
     intersect_corners = decomposition._intersect_corners
     # The intersect-back check of a^k's corners also meets corners: run it
     # first, on a memo that holds no member yet.
-    decomposition._corner_set.cache_clear()
+    decomposition._decomposition.cache_clear()
     for k in (1, 2, 3):
-        decomposition._corner_set(power(a, k))
+        decomposition._decomposition(power(a, k))
     monkeypatch.setattr(decomposition, "_intersect_corners", recording_intersect_corners)
     filtration_member.cache_clear()
     for k in (1, 2, 3):
@@ -378,8 +378,7 @@ def _assert_the_member_inherits_its_corners(kind, a, k):
         return corners(gens, top, n)
 
     corners = decomposition._corners
-    decomposition._corner_set.cache_clear()
-    decomposition._witnesses.cache_clear()
+    decomposition._decomposition.cache_clear()
     filtration_member.cache_clear()
     with patch.object(decomposition, "_corners", recording_corners):
         member = filtration_member(kind, a, k)

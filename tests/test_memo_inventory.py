@@ -2,7 +2,7 @@
 
 Every ``src/videal/*.py`` file is parsed with ``ast``.  The functions
 decorated with ``functools.lru_cache`` (or ``functools.cache``) must be
-exactly the seven memos the project keeps, and ``decomposition.py`` must
+exactly the six memos the project keeps, and ``decomposition.py`` must
 bind no dict, set or list at module level: per-ideal work lives in the
 memos, never in a side table beside them.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
@@ -14,8 +14,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "videal"
 MEMOS = {
-    "decomposition._corner_set",
-    "decomposition._witnesses",
+    "decomposition._decomposition",
     "decomposition.associated_primes",
     "expansion._verdict",
     "filtrations.filtration_member",
@@ -35,7 +34,7 @@ def _decorator_name(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def test_the_library_keeps_exactly_its_seven_memos():
+def test_the_library_keeps_exactly_its_six_memos():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

@@ -14,13 +14,15 @@ from oracles import (
     unpack_exps,
 )
 from videal import decomposition, ideals, vnumbers
-from videal.decomposition import associated_primes
+from videal.decomposition import associated_primes, irreducible_decomposition
 from videal.errors import ImproperIdealError, NoWitnessError
+from videal.filtrations import FiltrationKind, filtration_member
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
     from_exps,
     ideal,
+    power,
     prime_support,
     unit_ideal,
 )
@@ -163,8 +165,7 @@ def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
 
     monkeypatch.setattr(ideals, "intersect_exps", no_intersections)
     assert not hasattr(vnumbers, "intersect_exps")
-    decomposition._corner_set.cache_clear()
-    decomposition._witnesses.cache_clear()
+    decomposition._decomposition.cache_clear()
     # (x^2, x*y^2, y^3*z, x*z^2): a : (x, y) needs the parts of x and y met.
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
     report = local_v(a, prime_support(R3, ["x", "y"]))
@@ -173,24 +174,54 @@ def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
     assert (report.degree, report.witness) == (oracle.degree, oracle.witness)
 
 
-def test_one_corner_computation_serves_ass_v_number_and_every_local_v(monkeypatch):
-    corners = decomposition._corners
-    calls = []
-
-    def counted(gens, top, n):
-        calls.append(tuple(unpack_exps(gens, n, lane_width(top))))
-        return corners(gens, top, n)
-
-    monkeypatch.setattr(decomposition, "_corners", counted)
-    decomposition._corner_set.cache_clear()
-    decomposition._witnesses.cache_clear()
-    associated_primes.cache_clear()
-    # (x^2, x*y^2, y^3*z, x*z^2) has three associated primes.
-    a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
+def _read_everything(a, absent):
+    """Ass, every local v-number, the v-number, a prime that is not
+    associated, and the decomposition of a, which all agree."""
     primes = associated_primes(a)
     assert len(primes) > 1
     reports = [local_v(a, p) for p in primes]
     assert v_number(a) == min(reports, key=lambda report: (report.degree, report.prime.indices))
     with pytest.raises(NoWitnessError):
-        local_v(a, prime_support(R3, ["z"]))
-    assert calls == [a.exps()]
+        local_v(a, absent)
+    assert {c.prime for c in irreducible_decomposition(a)} == set(primes)
+
+
+def test_one_corner_computation_serves_ass_v_number_and_every_local_v(monkeypatch):
+    """Whichever reader comes first, on cold memos, each ideal is swept
+    once and its witness table searched once: Ass, the decomposition, and
+    a symbolic member, which sweeps the ideal and its power on the way."""
+    corners = decomposition._corners
+    search = decomposition._witness_table
+    swept, searched = [], []
+
+    def counted_corners(gens, top, n):
+        swept.append(tuple(unpack_exps(gens, n, lane_width(top))))
+        return corners(gens, top, n)
+
+    def counted_search(a, *args):
+        searched.append(a.exps())
+        return search(a, *args)
+
+    def cold():
+        for cached in (decomposition._decomposition, associated_primes, filtration_member):
+            cached.cache_clear()
+        swept.clear()
+        searched.clear()
+
+    monkeypatch.setattr(decomposition, "_corners", counted_corners)
+    monkeypatch.setattr(decomposition, "_witness_table", counted_search)
+    # (x^2, x*y^2, y^3*z, x*z^2) has three associated primes.
+    a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
+    absent = prime_support(R3, ["z"])
+    for first in (associated_primes, irreducible_decomposition):
+        cold()
+        first(a)
+        _read_everything(a, absent)
+        assert swept == searched == [a.exps()]
+    # Min(a) drops the embedded prime (x, y, z), so a^(2) is not a^2.
+    cold()
+    member = filtration_member(FiltrationKind.SYMBOLIC_MIN, a, 2)
+    square = power(a, 2)
+    assert member != square
+    _read_everything(member, absent)
+    assert swept == searched == [a.exps(), square.exps(), member.exps()]
