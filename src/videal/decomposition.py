@@ -72,21 +72,25 @@ stores one finished ``VReport`` per associated prime, each witness
 certified as the table is built, whichever reader comes first, on G(a)
 and the witness packed on the corners' lanes: by the colon rule
 (``_colon_prime``, which reads the quotients u / gcd(u, f) with a few
-integer operations per generator, and is also the per-monomial test of
-the bounded ``filtrations.check_filtration_property``), then by
-membership, which asks only whether monomials lie in a: x_i f does for
-every i in P, and f with every coordinate outside P set to top - 1 does
-not.  A witness has every coordinate at most top - 1, so x_i f stays
-within the lanes.  Neither certificate builds the colon ideal.
-``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
-``expansion`` read the table through ``_witnesses``.
+integer operations per generator), then by membership, which asks only
+whether monomials lie in a: x_i f does for every i in P, and f with
+every coordinate outside P set to top - 1 does not.  A witness has every
+coordinate at most top - 1, so x_i f stays within the lanes.  Neither
+certificate builds the colon ideal.  ``associated_primes``,
+``vnumbers.local_v``, ``vnumbers.v_number`` and ``expansion`` read the
+table through ``_witnesses``.
+
+Packed lanes are this module's alone.  The bounded
+``filtrations.check_filtration_property`` enumerates monomials and hands
+them to ``_colon_witnesses``, which packs them and runs the same colon
+rule on each.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport
@@ -357,6 +361,40 @@ def _colon_prime(gens: Sequence[int], f: int, guard: int) -> int:
         if not over & hit:
             return 0
     return hit
+
+
+def _colon_witnesses(
+    gens: Sequence[tuple[int, ...]], vectors: Iterable[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each f of vectors, in their order, for which a : f is a monomial
+    prime, for G(a) = gens, with that prime's support in increasing order:
+    the colon rule (``_colon_prime``) on every f, without building a colon
+    ideal.
+
+    The rule runs on packed lanes over the coordinates where some
+    generator is positive: a quotient u / gcd(u, f) has no other
+    variable, so f's other coordinates cannot change it.  A coordinate of
+    f at or above top, one more than the largest exponent of gens, is
+    packed as top - 1.  No generator exponent reaches top, so neither test
+    of the rule changes (u_i > f_i, and u_i = f_i + 1), and every lane
+    stays at most top.
+    """
+    support = [i for i, column in enumerate(zip(*gens)) if any(column)]
+    top = max(map(max, gens)) + 1
+    width = top.bit_length() + 1
+    guard = _guard(len(support), width)
+    packed = _pack([[u[i] for i in support] for u in gens], width)
+    lanes = {1 << j * width + width - 1: i for j, i in enumerate(support)}
+    backwards = support[::-1]
+    for f in vectors:
+        # A plain loop: a call per vector costs more.
+        v = 0
+        for i in backwards:
+            e = f[i]
+            v = v << width | (e if e < top else top - 1)
+        hit = _colon_prime(packed, v, guard)
+        if hit:
+            yield f, tuple([i for bit, i in lanes.items() if hit & bit])
 
 
 def _membership_certifies(gens: Sequence[int], f: int, hit: int, guard: int, top: int) -> bool:

@@ -26,12 +26,12 @@ coordinate never increases.
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import chain, product
 from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _colon_prime, _components_inside, _guard, _pack, _require_proper_nonzero
+from .decomposition import _colon_witnesses, _components_inside, _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import MonomialIdeal, PrimeSupport, is_squarefree, power, unit_ideal
@@ -194,9 +194,9 @@ class PropertyCheckReport:
     member is a prime, the witness must already lie in the (k-1)-st
     member.  This is an enumeration up to deg_cap, not a proof.
     ``witnesses`` lists each such f in increasing canonical order with its
-    prime, read off the generators of the k-th member by the colon rule
-    of ``decomposition._colon_prime``, without building the colon ideal;
-    ``violations`` lists those of them outside the (k-1)-st member.
+    prime, read off the generators of the k-th member by the packed colon
+    rule (``decomposition._colon_witnesses``), without building the colon
+    ideal; ``violations`` lists those of them outside the (k-1)-st member.
     """
 
     kind: FiltrationKind
@@ -221,51 +221,30 @@ def check_filtration_property(
     kind: FiltrationKind, a: MonomialIdeal, k: int, deg_cap: int
 ) -> PropertyCheckReport:
     """The bounded drop-by-one check of the k-th member of a's filtration
-    up to degree deg_cap (``PropertyCheckReport``).
-
-    The colon rule runs on packed lanes, over the coordinates where some
-    generator of the member is positive: a quotient u / gcd(u, f) has no
-    other variable, so f's other coordinates cannot change it.  A
-    coordinate of f at or above top, one more than the largest exponent of
-    the generators, is packed as top - 1.  No generator exponent reaches
-    top, so neither test of the rule changes (u_i > f_i, and u_i = f_i +
-    1), and every lane stays at most top.
-    """
+    up to degree deg_cap (``PropertyCheckReport``): the monomials are
+    enumerated here, and ``decomposition._colon_witnesses`` picks out
+    those whose colon is a prime."""
     if k < 1:
         raise VidealError("the drop-by-one property needs k >= 1")
+    if deg_cap < 0:
+        raise VidealError("the degree cap of the drop-by-one check must be at least 0")
     _require_proper_nonzero(a)
-    # C(n - 1 + d, d) >= 1 monomials have degree d: a cap at the limit is past it.
-    counts = accumulate(comb(a.ring.nvars - 1 + d, d) for d in range(deg_cap + 1))
-    if deg_cap >= MAX_PROPERTY_MONOMIALS or any(c > MAX_PROPERTY_MONOMIALS for c in counts):
+    n = a.ring.nvars
+    # At least one monomial has each degree, so a cap at the limit is past it;
+    # below it, C(n + d, d) monomials have degree at most d (hockey stick).
+    if deg_cap >= MAX_PROPERTY_MONOMIALS or comb(n + deg_cap, deg_cap) > MAX_PROPERTY_MONOMIALS:
         raise VidealError("check-property would enumerate more than "
                           f"{MAX_PROPERTY_MONOMIALS:,} monomials; lower the degree cap")
     member = filtration_member(kind, a, k)
     previous = filtration_member(kind, a, k - 1)
-    gens = member.exps()
-    support = [i for i, column in enumerate(zip(*gens)) if any(column)]
-    top = max(map(max, gens)) + 1
-    width = top.bit_length() + 1
-    guard = _guard(len(support), width)
-    packed = _pack([[u[i] for i in support] for u in gens], width)
-    lanes = {1 << j * width + width - 1: i for j, i in enumerate(support)}
-    backwards = support[::-1]
+    monomials = chain.from_iterable(exps_of_degree(n, d) for d in range(deg_cap + 1))
     witnesses: list[tuple[Monomial, PrimeSupport]] = []
     violations: list[Monomial] = []
-    for d in range(deg_cap + 1):
-        for f in exps_of_degree(a.ring.nvars, d):
-            # A plain loop: a call per monomial costs more.
-            v = 0
-            for i in backwards:
-                e = f[i]
-                v = v << width | (e if e < top else top - 1)
-            hit = _colon_prime(packed, v, guard)
-            if not hit:
-                continue
-            witness = Monomial(a.ring, f)
-            witnesses.append((witness, PrimeSupport(a.ring, tuple(
-                [i for bit, i in lanes.items() if hit & bit]))))
-            if not previous.contains(witness):
-                violations.append(witness)
+    for f, indices in _colon_witnesses(member.exps(), monomials):
+        witness = Monomial(a.ring, f)
+        witnesses.append((witness, PrimeSupport(a.ring, indices)))
+        if not previous.contains(witness):
+            violations.append(witness)
     return PropertyCheckReport(kind, k, deg_cap, tuple(witnesses), tuple(violations))
 
 

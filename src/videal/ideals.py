@@ -8,11 +8,18 @@ graded-lex order and always form an antichain under divisibility.  The
 zero ideal has no generators; the unit ideal is generated by the
 all-zeros tuple (the monomial 1).  Monomial objects are built only on
 request, by ``gens``.
+
+Every operation that makes a new ideal works the same way: it lists
+candidate generators as exponent tuples (the union of both generator
+sets for a sum, pairwise products for a product, pairwise lcms for an
+intersection, quotients for a colon by a monomial) and hands them to
+``from_exps``, which keeps the minimal ones.  Exponents stay tuples
+here; packed exponent lanes are ``decomposition``'s alone.
 """
 
 from dataclasses import dataclass, field
 from operator import le
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import RingMismatchError, VidealError
 from .rings import (
@@ -159,45 +166,11 @@ def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
     return result
 
 
-def intersect_exps(
-    x: Sequence[tuple[int, ...]], y: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, ...], ...]:
-    """Minimal generators of (x) ∩ (y), canonically sorted, for antichains
-    x (canonically sorted) and y (in any order).
-
-    The pairwise lcms generate the intersection.  A u in x lying in (y)
-    passes through: a member of (x) dividing u is a multiple of some u' in
-    x dividing u, so u' = u, and u is minimal.  The same holds for y, and
-    an lcm with a passed vector is its multiple, so only the other pairs
-    need lcms; ``minimal_exps`` keeps the minimal vectors among the passed
-    ones and those lcms.
-    """
-    kept = []
-    x_rest = []
-    for u in x:
-        for v in y:
-            if v <= u and all(map(le, v, u)):
-                kept.append(u)
-                break
-        else:
-            x_rest.append(u)
-    if not x_rest:
-        return tuple(x)
-    y_rest = []
-    for v in y:
-        for u in x:
-            if u <= v and all(map(le, u, v)):
-                kept.append(v)
-                break
-        else:
-            y_rest.append(v)
-    return minimal_exps(kept + [lcm_exp(u, v) for u in x_rest for v in y_rest])
-
-
 def intersect(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    """Intersection of two ideals of one ring (see ``intersect_exps``)."""
+    """Intersection of two ideals of one ring: (a) ∩ (b) is generated by
+    the pairwise lcms of their generators."""
     ring = check_same_ring(a, b)
-    return MonomialIdeal(ring, intersect_exps(a.exps(), b.exps()))
+    return from_exps(ring, [lcm_exp(u, v) for u in a.exps() for v in b.exps()])
 
 
 def intersect_all(ideals: Iterable[MonomialIdeal], ring: Ring) -> MonomialIdeal:

@@ -45,10 +45,9 @@ def random_pair(
     max_vars: int = 3,
     max_gens: int = 4,
     max_exp: int = 2,
-    squarefree_first: bool = False,
 ) -> tuple[MonomialIdeal, MonomialIdeal]:
     ring_a = random_ring(rng, "A", "x", max_vars)
     ring_b = random_ring(rng, "B", "y", max_vars)
-    i = random_ideal(rng, ring_a, max_gens, max_exp, squarefree=squarefree_first)
+    i = random_ideal(rng, ring_a, max_gens, max_exp)
     j = random_ideal(rng, ring_b, max_gens, max_exp)
     return i, j

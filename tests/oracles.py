@@ -32,7 +32,7 @@ from videal.ideals import (
     sum_ideals,
     unit_ideal,
 )
-from videal.randgen import random_pair
+from videal.randgen import random_ideal, random_ring
 from videal.rings import (
     Monomial,
     Ring,
@@ -84,7 +84,10 @@ def random_ntf_pair(
     torsion-free up to k_max.  Rejected draws are counted, never skipped
     silently; the attempt count is returned."""
     for attempts in range(1, max_attempts + 1):
-        i, j = random_pair(rng, max_vars, max_gens, max_exp, squarefree_first=True)
+        ring_a = random_ring(rng, "A", "x", max_vars)
+        ring_b = random_ring(rng, "B", "y", max_vars)
+        i = random_ideal(rng, ring_a, max_gens, max_exp, squarefree=True)
+        j = random_ideal(rng, ring_b, max_gens, max_exp)
         if normally_torsion_free(i, k_max):
             return i, j, attempts
     raise InternalError("could not draw a normally-torsion-free ideal")

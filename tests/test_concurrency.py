@@ -28,19 +28,19 @@ def _clear_caches():
         cached.cache_clear()
 
 
-def _work(pair, k):
+def _work(pair, k, kinds=KINDS):
     i, j = pair
-    reports = tuple(verify_theorem(kind, i, j, k) for kind in KINDS)
+    reports = tuple(verify_theorem(kind, i, j, k) for kind in kinds)
     return associated_primes(i), associated_primes(j), reports
 
 
-def _run_threaded(tasks):
+def _run_threaded(tasks, kinds=KINDS):
     _clear_caches()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(THREADS) as pool:
-            futures = [pool.submit(_work, pair, k) for pair, k in tasks]
+            futures = [pool.submit(_work, pair, k, kinds) for pair, k in tasks]
             return [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(previous)
@@ -66,6 +66,18 @@ def test_threads_on_distinct_ideals_agree_with_one_caller():
     _clear_caches()
     expected = [_work(pair, k) for pair, k in tasks]
     assert _run_threaded(tasks) == expected
+
+
+def test_threads_closing_powers_agree_with_one_caller():
+    """intclos verdicts on cold caches race to fill the closure and facet
+    memos, and return what one caller gets."""
+    kinds = (FiltrationKind.INTEGRAL_CLOSURE,)
+    tasks = _pairs(44, 6) * THREADS
+    _clear_caches()
+    expected = [_work(pair, k, kinds) for pair, k in tasks]
+    assert _run_threaded(tasks, kinds) == expected
+    assert integral_closure.cache_info().currsize > 0
+    assert _newton_facets.cache_info().currsize > 0
 
 
 def _ladder_pairs(seed, count):

@@ -31,6 +31,7 @@ from videal.ideals import (
     colon_monomial,
     from_exps,
     ideal,
+    power,
     prime_support,
     sum_ideals,
     unit_ideal,
@@ -212,6 +213,15 @@ def test_theorem_rhs_primes_give_zero():
     j = ideal(B1, [mono(B1, y=1)])
     result = _rhs_of_the_only_row(i, j, 1, prime_support(A1, ["x"]), prime_support(B1, ["y"]))
     assert result is not None and result.value == 0 and result.achieved == (0,)
+
+
+def test_formula_reader_admits_no_depth_for_an_unassociated_support():
+    # Every power of x1*x2 has Ass {(x1), (x2)}: (x1, x2) is at no depth.
+    i = ideal(A3, [mono(A3, x1=1, x2=1)])
+    j = ideal(B1, [mono(B1, y=1)])
+    read = expansion._formula_reader((i, power(i, 2)), (j, power(j, 2)))
+    assert read((0, 1), (0,)) is None
+    assert read((0,), (0,)) is not None
 
 
 def test_verify_theorem_principal_squares():

@@ -197,6 +197,14 @@ def test_closure_check_catches_a_bad_facet(monkeypatch):
         filtrations.integral_closure.__wrapped__(a)
 
 
+def test_closure_check_catches_a_dropped_point(monkeypatch):
+    points = filtrations._minimal_points
+    monkeypatch.setattr(filtrations, "_minimal_points", lambda facets, bounds: points(facets, bounds)[1:])
+    a = ideal(R2, [mono(R2, x=1, y=1)])
+    with pytest.raises(InternalError, match=r"integral closure of \(x\*y\) does not contain \(x\*y\)"):
+        filtrations.integral_closure.__wrapped__(a)
+
+
 def test_closure_of_a_large_diagonal_power():
     # (x^N, y^N) closes to (x, y)^N: N + 1 generators, no N^2 box scan.
     a = ideal(R2, [mono(R2, x=200), mono(R2, y=200)])
@@ -509,6 +517,20 @@ def test_property_check_matches_the_enumeration_past_the_clamp(a, kind, cap):
     assert report.violations == violations
 
 
+def test_property_check_refuses_a_negative_cap():
+    with pytest.raises(VidealError, match="degree cap of the drop-by-one check must be at least 0"):
+        check_filtration_property(FiltrationKind.ORDINARY, TRIANGLE, 1, -1)
+
+
+def test_property_check_counts_the_monomials_up_to_the_cap(monkeypatch):
+    # C(3 + d, d) monomials of degree at most d in 3 variables: 10 up to
+    # degree 2, 20 up to degree 3.
+    monkeypatch.setattr(filtrations, "MAX_PROPERTY_MONOMIALS", 10)
+    assert check_filtration_property(FiltrationKind.ORDINARY, TRIANGLE, 1, 2).passed
+    with pytest.raises(VidealError, match="more than 10 monomials"):
+        check_filtration_property(FiltrationKind.ORDINARY, TRIANGLE, 1, 3)
+
+
 def test_ntf_path_true_triangle_false():
     path = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=1, z=1)])
     assert normally_torsion_free(path, 3)
@@ -525,6 +547,12 @@ def test_triangle_square_gains_maximal_prime():
     square = power(TRIANGLE, 2)
     names = {p.var_names for p in associated_primes(square)}
     assert ("x", "y", "z") in names
+
+
+def test_a_negative_filtration_index_is_refused():
+    for kind in FiltrationKind:
+        with pytest.raises(VidealError, match="negative filtration index -1"):
+            filtration_member(kind, TRIANGLE, -1)
 
 
 def test_memo_invisible_for_string_kinds():

@@ -16,7 +16,7 @@ from oracles import (
     pairwise_lcm_intersection,
     same_ideal_up_to,
 )
-from videal.errors import VidealError
+from videal.errors import RingMismatchError, VidealError
 from videal.ideals import (
     MonomialIdeal,
     PrimeSupport,
@@ -25,7 +25,7 @@ from videal.ideals import (
     from_exps,
     ideal,
     intersect,
-    intersect_exps,
+    intersect_all,
     minimal_exps,
     power,
     prime_support,
@@ -44,6 +44,7 @@ from videal.rings import (
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
+S2 = make_ring("S", ["x", "y"])
 
 
 def gens_str(a: MonomialIdeal) -> set[str]:
@@ -120,8 +121,9 @@ def test_minimal_exps_matches_degree_sweep(vectors):
 
 @st.composite
 def intersection_operands(draw):
-    """Antichains x (canonical) and y over at most 5 variables, exponents
-    at most 3, at most 7 generators each, in one of several shapes."""
+    """The number t of variables and antichains x (canonical) and y over
+    them, t at most 5, exponents at most 3, at most 7 generators each, in
+    one of several shapes."""
     t = draw(st.integers(1, 5))
     vectors = st.lists(exponent_vectors(t, 3, nonzero=False), max_size=7)
     x = minimal_exps(draw(vectors))
@@ -131,8 +133,8 @@ def intersection_operands(draw):
     elif shape == "equal":
         y = x
     elif shape == "pure powers":
-        # As irreducible_decomposition passes them: by variable index,
-        # which is not canonical when the exponents differ.
+        # Pure powers by variable index, which is not canonical when the
+        # exponents differ: from_exps sorts them.
         b = draw(st.lists(st.integers(0, 3), min_size=t, max_size=t))
         y = tuple((0,) * i + (e,) + (0,) * (t - i - 1) for i, e in enumerate(b) if e)
         x = draw(st.sampled_from([x, ((0,) * t,), minimal_exps(tuple(e // 2 for e in v) for v in y)]))
@@ -147,16 +149,42 @@ def intersection_operands(draw):
             x, y = (big, small) if shape == "x in y" else (small, big)
     if shape != "pure powers" and draw(st.booleans()):
         x, y = y, x
-    return x, y
+    return t, x, y
 
 
 @settings(max_examples=400)
 @given(intersection_operands())
-def test_intersect_exps_matches_pairwise_lcms(operands):
-    x, y = operands
-    meet = intersect_exps(x, y)
+def test_intersect_matches_pairwise_lcms(operands):
+    t, x, y = operands
+    ring = make_ring("R", [f"x{i}" for i in range(t)])
+    meet = intersect(from_exps(ring, x), from_exps(ring, y)).exps()
     assert meet == pairwise_lcm_intersection(x, y)
     assert list(meet) == sorted(set(meet), key=canonical_key)
+
+
+def test_intersect_all_of_no_ideals_is_the_unit_ideal():
+    assert intersect_all([], R2) == unit_ideal(R2)
+
+
+def test_intersect_all_refuses_a_family_over_another_ring():
+    a = ideal(R3, [mono(R3, x=1)])
+    with pytest.raises(RingMismatchError, match=r"operands live over different rings \('S' vs 'R'\)"):
+        intersect_all([a], S2)
+    with pytest.raises(RingMismatchError, match="operands live over different rings"):
+        intersect_all([ideal(R2, [mono(R2, x=1)]), ideal(S2, [mono(S2, x=1)])], R2)
+
+
+def test_ideal_refuses_a_generator_of_another_ring():
+    with pytest.raises(RingMismatchError, match=r"generator x\^2 lives in 'S', not 'R'"):
+        ideal(R2, [mono(R2, y=1), mono(S2, x=2)])
+
+
+def test_prime_support_needs_sorted_distinct_indices():
+    with pytest.raises(VidealError, match="a monomial prime needs at least one variable"):
+        PrimeSupport(R3, ())
+    for indices in ((1, 0), (0, 0)):
+        with pytest.raises(VidealError, match="prime support indices must be sorted and distinct"):
+            PrimeSupport(R3, indices)
 
 
 def test_colon_monomial_examples():

@@ -37,6 +37,14 @@ def test_unknown_ring_reports_position():
     assert err.value.col == 12
 
 
+def test_ideal_declaration_needs_in():
+    with pytest.raises(ParseError) as err:
+        parse_one("ring A = [x]; ideal I on A = (x);")
+    assert "expected 'in' after the ideal name" in str(err.value)
+    assert err.value.line == 1
+    assert err.value.col == 23
+
+
 def test_exponent_zero_is_one():
     session = parse_one("ring A = [x]; ideal I in A = (x^0);")
     assert session.ideals["I"].is_unit()

@@ -185,3 +185,13 @@ def test_canonical_sort_matches_canonical_key(vectors):
     xs = list(vectors)
     canonical_sort(xs)
     assert xs == sorted(vectors, key=canonical_key)
+
+
+def test_ring_index_names_the_unknown_variable():
+    with pytest.raises(VidealError, match="ring 'A' has no variable 'z'"):
+        make_ring("A", ["x", "y"]).index("z")
+
+
+def test_monomial_of_the_wrong_length_is_refused():
+    with pytest.raises(VidealError, match="exponent vector of length 3 does not fit ring 'A' with 2 variables"):
+        Monomial(make_ring("A", ["x", "y"]), (1, 0, 2))

@@ -163,8 +163,8 @@ def test_local_v_builds_no_colon_ideal_on_a_cold_cache(monkeypatch):
     def no_intersections(x, y):
         raise AssertionError("local_v formed an intersection")
 
-    monkeypatch.setattr(ideals, "intersect_exps", no_intersections)
-    assert not hasattr(vnumbers, "intersect_exps")
+    monkeypatch.setattr(ideals, "intersect", no_intersections)
+    assert not hasattr(vnumbers, "intersect")
     decomposition._decomposition.cache_clear()
     # (x^2, x*y^2, y^3*z, x*z^2): a : (x, y) needs the parts of x and y met.
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=2), mono(R3, y=3, z=1), mono(R3, x=1, z=2)])
