@@ -67,7 +67,9 @@ included, come from the sweep.  Readers slice the records back into
 ints (``_read``), in time linear in the value's size: the symbolic
 powers' filter ``_components_inside`` reads the supports, and the
 corners only when it drops some, to meet the kept ones;
-``irreducible_decomposition`` unpacks the corners to tuples.  The table
+``_corner_tuples`` unpacks the corners to tuples with their supports,
+for ``irreducible_decomposition`` and for the closed-power test of
+``filtrations.integral_closure``.  The table
 stores one finished ``VReport`` per associated prime, each witness
 certified as the table is built, whichever reader comes first, on G(a)
 and the witness packed on the corners' lanes: by the colon rule
@@ -301,21 +303,31 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     return MonomialIdeal(a.ring, tuple(exps))
 
 
+def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]], list[int]]:
+    """top and the memoized corners of a, checked to intersect back to a,
+    as exponent tuples in sweep order (b_i = top where the component has
+    no generator in x_i), with their support masks (bit i set iff b_i <
+    top).  The one reader that turns the packed records into tuples."""
+    data, top, count, _ = _decomposition(a)
+    n = a.ring.nvars
+    size, mask_size = _record_sizes(n, top)
+    corners = _unpack(_read(data, 0, count, size), n, top.bit_length() + 1)
+    return top, corners, _read(data, count * size, count, mask_size)
+
+
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """An irredundant set of irreducible components intersecting to a,
     read from the memoized corners, which were checked exactly to
     intersect back to a when first computed."""
-    data, top, count, _ = _decomposition(a)
+    top, corners, _ = _corner_tuples(a)
     n = a.ring.nvars
-    corners = _read(data, 0, count, _record_sizes(n, top)[0])
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
     # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
     # when (e, i) < (f, j), so the sorted pairs (b_i, i) list the
     # component's generators canonically, and compared as lists they
     # order the components as their canonical generator lists would.
     components = []
-    for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top)
-                         for b in _unpack(corners, n, top.bit_length() + 1)):
+    for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
         exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
         prime = PrimeSupport(a.ring, tuple(sorted(i for _, i in powers)))
         components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))

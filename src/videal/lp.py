@@ -1,6 +1,8 @@
 """The Newton polyhedron NP(gens) = conv(gens) + nonnegative orthant as
-integer facet inequalities w.u >= d: ``integral_closure`` enumerates its
-lattice points, and ``newton_member`` tests a single point.
+integer facet inequalities w.u >= d: ``integral_closure`` tests the
+corners of a power against them, and enumerates the polyhedron's minimal
+lattice points only when the power is not closed; ``newton_member``
+tests a single point.
 
 The module keeps its name from the exact-rational simplex it once held
 (now a test oracle), because the benchmark harness looks up each layer

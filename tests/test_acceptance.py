@@ -325,7 +325,7 @@ def test_acceptance_10_cli_corpus():
     expected_dir = corpus / "expected"
     good = sorted((corpus / "good").glob("*.vid"))
     bad = sorted((corpus / "bad").glob("*.vid"))
-    assert len(good) == 25 and len(bad) == 20
+    assert len(good) == 26 and len(bad) == 20
     schema = json.loads((HERE.parent / "schemas" / "output.schema.json").read_text())
     for path in good + bad:
         for fmt in ("text", "json"):

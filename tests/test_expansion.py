@@ -139,6 +139,15 @@ def test_direct_term_examples():
     assert gens_str(direct_term(ICL, i, j, 1)) == {"x^2", "x*y", "y^2"}
 
 
+def test_closed_square_is_the_ordinary_member_itself():
+    # (x1*x2, y1)^2 is integrally closed: both verdicts hold one copy of it.
+    i = ideal(A3, [mono(A3, x1=1, x2=1)])
+    j = ideal(B1, [mono(B1, y=1)])
+    verify_theorem(ORD, i, j, 2)
+    verify_theorem(ICL, i, j, 2)
+    assert direct_term(ICL, i, j, 2) is direct_term(ORD, i, j, 2)
+
+
 def test_verify_expansion_ordinary_always_holds():
     i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=1, x3=1)])
     j = ideal(B2, [mono(B2, y1=2)])
