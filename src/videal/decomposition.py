@@ -67,9 +67,10 @@ included, come from the sweep.  Readers slice the records back into
 ints (``_read``), in time linear in the value's size: the symbolic
 powers' filter ``_components_inside`` reads the supports, and the
 corners only when it drops some, to meet the kept ones;
-``_corner_tuples`` unpacks the corners to tuples with their supports,
-for ``irreducible_decomposition`` and for the closed-power test of
-``filtrations.integral_closure``.  The table
+``_corner_tuples`` unpacks the corners to tuples, for
+``irreducible_decomposition`` and for ``_is_closed``, the closed-power
+test that ``filtrations.integral_closure`` hands its certified facets
+to.  No other module reads the records, top or the supports.  The table
 stores one finished ``VReport`` per associated prime, each witness
 certified as the table is built, whichever reader comes first, on G(a)
 and the witness packed on the corners' lanes: by the colon rule
@@ -90,7 +91,7 @@ rule on each.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, sub
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -303,23 +304,40 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     return MonomialIdeal(a.ring, tuple(exps))
 
 
-def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]], list[int]]:
+def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
     """top and the memoized corners of a, checked to intersect back to a,
     as exponent tuples in sweep order (b_i = top where the component has
-    no generator in x_i), with their support masks (bit i set iff b_i <
-    top).  The one reader that turns the packed records into tuples."""
+    no generator in x_i).  The one reader that turns the packed records
+    into tuples."""
     data, top, count, _ = _decomposition(a)
     n = a.ring.nvars
-    size, mask_size = _record_sizes(n, top)
-    corners = _unpack(_read(data, 0, count, size), n, top.bit_length() + 1)
-    return top, corners, _read(data, count * size, count, mask_size)
+    size, _ = _record_sizes(n, top)
+    return top, _unpack(_read(data, 0, count, size), n, top.bit_length() + 1)
+
+
+def _is_closed(a: MonomialIdeal, facets: Sequence[tuple[tuple[int, ...], int]]) -> bool:
+    """Whether a holds every lattice point u >= 0 of the nonempty facet
+    inequalities w.u >= d (integer w >= 0): whether every corner b of a,
+    with support P, has a facet that fails at u = b - 1 on P and M off
+    P, M the largest d (proof in the ``filtrations`` module docstring).
+    """
+    top, corners = _corner_tuples(a)
+    far = max([d for _, d in facets])
+    for b in corners:
+        u = [e - 1 if e < top else far for e in b]
+        for w, d in facets:
+            if sum(map(mul, w, u)) < d:
+                break
+        else:
+            return False
+    return True
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """An irredundant set of irreducible components intersecting to a,
     read from the memoized corners, which were checked exactly to
     intersect back to a when first computed."""
-    top, corners, _ = _corner_tuples(a)
+    top, corners = _corner_tuples(a)
     n = a.ring.nvars
     # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
     # an antichain.  In the canonical order x_i^e precedes x_j^f exactly

@@ -14,24 +14,26 @@ kept, a^(k) is a^k itself.
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
 generated by the componentwise-minimal lattice points of NP(L).  Its
-facet inequalities are computed once, in integers, by ``lp``, and
-membership of a point is a handful of integer dot products.  For L = a^k
-they come from a alone, since NP(a^k) = k NP(a) (Huneke-Swanson,
-Integral Closure of Ideals, Rings, and Modules, 2006, ch. 1).
+facet inequalities are computed once, in integers, and certified on the
+generators by ``lp``, and membership of a point is a handful of integer
+dot products.  For L = a^k they come from a alone, since NP(a^k) =
+k NP(a) (Huneke-Swanson, Integral Closure of Ideals, Rings, and Modules,
+2006, ch. 1).
 
 Most powers are already closed, and that is decided from the corners of
 a^k with no lattice-point scan.  A monomial lies outside an ideal iff it
 lies below some corner b of its irreducible decomposition: u_P <= b_P -
 1 on the support P of b (Miller-Sturmfels, Combinatorial Commutative
-Algebra, 2005, ch. 5).  So a^k is closed iff, for every corner b, some
-facet (w, k d) with supp(w) inside P has w.(b - 1) < k d.  Proof: such a
-facet cuts off every u with u_P <= b_P - 1, since w is 0 off P.  If there
-is none, take u = b - 1 on P and a large M off P.  Every facet using a
-variable off P holds at u once M is large, since its weights are
-nonnegative, and every facet supported in P holds by assumption.  So u
-is a lattice point of NP(a^k), in the closure, outside a^k.  The corners
-come from the memoized, checked decomposition of a^k, the very entry
-that a verdict then reads as the closed member's witness table.
+Algebra, 2005, ch. 5).  So a^k is closed iff no corner b has its point
+u = b - 1 on P and M off P inside NP(a^k), where M is the largest
+constant k d of the facets (w, k d) of NP(a^k).  Proof: if some facet
+fails at u, it has w_j = 0 for every j off P, since an integer w_j >= 1
+there gives w.u >= M >= k d; so it fails at every point below b on P
+too, and none of them is in the closure.  If every facet holds at u,
+then u is a lattice point of NP(a^k), in the closure, outside a^k.
+``decomposition`` runs the test on the memoized, checked corners of
+a^k, the very entry that a verdict then reads as the closed member's
+witness table.
 
 When a^k is not closed, its minimal lattice points are solved one row
 of the box at a time: along a row the first feasible point follows from
@@ -46,7 +48,7 @@ from math import comb
 from operator import mul
 from typing import Sequence
 
-from .decomposition import _colon_witnesses, _components_inside, _corner_tuples
+from .decomposition import _colon_witnesses, _components_inside, _is_closed
 from .decomposition import _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
@@ -142,36 +144,6 @@ def _minimal_points(
     return points
 
 
-def _is_closed(
-    facets: Sequence[tuple[tuple[int, ...], int]],
-    corners: Sequence[tuple[int, ...]], supports: Sequence[int],
-) -> bool:
-    """Whether the ideal with the given corners, each with its support
-    mask, holds every lattice point u >= 0 of the facet inequalities
-    w.u >= d (w >= 0): whether, for every corner b with support P, some
-    facet with supp(w) inside P has w.(b - 1) < d (the criterion in the
-    module docstring).  Each facet's support mask is built once, so a
-    facet off P costs one mask test, and the scan of a corner stops at
-    the first facet that cuts it off.
-    """
-    tests = []
-    for w, d in facets:
-        mask = 0
-        for i, x in enumerate(w):
-            if x:
-                mask |= 1 << i
-        # With supp(w) inside P, w.(b - 1) < d reads w.b < d + sum(w); the
-        # entries of b off P, at top, meet only zero weights.
-        tests.append((mask, w, d + sum(w)))
-    for b, s in zip(corners, supports):
-        for mask, w, bound in tests:
-            if not mask & ~s and sum(map(mul, w, b)) < bound:
-                break
-        else:
-            return False
-    return True
-
-
 @lru_cache(maxsize=4096)
 def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     """The integral closure of a^k (the whole ring for k = 0), for a monomial ideal a.
@@ -180,30 +152,22 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     same object, and a closed power is handed back itself.  The Newton
     polyhedron of a^k is k NP(a): the exponents of products of k
     generators have the convex hull k conv(G(a)).  So its facets are
-    (w, k d) for the facets (w, d) of NP(a), which are computed once, in
-    integers, from the fewer generators of a, and checked on G(a): every
-    facet holds on every generator (each generator of a^k is a sum of k
-    of them).  Facets that pass bound a polyhedron holding NP(a^k), so a
-    closed verdict read from them is sound.  Then a^k is closed iff every
-    corner b of its checked decomposition, with support P, is cut off at
-    b - 1 by a facet supported in P (``_is_closed``; proof in the module
-    docstring).  Only
-    when it is not are the minimal lattice points found, row by row
-    (``_minimal_points``).  Each of them is the ceiling of a point of
+    (w, k d) for the facets (w, d) of NP(a), which ``lp._newton_facets``
+    computes once, in integers, from the fewer generators of a, and
+    certifies on G(a) (each generator of a^k is a sum of k of them).
+    Certified facets bound a polyhedron holding NP(a^k), so a closed
+    verdict read from them is sound: ``decomposition._is_closed`` tests
+    one point per corner of a^k (proof in the module docstring).  Only
+    when a^k is not closed are the minimal lattice points found, row by
+    row (``_minimal_points``).  Each of them is the ceiling of a point of
     conv(G(a^k)), hence lies in the box u_i <= max exponent of G(a^k) in
     coordinate i, and the closure they generate must contain a^k.
     """
     if k < 1:
         return power(a, k)
     pk = filtration_member(FiltrationKind.ORDINARY, a, k)
-    gens = a.exps()
-    facets = _newton_facets(gens)
-    for w, d in facets:
-        if any(sum(map(mul, w, v)) < d for v in gens):
-            raise InternalError(f"integral closure of {pk}: facet {w}.u >= {k * d} cuts off a generator")
-    facets = [(w, k * d) for w, d in facets]
-    _, corners, supports = _corner_tuples(pk)
-    if _is_closed(facets, corners, supports):
+    facets = [(w, k * d) for w, d in _newton_facets(a.exps())]
+    if _is_closed(pk, facets):
         return pk
     bounds = [max(column) for column in zip(*pk.exps())]
     points = _minimal_points(facets, bounds)

@@ -1,8 +1,10 @@
 """The Newton polyhedron NP(gens) = conv(gens) + nonnegative orthant as
-integer facet inequalities w.u >= d: ``integral_closure`` tests the
-corners of a power against them, and enumerates the polyhedron's minimal
-lattice points only when the power is not closed; ``newton_member``
-tests a single point.
+integer facet inequalities w.u >= d, each certified to hold on every
+generator once per generator set, as it is memoized: so every reader
+reads certified facets.  ``newton_member`` tests a single point against
+them; ``integral_closure`` scales them to a power's and hands them to
+``decomposition``, which tests the power's corners, and enumerates the
+polyhedron's minimal lattice points only when the power is not closed.
 
 The module keeps its name from the exact-rational simplex it once held
 (now a test oracle), because the benchmark harness looks up each layer
@@ -14,7 +16,7 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import VidealError
+from .errors import InternalError, VidealError
 
 
 class NewtonMembership(NamedTuple):
@@ -25,9 +27,23 @@ class NewtonMembership(NamedTuple):
 @lru_cache(maxsize=4096)
 def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
     """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
-    of gens (a nonempty tuple of exponent vectors; repeated or dominated
-    ones only add redundant inequalities to the cone below).  Memoized:
-    ``integral_closure(a, k)`` reads the facets of a for every k.
+    of gens (a nonempty tuple of exponent vectors), from the double
+    description, each checked to hold on every generator (a failure is
+    an internal error).  Memoized: ``integral_closure(a, k)`` reads the
+    facets of a for every k, and the check runs once per generator set.
+    """
+    facets = _double_description(gens)
+    for w, d in facets:
+        for v in gens:
+            if sum(map(mul, w, v)) < d:
+                raise InternalError(f"Newton polyhedron facet {w}.u >= {d} cuts off a generator {v}")
+    return facets
+
+
+def _double_description(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
+    of gens (repeated or dominated vectors only add redundant
+    inequalities to the cone below), unchecked.
 
     They are the extreme rays (w, d) with d > 0 of the cone
     C = {(w, d) : w >= 0, w.v >= d for every v in gens}; the rays with

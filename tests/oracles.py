@@ -138,10 +138,6 @@ def as_prime(a: MonomialIdeal) -> PrimeSupport | None:
     return PrimeSupport(a.ring, tuple(u.index(1) for u in exps))
 
 
-def scale_exp(u: tuple[int, ...], m: int) -> tuple[int, ...]:
-    return tuple(e * m for e in u)
-
-
 def colon_members(
     a: MonomialIdeal, divisors: list[Monomial], deg_cap: int
 ) -> MonomialIdeal:
@@ -671,6 +667,28 @@ def corner_tuples(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int, tuple[i
     return unpack_corner_set(_decomposition(a), a.ring.nvars)
 
 
+def facet_mask_is_closed(
+    facets: Sequence[tuple[tuple[int, ...], int]],
+    corners: Sequence[tuple[int, ...]], supports: Sequence[int],
+) -> bool:
+    """Whether the ideal with the given corners, each with its support
+    mask, holds every lattice point u >= 0 of the facet inequalities
+    w.u >= d (w >= 0): whether, for every corner b with support P, some
+    facet with supp(w) inside P has w.(b - 1) < d.  The facets' support
+    masks pick the facets of each corner: the criterion that
+    ``decomposition._is_closed`` replaced, which needs no masks."""
+    tests = []
+    for w, d in facets:
+        mask = sum(1 << i for i, x in enumerate(w) if x)
+        # With supp(w) inside P, w.(b - 1) < d reads w.b < d + sum(w); the
+        # entries of b off P, at top, meet only zero weights.
+        tests.append((mask, w, d + sum(w)))
+    for b, s in zip(corners, supports):
+        if not any(not mask & ~s and sum(map(times, w, b)) < bound for mask, w, bound in tests):
+            return False
+    return True
+
+
 def packed_colon_prime(gens: tuple[tuple[int, ...], ...], f: tuple[int, ...]) -> tuple[int, ...] | None:
     """``decomposition._colon_prime`` on G(a) = gens and f, given as
     tuples: packed below top = max exponent + 1, every coordinate of f at
@@ -758,9 +776,8 @@ def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> b
     Conservative cross-check for Newton membership: False only means "not
     found up to m_max".
     """
-    exp = tuple(a)
     for m in range(1, m_max + 1):
-        if power(l, m).contains(Monomial(l.ring, scale_exp(exp, m))):
+        if power(l, m).contains(Monomial(l.ring, tuple(e * m for e in a))):
             return True
     return False
 

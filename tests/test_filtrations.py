@@ -15,6 +15,7 @@ from oracles import (
     certificate_denominator_lcm,
     corner_tuples,
     enumerated_property_check,
+    facet_mask_is_closed,
     fibre_scan_minimal_points,
     lane_width,
     localize,
@@ -23,7 +24,7 @@ from oracles import (
     power_membership_oracle,
     unpack_exps,
 )
-from videal import decomposition, filtrations
+from videal import decomposition, filtrations, lp
 from videal.decomposition import associated_primes, minimal_primes
 from videal.errors import InternalError, VidealError
 from videal.expansion import join_ideals
@@ -168,7 +169,7 @@ def test_closure_matches_box_scan_oracle(a, k):
 @given(small_ideals(max_gens=6, max_exp=3, max_vars=4), st.data())
 def test_newton_facets_agree_with_the_lp(a, data):
     gens = a.exps()
-    facets = filtrations._newton_facets(gens)
+    facets = lp._newton_facets(gens)
     assert facets
     for w, d in facets:
         assert all(isinstance(x, int) and x >= 0 for x in w)
@@ -185,16 +186,22 @@ def test_newton_facets_agree_with_the_lp(a, data):
 
 
 def test_closure_check_catches_a_bad_facet(monkeypatch):
-    facets = filtrations._newton_facets
+    # A double description that raises one facet's constant past the
+    # generators it is tight on: lp's certificate must reject it before
+    # either reader sees it.  No other test uses these generators, so the
+    # facet memo has no entry for them, and a raise caches nothing.
+    facets = lp._double_description
 
     def raised_first(gens):
         (w, d), *rest = facets(gens)
-        return [(w, d + 1), *rest]
+        return ((w, d + 1), *rest)
 
-    monkeypatch.setattr(filtrations, "_newton_facets", raised_first)
-    a = ideal(R2, [mono(R2, x=3, y=1), mono(R2, x=1, y=3)])
-    with pytest.raises(InternalError, match="integral closure"):
-        filtrations.integral_closure.__wrapped__(a)
+    monkeypatch.setattr(lp, "_double_description", raised_first)
+    a = ideal(R2, [mono(R2, x=9, y=2), mono(R2, x=2, y=9)])
+    with pytest.raises(InternalError, match="cuts off a generator"):
+        newton_member((5, 5), a.exps())
+    with pytest.raises(InternalError, match="cuts off a generator"):
+        filtrations.integral_closure.__wrapped__(a, 2)
 
 
 def test_closure_check_catches_a_dropped_point(monkeypatch):
@@ -244,25 +251,43 @@ def test_closed_ideal_with_a_square_that_is_not_closed():
     assert set(closed.exps()) - set(power(a, 2).exps()) == {(4, 3, 2)}
 
 
+def closed_power_verdicts(a, k):
+    """The corner test's verdict on a^k, the mask criterion's, and the
+    box-scan oracle's (whether its closure of a^k is a^k)."""
+    pk = power(a, k)
+    facets = [(w, k * d) for w, d in lp._newton_facets(a.exps())]
+    corners, _, supports = corner_tuples(pk)
+    return (decomposition._is_closed(pk, facets), facet_mask_is_closed(facets, corners, supports),
+            box_scan_integral_closure(pk) == pk)
+
+
 def test_closed_power_verdict_matches_the_box_scan_oracle():
-    # The corner certificate says closed exactly when the oracle's closure
-    # of a^k is a^k, on seeded 3- and 4-variable ideals, closed and not.
+    # The corner test says closed exactly when the oracle's closure of a^k
+    # is a^k, on seeded 3- and 4-variable ideals, closed and not.  z^2 *
+    # (x^2, y^2) is not closed (x*y*z^2 joins it), and only its corner
+    # (2, 2, top) tells: its point (1, 1, M) meets the facet z >= 2, which
+    # holds there only when M reaches the largest facet constant, 2.
     rng = random.Random(35)
     R4 = make_ring("R", ["x", "y", "z", "w"])
     cases = [(CLOSED_WITH_OPEN_SQUARE, 1), (CLOSED_WITH_OPEN_SQUARE, 2), (TRIANGLE, 2)]
+    cases += [(ideal(R3, [mono(R3, x=2, z=2), mono(R3, y=2, z=2)]), 1)]
     cases += [(random_ideal(rng, R3, 5, 3), k) for k in (1, 2) for _ in range(12)]
     cases += [(random_ideal(rng, R4, 4, 3), 1) for _ in range(8)]
     cases += [(random_ideal(rng, R4, 4, 1, squarefree=True), 2) for _ in range(4)]
     verdicts = []
     for a, k in cases:
-        pk = power(a, k)
-        _, corners, supports = decomposition._corner_tuples(pk)
-        facets = [(w, k * d) for w, d in filtrations._newton_facets(a.exps())]
-        verdict = filtrations._is_closed(facets, corners, supports)
-        assert verdict == (box_scan_integral_closure(pk) == pk), (str(a), k)
+        verdict, mask, oracle = closed_power_verdicts(a, k)
+        assert verdict == mask == oracle, (str(a), k)
         verdicts.append(verdict)
-    assert verdicts[:2] == [True, False]
+    assert verdicts[:4] == [True, False, True, False]
     assert 5 < verdicts.count(True) < len(verdicts) - 5
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_gens=5, max_exp=3, max_vars=4), st.integers(1, 3))
+def test_closed_power_verdict_matches_the_mask_criterion(a, k):
+    verdict, mask, oracle = closed_power_verdicts(a, k)
+    assert verdict == mask == oracle
 
 
 def test_closure_of_a_large_diagonal_power():
@@ -287,7 +312,7 @@ def test_closure_of_a_cube_in_six_variables_matches_oracle():
 @given(small_ideals(max_gens=6, max_exp=3, max_vars=5), st.integers(1, 3))
 def test_row_enumeration_matches_fibre_scan(a, k):
     # The facets of NP(a^k) = k NP(a), in a box holding its minimal points.
-    facets = [(w, k * d) for w, d in filtrations._newton_facets(a.exps())]
+    facets = [(w, k * d) for w, d in lp._newton_facets(a.exps())]
     bounds = [k * max(column) for column in zip(*a.exps())]
     points = filtrations._minimal_points(facets, bounds)
     assert sorted(points) == sorted(fibre_scan_minimal_points(facets, bounds))
@@ -306,7 +331,7 @@ def test_closure_of_an_eight_variable_cube_matches_fibre_scan():
     base = from_exps(ring, [(1, 1, 0, 0, 2, 0, 1, 0), (0, 2, 1, 1, 0, 0, 0, 1),
                             (1, 0, 2, 0, 0, 1, 1, 1), (0, 0, 0, 2, 1, 2, 0, 1)])
     cube = power(base, 3)
-    facets = filtrations._newton_facets(cube.exps())
+    facets = lp._newton_facets(cube.exps())
     bounds = [max(column) for column in zip(*cube.exps())]
     expected = from_exps(ring, fibre_scan_minimal_points(facets, bounds))
     assert len(expected.exps()) == 54
