@@ -65,23 +65,24 @@ little-endian record, then each support in records of its own, with top
 and the count beside it.  Every ideal's corners, a symbolic member's
 included, come from the sweep.  Readers slice the records back into
 ints (``_read``), in time linear in the value's size: the symbolic
-powers' filter ``_components_inside`` reads the supports, and the
-corners only when it drops some, to meet the kept ones;
-``_corner_tuples`` unpacks the corners to tuples, for
-``irreducible_decomposition`` and for ``_is_closed``, the closed-power
-test that ``filtrations.integral_closure`` hands its certified facets
-to.  No other module reads the records, top or the supports.  The table
-stores one finished ``VReport`` per associated prime, each witness
-certified as the table is built, whichever reader comes first, on G(a)
-and the witness packed on the corners' lanes: by the colon rule
-(``_colon_prime``, which reads the quotients u / gcd(u, f) with a few
-integer operations per generator), then by membership, which asks only
-whether monomials lie in a: x_i f does for every i in P, and f with
-every coordinate outside P set to top - 1 does not.  A witness has every
-coordinate at most top - 1, so x_i f stays within the lanes.  Neither
-certificate builds the colon ideal.  ``associated_primes``,
-``vnumbers.local_v``, ``vnumbers.v_number`` and ``expansion`` read the
-table through ``_witnesses``.
+powers' filter ``_components_inside`` first compares the keys of the
+table, Ass(a), with the kept primes, reads the supports only when that
+does not show every component kept, and the corners only when it drops
+some, to meet the kept ones; ``_corner_tuples`` unpacks the corners to
+tuples, for ``irreducible_decomposition`` and for ``_is_closed``, the
+closed-power test that ``filtrations.integral_closure`` hands its
+certified facets to.  No other module reads the records, top or the
+supports.  The table stores one finished ``VReport`` per associated
+prime, each witness certified as the table is built, whichever reader
+comes first, on G(a) and the witness packed on the corners' lanes: by
+the colon rule (``_colon_prime``, which reads the quotients u / gcd(u,
+f) with a few integer operations per generator), then by membership,
+which asks only whether monomials lie in a: x_i f does for every i in P,
+and f with every coordinate outside P set to top - 1 does not.  A
+witness has every coordinate at most top - 1, so x_i f stays within the
+lanes.  Neither certificate builds the colon ideal.
+``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
+``expansion`` read the table through ``_witnesses``.
 
 Packed lanes are this module's alone.  The bounded
 ``filtrations.check_filtration_property`` enumerates monomials and hands
@@ -287,12 +288,29 @@ def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
 def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
     """The intersection of the components of a with support in one of the
     primes (one at least), from the memoized corners; a if all are kept.
-    The corners themselves are read only when some are dropped."""
-    data, top, count, _ = _decomposition(a)
+
+    Whether all are kept is asked first of the keys of a's witness table,
+    and no record is read when they answer it.  ``_witness_table`` makes
+    one entry per support of a corner, each certified, so the keys are
+    the distinct supports of a's irredundant components: Ass(a).  When
+    every key is one of the primes' own supports, every component has
+    its support in a prime and is kept, so the meet is a.  For the
+    minimal primes of an ideal b with a = b^k the test is exact: a
+    support P of a lies over a, so it contains a minimal prime of a, and
+    Min(a) = Min(b); if P lies inside a minimal prime q, that minimal
+    prime inside q is q itself, and P = q.  For other prime sets, such
+    as Ass(b), it is only sufficient, and a miss goes on to the support
+    records, where a support is kept if it lies inside some prime's
+    mask.  The corners themselves are read only when some are dropped.
+    """
+    data, top, count, table = _decomposition(a)
+    kept = {p.indices for p in primes}
+    if table.keys() <= kept:
+        return a
     n = a.ring.nvars
     size, mask_size = _record_sizes(n, top)
     supports = _read(data, count * size, count, mask_size)
-    masks = [sum([1 << i for i in p.indices]) for p in primes]
+    masks = [sum([1 << i for i in indices]) for indices in kept]
     # A support that is a prime's own mask is kept with no scan.
     dropped = {s for s in set(supports).difference(masks) if not any(s | m == m for m in masks)}
     if not dropped:

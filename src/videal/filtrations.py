@@ -9,7 +9,10 @@ into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
 support lies in some associated (or minimal) prime of a: ``decomposition``
 reads them from the memoized, checked corners of a^k, built with the
 witness table of a^k, and meets the kept ones.  When every component is
-kept, a^(k) is a^k itself.
+kept, a^(k) is a^k itself, and that is asked first, of Ass(a^k), the
+keys of the table: when each of them is one of the primes, every
+component is kept, and for the minimal primes only then.  The supports
+of the components are read only when that test fails.
 
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is

@@ -490,6 +490,43 @@ def dominance_corners(gens: tuple[tuple[int, ...], ...], top: int) -> list[tuple
     return corners
 
 
+def summand_corners(
+    kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
+) -> tuple[int, set[tuple[int, ...]]]:
+    """The corners of sum_d I_{k-d} J_d (I_0 = J_0 the whole ring) for the
+    members of the kind's filtrations of I and J, in the ring of I's
+    variables followed by J's, built from the summands alone, with their
+    top.  That sum is the k-th member of I + J exactly when the binomial
+    expansion holds.
+
+    For decreasing filtrations in disjoint variables, sum_d I_{k-d} J_d =
+    the intersection of I_d + J_{k+1-d} over d in 1..k: if x^u y^v lies in
+    every I_d + J_{k+1-d} and a < k is the largest index with x^u in I_a,
+    then x^u is not in I_{a+1}, so y^v lies in J_{k-a}.  A component of
+    I_d + J_{k+1-d} is the sum of one of I_d and one of J_{k+1-d}, whose
+    corner is the concatenation (b, c) of their corners, each summand's
+    top entries mapped to a common top; the irredundant corners are the
+    maximal concatenations.  The summands' corners come from
+    ``dominance_corners``.  The common top is one more than the largest
+    finite entry, which is the top of the sum's own decomposition: for a
+    minimal generator u with u_i the largest exponent of x_i, u / x_i
+    lies outside some component that u lies in, which takes b_i = u_i.
+    """
+    candidates = set()
+    for d in range(1, k + 1):
+        sides = []
+        for a, m in ((i, d), (j, k + 1 - d)):
+            gens = filtration_member(kind, a, m).exps()
+            top = max(map(max, gens)) + 1
+            sides.append([tuple(None if e == top else e for e in b) for b in dominance_corners(gens, top)])
+        candidates.update(b + c for b in sides[0] for c in sides[1])
+    top = 1 + max(e for b in candidates for e in b if e is not None)
+    kept: list[tuple[int, ...]] = []
+    lifted = {tuple(top if e is None else e for e in b) for b in candidates}
+    _keep_maximal(kept, sorted(lifted, key=sum, reverse=True))
+    return top, set(kept)
+
+
 def _least_raise(
     hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
 ) -> tuple[int, tuple[int, ...]] | None:

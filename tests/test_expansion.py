@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_local_v,
     canonical_key,
+    corner_tuples,
     embed,
     mul,
     per_depth_theorem_rhs,
     random_ntf_pair,
     split_prime,
+    summand_corners,
 )
 from videal import expansion
 from videal.decomposition import _decomposition, associated_primes
@@ -38,7 +40,7 @@ from videal.ideals import (
     zero_ideal,
 )
 from videal.lp import _newton_facets
-from videal.randgen import random_pair
+from videal.randgen import random_ideal, random_pair
 from videal.rings import Ring, join_rings, make_ring, mono
 from videal.vnumbers import local_v, v_number
 
@@ -500,3 +502,36 @@ def test_rows_carry_the_validated_split_once_per_support(kind):
                 assert (row.p, row.q) == split_prime(row.prime, i.ring, j.ring)
                 assert shared.setdefault(("p", row.p), row.p) is row.p
                 assert shared.setdefault(("q", row.q), row.q) is row.q
+
+
+def _assert_the_summands_build_the_corners(kind, i, j, k):
+    """When the binomial expansion holds, the direct member's corners,
+    with its own top, are the maximal concatenations of the summands'."""
+    report = verify_expansion(kind, i, j, k)
+    if report.expansion_holds:
+        corners, top, _ = corner_tuples(report.direct)
+        assert summand_corners(kind, i, j, k) == (top, set(corners))
+    return report.expansion_holds
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_ideals(max_vars=3, name="A", prefix="x"),
+    small_ideals(max_vars=3, name="B", prefix="y"),
+    st.sampled_from([ORD, SASS, SMIN]),
+    st.integers(1, 3),
+)
+def test_the_direct_member_has_the_summand_built_corners(i, j, kind, k):
+    holds = _assert_the_summands_build_the_corners(kind, i, j, k)
+    assert holds or kind is not ORD
+
+
+@pytest.mark.parametrize("kind", [SASS, SMIN])
+@pytest.mark.parametrize("seed", [13, 16])
+def test_the_direct_member_has_the_summand_built_corners_on_4x4_pairs(seed, kind):
+    """(I+J)^(3) for the seeded 4+4 pairs with 8 generators of exponent at
+    most 3 per side, whose expansions hold."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    assert _assert_the_summands_build_the_corners(kind, i, j, 3)

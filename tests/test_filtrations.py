@@ -516,17 +516,30 @@ def test_a_symbolic_member_inherits_its_corners_on_4x4_powers(seed, kind):
     _assert_the_member_inherits_its_corners(kind, join_ideals(i, j), 3)
 
 
-@settings(max_examples=60, deadline=None)
+def _assert_the_member_is_the_power_iff_every_component_is_kept(kind, a, k):
+    """The member is the ordinary member itself exactly when every
+    support of a^k, as a bit mask, lies inside the mask of a kept prime,
+    and it is the localized symbolic power either way."""
+    primes = associated_primes(a) if kind is FiltrationKind.SYMBOLIC_ASS else minimal_primes(a)
+    masks = [sum(1 << i for i in p.indices) for p in primes]
+    supports = [sum(1 << i for i in q.indices) for q in associated_primes(power(a, k))]
+    every_kept = all(any(s | m == m for m in masks) for s in supports)
+    member = filtration_member(kind, a, k)
+    assert (member is filtration_member(FiltrationKind.ORDINARY, a, k)) == every_kept
+    assert member == localized_symbolic_power(kind, a, k)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     small_ideals(max_vars=4),
     st.sampled_from([FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN]),
     st.integers(1, 3),
 )
 def test_symbolic_power_matches_the_localized_oracle(a, kind, k):
-    assert filtration_member(kind, a, k) == localized_symbolic_power(kind, a, k)
+    _assert_the_member_is_the_power_iff_every_component_is_kept(kind, a, k)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(
     small_ideals(max_vars=2, name="A", prefix="x"),
     small_ideals(max_vars=2, name="B", prefix="y"),
@@ -535,8 +548,40 @@ def test_symbolic_power_matches_the_localized_oracle(a, kind, k):
 )
 def test_symbolic_power_of_a_joined_pair_matches_the_localized_oracle(i, j, kind, k):
     # The direct side of a verdict takes symbolic powers of I + J in the joined ring.
-    s = join_ideals(i, j)
-    assert filtration_member(kind, s, k) == localized_symbolic_power(kind, s, k)
+    _assert_the_member_is_the_power_iff_every_component_is_kept(kind, join_ideals(i, j), k)
+
+
+def _raising_read(*args):
+    raise AssertionError("a corner or support record was read")
+
+
+@pytest.mark.parametrize("kind", [FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN])
+def test_a_member_that_keeps_every_component_reads_no_record(kind, monkeypatch):
+    """(xy, yz) = (y) ∩ (x, z) is square-free and normally
+    torsion-free, so Ass(a^k) = Ass(a) = Min(a) for every k, and both
+    symbolic members are a^k itself, decided from the keys of a^k's
+    witness table with no record read.  The decompositions are built
+    before the patch, so that only the members are built under it."""
+    a = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=1, z=1)])
+    assert normally_torsion_free(a, 3)
+    for k in (1, 2, 3):
+        decomposition._decomposition(power(a, k))
+    monkeypatch.setattr(decomposition, "_read", _raising_read)
+    filtration_member.cache_clear()
+    for k in (1, 2, 3):
+        assert filtration_member(kind, a, k) is filtration_member(FiltrationKind.ORDINARY, a, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(max_vars=4))
+def test_symbolic_ass_at_one_reads_no_record(a):
+    # Ass(a^1) is Ass(a): every key of the table is a kept prime's own.
+    associated_primes(a)
+    filtration_member.cache_clear()
+    with patch.object(decomposition, "_read", _raising_read):
+        assert filtration_member(FiltrationKind.SYMBOLIC_ASS, a, 1) is filtration_member(
+            FiltrationKind.ORDINARY, a, 1
+        )
 
 
 def test_embedded_prime_q_power_exploration():
