@@ -59,28 +59,28 @@ only immutable values, built in one call: the corners from the sweep,
 checked by the sweep the other way (the intersect-back check meets the
 sweep's ints before they are stored, and compares the meet, as a set,
 with G(a) packed once); the witness table, searched on the sweep's
-corners and support masks (bit i set iff b_i < top); and one bytes value
-holding each corner, packed as the sweep returns it, in a fixed-width
-little-endian record, then each support in records of its own, with top
-and the count beside it.  Every ideal's corners, a symbolic member's
-included, come from the sweep.  Readers slice the records back into
-ints (``_read``), in time linear in the value's size: the symbolic
-powers' filter ``_components_inside`` first compares the keys of the
-table, Ass(a), with the kept primes, reads the supports only when that
-does not show every component kept, and the corners only when it drops
-some, to meet the kept ones; ``_corner_tuples`` unpacks the corners to
-tuples, for ``irreducible_decomposition`` and for ``_is_closed``, the
-closed-power test that ``filtrations.integral_closure`` hands its
-certified facets to.  No other module reads the records, top or the
-supports.  The table stores one finished ``VReport`` per associated
-prime, each witness certified as the table is built, whichever reader
-comes first, on G(a) and the witness packed on the corners' lanes: by
-the colon rule (``_colon_prime``, which reads the quotients u / gcd(u,
-f) with a few integer operations per generator), then by membership,
-which asks only whether monomials lie in a: x_i f does for every i in P,
-and f with every coordinate outside P set to top - 1 does not.  A
-witness has every coordinate at most top - 1, so x_i f stays within the
-lanes.  Neither certificate builds the colon ideal.
+corners grouped by support (the i with b_i < top), one entry per
+support, so its keys are Ass(a) and the only record of the supports; and
+one bytes value holding each corner, packed as the sweep returns it, in
+a fixed-width little-endian record, with top beside it.  Every ideal's
+corners, a symbolic member's included, come from the sweep.  Readers
+slice the records back into ints (``_read``), in time linear in the
+value's size: the symbolic powers' filter ``_components_inside`` decides
+from the keys which supports the kept primes drop, and reads the corners
+only when some are dropped, to meet the others; ``_corner_tuples``
+unpacks the corners to tuples, for ``irreducible_decomposition`` and for
+``_is_closed``, the closed-power test that
+``filtrations.integral_closure`` hands its certified facets to.  No
+other module reads the records or top.  The table stores one finished
+``VReport`` per associated prime, each witness certified as the table is
+built, whichever reader comes first, on G(a) and the witness packed on
+the corners' lanes: by the colon rule (``_colon_prime``, which reads the
+quotients u / gcd(u, f) with a few integer operations per generator),
+then by membership, which asks only whether monomials lie in a: x_i f
+does for every i in P, and f with every coordinate outside P set to
+top - 1 does not.  A witness has every coordinate at most top - 1, so
+x_i f stays within the lanes.  Neither certificate builds the colon
+ideal.
 ``associated_primes``, ``vnumbers.local_v``, ``vnumbers.v_number`` and
 ``expansion`` read the table through ``_witnesses``.
 
@@ -232,26 +232,26 @@ def _corners(gens: Sequence[int], top: int, n: int) -> list[int]:
     return [full - u for u in _intersect_corners([full - v for v in gens], top, n)]
 
 
-def _record_sizes(n: int, top: int) -> tuple[int, int]:
+def _record_size(n: int, top: int) -> int:
     """The bytes that ``_decomposition`` gives one packed corner of n
-    coordinates on lanes of top.bit_length() + 1 bits, and one support."""
-    return (n * (top.bit_length() + 1) + 7) // 8, (n + 7) // 8
+    coordinates on lanes of top.bit_length() + 1 bits."""
+    return (n * (top.bit_length() + 1) + 7) // 8
 
 
-def _read(data: bytes, start: int, count: int, size: int) -> list[int]:
-    """The count ints of size little-endian bytes each that data holds
-    from byte start on: one slice each, so reading is linear in size."""
+def _read(data: bytes, size: int) -> list[int]:
+    """The ints of size little-endian bytes each that data holds: one
+    slice each, so reading is linear in len(data)."""
     from_bytes = int.from_bytes
-    return [from_bytes(data[o:o + size], "little") for o in range(start, start + count * size, size)]
+    return [from_bytes(data[o:o + size], "little") for o in range(0, len(data), size)]
 
 
 @lru_cache(maxsize=16384)
-def _decomposition(a: MonomialIdeal) -> tuple[bytes, int, int, Mapping[tuple[int, ...], VReport]]:
-    """The decomposition of a as (data, top, count, table): data holds
-    the count packed corners of the irredundant irreducible decomposition
-    in sweep order, checked exactly to intersect back to a, then the
-    support of each as a bit mask (bit i set iff b_i < top), in records
-    of ``_record_sizes`` bytes; table is a's ``_witness_table``."""
+def _decomposition(a: MonomialIdeal) -> tuple[bytes, int, Mapping[tuple[int, ...], VReport]]:
+    """The decomposition of a as (data, top, table): data holds the
+    packed corners of the irredundant irreducible decomposition in sweep
+    order, checked exactly to intersect back to a, in records of
+    ``_record_size`` bytes; table is a's ``_witness_table``, whose keys
+    are the distinct supports of the corners."""
     _require_proper_nonzero(a)
     gens = a.exps()
     n = len(gens[0])
@@ -259,65 +259,55 @@ def _decomposition(a: MonomialIdeal) -> tuple[bytes, int, int, Mapping[tuple[int
     width = top.bit_length() + 1
     packed = _pack(gens, width)
     corners = _corners(packed, top, n)
-    lane = (1 << width) - 1
-    shifts = range(0, n * width, width)
-    # A plain loop: a call or a comprehension per corner costs more.
-    supports = []
-    for b in corners:
-        mask, bit = 0, 1
-        for s in shifts:
-            if b >> s & lane < top:
-                mask |= bit
-            bit <<= 1
-        supports.append(mask)
     # Both sides are duplicate-free antichains, so equal sets are equal ideals.
     if set(_intersect_corners(corners, top, n)) != set(packed):
         raise InternalError(f"irreducible decomposition of {a} does not intersect back")
-    table = _witness_table(a, packed, _unpack(corners, n, width), supports, top)
-    size, mask_size = _record_sizes(n, top)
-    records = [b.to_bytes(size, "little") for b in corners]
-    records += [s.to_bytes(mask_size, "little") for s in supports]
-    return b"".join(records), top, len(corners), table
+    table = _witness_table(a, packed, _unpack(corners, n, width), top)
+    size = _record_size(n, top)
+    return b"".join([b.to_bytes(size, "little") for b in corners]), top, table
 
 
 def _witnesses(a: MonomialIdeal) -> Mapping[tuple[int, ...], VReport]:
     """The read-only witness table of a, from its memoized decomposition."""
-    return _decomposition(a)[3]
+    return _decomposition(a)[2]
 
 
 def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> MonomialIdeal:
     """The intersection of the components of a with support in one of the
     primes (one at least), from the memoized corners; a if all are kept.
 
-    Whether all are kept is asked first of the keys of a's witness table,
-    and no record is read when they answer it.  ``_witness_table`` makes
-    one entry per support of a corner, each certified, so the keys are
-    the distinct supports of a's irredundant components: Ass(a).  When
-    every key is one of the primes' own supports, every component has
-    its support in a prime and is kept, so the meet is a.  For the
-    minimal primes of an ideal b with a = b^k the test is exact: a
-    support P of a lies over a, so it contains a minimal prime of a, and
-    Min(a) = Min(b); if P lies inside a minimal prime q, that minimal
-    prime inside q is q itself, and P = q.  For other prime sets, such
-    as Ass(b), it is only sufficient, and a miss goes on to the support
-    records, where a support is kept if it lies inside some prime's
-    mask.  The corners themselves are read only when some are dropped.
+    The keys of a's witness table decide which supports are dropped.
+    ``_witness_table`` makes one entry per support of a corner, each
+    certified, so the keys are the distinct supports of a's irredundant
+    components: Ass(a).  A key that is one of the primes' own supports
+    is kept; any other is dropped iff it lies inside no prime.  With none
+    dropped the meet is a, and no record is read.  Else the corners are
+    read, and a corner b is dropped iff its support is.  The lanes off its
+    support are those with b_i = top, and a support and its lanes off it
+    determine each other; ((b | G) - tops) & G keeps the guard bits of
+    exactly those lanes, for G the guard bits and tops the vector with
+    top in every lane, since every b_i is at most top
+    (``_intersect_corners``).  The kept corners are met.
     """
-    data, top, count, table = _decomposition(a)
+    data, top, table = _decomposition(a)
     kept = {p.indices for p in primes}
-    if table.keys() <= kept:
-        return a
-    n = a.ring.nvars
-    size, mask_size = _record_sizes(n, top)
-    supports = _read(data, count * size, count, mask_size)
-    masks = [sum([1 << i for i in indices]) for indices in kept]
-    # A support that is a prime's own mask is kept with no scan.
-    dropped = {s for s in set(supports).difference(masks) if not any(s | m == m for m in masks)}
+    # A plain loop: a comprehension or a set difference costs more.
+    dropped = []
+    for indices in table:
+        if indices not in kept and not any(map(set(indices).issubset, kept)):
+            dropped.append(indices)
     if not dropped:
         return a
-    corners = _read(data, 0, count, size)
-    meet = _intersect_corners([b for b, s in zip(corners, supports) if s not in dropped], top, n)
-    exps = _unpack(meet, n, top.bit_length() + 1)
+    n = a.ring.nvars
+    width = top.bit_length() + 1
+    guard = _guard(n, width)
+    tops = (guard >> width - 1) * top
+    # Each dropped support, as the guard bits of the lanes off it.
+    off = {guard - (sum([1 << i * width for i in indices]) << width - 1) for indices in dropped}
+    corners = [
+        b for b in _read(data, _record_size(n, top)) if ((b | guard) - tops) & guard not in off
+    ]
+    exps = _unpack(_intersect_corners(corners, top, n), n, width)
     canonical_sort(exps)
     return MonomialIdeal(a.ring, tuple(exps))
 
@@ -327,10 +317,9 @@ def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
     as exponent tuples in sweep order (b_i = top where the component has
     no generator in x_i).  The one reader that turns the packed records
     into tuples."""
-    data, top, count, _ = _decomposition(a)
+    data, top, _ = _decomposition(a)
     n = a.ring.nvars
-    size, _ = _record_sizes(n, top)
-    return top, _unpack(_read(data, 0, count, size), n, top.bit_length() + 1)
+    return top, _unpack(_read(data, _record_size(n, top)), n, top.bit_length() + 1)
 
 
 def _is_closed(a: MonomialIdeal, facets: Sequence[tuple[tuple[int, ...], int]]) -> bool:
@@ -571,32 +560,32 @@ def _raise_search(
     return best
 
 
-def _witness_table(a: MonomialIdeal, gens: Sequence[int], corners: Sequence[tuple[int, ...]],
-                   supports: Sequence[int], top: int) -> Mapping[tuple[int, ...], VReport]:
+def _witness_table(
+    a: MonomialIdeal, gens: Sequence[int], corners: Sequence[tuple[int, ...]], top: int
+) -> Mapping[tuple[int, ...], VReport]:
     """The witness table of a: for each associated prime p, keyed by its
     support P (in increasing order), the report of the least degree of an
     f with a : f = p and the first such f in the canonical order.
 
     gens packs G(a) on the lanes of top (``_intersect_corners``), and the
-    corners, as tuples, come with their support masks, in sweep order;
-    they are grouped by support.  Each f is searched over the corners b0
-    with support P in increasing degree, as in the module docstring: the
-    hard set of b0 is one mask, and its least raise comes from the branch
-    and bound on masks.  The masks live only while the table is built.
+    corners come as tuples, in sweep order; they are grouped by support,
+    the indices i with b_i < top, which the keys are the only record of.
+    Each f is searched over the corners b0 with support P in increasing
+    degree, as in the module docstring: the hard set of b0 is one mask,
+    and its least raise comes from the branch and bound on masks.  The
+    masks live only while the table is built.
     Each f found is packed on the same lanes, then checked by the colon
     rule and certified by membership (a failure is an internal error).
     Every caller gets the same read-only view.
     """
     n = len(corners[0])
     width = top.bit_length() + 1
-    by_support: dict[int, list[tuple[int, ...]]] = {}
-    for b, s in zip(corners, supports):
-        by_support.setdefault(s, []).append(b)
+    by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for b in corners:
+        by_support.setdefault(tuple([i for i, e in enumerate(b) if e < top]), []).append(b)
     masks = None
     found = []
-    for indices, group in sorted(
-        (tuple([i for i in range(n) if s >> i & 1]), group) for s, group in by_support.items()
-    ):
+    for indices, group in sorted(by_support.items()):
         # f = b0 - shift is b0 - 1 on P and 0 outside P.
         shift = [top] * n
         for i in indices:

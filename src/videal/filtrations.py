@@ -8,11 +8,10 @@ into the whole ring (Cooper-Embree-Ha-Hoefel, Proc. Edinb. Math. Soc.
 2017).  So a^(k) is the intersection of the components of a^k whose
 support lies in some associated (or minimal) prime of a: ``decomposition``
 reads them from the memoized, checked corners of a^k, built with the
-witness table of a^k, and meets the kept ones.  When every component is
-kept, a^(k) is a^k itself, and that is asked first, of Ass(a^k), the
-keys of the table: when each of them is one of the primes, every
-component is kept, and for the minimal primes only then.  The supports
-of the components are read only when that test fails.
+witness table of a^k, and meets the kept ones.  Which are kept is
+decided from Ass(a^k), the keys of that table and the only record of
+the components' supports: a key inside none of the primes is dropped.
+When none is, a^(k) is a^k itself, and no corner is read.
 
 Integral closure goes through the Newton polyhedron NP(L) =
 conv(exponents of G(L)) + nonnegative orthant: the closure of L is
@@ -56,6 +55,7 @@ from .decomposition import _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
 from .ideals import MonomialIdeal, PrimeSupport, is_squarefree, power, unit_ideal
+from .ideals import product as ideal_product
 from .lp import _newton_facets
 from .rings import Monomial, canonical_sort, exps_of_degree
 
@@ -274,6 +274,8 @@ def normally_torsion_free(a: MonomialIdeal, k_max: int) -> bool:
     """Bounded check that Ass(a^k) stays inside Ass(a) for k <= k_max.
 
     Only meaningful (and only accepted) for square-free proper ideals.
+    The powers are one running product, a^k = a^(k - 1) a, so reaching
+    k_max takes k_max - 1 products.
     """
     if k_max < 1:
         raise VidealError("k_max must be at least 1")
@@ -281,7 +283,9 @@ def normally_torsion_free(a: MonomialIdeal, k_max: int) -> bool:
     if not is_squarefree(a):
         raise VidealError("normally-torsion-free check requires a square-free ideal")
     base = set(associated_primes(a))
-    for k in range(2, k_max + 1):
-        if not set(associated_primes(power(a, k))) <= base:
+    ak = a
+    for _ in range(2, k_max + 1):
+        ak = ideal_product(ak, a)
+        if not set(associated_primes(ak)) <= base:
             return False
     return True

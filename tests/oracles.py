@@ -681,26 +681,31 @@ def guard_bits(indices: Iterable[int], width: int) -> int:
 def unpack_corner_set(
     value: tuple, n: int
 ) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
-    """A value (data, top, count, table) of ``decomposition._decomposition``
-    for an ideal in n variables as its corners' exponent tuples, their top
-    and their support masks; the table is not read.  data packs count
-    corners of n lanes of ``lane_width(top)`` bits each in ceil(n * width
-    / 8) little-endian bytes, then count supports of ceil(n / 8) bytes
-    each; read here through one int of all the bytes."""
-    data, top, count, _ = value
+    """A value (data, top, table) of ``decomposition._decomposition`` for
+    an ideal in n variables as its corners' exponent tuples, their top and
+    their support masks (bit i set iff b_i < top), derived here from the
+    corners; the table is not read.  data packs each corner's n lanes of
+    ``lane_width(top)`` bits in ceil(n * width / 8) little-endian bytes,
+    and nothing else: no support is stored beside them.  Read here through
+    one int of all the bytes."""
+    data, top, _ = value
     width = lane_width(top)
-    size, mask_size = -(-n * width // 8), -(-n // 8)
-    assert len(data) == count * (size + mask_size)
+    size = -(-n * width // 8)
+    count = len(data) // size
+    assert len(data) == count * size
     whole = int.from_bytes(data, "little")
-    corners = [whole >> 8 * size * r & (1 << 8 * size) - 1 for r in range(count)]
-    supports = [whole >> 8 * (count * size + mask_size * r) & (1 << 8 * mask_size) - 1
-                for r in range(count)]
-    return unpack_exps(corners, n, width), top, tuple(supports)
+    records = [whole >> 8 * size * r & (1 << 8 * size) - 1 for r in range(count)]
+    # Every record is a corner: no bit above its n lanes, no entry above top.
+    assert all(v >> n * width == 0 for v in records)
+    corners = unpack_exps(records, n, width)
+    assert all(max(b) <= top for b in corners)
+    supports = tuple(sum(1 << i for i, e in enumerate(b) if e < top) for b in corners)
+    return corners, top, supports
 
 
 def corner_tuples(a: MonomialIdeal) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
     """The memoized corners of a (``decomposition._decomposition``) as
-    exponent tuples, with their top and memoized support masks."""
+    exponent tuples, with their top and their support masks."""
     return unpack_corner_set(_decomposition(a), a.ring.nvars)
 
 

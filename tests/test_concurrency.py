@@ -113,7 +113,7 @@ def test_threads_build_member_corners_as_one_caller_would():
                 cold, cold_top, cold_supports = unpack_corner_set(built, member.ring.nvars)
                 assert top == cold_top and len(corners) == len(cold)
                 assert dict(zip(corners, supports)) == dict(zip(cold, cold_supports))
-                assert _decomposition(member)[3] == built[3]
+                assert _decomposition(member)[2] == built[2]
     # Every set and table read was the one the threads memoized.
     assert _decomposition.cache_info().misses == misses
     assert members >= 10

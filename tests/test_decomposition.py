@@ -277,8 +277,9 @@ def test_the_reflected_meet_matches_the_dominance_corner_step_on_4x4_powers(seed
 
 def _assert_the_stored_corners_are_the_sweeps(a):
     """The corner set memoized for a, unpacked, is the corners the sweep
-    returned for G(a) while building it, in sweep order, each with its
-    support."""
+    returned for G(a) while building it, in sweep order, and the keys of
+    the witness table, the only record of the supports, are the corners'
+    distinct supports."""
     swept = []
     corners = decomposition._corners
 
@@ -291,7 +292,8 @@ def _assert_the_stored_corners_are_the_sweeps(a):
     with patch.object(decomposition, "_corners", recording_corners):
         stored, top, supports = corner_tuples(a)
     assert swept == [(stored, top)]
-    assert list(supports) == [sum(1 << i for i, e in enumerate(b) if e < top) for b in stored]
+    keys = [sum(1 << i for i in indices) for indices in decomposition._witnesses(a)]
+    assert len(keys) == len(set(supports)) and set(keys) == set(supports)
     return stored
 
 
@@ -303,8 +305,8 @@ def test_the_memoized_supports_match_the_packed_corners(a):
 
 def test_the_packed_corner_set_round_trips_on_a_4x4_power():
     """(I+J)^6 for the seed-13 4+4 pair with 8 generators of exponent at
-    most 3 per side, and an ideal in 12 variables, whose supports take
-    two bytes each."""
+    most 3 per side, and an ideal in 12 variables, whose corners take
+    six bytes each."""
     rng = random.Random(13)
     i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
     j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
@@ -487,6 +489,59 @@ def test_minimal_primes_match_the_containment_scan_on_small_powers():
     assert embedded > 20
 
 
+def _assert_components_inside(a, primes):
+    """``_components_inside`` meets the components of a whose prime lies
+    inside one of the primes, as the pairwise-lcm meet of those of
+    ``irreducible_decomposition`` does, and returns a itself exactly when
+    it drops none: an irredundant decomposition less a component meets to
+    a larger ideal.  Returns the number of components dropped."""
+    kept = [set(p.indices) for p in primes]
+    components = irreducible_decomposition(a)
+    inside = [c.ideal for c in components if any(set(c.prime.indices) <= q for q in kept)]
+    member = decomposition._components_inside(a, primes)
+    assert member == intersect_all(inside, a.ring)
+    assert (member is a) == (len(inside) == len(components))
+    return len(components) - len(inside)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_ideals(max_vars=4), st.integers(1, 3), st.data())
+def test_components_inside_matches_the_component_oracle(b, k, data):
+    """On b^k, k <= 3, for a random nonempty set of primes, to which Ass(b)
+    is added half the time, so that most components are kept."""
+    n = b.ring.nvars
+    drawn = data.draw(st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=3))
+    primes = [PrimeSupport(b.ring, tuple(sorted(s))) for s in drawn]
+    if data.draw(st.booleans()):
+        primes += associated_primes(b)
+    _assert_components_inside(power(b, k), primes)
+
+
+R4 = make_ring("R", ["x", "y", "z", "w"])
+
+
+@pytest.mark.parametrize("case", ["equal", "inside", "dropped"])
+def test_components_inside_keeps_and_drops_by_support(case):
+    """Symbolic-ass squares, one per outcome.  (xy, yz) = (y) ∩ (x, z) is
+    normally torsion-free: every support of its square is a prime of
+    Ass.  The square of (x y^2 z, x z^2 w, y z w^2, x^2 y z w), whose Ass
+    holds the maximal ideal, has the embedded supports (x, y, w) and
+    (y, z, w), kept because they lie strictly inside it.  The square of
+    (xy, yz, xz) has the support (x, y, z), inside none of the three
+    primes of Ass, and its component is dropped."""
+    b = {
+        "equal": ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=1, z=1)]),
+        "inside": ideal(R4, [mono(R4, x=1, y=2, z=1), mono(R4, x=1, z=2, w=1),
+                             mono(R4, y=1, z=1, w=2), mono(R4, x=2, y=1, z=1, w=1)]),
+        "dropped": ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=1, z=1), mono(R3, x=1, z=1)]),
+    }[case]
+    a = power(b, 2)
+    kept = {p.indices for p in associated_primes(b)}
+    beyond = set(decomposition._witnesses(a)) - kept
+    assert bool(beyond) == (case != "equal")
+    assert _assert_components_inside(a, associated_primes(b)) == {"equal": 0, "inside": 0, "dropped": 1}[case]
+
+
 def test_witness_table_is_read_only():
     a = ideal(R2, [mono(R2, x=2), mono(R2, x=1, y=1)])
     table = decomposition._witnesses(a)
@@ -521,13 +576,13 @@ def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
         for b0 in corners:
             if all(e < top for e in b0):
                 assert decomposition._hard_mask(ge, le, b0, tuple(range(n))) == 0
-        assert _table(decomposition._decomposition.__wrapped__(b)[3]) == scan_witnesses(b)
+        assert _table(decomposition._decomposition.__wrapped__(b)[2]) == scan_witnesses(b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_ideals(max_vars=5, max_exp=4, max_gens=6))
 def test_the_mask_kernel_matches_the_corner_scan(a):
-    assert _table(decomposition._decomposition.__wrapped__(a)[3]) == scan_witnesses(a)
+    assert _table(decomposition._decomposition.__wrapped__(a)[2]) == scan_witnesses(a)
 
 
 @pytest.mark.parametrize("seed", range(1, 9))
@@ -540,7 +595,7 @@ def test_the_mask_kernel_matches_the_corner_scan_on_4x4_powers(seed):
     joined = join_ideals(i, j)
     for k in (1, 2, 3):
         b = power(joined, k)
-        assert _table(decomposition._decomposition.__wrapped__(b)[3]) == scan_witnesses(b)
+        assert _table(decomposition._decomposition.__wrapped__(b)[2]) == scan_witnesses(b)
 
 
 def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
@@ -551,6 +606,6 @@ def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
     a = ideal(R3, [mono(R3, x=2), mono(R3, x=1, y=1), mono(R3, x=1, z=1)])
     for f in (mono(R3, y=1), mono(R3, z=1)):
         assert colon_monomial(a, f) == prime_support(R3, ["x"]).as_ideal()
-    report = decomposition._decomposition.__wrapped__(a)[3][(0,)]
+    report = decomposition._decomposition.__wrapped__(a)[2][(0,)]
     assert (report.degree, str(report.witness)) == (1, "y")
     assert scan_witnesses(a)[(0,)] == (1, (0, 1, 0))

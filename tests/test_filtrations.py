@@ -552,7 +552,7 @@ def test_symbolic_power_of_a_joined_pair_matches_the_localized_oracle(i, j, kind
 
 
 def _raising_read(*args):
-    raise AssertionError("a corner or support record was read")
+    raise AssertionError("a corner record was read")
 
 
 @pytest.mark.parametrize("kind", [FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN])
@@ -666,6 +666,24 @@ def test_ntf_path_true_triangle_false():
     assert normally_torsion_free(path, 3)
     assert not normally_torsion_free(TRIANGLE, 3)
     assert normally_torsion_free(ideal(R2, [mono(R2, x=1)]), 5)
+
+
+@pytest.mark.parametrize("k_max", [1, 2, 5])
+def test_ntf_builds_the_powers_as_one_running_product(k_max, monkeypatch):
+    """k_max - 1 products reach a^k_max, each power one more product than
+    the last and equal to a^k; for the triangle, whose square gains the
+    maximal prime, the check stops at the square."""
+    path = ideal(R3, [mono(R3, x=1, y=1), mono(R3, y=1, z=1)])
+    for a, holds in ((path, True), (TRIANGLE, k_max < 2)):
+        built = []
+
+        def counted(b, c):
+            built.append(product(b, c))
+            return built[-1]
+
+        monkeypatch.setattr(filtrations, "ideal_product", counted)
+        assert normally_torsion_free(a, k_max) == holds
+        assert built == [power(a, k) for k in range(2, k_max + 1 if holds else 3)]
 
 
 def test_ntf_rejects_non_squarefree():
