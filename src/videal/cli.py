@@ -2,15 +2,22 @@
 
 The parser's ``_SIGNATURES`` and ``_HANDLERS`` here are the two command
 tables, with the same keys.  A handler takes a command and its ideals and
-returns the JSON fields after the record header, a function that builds
-the text lines, and whether it found an inequality.  The fields are built
-in both formats, since building them checks that every integer printed
-is within the int/str digit limit; the text lines only in text mode.
+returns the JSON fields after the record header (for ``verify-theorem``,
+its report), a function that builds the text lines, and whether it found
+an inequality.  The fields are built in both formats, since building
+them checks that every integer printed is within the int/str digit
+limit; the text lines only in text mode.
 
 Text mode prints one human-readable block per command; JSON mode prints
-one JSON object per command (JSON Lines, sorted keys).  Exit codes:
-0 success, 1 a verification found an inequality, 2 usage or parse or
-input errors, 3 internal errors.
+one JSON object per command (JSON Lines, sorted keys).  Every JSON line
+is encoded by one module-level encoder, ``_ENCODE``.  A session line is
+its encoded header with the closing brace cut, joined to its encoded
+fields with the opening brace cut: every header key sorts before every
+field key, so the line is the whole object's sorted encoding.  A run
+renders each distinct verdict once (``_render``): the kinds whose members
+coincide share one ``_verdict`` result, and so one rendered report.
+Exit codes: 0 success, 1 a verification found an inequality, 2 usage or
+parse or input errors, 3 internal errors.
 """
 
 import argparse
@@ -38,6 +45,10 @@ EXIT_OK = 0
 EXIT_UNEQUAL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+# json.dumps(obj, sort_keys=True) builds an encoder per call; this one is
+# built once and holds no state between calls.
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
 
 
 def _gens_list(ideal: MonomialIdeal) -> list[str]:
@@ -110,7 +121,7 @@ def _theorem_text(report: TheoremReport, label: str) -> Iterator[str]:
     yield f"  result: {'OK' if report.ok else 'MISMATCH'}"
 
 
-_Output = tuple[dict, Callable[[], Iterable[str]], bool]
+_Output = tuple[dict | TheoremReport, Callable[[], Iterable[str]], bool]
 
 
 def _mingens(cmd: Command, a: MonomialIdeal) -> _Output:
@@ -223,8 +234,7 @@ def _verify_expansion(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Outp
 
 def _verify_theorem(cmd: Command, i: MonomialIdeal, j: MonomialIdeal) -> _Output:
     report = verify_theorem(cmd.kind, i, j, cmd.k)
-    return ({"report": _theorem_json(report)}, lambda: _theorem_text(report, _label(cmd)),
-            not report.ok)
+    return report, lambda: _theorem_text(report, _label(cmd)), not report.ok
 
 
 # Keyed like the parser's _SIGNATURES.  Handlers call the library through
@@ -257,6 +267,29 @@ def _header(cmd: Command) -> dict:
     return obj
 
 
+def _once(verdicts: dict[int, tuple], report: TheoremReport, render: Callable):
+    """render(report), called once per distinct verdict of a run.
+    ``_verdict`` hands every kind whose members coincide one rows tuple,
+    and the report's JSON depends on nothing else of it (not on kind or
+    k), so verdicts maps the id of that tuple to the rows and their
+    rendering.  Holding the rows keeps the id theirs for the run."""
+    entry = verdicts.get(id(report.rows))
+    if entry is None:
+        entry = verdicts[id(report.rows)] = (report.rows, render(report))
+    return entry[1]
+
+
+def _render(fields: dict | TheoremReport, fmt: str, verdicts: dict[int, tuple]):
+    """A command's fields after its header: in JSON mode their encoding
+    with the opening brace cut, in text mode the fields themselves (built
+    only as the digit check).  A verdict's report is rendered once per
+    run."""
+    if type(fields) is TheoremReport:
+        return _once(verdicts, fields,
+                     lambda report: _render({"report": _theorem_json(report)}, fmt, verdicts))
+    return _ENCODE(fields)[1:] if fmt == "json" else fields
+
+
 def _error_line(fmt: str, code: str, message: str, line: int | None = None,
                 col: int | None = None) -> str:
     if fmt == "json":
@@ -264,7 +297,7 @@ def _error_line(fmt: str, code: str, message: str, line: int | None = None,
         if line is not None:
             err["line"] = line
             err["col"] = col
-        return json.dumps({"error": err}, sort_keys=True)
+        return _ENCODE({"error": err})
     if line is not None:
         return f"error ({code}) at {line}:{col}: {message}"
     return f"error ({code}): {message}"
@@ -283,6 +316,8 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
     lines: list[str] = []
     failures = 0
     hypothesis_unmet = 0
+    # Each distinct verdict's report dict, built once: see _once.
+    verdicts: dict[int, tuple] = {}
     for index in range(count):
         i, j = random_pair(rng)
         k = rng.randint(1, 3)
@@ -302,19 +337,16 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
                 failures += 1
                 status = "MISMATCH"
             if fmt == "json":
-                lines.append(
-                    json.dumps(
-                        {
-                            "command": "fuzz",
-                            "index": index,
-                            "instance": instance,
-                            "kind": kind.value,
-                            "status": status,
-                            "report": _theorem_json(report),
-                        },
-                        sort_keys=True,
-                    )
-                )
+                # "status" sorts after "report", so the report is shared as
+                # a dict, not as encoded text.
+                lines.append(_ENCODE({
+                    "command": "fuzz",
+                    "index": index,
+                    "instance": instance,
+                    "kind": kind.value,
+                    "status": status,
+                    "report": _once(verdicts, report, _theorem_json),
+                }))
             else:
                 lines.append(
                     f"fuzz[{index}] kind={kind.value} {instance}: {status}"
@@ -322,17 +354,12 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
     summary = f"fuzz: {count} instances, {failures} mismatches, " \
               f"{hypothesis_unmet} hypothesis-unmet"
     if fmt == "json":
-        lines.append(
-            json.dumps(
-                {
-                    "command": "fuzz-summary",
-                    "instances": count,
-                    "mismatches": failures,
-                    "hypothesis_unmet": hypothesis_unmet,
-                },
-                sort_keys=True,
-            )
-        )
+        lines.append(_ENCODE({
+            "command": "fuzz-summary",
+            "instances": count,
+            "mismatches": failures,
+            "hypothesis_unmet": hypothesis_unmet,
+        }))
     else:
         lines.append(summary)
     return (EXIT_UNEQUAL if failures else EXIT_OK), lines
@@ -413,13 +440,16 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
         return EXIT_USAGE, [_error_line(fmt, "parse", exc.message, exc.line, exc.col)]
     lines: list[str] = []
     unequal = False
+    verdicts: dict[int, tuple] = {}
     try:
         for cmd in session.commands:
             args = [session.ideals[name] for name in cmd.ideals]
             fields, text, found = _HANDLERS[cmd.name](cmd, *args)
             unequal = unequal or found
+            body = _render(fields, fmt, verdicts)
             if fmt == "json":
-                lines.append(json.dumps(_header(cmd) | fields, sort_keys=True))
+                # Every header key sorts before every field key.
+                lines.append(_ENCODE(_header(cmd))[:-1] + ", " + body)
             else:
                 # Whole blocks only: a line that fails leaves none of its block.
                 lines.extend(list(text()))

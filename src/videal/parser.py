@@ -14,7 +14,10 @@ positional ideal names; ``colon`` additionally accepts a monomial.  The
 command table ``_SIGNATURES`` gives each command's arguments and the
 defaults of its optional ones.  All errors carry a line:column position.
 
-Tokens carry no position: the scanner yields (kind, text) pairs, and a
+Tokens carry no position.  The scanner is one regular expression whose
+findall skips whitespace, so ``_tokenize`` is one comprehension over its
+matches: a match is a token, a comment (dropped), or, at a character no
+token starts with, the rest of the text, which then ends the scan.  A
 position is computed only when an error is raised, by scanning the text
 again up to the failing token.  Only a line feed breaks lines; a
 carriage return, form feed, NEL or Unicode line separator is whitespace
@@ -32,39 +35,41 @@ from .rings import Monomial, Ring
 
 KINDS = {kind.value: kind for kind in FiltrationKind}
 
-# The lexical grammar, one alternative per token class; a match with no
-# group set is whitespace or a comment.  \d is a Unicode decimal digit
-# (str.isdecimal) and \w is str.isalnum() or "_"; a name must also start
-# with a letter or "_", which _tokenize checks.
+# The lexical grammar, one alternative per token class.  No alternative
+# matches whitespace, so findall skips it.  \d is a Unicode decimal digit
+# (str.isdecimal) and \w is str.isalnum() or "_".  The last alternative
+# takes a character outside the grammar with the rest of the text, so it
+# is the last match; its token, like a \w+ that starts with a non-decimal
+# digit ("\u00b2x"), is a "name" that starts with neither a letter nor "_".
 _SCANNER = re.compile(
     r"""
-      \s+                       # whitespace: no token
+      [=\[\](),;^*-]            # punctuation: its own kind
+    | \d+                       # nat
+    | \w+                       # name
     | \#[^\n]*                  # comment: no token
-    | (?P<nat> \d+ )
-    | (?P<name> \w+ )
-    | (?P<punct> [=\[\](),;^*-] )
-    | (?P<other> . )
+    | [^\s\#][\s\S]*            # a lexical error, and the rest of the text
     """,
     re.VERBOSE,
 )
+_PUNCTUATION = frozenset("=[](),;^*-")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     """The (kind, text) tokens of text, ending with ("eof", ""); kind is
     "name", "nat" or the punctuation character itself.  A token is known
     by its index; _position finds where it starts."""
-    tokens: list[tuple[str, str]] = []
-    for nat, name, punct, other in _SCANNER.findall(text):
-        if punct:
-            tokens.append((punct, punct))
-        elif name:
-            if not (name[0].isalpha() or name[0] == "_"):
-                raise ParseError(f"unexpected character {name[0]!r}", *_position(text, len(tokens)))
-            tokens.append(("name", name))
-        elif nat:
-            tokens.append(("nat", nat))
-        elif other:
-            raise ParseError(f"unexpected character {other!r}", *_position(text, len(tokens)))
+    tokens = [
+        (word if word in _PUNCTUATION else "nat" if word.isdecimal() else "name", word)
+        for word in _SCANNER.findall(text)
+        if word[0] != "#"
+    ]
+    # In ASCII a \w+ that is not a nat starts with a letter or "_", so only
+    # the last token, a character outside the grammar, can be an error.
+    suspects = range(len(tokens)) if not text.isascii() else range(len(tokens))[-1:]
+    for index in suspects:
+        kind, word = tokens[index]
+        if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, index))
     tokens.append(("eof", ""))
     return tokens
 
@@ -73,7 +78,7 @@ def _position(text: str, index: int) -> tuple[int, int]:
     """The (line, col) where token index of text starts, by scanning the
     text again.  Past the last token is the end of input: the end of the
     last line, or where a comment on it starts."""
-    starts = [m.start() for m in _SCANNER.finditer(text) if m.lastindex]
+    starts = [m.start() for m in _SCANNER.finditer(text) if text[m.start()] != "#"]
     if index < len(starts):
         start = starts[index]
     else:

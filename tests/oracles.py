@@ -9,6 +9,7 @@ enumerations ``monomials_of_degree`` and ``monomials_up_to_degree``.
 """
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -917,3 +918,56 @@ def scan_chars(text: str):
             continue
         raise ParseError(f"unexpected character {ch!r}", line, col)
     yield ("eof", "", line, col)
+
+
+# The session scanner before tokens were built in one comprehension: one
+# group per token class, so a match with no group set is whitespace or a
+# comment, and the token loop branches on the group.
+_GROUP_SCANNER = re.compile(
+    r"""
+      \s+                       # whitespace: no token
+    | \#[^\n]*                  # comment: no token
+    | (?P<nat> \d+ )
+    | (?P<name> \w+ )
+    | (?P<punct> [=\[\](),;^*-] )
+    | (?P<other> . )
+    """,
+    re.VERBOSE,
+)
+
+
+def branching_tokens(text: str) -> list[tuple[str, str]]:
+    """The oracle for ``parser._tokenize``: the (kind, text) tokens of
+    text, ending with ("eof", ""), by a loop that branches on each
+    match's group, raising ParseError at the first character outside the
+    grammar or at a name that starts with neither a letter nor "_"."""
+    tokens: list[tuple[str, str]] = []
+    for nat, name, punct, other in _GROUP_SCANNER.findall(text):
+        if punct:
+            tokens.append((punct, punct))
+        elif name:
+            if not (name[0].isalpha() or name[0] == "_"):
+                raise ParseError(f"unexpected character {name[0]!r}",
+                                 *group_position(text, len(tokens)))
+            tokens.append(("name", name))
+        elif nat:
+            tokens.append(("nat", nat))
+        elif other:
+            raise ParseError(f"unexpected character {other!r}",
+                             *group_position(text, len(tokens)))
+    tokens.append(("eof", ""))
+    return tokens
+
+
+def group_position(text: str, index: int) -> tuple[int, int]:
+    """The (line, col) where token index of ``branching_tokens(text)``
+    starts, by scanning the text again.  Past the last token is the end
+    of input: the end of the last line, or where a comment on it starts."""
+    starts = [m.start() for m in _GROUP_SCANNER.finditer(text) if m.lastindex]
+    if index < len(starts):
+        start = starts[index]
+    else:
+        start = text.find("#", text.rfind("\n") + 1)
+        if start < 0:
+            start = len(text)
+    return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)

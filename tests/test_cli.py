@@ -95,6 +95,69 @@ def test_outputs_identical_across_runs():
     assert first == second
 
 
+# ordinary, symb-ass and intclos share one verdict of (I, J) at k = 2;
+# symb-min drops the embedded component (x, y)^2 of I^2, so its verdict
+# is another.
+SHARED_VERDICT = (
+    "ring A = [x, y]; ring B = [u]; ideal I in A = (x^2, x*y); ideal J in B = (u);\n"
+    + "".join(f"verify-theorem kind={kind.value} k=2 I J;\n" for kind in FiltrationKind)
+)
+
+
+def assert_sorted_json_lines(lines):
+    """Each line is one object in json.dumps(obj, sort_keys=True) form."""
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True)
+
+
+@pytest.mark.parametrize("path", GOOD + BAD, ids=[p.stem for p in GOOD + BAD])
+def test_corpus_json_lines_are_sorted_dumps(path):
+    assert_sorted_json_lines(run_text(path.read_text(), "json")[1])
+
+
+def test_fuzz_json_lines_are_sorted_dumps():
+    code, lines = run_fuzz(50, 3, "json")
+    assert code == EXIT_OK
+    assert_sorted_json_lines(lines)
+
+
+def test_shared_verdict_lines_are_sorted_dumps():
+    session = parse_session(SHARED_VERDICT)
+    i, j = session.ideals["I"], session.ideals["J"]
+    rows = {kind: verify_theorem(kind, i, j, 2).rows for kind in FiltrationKind}
+    ordinary = rows[FiltrationKind.ORDINARY]
+    assert [kind for kind in FiltrationKind if rows[kind] is ordinary] == [
+        FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS, FiltrationKind.INTEGRAL_CLOSURE,
+    ]
+    code, lines = run_text(SHARED_VERDICT, "json")
+    assert code == EXIT_OK
+    assert_sorted_json_lines(lines)
+    reports = [json.loads(line)["report"] for line in lines]
+    assert reports[0] == reports[1] == reports[3] != reports[2]
+    assert [json.loads(line)["kind"] for line in lines] == [kind.value for kind in FiltrationKind]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_run_renders_each_distinct_verdict_once(monkeypatch, fmt):
+    """Two distinct verdicts, one rendering each, in each of two runs; the
+    output is what rendering every command would print."""
+    expected = run_text(SHARED_VERDICT, fmt)
+    rendered = []
+
+    def counted(report):
+        rendered.append(report.kind)
+        return theorem_json(report)
+
+    theorem_json = cli._theorem_json
+    monkeypatch.setattr(cli, "_theorem_json", counted)
+    assert run_text(SHARED_VERDICT, fmt) == expected
+    assert rendered == [FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_MIN]
+    assert run_text(SHARED_VERDICT + SHARED_VERDICT.split("\n", 1)[1], fmt) == (
+        expected[0], expected[1] + expected[1]
+    )
+    assert len(rendered) == 4
+
+
 def test_verify_failure_sets_exit_one():
     text = (
         "ring A = [x]; ring B = [y];"

@@ -2,14 +2,18 @@
 
 The memo caches are cleared before each threaded run, so the threads
 compute (and race to fill) the same entries instead of reading answers
-computed beforehand.
+computed beforehand.  CLI runs race too: each run renders its verdicts
+once in a map of its own, so runs that share verdicts share no output.
 """
 
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+import pytest
+
 from oracles import corner_tuples, unpack_corner_set
+from videal.cli import run_text
 from videal.decomposition import _decomposition, associated_primes
 from videal.expansion import _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
@@ -117,3 +121,44 @@ def test_threads_build_member_corners_as_one_caller_would():
     # Every set and table read was the one the threads memoized.
     assert _decomposition.cache_info().misses == misses
     assert members >= 10
+
+
+CLI_THREADS = 8
+
+
+def _session(pair, k):
+    """A session shaped like a --fuzz draw: both v-numbers, then the
+    theorem for every kind at k."""
+    i, j = pair
+    return "\n".join([
+        f"ring A = [{', '.join(i.ring.vars)}]; ring B = [{', '.join(j.ring.vars)}];",
+        f"ideal I in A = {i}; ideal J in B = {j};",
+        "vnum I; vnum J;",
+        *(f"verify-theorem kind={kind.value} k={k} I J;" for kind in FiltrationKind),
+    ])
+
+
+def _run_sessions_threaded(texts, fmt):
+    _clear_caches()
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(CLI_THREADS) as pool:
+            futures = [pool.submit(run_text, text, fmt) for text in texts]
+            return [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(previous)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("shared", [True, False], ids=["same-sessions", "distinct-sessions"])
+def test_threads_running_sessions_agree_with_one_caller(shared, fmt):
+    """Eight threads run sessions on cold memos, the same few sessions
+    over and over or each its own; every (code, lines) is what a single
+    caller gets."""
+    tasks = _pairs(45, 4) * CLI_THREADS if shared else _pairs(46, 4 * CLI_THREADS)
+    texts = [_session(pair, k) for pair, k in tasks]
+    _clear_caches()
+    expected = [run_text(text, fmt) for text in texts]
+    assert all(code in (0, 1) for code, _ in expected)
+    assert _run_sessions_threaded(texts, fmt) == expected

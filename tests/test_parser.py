@@ -1,8 +1,10 @@
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import scan_chars
+from oracles import branching_tokens, group_position, scan_chars
 from videal.errors import ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import ideal
@@ -279,6 +281,31 @@ def test_scanner_matches_character_loop(text):
     else:
         assert old_error is None
         assert new == old
+
+
+# ASCII letters and digits, the grammar's punctuation, comments, line
+# breaks and whitespace, a non-decimal digit, a non-ASCII letter and "_";
+# the second alphabet adds characters outside the grammar.
+TOKEN_CHARS = string.ascii_letters + string.digits + "=[](),;^*-#\n\r\x0c \u00b2\u00e9_"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.text(st.sampled_from(TOKEN_CHARS), max_size=50),
+                 st.text(st.sampled_from(TOKEN_CHARS + "!.{"), max_size=50)))
+def test_tokens_match_the_branching_oracle(text):
+    """The one-pass tokenizer gives the branching loop's tokens at the
+    same positions, or raises its ParseError at the same line and column."""
+    try:
+        expected = branching_tokens(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            _tokenize(text)
+        assert (err.value.message, err.value.line, err.value.col) == (exc.message, exc.line, exc.col)
+        return
+    assert _tokenize(text) == expected
+    assert [_position(text, index) for index in range(len(expected))] == [
+        group_position(text, index) for index in range(len(expected))
+    ]
 
 
 SESSION_WORDS = st.sampled_from(
