@@ -13,9 +13,10 @@ one JSON object per command (JSON Lines, sorted keys).  Every JSON line
 is encoded by one module-level encoder, ``_ENCODE``.  A session line is
 its encoded header with the closing brace cut, joined to its encoded
 fields with the opening brace cut: every header key sorts before every
-field key, so the line is the whole object's sorted encoding.  A run
-renders each distinct verdict once (``_render``): the kinds whose members
-coincide share one ``_verdict`` result, and so one rendered report.
+field key, so the line is the whole object's sorted encoding.  A
+session renders each distinct verdict once (``_once``), and a fuzz run
+once per draw: the kinds whose members coincide share one ``_verdict``
+result, and so one rendered report.
 Exit codes: 0 success, 1 a verification found an inequality, 2 usage or
 parse or input errors, 3 internal errors.
 """
@@ -268,26 +269,23 @@ def _header(cmd: Command) -> dict:
 
 
 def _once(verdicts: dict[int, tuple], report: TheoremReport, render: Callable):
-    """render(report), called once per distinct verdict of a run.
+    """render(report), called once per distinct verdict in verdicts.
     ``_verdict`` hands every kind whose members coincide one rows tuple,
     and the report's JSON depends on nothing else of it (not on kind or
     k), so verdicts maps the id of that tuple to the rows and their
-    rendering.  Holding the rows keeps the id theirs for the run."""
+    rendering.  Holding the rows keeps the id theirs while the map
+    lives."""
     entry = verdicts.get(id(report.rows))
     if entry is None:
         entry = verdicts[id(report.rows)] = (report.rows, render(report))
     return entry[1]
 
 
-def _render(fields: dict | TheoremReport, fmt: str, verdicts: dict[int, tuple]):
+def _render(fields: dict, fmt: str) -> str:
     """A command's fields after its header: in JSON mode their encoding
-    with the opening brace cut, in text mode the fields themselves (built
-    only as the digit check).  A verdict's report is rendered once per
-    run."""
-    if type(fields) is TheoremReport:
-        return _once(verdicts, fields,
-                     lambda report: _render({"report": _theorem_json(report)}, fmt, verdicts))
-    return _ENCODE(fields)[1:] if fmt == "json" else fields
+    with the opening brace cut, in text mode nothing (the fields were
+    built only as the digit check)."""
+    return _ENCODE(fields)[1:] if fmt == "json" else ""
 
 
 def _error_line(fmt: str, code: str, message: str, line: int | None = None,
@@ -316,9 +314,10 @@ def run_fuzz(count: int, seed: int, fmt: str) -> tuple[int, list[str]]:
     lines: list[str] = []
     failures = 0
     hypothesis_unmet = 0
-    # Each distinct verdict's report dict, built once: see _once.
-    verdicts: dict[int, tuple] = {}
     for index in range(count):
+        # Each distinct verdict's report dict, built once per draw: see
+        # _once.  Verdicts are shared among the kinds of one draw.
+        verdicts: dict[int, tuple] = {}
         i, j = random_pair(rng)
         k = rng.randint(1, 3)
         # The instance is rendered once per draw, not once per kind.
@@ -446,7 +445,11 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
             args = [session.ideals[name] for name in cmd.ideals]
             fields, text, found = _HANDLERS[cmd.name](cmd, *args)
             unequal = unequal or found
-            body = _render(fields, fmt, verdicts)
+            if type(fields) is TheoremReport:
+                body = _once(verdicts, fields,
+                             lambda report: _render({"report": _theorem_json(report)}, fmt))
+            else:
+                body = _render(fields, fmt)
             if fmt == "json":
                 # Every header key sorts before every field key.
                 lines.append(_ENCODE(_header(cmd))[:-1] + ", " + body)

@@ -63,11 +63,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
         for word in _SCANNER.findall(text)
         if word[0] != "#"
     ]
-    # In ASCII a \w+ that is not a nat starts with a letter or "_", so only
-    # the last token, a character outside the grammar, can be an error.
-    suspects = range(len(tokens)) if not text.isascii() else range(len(tokens))[-1:]
-    for index in suspects:
-        kind, word = tokens[index]
+    for index, (kind, word) in enumerate(tokens):
         if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
             raise ParseError(f"unexpected character {word[0]!r}", *_position(text, index))
     tokens.append(("eof", ""))

@@ -158,6 +158,30 @@ def test_a_run_renders_each_distinct_verdict_once(monkeypatch, fmt):
     assert len(rendered) == 4
 
 
+def test_a_fuzz_draw_renders_each_of_its_distinct_verdicts_once(monkeypatch):
+    """The render map lives for one draw: a draw renders as many reports
+    as its four kinds have distinct verdicts, and the output is what
+    rendering every kind would print."""
+    expected = run_fuzz(30, 3, "json")
+    reports, rendered = [], []
+
+    def recorded(*args):
+        reports.append(verify(*args))
+        return reports[-1]
+
+    def counted(report):
+        rendered.append(report)
+        return theorem_json(report)
+
+    verify, theorem_json = cli.verify_theorem, cli._theorem_json
+    monkeypatch.setattr(cli, "verify_theorem", recorded)
+    monkeypatch.setattr(cli, "_theorem_json", counted)
+    assert run_fuzz(30, 3, "json") == expected
+    draws = [reports[start:start + 4] for start in range(0, len(reports), 4)]
+    assert len(draws) == 30
+    assert len(rendered) == sum(len({id(r.rows) for r in draw}) for draw in draws) < len(reports)
+
+
 def test_verify_failure_sets_exit_one():
     text = (
         "ring A = [x]; ring B = [y];"
