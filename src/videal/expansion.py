@@ -22,8 +22,9 @@ entries: the kinds of one pair at one k run together, so hits are
 adjacent.  It stores only immutable values, and the key only bundles
 the two sides: each is still computed from its own members.  The
 members of I+J are keyed by one copy of I+J per pair, and so share one
-joined ring: ``direct_term`` reads that copy from the memo slot of the
-ordinary first member.
+joined ring: ``_joined``, an ``lru_cache`` keyed by the summand pair and
+bounded at 64 entries like ``_verdict``, holds the copy in the memo slot
+of the ordinary first member, so every kind and k of a pair joins once.
 """
 
 from bisect import bisect_left
@@ -78,18 +79,24 @@ def _expand(
     return from_exps(ring, exps)
 
 
+@lru_cache(maxsize=64)
+def _joined(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
+    """I+J as the copy that the memo slot of the ordinary first member
+    holds (a^1 is a), so it adds no ideal or ring of its own."""
+    return filtration_member(FiltrationKind.ORDINARY, join_ideals(i, j), 1)
+
+
 def direct_term(
     kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int
 ) -> MonomialIdeal:
     """The k-th filtration member of the sum ideal, computed entirely in
-    S with no expansion, and keyed by the copy of I+J that the memo slot
-    of the ordinary first member holds (a^1 is a)."""
+    S with no expansion, and keyed by the pair's one copy of I+J
+    (``_joined``)."""
     if k < 1:
         raise VidealError("expansion checks need k >= 1")
     if not (i.is_proper_nonzero() and j.is_proper_nonzero()):
         raise ImproperIdealError("expansion checks need proper nonzero summands")
-    joined = filtration_member(FiltrationKind.ORDINARY, join_ideals(i, j), 1)
-    return filtration_member(kind, joined, k)
+    return filtration_member(kind, _joined(i, j), k)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,6 +236,8 @@ def verify_theorem(
     coincide share one ``_verdict``.
     """
     direct = direct_term(kind, i, j, k)
+    # direct_term has accepted the kind; a value string reports as its member.
+    kind = FiltrationKind(kind)
     return TheoremReport(kind, k, *_verdict(direct, _members(kind, i, k), _members(kind, j, k)))
 
 

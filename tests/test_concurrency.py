@@ -15,7 +15,7 @@ import pytest
 from oracles import corner_tuples, unpack_corner_set
 from videal.cli import run_text
 from videal.decomposition import _decomposition, associated_primes
-from videal.expansion import _verdict, join_ideals, verify_theorem
+from videal.expansion import _joined, _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
@@ -28,7 +28,7 @@ KINDS = (FiltrationKind.ORDINARY,) + SYMBOLIC
 
 def _clear_caches():
     for cached in (_decomposition, associated_primes, filtration_member,
-                   integral_closure, _newton_facets, _verdict):
+                   integral_closure, _newton_facets, _verdict, _joined):
         cached.cache_clear()
 
 

@@ -414,8 +414,62 @@ def test_witnesses_recombine_to_direct_witness():
 
 def _clear_memos():
     for cached in (_decomposition, associated_primes, filtration_member,
-                   integral_closure, _newton_facets, expansion._verdict):
+                   integral_closure, _newton_facets, expansion._verdict, expansion._joined):
         cached.cache_clear()
+
+
+def test_every_kind_and_k_of_a_pair_joins_once(monkeypatch):
+    """Every kind at k = 1, 2 on one pair, from cleared memos, builds I+J
+    once: the pair memo serves the other seven calls."""
+    join = expansion.join_ideals
+    calls = []
+
+    def recorded(i, j):
+        calls.append((i, j))
+        return join(i, j)
+
+    monkeypatch.setattr(expansion, "join_ideals", recorded)
+    i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
+    j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
+    _clear_memos()
+    for k in (1, 2):
+        for kind in FiltrationKind:
+            verify_theorem(kind, i, j, k)
+    assert calls == [(i, j)]
+
+
+def test_the_pair_memo_holds_the_ordinary_first_member():
+    """The pair memo's I+J is the very copy in the memo slot of the
+    ordinary first member, so it adds no ideal or ring of its own."""
+    i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
+    j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
+    _clear_memos()
+    joined = expansion._joined(i, j)
+    assert joined == join_ideals(i, j)
+    assert filtration_member(ORD, join_ideals(i, j), 1) is joined
+    assert direct_term(ORD, i, j, 1) is joined
+
+
+def test_the_public_join_leaves_the_pair_memo_cold():
+    """``join_ideals`` is not memoized and never fills the pair memo, so a
+    caller that joins a pool of pairs ahead of timing starts it cold."""
+    _clear_memos()
+    for seed in range(5):
+        join_ideals(*random_pair(random.Random(seed)))
+    assert expansion._joined.cache_info().currsize == 0
+
+
+def test_a_kind_given_by_its_value_reports_the_member():
+    """A kind's value string gives the report of the enum member, kind
+    included, and an unknown string is refused as before."""
+    i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
+    j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
+    for kind in FiltrationKind:
+        report = verify_theorem(kind.value, i, j, 2)
+        assert report.kind is kind
+        assert report == verify_theorem(kind, i, j, 2)
+    with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
+        verify_theorem("bogus", i, j, 2)
 
 
 def test_a_pair_keeps_one_joined_ideal():

@@ -2,9 +2,13 @@
 
 Every ``src/videal/*.py`` file is parsed with ``ast``.  The functions
 decorated with ``functools.lru_cache`` (or ``functools.cache``) must be
-exactly the six memos the project keeps, and ``decomposition.py`` must
+exactly the seven memos the project keeps, and ``decomposition.py`` must
 bind no dict, set or list at module level: per-ideal work lives in the
 memos, never in a side table beside them.
+The seventh, ``expansion._joined``, holds the joined ideal I+J of a
+summand pair: every kind and k of the pair's verdicts reads it, and a
+join costs a new ring, padded and sorted generators, a hash and an
+equality test against the copy in ``filtration_member``'s slot.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
 seen.
 """
@@ -16,6 +20,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "videal"
 MEMOS = {
     "decomposition._decomposition",
     "decomposition.associated_primes",
+    "expansion._joined",
     "expansion._verdict",
     "filtrations.filtration_member",
     "filtrations.integral_closure",
@@ -34,7 +39,7 @@ def _decorator_name(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def test_the_library_keeps_exactly_its_six_memos():
+def test_the_library_keeps_exactly_its_seven_memos():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
