@@ -116,9 +116,8 @@ def _theorem_text(report: TheoremReport, label: str) -> Iterator[str]:
         verdict = "EQUAL" if row.equal else "UNEQUAL"
         yield (f"  prime {row.prime}: lhs = {row.lhs} (witness {row.lhs_witness}), "
                f"rhs = {rhs}{achieved}, {verdict}")
-    rhs = "none" if report.v_formula is None else str(report.v_formula)
     verdict = "EQUAL" if report.global_equal else "UNEQUAL"
-    yield f"  global: v = {report.v_direct}, formula = {rhs}, {verdict}"
+    yield f"  global: v = {report.v_direct}, formula = {report.v_formula}, {verdict}"
     yield f"  result: {'OK' if report.ok else 'MISMATCH'}"
 
 

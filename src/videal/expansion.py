@@ -8,8 +8,8 @@ paths: the "direct" side works entirely in the joined ring S, while the
 own rings.  They meet only in the final equality checks.
 
 Both read v-numbers off the certified witness tables of ``decomposition``:
-a verdict reads the direct side's once, for its rows and the global
-value, and ``_formula_reader`` each summand's once per depth.
+the direct side's for the rows and the global v-number, and each summand's
+once per depth (``_formula_reader``) for the rows' and the global formula.
 
 A verdict depends on the filtration only through its members: the k-th
 member of I+J and the members 1..k of I and of J (the 0-th is the whole
@@ -36,6 +36,7 @@ from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
 from .rings import Monomial, Ring, canonical_sort, join_rings
+from .vnumbers import v_number
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
@@ -153,15 +154,17 @@ class RhsResult:
 
 
 def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]):
-    """The min-formula on the member tuples (I_1..I_k) and (J_1..J_k), as
-    a function of the supports (P, Q): minimize, over the split depths
-    0 <= d < k at which P is associated to I_{k-d} and Q to J_{d+1}, the
-    sum of the two local v-numbers, read from one lookup in each summand's
-    witness table (a prime missing from it is not associated).  None when
-    no depth is admissible.  The tables of every depth are read once here,
-    and every depth is evaluated, so a result carries the complete
-    achieving set."""
+    """The min-formula on the member tuples (I_1..I_k) and (J_1..J_k): a
+    reader of the supports (P, Q) minimizing, over the split depths d < k
+    with P associated to I_{k-d} and Q to J_{d+1}, the sum of the two local
+    v-numbers, one lookup in each summand's witness table (a missing prime
+    is not associated), or None when no depth is admissible; and the global
+    value, min over d of v(I_{k-d}) + v(J_{d+1}) (no proper nonzero member
+    has an empty table).  Each table is read once here, and every depth is
+    evaluated, so a result carries the complete achieving set."""
     tables = [(_witnesses(i), _witnesses(j)) for i, j in zip(reversed(left), right)]
+    v_formula = min(min(vi.degree for vi in ti.values()) + min(vj.degree for vj in tj.values())
+                    for ti, tj in tables)
 
     def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
         candidates: list[RhsCandidate] = []
@@ -175,7 +178,7 @@ def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal,
         achieved = tuple(c.d for c in candidates if c.value == value)
         return RhsResult(value, achieved, tuple(candidates))
 
-    return read
+    return read, v_formula
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,14 +206,14 @@ class TheoremReport:
     rows: tuple[TheoremRow, ...]
     v_direct: int
     v_direct_prime: PrimeSupport
-    v_formula: int | None
+    v_formula: int
     findings: tuple[str, ...]
     # Every associated prime of the direct side is mixed (verify_theorem).
     non_mixed_primes = ()
 
     @property
     def global_equal(self) -> bool:
-        return self.v_formula is not None and self.v_direct == self.v_formula
+        return self.v_direct == self.v_formula
 
     @property
     def ok(self) -> bool:
@@ -230,10 +233,11 @@ def verify_theorem(
     hypothesis unmet but everything is still computed for inspection),
     then compares lhs and rhs for every associated prime of the direct
     side, each mixed since the member contains I^k and J^k (else an
-    internal error), and finally compares the direct global v-number
-    with the restricted min of the formula values.  All of it depends on
-    the filtration only through the members, so kinds whose members
-    coincide share one ``_verdict``.
+    internal error), and finally compares the direct global v-number with
+    the least over 0 <= d < k of v(I_{k-d}) + v(J_{d+1}), read from the
+    summands' tables alone.  All of it depends on the filtration only
+    through the members, so kinds whose members coincide share one
+    ``_verdict``.
     """
     direct = direct_term(kind, i, j, k)
     # direct_term has accepted the kind; a value string reports as its member.
@@ -244,7 +248,7 @@ def verify_theorem(
 @lru_cache(maxsize=64)
 def _verdict(
     direct: MonomialIdeal, left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]
-) -> tuple[ExpansionReport, tuple[TheoremRow, ...], int, PrimeSupport, int | None, tuple[str, ...]]:
+) -> tuple[ExpansionReport, tuple[TheoremRow, ...], int, PrimeSupport, int, tuple[str, ...]]:
     """The fields of ``verify_theorem``'s report after kind and k, for the
     direct member and the summands' member tuples (I_1..I_k), (J_1..J_k)."""
     expansion = _expansion_report(direct, left, right)
@@ -254,7 +258,7 @@ def _verdict(
     ring_i, ring_j = left[0].ring, right[0].ring
     # The variables of S are I's (indices below n) followed by J's.
     n = ring_i.nvars
-    formula = _formula_reader(left, right)
+    formula, v_formula = _formula_reader(left, right)
     # One PrimeSupport per distinct split part: rows share them.
     p_supports: dict[tuple[int, ...], PrimeSupport] = {}
     q_supports: dict[tuple[int, ...], PrimeSupport] = {}
@@ -271,12 +275,8 @@ def _verdict(
         q_support = q_supports.get(q) or q_supports.setdefault(q, PrimeSupport(ring_j, q))
         rows.append(TheoremRow(prime, p_support, q_support, report.degree, report.witness,
                                formula(p, q)))
-    # Rows are in the table's index order: the first least lhs is v_number's.
-    best = min(rows, key=lambda row: row.lhs)
-    v_formula = min((row.rhs.value for row in rows if row.rhs is not None), default=None)
-    if v_formula is not None and best.lhs < v_formula:
-        findings.append(
-            f"direct v-number {best.lhs} beats the mixed-prime formula "
-            f"{v_formula}; non-mixed primes present: none"
-        )
-    return expansion, tuple(rows), best.lhs, best.prime, v_formula, tuple(findings)
+    best = v_number(direct)
+    if best.degree < v_formula:
+        findings.append(f"direct v-number {best.degree} beats the mixed-prime formula "
+                        f"{v_formula}; non-mixed primes present: none")
+    return expansion, tuple(rows), best.degree, best.prime, v_formula, tuple(findings)

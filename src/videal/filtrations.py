@@ -267,7 +267,8 @@ def check_filtration_property(
         witnesses.append((witness, PrimeSupport(a.ring, indices)))
         if not previous.contains(witness):
             violations.append(witness)
-    return PropertyCheckReport(kind, k, deg_cap, tuple(witnesses), tuple(violations))
+    return PropertyCheckReport(FiltrationKind(kind), k, deg_cap, tuple(witnesses),
+                               tuple(violations))
 
 
 def normally_torsion_free(a: MonomialIdeal, k_max: int) -> bool:

@@ -6,8 +6,12 @@ with the operation it cross-checks.  A few helpers the tests build
 instances with live here too, since the library never needs them:
 ``mul``, ``embed``, ``localize``, ``random_ntf_pair`` and the monomial
 enumerations ``monomials_of_degree`` and ``monomials_up_to_degree``.
+So do ``memos`` and ``clear_memos``, the one list of the library's memos
+that the tests clear and CI reports on.
 """
 
+import importlib
+import pkgutil
 import random
 import re
 from fractions import Fraction
@@ -18,6 +22,7 @@ from operator import le, lt, sub
 from operator import mul as times
 from typing import Iterable, Sequence
 
+import videal
 from videal import decomposition
 from videal.decomposition import _decomposition, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
@@ -41,7 +46,26 @@ from videal.rings import (
     divides_exp,
     mul_exp,
 )
-from videal.vnumbers import VReport, local_v
+from videal.vnumbers import VReport, local_v, v_number
+
+
+def memos() -> list:
+    """Every memo bound in a ``videal`` module: each object with a
+    ``cache_clear``, once however many modules import it, ordered by
+    module and name."""
+    found = {}
+    for info in pkgutil.iter_modules(videal.__path__):
+        module = importlib.import_module(f"videal.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                found[id(value)] = value
+    return sorted(found.values(), key=lambda memo: (memo.__module__, memo.__name__))
+
+
+def clear_memos() -> None:
+    """Empty every memo of the library, so the next calls compute afresh."""
+    for memo in memos():
+        memo.cache_clear()
 
 
 def mul(u: Monomial, f: Monomial) -> Monomial:
@@ -811,6 +835,14 @@ def per_depth_theorem_rhs(
     value = min(c.value for c in candidates)
     achieved = tuple(c.d for c in candidates if c.value == value)
     return RhsResult(value, achieved, tuple(candidates))
+
+
+def summand_global_formula(kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int) -> int:
+    """The paper's global formula for the k-th member of the filtration of
+    I+J, from the summands alone: the least over 0 <= d < k of
+    v(I_{k-d}) + v(J_{d+1}), each from ``v_number`` of a member."""
+    return min(v_number(filtration_member(kind, i, k - d)).degree
+               + v_number(filtration_member(kind, j, d + 1)).degree for d in range(k))
 
 
 def power_membership_oracle(a: Sequence[int], l: MonomialIdeal, m_max: int) -> bool:

@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -474,6 +475,52 @@ def test_check_property_in_a_wide_ring():
         EXIT_OK,
         ["check-property kind=ordinary k=1 cap=0 I: 1 witnesses, 0 violations, PASS"],
     )
+
+
+VIOLATED = "ring A = [x, y]; ideal I in A = (x^2); check-property kind=ordinary k=2 cap=4 I;"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_check_property_violation_fails_the_run(monkeypatch, fmt):
+    """With the first member of (x^2) swapped for the second, the
+    witnesses x^3 and x^3*y of (x^4) lie outside the member before it:
+    each is a violation, the check fails and the run exits 1."""
+    member = filtrations.filtration_member
+    monkeypatch.setattr(filtrations, "filtration_member",
+                        lambda kind, a, k: member(kind, a, 2 if k == 1 else k))
+    code, lines = run_text(VIOLATED, fmt)
+    assert code == EXIT_UNEQUAL
+    if fmt == "text":
+        assert lines == ["check-property kind=ordinary k=2 cap=4 I: "
+                         "2 witnesses, 2 violations, FAIL"]
+        return
+    (line,) = lines
+    record = json.loads(line)
+    jsonschema.validate(record, SCHEMA)
+    assert record["report"]["passed"] is False
+    assert record["report"]["violations"] == ["x^3", "x^3*y"]
+    assert [w["monomial"] for w in record["report"]["witnesses"]] == ["x^3", "x^3*y"]
+
+
+def test_a_row_with_no_admissible_depth_renders_as_none():
+    """No verdict of the suite has a direct prime that splits into primes
+    associated at no depth; such a row, made by hand, renders its rhs as
+    null and as none, and is unequal."""
+    session = parse_session(PAIR)
+    report = verify_theorem(FiltrationKind.ORDINARY, session.ideals["I"], session.ideals["J"], 1)
+    (row,) = report.rows
+    report = replace(report, rows=(replace(row, rhs=None),))
+    fields = cli._theorem_json(report)
+    assert fields["rows"][0]["rhs"] is None and fields["rows"][0]["equal"] is False
+    assert fields["ok"] is False and fields["global"]["rhs"] == 0
+    jsonschema.validate({"command": "verify-theorem", "inputs": ["I", "J"], "k": 1,
+                         "kind": "ordinary", "report": fields}, SCHEMA)
+    assert list(cli._theorem_text(report, "verify-theorem kind=ordinary k=1 I J")) == [
+        "verify-theorem kind=ordinary k=1 I J: expansion HOLDS",
+        "  prime (x, y): lhs = 0 (witness 1), rhs = none, UNEQUAL",
+        "  global: v = 0, formula = 0, EQUAL",
+        "  result: MISMATCH",
+    ]
 
 
 def test_error_aborts_remaining_commands():

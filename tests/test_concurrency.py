@@ -12,10 +12,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from oracles import corner_tuples, unpack_corner_set
+from oracles import clear_memos, corner_tuples, unpack_corner_set
 from videal.cli import run_text
 from videal.decomposition import _decomposition, associated_primes
-from videal.expansion import _joined, _verdict, join_ideals, verify_theorem
+from videal.expansion import _verdict, join_ideals, verify_theorem
 from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
@@ -26,12 +26,6 @@ SYMBOLIC = (FiltrationKind.SYMBOLIC_ASS, FiltrationKind.SYMBOLIC_MIN)
 KINDS = (FiltrationKind.ORDINARY,) + SYMBOLIC
 
 
-def _clear_caches():
-    for cached in (_decomposition, associated_primes, filtration_member,
-                   integral_closure, _newton_facets, _verdict, _joined):
-        cached.cache_clear()
-
-
 def _work(pair, k, kinds=KINDS):
     i, j = pair
     reports = tuple(verify_theorem(kind, i, j, k) for kind in kinds)
@@ -39,7 +33,7 @@ def _work(pair, k, kinds=KINDS):
 
 
 def _run_threaded(tasks, kinds=KINDS):
-    _clear_caches()
+    clear_memos()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -57,7 +51,7 @@ def _pairs(seed, count):
 
 def test_threads_sharing_ideals_agree_with_one_caller():
     tasks = _pairs(41, 6) * THREADS
-    _clear_caches()
+    clear_memos()
     expected = [_work(pair, k) for pair, k in tasks]
     assert _run_threaded(tasks) == expected
     # Some of the reports the threads returned were served by a verdict
@@ -67,7 +61,7 @@ def test_threads_sharing_ideals_agree_with_one_caller():
 
 def test_threads_on_distinct_ideals_agree_with_one_caller():
     tasks = _pairs(42, 6 * THREADS)
-    _clear_caches()
+    clear_memos()
     expected = [_work(pair, k) for pair, k in tasks]
     assert _run_threaded(tasks) == expected
 
@@ -77,7 +71,7 @@ def test_threads_closing_powers_agree_with_one_caller():
     memos, and return what one caller gets."""
     kinds = (FiltrationKind.INTEGRAL_CLOSURE,)
     tasks = _pairs(44, 6) * THREADS
-    _clear_caches()
+    clear_memos()
     expected = [_work(pair, k, kinds) for pair, k in tasks]
     assert _run_threaded(tasks, kinds) == expected
     assert integral_closure.cache_info().currsize > 0
@@ -99,7 +93,7 @@ def test_threads_build_member_corners_as_one_caller_would():
     memoized corner set and witness table of a symbolic member equals a
     serial cold build."""
     distinct = _ladder_pairs(43, 6)
-    _clear_caches()
+    clear_memos()
     expected = [_work(pair, k) for pair, k in distinct]
     assert _run_threaded(distinct * THREADS) == expected * THREADS
     misses = _decomposition.cache_info().misses
@@ -139,7 +133,7 @@ def _session(pair, k):
 
 
 def _run_sessions_threaded(texts, fmt):
-    _clear_caches()
+    clear_memos()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -158,7 +152,7 @@ def test_threads_running_sessions_agree_with_one_caller(shared, fmt):
     caller gets."""
     tasks = _pairs(45, 4) * CLI_THREADS if shared else _pairs(46, 4 * CLI_THREADS)
     texts = [_session(pair, k) for pair, k in tasks]
-    _clear_caches()
+    clear_memos()
     expected = [run_text(text, fmt) for text in texts]
     assert all(code in (0, 1) for code, _ in expected)
     assert _run_sessions_threaded(texts, fmt) == expected

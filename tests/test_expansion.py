@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     brute_force_local_v,
     canonical_key,
+    clear_memos,
     corner_tuples,
     embed,
     mul,
@@ -17,9 +18,10 @@ from oracles import (
     random_ntf_pair,
     split_prime,
     summand_corners,
+    summand_global_formula,
 )
 from videal import expansion
-from videal.decomposition import _decomposition, associated_primes
+from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
     TheoremReport,
@@ -28,7 +30,7 @@ from videal.expansion import (
     verify_expansion,
     verify_theorem,
 )
-from videal.filtrations import FiltrationKind, filtration_member, integral_closure
+from videal.filtrations import FiltrationKind, filtration_member
 from videal.ideals import (
     colon_monomial,
     from_exps,
@@ -39,7 +41,6 @@ from videal.ideals import (
     unit_ideal,
     zero_ideal,
 )
-from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
 from videal.rings import Ring, join_rings, make_ring, mono
 from videal.vnumbers import local_v, v_number
@@ -230,9 +231,11 @@ def test_formula_reader_admits_no_depth_for_an_unassociated_support():
     # Every power of x1*x2 has Ass {(x1), (x2)}: (x1, x2) is at no depth.
     i = ideal(A3, [mono(A3, x1=1, x2=1)])
     j = ideal(B1, [mono(B1, y=1)])
-    read = expansion._formula_reader((i, power(i, 2)), (j, power(j, 2)))
+    read, v_formula = expansion._formula_reader((i, power(i, 2)), (j, power(j, 2)))
     assert read((0, 1), (0,)) is None
     assert read((0,), (0,)) is not None
+    # v(I^2) + v(J) = 3 + 0 at d = 0 and v(I) + v(J^2) = 1 + 1 at d = 1.
+    assert v_formula == 2
 
 
 def test_verify_theorem_principal_squares():
@@ -357,7 +360,8 @@ def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
     """One read of the direct table and one of each summand table per
     depth, however many rows the verdict has (on a cold verdict memo: a
     kind whose members repeat an earlier verdict's reads no table).  The
-    global value comes from the rows, so the direct table is read once."""
+    global formula comes from the summand tables and the global v-number
+    from ``v_number``, so the verdict reads the direct table once."""
     witnesses = expansion._witnesses
     reads = []
 
@@ -397,6 +401,56 @@ def test_no_verdict_asks_for_the_zeroth_member(kind, monkeypatch):
     assert asked and 0 not in asked
 
 
+def test_the_global_formula_reads_no_direct_table(monkeypatch):
+    """I = (x1^3, x1*x2) has v 1 at (x1) and 2 at (x1, x2), and J = (y)
+    has v 0, so the global formula is 1, reached only at the row of
+    (x1, y).  Without that prime in the direct table the rows reach 2,
+    but the global formula is read from the summands' tables alone."""
+    i = ideal(A3, [mono(A3, x1=3), mono(A3, x1=1, x2=1)])
+    j = ideal(B1, [mono(B1, y=1)])
+    direct = direct_term(ORD, i, j, 1)
+    expected = summand_global_formula(ORD, i, j, 1)
+    achieving = {row.prime.indices for row in verify_theorem(ORD, i, j, 1).rows
+                 if row.rhs is not None and row.rhs.value == expected}
+    assert expected == 1 and achieving == {(0, 3)}
+    witnesses = expansion._witnesses
+
+    def without_the_achieving_prime(a):
+        table = witnesses(a)
+        if a != direct:
+            return table
+        return {indices: report for indices, report in table.items() if indices not in achieving}
+
+    monkeypatch.setattr(expansion, "_witnesses", without_the_achieving_prime)
+    expansion._verdict.cache_clear()
+    try:
+        report = verify_theorem(ORD, i, j, 1)
+    finally:
+        expansion._verdict.cache_clear()
+    assert [row.prime.indices for row in report.rows] == [(0, 1, 3)]
+    assert report.rows[0].rhs.value == 2
+    assert report.v_formula == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    small_ideals(max_vars=2, max_gens=3, max_exp=2, name="A", prefix="x"),
+    small_ideals(max_vars=2, max_gens=3, max_exp=2, name="B", prefix="y"),
+    st.integers(1, 3),
+)
+def test_the_global_formula_is_the_summand_only_minimum(i, j, k):
+    """On every kind, v_formula is min over d of v(I_{k-d}) + v(J_{d+1});
+    when the expansion holds it is also the direct v-number and the least
+    rhs over the rows (the minimum restricted to the direct side's
+    primes)."""
+    for kind in FiltrationKind:
+        report = verify_theorem(kind, i, j, k)
+        assert report.v_formula == summand_global_formula(kind, i, j, k), (kind, str(i), str(j))
+        if report.expansion.expansion_holds:
+            restricted = min(row.rhs.value for row in report.rows if row.rhs is not None)
+            assert report.v_formula == report.v_direct == restricted, (kind, str(i), str(j))
+
+
 def test_witnesses_recombine_to_direct_witness():
     """A pair of summand witnesses at an achieving depth multiplies to a
     monomial whose colon out of the direct side is exactly the mixed prime."""
@@ -412,12 +466,6 @@ def test_witnesses_recombine_to_direct_witness():
             assert colon_monomial(report.expansion.direct, f) == row.prime.as_ideal()
 
 
-def _clear_memos():
-    for cached in (_decomposition, associated_primes, filtration_member,
-                   integral_closure, _newton_facets, expansion._verdict, expansion._joined):
-        cached.cache_clear()
-
-
 def test_every_kind_and_k_of_a_pair_joins_once(monkeypatch):
     """Every kind at k = 1, 2 on one pair, from cleared memos, builds I+J
     once: the pair memo serves the other seven calls."""
@@ -431,7 +479,7 @@ def test_every_kind_and_k_of_a_pair_joins_once(monkeypatch):
     monkeypatch.setattr(expansion, "join_ideals", recorded)
     i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
     j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
-    _clear_memos()
+    clear_memos()
     for k in (1, 2):
         for kind in FiltrationKind:
             verify_theorem(kind, i, j, k)
@@ -443,7 +491,7 @@ def test_the_pair_memo_holds_the_ordinary_first_member():
     ordinary first member, so it adds no ideal or ring of its own."""
     i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
     j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
-    _clear_memos()
+    clear_memos()
     joined = expansion._joined(i, j)
     assert joined == join_ideals(i, j)
     assert filtration_member(ORD, join_ideals(i, j), 1) is joined
@@ -453,7 +501,7 @@ def test_the_pair_memo_holds_the_ordinary_first_member():
 def test_the_public_join_leaves_the_pair_memo_cold():
     """``join_ideals`` is not memoized and never fills the pair memo, so a
     caller that joins a pool of pairs ahead of timing starts it cold."""
-    _clear_memos()
+    clear_memos()
     for seed in range(5):
         join_ideals(*random_pair(random.Random(seed)))
     assert expansion._joined.cache_info().currsize == 0
@@ -484,7 +532,7 @@ def test_a_pair_keeps_one_joined_ideal():
         b = make_ring("".join(["P", "b"]), ["q1", "q2"])
         return from_exps(a, [(2, 0), (1, 1)]), from_exps(b, [(1, 1)])
 
-    _clear_memos()
+    clear_memos()
     for k in (1, 2):
         for kind in FiltrationKind:
             verify_theorem(kind, *fresh(), k)
@@ -510,10 +558,10 @@ def test_a_shared_verdict_equals_a_cold_one(seed):
     computed on cleared memos, kind and findings included."""
     i, j = random_pair(random.Random(seed))
     steps = [(kind, k) for k in (1, 2) for kind in FiltrationKind]
-    _clear_memos()
+    clear_memos()
     warm = [verify_theorem(kind, i, j, k) for kind, k in steps]
     for (kind, k), report in zip(steps, warm):
-        _clear_memos()
+        clear_memos()
         cold = verify_theorem(kind, i, j, k)
         assert report.kind is kind and report.k == k
         assert _field_values(report) == _field_values(cold), (kind, k, str(i), str(j))

@@ -614,6 +614,21 @@ def test_property_check_symbolic_min_triangle():
     assert report.passed
 
 
+def test_a_kind_given_by_its_value_reports_the_member_in_a_property_check():
+    """A kind's value string gives the report of the enum member, and an
+    unknown string is refused by the member lookups."""
+    report = check_filtration_property("symb-min", TRIANGLE, 2, 4)
+    assert report.kind is FiltrationKind.SYMBOLIC_MIN
+    assert report == check_filtration_property(FiltrationKind.SYMBOLIC_MIN, TRIANGLE, 2, 4)
+    with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
+        check_filtration_property("bogus", TRIANGLE, 2, 4)
+
+
+def test_a_kind_prints_as_its_value():
+    assert str(FiltrationKind.SYMBOLIC_MIN) == "symb-min"
+    assert f"{FiltrationKind.INTEGRAL_CLOSURE}" == "intclos"
+
+
 def test_property_check_integral_closure():
     a = ideal(R2, [mono(R2, x=2), mono(R2, y=2)])
     report = check_filtration_property(FiltrationKind.INTEGRAL_CLOSURE, a, 2, 5)

@@ -10,11 +10,14 @@ summand pair: every kind and k of the pair's verdicts reads it, and a
 join costs a new ring, padded and sorted generators, a hash and an
 equality test against the copy in ``filtration_member``'s slot.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
-seen.
+seen.  ``oracles.memos``, the list the tests clear and CI reports on, is
+found at run time and must name the same seven.
 """
 
 import ast
 from pathlib import Path
+
+from oracles import memos
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "videal"
 MEMOS = {
@@ -62,3 +65,8 @@ def test_decomposition_binds_no_module_level_container():
             ):
                 found.append(f"decomposition.py:{node.lineno}")
     assert not found, "module-level containers: " + ", ".join(found)
+
+
+def test_the_run_time_memo_list_names_the_same_seven():
+    found = [f"{memo.__module__.removeprefix('videal.')}.{memo.__name__}" for memo in memos()]
+    assert sorted(found) == sorted(MEMOS)

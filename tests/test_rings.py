@@ -30,6 +30,10 @@ def test_make_ring_three_variables():
     assert ring.nvars == 3
 
 
+def test_a_ring_prints_its_name_and_variables():
+    assert str(make_ring("A", ["x", "y"])) == "A[x, y]"
+
+
 def test_make_ring_rejects_duplicates():
     with pytest.raises(VidealError):
         make_ring("A", ["x", "x"])
