@@ -31,7 +31,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .decomposition import _witnesses
+from .decomposition import _least, _witnesses
 from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
 from .ideals import MonomialIdeal, PrimeSupport, from_exps
@@ -159,12 +159,11 @@ def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal,
     with P associated to I_{k-d} and Q to J_{d+1}, the sum of the two local
     v-numbers, one lookup in each summand's witness table (a missing prime
     is not associated), or None when no depth is admissible; and the global
-    value, min over d of v(I_{k-d}) + v(J_{d+1}) (no proper nonzero member
-    has an empty table).  Each table is read once here, and every depth is
+    value, min over d of v(I_{k-d}) + v(J_{d+1}) from the members' least
+    entries (``_least``).  Each table is read once here, and every depth is
     evaluated, so a result carries the complete achieving set."""
     tables = [(_witnesses(i), _witnesses(j)) for i, j in zip(reversed(left), right)]
-    v_formula = min(min(vi.degree for vi in ti.values()) + min(vj.degree for vj in tj.values())
-                    for ti, tj in tables)
+    v_formula = min(_least(i).degree + _least(j).degree for i, j in zip(reversed(left), right))
 
     def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
         candidates: list[RhsCandidate] = []

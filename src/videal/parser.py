@@ -14,19 +14,21 @@ positional ideal names; ``colon`` additionally accepts a monomial.  The
 command table ``_SIGNATURES`` gives each command's arguments and the
 defaults of its optional ones.  All errors carry a line:column position.
 
-Tokens carry no position.  The scanner is one regular expression whose
-findall skips whitespace, so ``_tokenize`` is one comprehension over its
-matches: a match is a token, a comment (dropped), or, at a character no
-token starts with, the rest of the text, which then ends the scan.  A
-position is computed only when an error is raised, by scanning the text
-again up to the failing token.  Only a line feed breaks lines; a
-carriage return, form feed, NEL or Unicode line separator is whitespace
-one column wide.
+A token is its text, with no kind and no position.  The scanner is one
+regular expression whose findall skips whitespace, so ``_tokenize`` is
+one comprehension over its matches: a match is a token, a comment
+(dropped), or, at a character no token starts with, the rest of the
+text, which then ends the scan; "" ends the tokens.  The grammar derives
+a kind only where it reads one: punctuation is its own text, a nat is
+``str.isdecimal``, and any other non-empty token is a name.  A position
+is computed only when an error is raised, by scanning the text again up
+to the failing token.  Only a line feed breaks lines; a carriage return,
+form feed, NEL or Unicode line separator is whitespace one column wide.
 """
 
 import re
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import Callable, Iterator, NoReturn
 
 from .errors import ParseError
 from .filtrations import FiltrationKind
@@ -37,13 +39,13 @@ KINDS = {kind.value: kind for kind in FiltrationKind}
 
 # The lexical grammar, one alternative per token class.  No alternative
 # matches whitespace, so findall skips it.  \d is a Unicode decimal digit
-# (str.isdecimal) and \w is str.isalnum() or "_".  The last alternative
-# takes a character outside the grammar with the rest of the text, so it
-# is the last match; its token, like a \w+ that starts with a non-decimal
-# digit ("\u00b2x"), is a "name" that starts with neither a letter nor "_".
+# (str.isdecimal), \w is str.isalnum() or "_", and \d+ is tried first.
+# The last alternative takes a character outside the grammar with the
+# rest of the text, so it is the last match; it and a \w+ that starts
+# with a non-decimal digit ("\u00b2x") are the lexical errors.
 _SCANNER = re.compile(
     r"""
-      [=\[\](),;^*-]            # punctuation: its own kind
+      [=\[\](),;^*-]            # punctuation
     | \d+                       # nat
     | \w+                       # name
     | \#[^\n]*                  # comment: no token
@@ -54,20 +56,23 @@ _SCANNER = re.compile(
 _PUNCTUATION = frozenset("=[](),;^*-")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """The (kind, text) tokens of text, ending with ("eof", ""); kind is
-    "name", "nat" or the punctuation character itself.  A token is known
-    by its index; _position finds where it starts."""
-    tokens = [
-        (word if word in _PUNCTUATION else "nat" if word.isdecimal() else "name", word)
-        for word in _SCANNER.findall(text)
-        if word[0] != "#"
-    ]
-    for index, (kind, word) in enumerate(tokens):
-        if kind == "name" and not (word[0].isalpha() or word[0] == "_"):
-            raise ParseError(f"unexpected character {word[0]!r}", *_position(text, index))
-    tokens.append(("eof", ""))
+def _tokenize(text: str) -> list[str]:
+    """The tokens of text, ending with "", the end of input.  A token is
+    known by its index; _position finds where it starts.  A lexical error
+    raises at the first bad token, which is the first with its text."""
+    tokens = [word for word in _SCANNER.findall(text) if word[0] != "#"]
+    bad = [word for word in tokens
+           if not (word in _PUNCTUATION or word[0].isalpha() or word.isdecimal() or word[0] == "_")]
+    if bad:
+        at = _position(text, tokens.index(bad[0]))
+        raise ParseError(f"unexpected character {bad[0][0]!r}", *at)
+    tokens.append("")
     return tokens
+
+
+def _is_name(word: str) -> bool:
+    """Whether a token of ``_tokenize`` is a name: not punctuation, a nat or ""."""
+    return word not in _PUNCTUATION and not word.isdecimal() and word != ""
 
 
 def _position(text: str, index: int) -> tuple[int, int]:
@@ -132,174 +137,155 @@ class _Parser:
         self.rings: dict[str, Ring] = {}
         self.session = Session()
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.pos][0]
-
-    def advance(self) -> int:
-        """Consumes the next token; returns its index."""
-        self.pos += 1
-        return self.pos - 1
-
-    def expect(self, kind: str, what: str) -> str:
-        """Consumes the next token, which must be of this kind; returns its text."""
-        found, text = self.tokens[self.pos]
-        if found != kind:
-            self.fail(f"expected {what}, found {text or 'end of input'!r}", self.pos)
-        self.pos += 1
-        return text
+    def take(self, wanted: str | Callable[[str], bool], what: str) -> str:
+        """Consumes the next token, which must be the punctuation wanted,
+        or satisfy wanted if it is a predicate; returns it."""
+        word = self.tokens[self.pos]
+        if word == wanted or not isinstance(wanted, str) and wanted(word):
+            self.pos += 1
+            return word
+        self.fail(f"expected {what}, found {word or 'end of input'!r}", self.pos)
 
     def fail(self, message: str, at: int) -> NoReturn:
         raise ParseError(message, *_position(self.text, at))
 
     def parse(self) -> Session:
-        while self.peek() != "eof":
-            kind, text = self.tokens[self.pos]
-            if kind != "name":
-                self.fail(f"expected a statement, found {text!r}", self.pos)
-            if text == "ring":
+        while word := self.tokens[self.pos]:
+            if word == "ring":
                 self.ring_decl()
-            elif text == "ideal":
+            elif word == "ideal":
                 self.ideal_decl()
-            else:
+            elif _is_name(word):
                 self.command()
+            else:
+                self.fail(f"expected a statement, found {word!r}", self.pos)
         return self.session
 
+    def listed(self, close: str, what: str) -> Iterator[None]:
+        """Yields once per item, which the caller reads, of a list ended by
+        the punctuation close, and consumes the "," or close after it."""
+        while True:
+            yield
+            self.pos += 1
+            if self.tokens[self.pos - 1] == close:
+                return
+            if self.tokens[self.pos - 1] != ",":
+                self.fail(f"expected ',' or {close!r} in {what}", self.pos - 1)
+
     def ring_decl(self):
-        self.advance()  # ring
-        name = self.expect("name", "a ring name")
+        self.pos += 1  # ring
+        name = self.take(_is_name, "a ring name")
         if name in self.rings:
             self.fail(f"ring {name!r} already declared", self.pos - 1)
-        self.expect("=", "'='")
-        self.expect("[", "'['")
+        self.take("=", "'='")
+        self.take("[", "'['")
         vars: list[str] = []
-        while True:
-            var = self.expect("name", "a variable name")
+        for _ in self.listed("]", "variable list"):
+            var = self.take(_is_name, "a variable name")
             if var in vars:
                 self.fail(f"duplicate variable {var!r}", self.pos - 1)
             vars.append(var)
-            at = self.advance()
-            if self.tokens[at][0] == "]":
-                break
-            if self.tokens[at][0] != ",":
-                self.fail("expected ',' or ']' in variable list", at)
-        self.expect(";", "';'")
+        self.take(";", "';'")
         self.rings[name] = Ring(name, tuple(vars))
 
     def ideal_decl(self):
-        self.advance()  # ideal
-        name = self.expect("name", "an ideal name")
+        self.pos += 1  # ideal
+        name = self.take(_is_name, "an ideal name")
         if name in self.session.ideals:
             self.fail(f"ideal {name!r} already declared", self.pos - 1)
-        if self.expect("name", "'in'") != "in":
+        if self.take(_is_name, "'in'") != "in":
             self.fail("expected 'in' after the ideal name", self.pos - 1)
-        ring_name = self.expect("name", "a ring name")
+        ring_name = self.take(_is_name, "a ring name")
         ring = self.rings.get(ring_name)
         if ring is None:
             self.fail(f"unknown ring {ring_name!r}", self.pos - 1)
-        self.expect("=", "'='")
-        self.expect("(", "'('")
+        self.take("=", "'='")
+        self.take("(", "'('")
         exps: list[tuple[int, ...]] = []
-        if self.peek() == ")":
-            self.advance()
+        if self.tokens[self.pos] == ")":
+            self.pos += 1
         else:
-            while True:
-                exps.append(self.mono_exp(ring))
-                at = self.advance()
-                if self.tokens[at][0] == ")":
-                    break
-                if self.tokens[at][0] != ",":
-                    self.fail("expected ',' or ')' in generator list", at)
-        self.expect(";", "';'")
+            exps = [self.mono_exp(ring) for _ in self.listed(")", "generator list")]
+        self.take(";", "';'")
         self.session.ideals[name] = from_exps(ring, exps)
 
     def mono_exp(self, ring: Ring) -> tuple[int, ...]:
         """mono := "1" | term ("*" term)*  with term := NAME ("^" NAT)?"""
         vec = [0] * ring.nvars
-        kind, text = self.tokens[self.pos]
-        if kind == "nat":
-            if text != "1":
+        if self.tokens[self.pos].isdecimal():
+            if self.tokens[self.pos] != "1":
                 self.fail("the only numeric monomial is 1 (write () for the zero ideal)", self.pos)
-            self.advance()
+            self.pos += 1
             return tuple(vec)
         while True:
-            var = self.expect("name", "a variable name")
+            var = self.take(_is_name, "a variable name")
             if var not in ring.vars:
                 self.fail(f"variable {var!r} is not in ring {ring.name!r}", self.pos - 1)
             exp = 1
-            if self.peek() == "^":
-                self.advance()
-                self.expect("nat", "an exponent")
+            if self.tokens[self.pos] == "^":
+                self.pos += 1
+                self.take(str.isdecimal, "an exponent")
                 exp = self.nat(self.pos - 1)
             vec[ring.index(var)] += exp
-            if self.peek() == "*":
-                self.advance()
-                continue
-            return tuple(vec)
+            if self.tokens[self.pos] != "*":
+                return tuple(vec)
+            self.pos += 1
 
-    def hyphenated(self, text: str, rest: str) -> str:
-        """text, a name just read, joined with any following "-name"
+    def hyphenated(self, word: str, rest: str) -> str:
+        """word, a name just read, joined with any following "-name"
         parts (verify-expansion, symb-ass); rest names a missing part."""
-        while self.peek() == "-":
-            self.advance()
-            text += "-" + self.expect("name", rest)
-        return text
-
-    def value(self) -> tuple[int, str]:
-        """A key=value right-hand side as (index, text): a nat, or a name
-        that may be hyphenated (kind values)."""
-        at = self.advance()
-        kind, text = self.tokens[at]
-        if kind == "nat":
-            return at, text
-        if kind != "name":
-            self.fail(f"expected a value, found {text!r}", at)
-        return at, self.hyphenated(text, "the rest of the value")
+        while self.tokens[self.pos] == "-":
+            self.pos += 1
+            word += "-" + self.take(_is_name, rest)
+        return word
 
     def command(self):
         head = self.pos
-        name = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
+        self.pos += 1
+        name = self.hyphenated(self.tokens[head], "the rest of the command name")
         if name not in _SIGNATURES:
             self.fail(f"unknown command {name!r}", head)
         arity, required, defaults = _SIGNATURES[name]
+        # Each key=value argument as the index of its value and the value,
+        # a nat or a name that may be hyphenated (kind values).
         named: dict[str, tuple[int, str]] = {}
         ideals: list[str] = []
         mono_val: Monomial | None = None
-        while self.peek() != ";":
-            kind, text = self.tokens[self.pos]
-            if kind == "eof":
+        while (word := self.tokens[self.pos]) != ";":
+            if not word:
                 self.fail("unterminated command; expected ';'", self.pos)
-            if kind == "name" and self.tokens[self.pos + 1][0] == "=":
-                key = self.pos
-                self.pos += 2  # the key and '='
-                if text not in required and text not in defaults:
-                    self.fail(f"command {name!r} takes no argument {text!r}", key)
-                if text in named:
-                    self.fail(f"duplicate argument {text!r}", key)
-                named[text] = self.value()
+            if self.tokens[self.pos + 1] == "=" and _is_name(word):
+                key, at = self.pos, self.pos + 2  # the key, and its value past '='
+                if word not in required and word not in defaults:
+                    self.fail(f"command {name!r} takes no argument {word!r}", key)
+                if word in named:
+                    self.fail(f"duplicate argument {word!r}", key)
+                value = self.tokens[at]
+                self.pos = at + 1
+                if not value.isdecimal():
+                    if not _is_name(value):
+                        self.fail(f"expected a value, found {value!r}", at)
+                    value = self.hyphenated(value, "the rest of the value")
+                named[word] = at, value
                 continue
             # Positional argument: an ideal name, or (for colon) a monomial.
             if name == "colon" and len(ideals) == 1 and mono_val is None:
                 base_ring = self.session.ideals[ideals[0]].ring
-                if (
-                    kind == "name"
-                    and text in self.session.ideals
-                    and self.tokens[self.pos + 1][0] not in ("^", "*")
-                ):
+                if word in self.session.ideals and self.tokens[self.pos + 1] not in ("^", "*"):
                     # A bare declared-ideal name means the ideal colon;
                     # anything else is a monomial in the first ideal's ring.
-                    self.advance()
-                    ideals.append(text)
+                    self.pos += 1
+                    ideals.append(word)
                 else:
                     mono_val = Monomial(base_ring, self.mono_exp(base_ring))
                 continue
-            if kind != "name" or len(ideals) >= arity:
-                self.fail(f"unexpected argument {text!r} for command {name!r}", self.pos)
-            at = self.advance()
-            if text not in self.session.ideals:
-                self.fail(f"unknown ideal {text!r}", at)
-            ideals.append(text)
-        self.advance()  # ';'
+            if not _is_name(word) or len(ideals) >= arity:
+                self.fail(f"unexpected argument {word!r} for command {name!r}", self.pos)
+            if word not in self.session.ideals:
+                self.fail(f"unknown ideal {word!r}", self.pos)
+            self.pos += 1
+            ideals.append(word)
+        self.pos += 1  # ';'
         if name == "colon":
             if not (len(ideals) == 2 or (len(ideals) == 1 and mono_val is not None)):
                 self.fail("colon needs an ideal and a monomial (or a second ideal)", head)
@@ -338,19 +324,19 @@ class _Parser:
         """The value given for key, else its default (None if it has none)."""
         if key not in named:
             return defaults.get(key)
-        at = named[key][0]
-        if self.tokens[at][0] != "nat":
+        at, value = named[key]
+        if not value.isdecimal():
             self.fail(f"argument {key} must be a natural number", at)
         return self.nat(at)
 
     def nat(self, at: int) -> int:
         """The value of nat token at.  Its text is decimal digits, so int()
         fails only past the interpreter's limit on digits in a conversion."""
-        text = self.tokens[at][1]
+        word = self.tokens[at]
         try:
-            return int(text)
+            return int(word)
         except ValueError:
-            self.fail(f"number too long ({len(text)} digits)", at)
+            self.fail(f"number too long ({len(word)} digits)", at)
 
 
 def parse_session(text: str) -> Session:

@@ -7,7 +7,7 @@ the ideal, once per ideal, and certifies each one when the table is
 built, whichever reader comes first.
 """
 
-from .decomposition import VReport, _witnesses
+from .decomposition import VReport, _least, _witnesses
 from .errors import ImproperIdealError, NoWitnessError
 from .ideals import MonomialIdeal, PrimeSupport
 from .rings import check_same_ring
@@ -35,5 +35,4 @@ def v_number(a: MonomialIdeal) -> VReport:
     primes, ties broken by the smallest prime in canonical order."""
     if not a.is_proper_nonzero():
         raise ImproperIdealError("v-numbers are defined for proper nonzero ideals")
-    # Ass of a proper nonzero ideal is non-empty.
-    return min(_witnesses(a).values(), key=lambda report: (report.degree, report.prime.indices))
+    return _least(a)

@@ -4,8 +4,10 @@ Each oracle answers by direct enumeration of the defining condition, or
 by an older algorithm the library replaced, so it shares no code path
 with the operation it cross-checks.  A few helpers the tests build
 instances with live here too, since the library never needs them:
-``mul``, ``embed``, ``localize``, ``random_ntf_pair`` and the monomial
-enumerations ``monomials_of_degree`` and ``monomials_up_to_degree``.
+``mul``, ``embed``, ``localize``, ``random_ntf_pair``, the monomial
+enumerations ``monomials_of_degree`` and ``monomials_up_to_degree``, and
+``mutate_session``, whose seeded mutations of the corpus sessions CI
+also pins.
 So do ``memos`` and ``clear_memos``, the one list of the library's memos
 that the tests clear and CI reports on.
 """
@@ -20,13 +22,14 @@ from math import lcm
 from numbers import Rational
 from operator import le, lt, sub
 from operator import mul as times
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import videal
-from videal import decomposition
+from videal import decomposition, parser
 from videal.decomposition import _decomposition, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
 from videal.expansion import RhsCandidate, RhsResult
+from videal.lp import _newton_facets
 from videal.filtrations import FiltrationKind, filtration_member, normally_torsion_free
 from videal.ideals import (
     MonomialIdeal,
@@ -44,6 +47,7 @@ from videal.rings import (
     Ring,
     check_same_ring,
     divides_exp,
+    join_rings,
     mul_exp,
 )
 from videal.vnumbers import VReport, local_v, v_number
@@ -552,6 +556,39 @@ def summand_corners(
     return top, set(kept)
 
 
+def summand_closure(i: MonomialIdeal, j: MonomialIdeal, k: int) -> MonomialIdeal:
+    """The integral closure of (I+J)^k, in the ring of I's variables
+    followed by J's, built from the summands alone: the sum of the
+    products closure(I^a) closure(J^(k-a)) of rational powers, over the
+    values a = m/d in [0, k] for the facet constants d of NP(I).
+
+    ord_L(u) = min over the facets (w, d) of NP(L) of w.u / d, and
+    ord_{I+J}(u, v) = ord_I(u) + ord_J(v), since NP(I+J) is the convex
+    hull of NP(I) x orthant and orthant x NP(J); x^u y^v lies in the
+    closure of (I+J)^k iff that sum is at least k.  Then a = min(ord_I(u),
+    k) is one of the values, x^u lies in closure(I^a) and y^v in
+    closure(J^(k-a)); and every such product lies in the closure.  The
+    rational power closure(L^a), a = p/q, holds the x^u with w.u >= a d
+    on every facet: its minimal points are those of the facets (q w, p d),
+    found by ``fibre_scan_minimal_points`` in the box of the ceiling of a
+    times the largest exponent per coordinate (a minimal point is the
+    ceiling of a point of a conv(G(L)), which lies in that box).
+    """
+    facets = {side: _newton_facets(side.exps()) for side in (i, j)}
+
+    def rational_power(side: MonomialIdeal, a: Fraction) -> list[tuple[int, ...]]:
+        scaled = [(tuple(a.denominator * e for e in w), a.numerator * d) for w, d in facets[side]]
+        bounds = [-(-a.numerator * max(column) // a.denominator) for column in zip(*side.exps())]
+        return fibre_scan_minimal_points(scaled, bounds)
+
+    values = {Fraction(m, d) for d in {d for _, d in facets[i]} for m in range(k * d + 1)}
+    exps = set()
+    for a in values:
+        right = rational_power(j, k - a)
+        exps.update(u + v for u in rational_power(i, a) for v in right)
+    return from_exps(join_rings(i.ring, j.ring), exps)
+
+
 def _least_raise(
     hard: list[tuple[int, ...]], outside: list[int], top: int, limit: int | None
 ) -> tuple[int, tuple[int, ...]] | None:
@@ -706,14 +743,14 @@ def guard_bits(indices: Iterable[int], width: int) -> int:
 def unpack_corner_set(
     value: tuple, n: int
 ) -> tuple[list[tuple[int, ...]], int, tuple[int, ...]]:
-    """A value (data, top, table) of ``decomposition._decomposition`` for
-    an ideal in n variables as its corners' exponent tuples, their top and
-    their support masks (bit i set iff b_i < top), derived here from the
-    corners; the table is not read.  data packs each corner's n lanes of
+    """A value (data, top, table, least) of ``decomposition._decomposition``
+    for an ideal in n variables as its corners' exponent tuples, their top
+    and their support masks (bit i set iff b_i < top), derived here from
+    the corners; the table and its least entry are not read.  data packs each corner's n lanes of
     ``lane_width(top)`` bits in ceil(n * width / 8) little-endian bytes,
     and nothing else: no support is stored beside them.  Read here through
     one int of all the bytes."""
-    data, top, _ = value
+    data, top, _, _ = value
     width = lane_width(top)
     size = -(-n * width // 8)
     count = len(data) // size
@@ -1003,3 +1040,276 @@ def group_position(text: str, index: int) -> tuple[int, int]:
         if start < 0:
             start = len(text)
     return text.count("\n", 0, start) + 1, start - text.rfind("\n", 0, start)
+
+
+class _DescentParser:
+    """The session parser before a token was its own text: recursive
+    descent over (kind, text) tokens, here ``branching_tokens``, through
+    peek/advance/expect/value.  self.pos is the index of the next token;
+    a token is named by its index, and fail() turns one into a line:column
+    position (``group_position``)."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = branching_tokens(text)
+        self.pos = 0
+        self.rings: dict[str, Ring] = {}
+        self.session = parser.Session()
+
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.pos][0]
+
+    def advance(self) -> int:
+        """Consumes the next token; returns its index."""
+        self.pos += 1
+        return self.pos - 1
+
+    def expect(self, kind: str, what: str) -> str:
+        """Consumes the next token, which must be of this kind; returns its text."""
+        found, text = self.tokens[self.pos]
+        if found != kind:
+            self.fail(f"expected {what}, found {text or 'end of input'!r}", self.pos)
+        self.pos += 1
+        return text
+
+    def fail(self, message: str, at: int) -> NoReturn:
+        raise ParseError(message, *group_position(self.text, at))
+
+    def parse(self) -> parser.Session:
+        while self.peek() != "eof":
+            kind, text = self.tokens[self.pos]
+            if kind != "name":
+                self.fail(f"expected a statement, found {text!r}", self.pos)
+            if text == "ring":
+                self.ring_decl()
+            elif text == "ideal":
+                self.ideal_decl()
+            else:
+                self.command()
+        return self.session
+
+    def ring_decl(self):
+        self.advance()  # ring
+        name = self.expect("name", "a ring name")
+        if name in self.rings:
+            self.fail(f"ring {name!r} already declared", self.pos - 1)
+        self.expect("=", "'='")
+        self.expect("[", "'['")
+        vars: list[str] = []
+        while True:
+            var = self.expect("name", "a variable name")
+            if var in vars:
+                self.fail(f"duplicate variable {var!r}", self.pos - 1)
+            vars.append(var)
+            at = self.advance()
+            if self.tokens[at][0] == "]":
+                break
+            if self.tokens[at][0] != ",":
+                self.fail("expected ',' or ']' in variable list", at)
+        self.expect(";", "';'")
+        self.rings[name] = Ring(name, tuple(vars))
+
+    def ideal_decl(self):
+        self.advance()  # ideal
+        name = self.expect("name", "an ideal name")
+        if name in self.session.ideals:
+            self.fail(f"ideal {name!r} already declared", self.pos - 1)
+        if self.expect("name", "'in'") != "in":
+            self.fail("expected 'in' after the ideal name", self.pos - 1)
+        ring_name = self.expect("name", "a ring name")
+        ring = self.rings.get(ring_name)
+        if ring is None:
+            self.fail(f"unknown ring {ring_name!r}", self.pos - 1)
+        self.expect("=", "'='")
+        self.expect("(", "'('")
+        exps: list[tuple[int, ...]] = []
+        if self.peek() == ")":
+            self.advance()
+        else:
+            while True:
+                exps.append(self.mono_exp(ring))
+                at = self.advance()
+                if self.tokens[at][0] == ")":
+                    break
+                if self.tokens[at][0] != ",":
+                    self.fail("expected ',' or ')' in generator list", at)
+        self.expect(";", "';'")
+        self.session.ideals[name] = from_exps(ring, exps)
+
+    def mono_exp(self, ring: Ring) -> tuple[int, ...]:
+        """mono := "1" | term ("*" term)*  with term := NAME ("^" NAT)?"""
+        vec = [0] * ring.nvars
+        kind, text = self.tokens[self.pos]
+        if kind == "nat":
+            if text != "1":
+                self.fail("the only numeric monomial is 1 (write () for the zero ideal)", self.pos)
+            self.advance()
+            return tuple(vec)
+        while True:
+            var = self.expect("name", "a variable name")
+            if var not in ring.vars:
+                self.fail(f"variable {var!r} is not in ring {ring.name!r}", self.pos - 1)
+            exp = 1
+            if self.peek() == "^":
+                self.advance()
+                self.expect("nat", "an exponent")
+                exp = self.nat(self.pos - 1)
+            vec[ring.index(var)] += exp
+            if self.peek() == "*":
+                self.advance()
+                continue
+            return tuple(vec)
+
+    def hyphenated(self, text: str, rest: str) -> str:
+        """text, a name just read, joined with any following "-name"
+        parts (verify-expansion, symb-ass); rest names a missing part."""
+        while self.peek() == "-":
+            self.advance()
+            text += "-" + self.expect("name", rest)
+        return text
+
+    def value(self) -> tuple[int, str]:
+        """A key=value right-hand side as (index, text): a nat, or a name
+        that may be hyphenated (kind values)."""
+        at = self.advance()
+        kind, text = self.tokens[at]
+        if kind == "nat":
+            return at, text
+        if kind != "name":
+            self.fail(f"expected a value, found {text!r}", at)
+        return at, self.hyphenated(text, "the rest of the value")
+
+    def command(self):
+        head = self.pos
+        name = self.hyphenated(self.expect("name", "a command"), "the rest of the command name")
+        if name not in parser._SIGNATURES:
+            self.fail(f"unknown command {name!r}", head)
+        arity, required, defaults = parser._SIGNATURES[name]
+        named: dict[str, tuple[int, str]] = {}
+        ideals: list[str] = []
+        mono_val: Monomial | None = None
+        while self.peek() != ";":
+            kind, text = self.tokens[self.pos]
+            if kind == "eof":
+                self.fail("unterminated command; expected ';'", self.pos)
+            if kind == "name" and self.tokens[self.pos + 1][0] == "=":
+                key = self.pos
+                self.pos += 2  # the key and '='
+                if text not in required and text not in defaults:
+                    self.fail(f"command {name!r} takes no argument {text!r}", key)
+                if text in named:
+                    self.fail(f"duplicate argument {text!r}", key)
+                named[text] = self.value()
+                continue
+            # Positional argument: an ideal name, or (for colon) a monomial.
+            if name == "colon" and len(ideals) == 1 and mono_val is None:
+                base_ring = self.session.ideals[ideals[0]].ring
+                if (
+                    kind == "name"
+                    and text in self.session.ideals
+                    and self.tokens[self.pos + 1][0] not in ("^", "*")
+                ):
+                    # A bare declared-ideal name means the ideal colon;
+                    # anything else is a monomial in the first ideal's ring.
+                    self.advance()
+                    ideals.append(text)
+                else:
+                    mono_val = Monomial(base_ring, self.mono_exp(base_ring))
+                continue
+            if kind != "name" or len(ideals) >= arity:
+                self.fail(f"unexpected argument {text!r} for command {name!r}", self.pos)
+            at = self.advance()
+            if text not in self.session.ideals:
+                self.fail(f"unknown ideal {text!r}", at)
+            ideals.append(text)
+        self.advance()  # ';'
+        if name == "colon":
+            if not (len(ideals) == 2 or (len(ideals) == 1 and mono_val is not None)):
+                self.fail("colon needs an ideal and a monomial (or a second ideal)", head)
+        elif len(ideals) != arity:
+            self.fail(
+                f"command {name!r} needs {arity} ideal argument(s), got {len(ideals)}",
+                head,
+            )
+        missing = sorted([key for key in required if key not in named])
+        if missing:
+            self.fail(
+                f"command {name!r} is missing argument(s): {', '.join(missing)}",
+                head,
+            )
+        filtration = None
+        if "kind" in named:
+            at, text = named["kind"]
+            filtration = parser.KINDS.get(text)
+            if filtration is None:
+                self.fail(
+                    f"unknown kind {text!r} (expected one of: {', '.join(sorted(parser.KINDS))})",
+                    at,
+                )
+            if name == "symb" and filtration not in (
+                FiltrationKind.SYMBOLIC_ASS,
+                FiltrationKind.SYMBOLIC_MIN,
+            ):
+                self.fail("symb takes kind=symb-ass or kind=symb-min", at)
+        k = self.nat_arg(named, "k", defaults)
+        cap = self.nat_arg(named, "cap", defaults)
+        self.session.commands.append(parser.Command(name, tuple(ideals), mono_val, filtration, k, cap))
+
+    def nat_arg(
+        self, named: dict[str, tuple[int, str]], key: str, defaults: dict[str, int]
+    ) -> int | None:
+        """The value given for key, else its default (None if it has none)."""
+        if key not in named:
+            return defaults.get(key)
+        at = named[key][0]
+        if self.tokens[at][0] != "nat":
+            self.fail(f"argument {key} must be a natural number", at)
+        return self.nat(at)
+
+    def nat(self, at: int) -> int:
+        """The value of nat token at.  Its text is decimal digits, so int()
+        fails only past the interpreter's limit on digits in a conversion."""
+        text = self.tokens[at][1]
+        try:
+            return int(text)
+        except ValueError:
+            self.fail(f"number too long ({len(text)} digits)", at)
+
+
+def descent_parse_session(text: str) -> parser.Session:
+    """The oracle for ``parser.parse_session``: the replaced descent."""
+    return _DescentParser(text).parse()
+
+
+# The words a mutation inserts: the session vocabulary, a comment, line
+# breaks, non-decimal digits, a non-ASCII letter and a decimal digit of
+# another script, a character outside the grammar and a long number.
+MUTATION_WORDS = (
+    "ring ideal in A B I J K x y z = [ ] ( ) , ; ^ * - 0 1 2 3 10 k kind cap ordinary "
+    "symb-ass symb-min intclos colon vnum power ntf mingens irrdec verify-theorem "
+    "check-property # \u00b2 \u00bd \u0663 \u00e9 ! 99999999999999999999"
+).split(" ") + ["\n", " "]
+
+
+def mutate_session(rng: random.Random, text: str) -> str:
+    """text with one to three edits to its pieces (words, runs of
+    whitespace, comments and single characters): delete, repeat, swap,
+    replace or insert one, the new ones drawn from ``MUTATION_WORDS``."""
+    pieces = re.findall(r"\s+|#[^\n]*|\w+|.", text, re.S)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(pieces) + 1)
+        edit = rng.randrange(5)
+        if edit == 0 and at < len(pieces):
+            del pieces[at]
+        elif edit == 1 and at < len(pieces):
+            pieces.insert(at, pieces[at])
+        elif edit == 2 and pieces:
+            other = rng.randrange(len(pieces))
+            at = min(at, len(pieces) - 1)
+            pieces[at], pieces[other] = pieces[other], pieces[at]
+        elif edit == 3 and at < len(pieces):
+            pieces[at] = rng.choice(MUTATION_WORDS)
+        else:
+            pieces.insert(at, rng.choice(MUTATION_WORDS))
+    return "".join(pieces)

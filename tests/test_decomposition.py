@@ -224,6 +224,22 @@ def test_intersect_corners_matches_pairwise_lcms(family):
     assert sorted(unpack_exps(packed, t, width)) == sorted(meet)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corner_families(), lane_edge_families()), st.data())
+def test_intersect_corners_gives_the_same_set_in_any_order(family, data):
+    """The corner step meets in sweep order, and the intersect-back check
+    and ``_components_inside`` in decreasing packed order: the meet, a
+    duplicate-free antichain, is one set whatever the order."""
+    corners, top = family
+    t = len(corners[0])
+    packed = pack_exps(corners, lane_width(top))
+    expected = decomposition._intersect_corners(packed, top, t)
+    assert len(set(expected)) == len(expected)
+    for order in (sorted(packed, reverse=True), data.draw(st.permutations(packed))):
+        meet = decomposition._intersect_corners(order, top, t)
+        assert len(meet) == len(expected) and set(meet) == set(expected)
+
+
 def _assert_corners_match_the_dominance_step(a, top=None):
     gens = a.exps()
     top = top or max(map(max, gens)) + 1

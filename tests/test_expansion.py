@@ -17,6 +17,7 @@ from oracles import (
     per_depth_theorem_rhs,
     random_ntf_pair,
     split_prime,
+    summand_closure,
     summand_corners,
     summand_global_formula,
 )
@@ -30,7 +31,7 @@ from videal.expansion import (
     verify_expansion,
     verify_theorem,
 )
-from videal.filtrations import FiltrationKind, filtration_member
+from videal.filtrations import FiltrationKind, filtration_member, integral_closure
 from videal.ideals import (
     colon_monomial,
     from_exps,
@@ -360,24 +361,32 @@ def test_a_verdict_reads_each_witness_table_once(kind, monkeypatch):
     """One read of the direct table and one of each summand table per
     depth, however many rows the verdict has (on a cold verdict memo: a
     kind whose members repeat an earlier verdict's reads no table).  The
-    global formula comes from the summand tables and the global v-number
-    from ``v_number``, so the verdict reads the direct table once."""
-    witnesses = expansion._witnesses
-    reads = []
+    global formula reads each summand member's least entry once, and the
+    global v-number comes from ``v_number``, so the verdict reads the
+    direct table once and no least entry of the direct member here."""
+    witnesses, least = expansion._witnesses, expansion._least
+    reads, least_reads = [], []
 
     def counted(a):
         reads.append(a)
         return witnesses(a)
 
+    def counted_least(a):
+        least_reads.append(a)
+        return least(a)
+
     monkeypatch.setattr(expansion, "_witnesses", counted)
+    monkeypatch.setattr(expansion, "_least", counted_least)
     i = ideal(A3, [mono(A3, x1=1, x2=1), mono(A3, x2=2)])
     j = ideal(B2, [mono(B2, y1=1), mono(B2, y2=2)])
     for k in (1, 2, 3):
         reads.clear()
+        least_reads.clear()
         expansion._verdict.cache_clear()
         report = verify_theorem(kind, i, j, k)
         assert len(report.rows) >= 2
         assert len(reads) == 1 + 2 * k
+        assert len(least_reads) == 2 * k and report.expansion.direct not in least_reads
 
 
 @pytest.mark.parametrize("kind", list(FiltrationKind))
@@ -637,3 +646,26 @@ def test_the_direct_member_has_the_summand_built_corners_on_4x4_pairs(seed, kind
     i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
     j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
     assert _assert_the_summands_build_the_corners(kind, i, j, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    small_ideals(max_vars=3, max_gens=3, name="A", prefix="x"),
+    small_ideals(max_vars=3, max_gens=3, name="B", prefix="y"),
+    st.integers(1, 3),
+)
+def test_the_closure_is_built_from_the_summands(i, j, k):
+    """The closure of (I+J)^k is the sum of products of the summands'
+    rational powers, whether or not the integer expansion holds; it is
+    never compared with the integer expansion."""
+    assert summand_closure(i, j, k) == integral_closure(join_ideals(i, j), k)
+
+
+@pytest.mark.parametrize("seed, k", [(13, 2), (16, 3)])
+def test_the_closure_is_built_from_the_summands_on_4x4_pairs(seed, k):
+    """The closures of the seeded 4+4 pairs with 8 generators of exponent
+    at most 3 per side (97 and 256 generators)."""
+    rng = random.Random(seed)
+    i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+    j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+    assert summand_closure(i, j, k) == integral_closure(join_ideals(i, j), k)

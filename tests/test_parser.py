@@ -1,14 +1,22 @@
+import pathlib
+import random
 import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import branching_tokens, group_position, scan_chars
+from oracles import (
+    branching_tokens,
+    descent_parse_session,
+    group_position,
+    mutate_session,
+    scan_chars,
+)
 from videal.errors import ParseError
 from videal.filtrations import FiltrationKind
 from videal.ideals import ideal
-from videal.parser import _position, _tokenize, parse_session
+from videal.parser import _is_name, _position, _tokenize, parse_session
 from videal.rings import make_ring, mono
 
 
@@ -16,10 +24,20 @@ def parse_one(text):
     return parse_session(text)
 
 
+def kind(token):
+    """A token's kind as the grammar derives it from its text: "eof" for
+    the end of input, "nat", "name", or the punctuation itself."""
+    if not token:
+        return "eof"
+    if token.isdecimal():
+        return "nat"
+    return "name" if _is_name(token) else token
+
+
 def positioned(text):
     """_tokenize's tokens as (kind, text, line, col), the last one eof."""
-    return [(kind, tok, *_position(text, index))
-            for index, (kind, tok) in enumerate(_tokenize(text))]
+    return [(kind(tok), tok, *_position(text, index))
+            for index, tok in enumerate(_tokenize(text))]
 
 
 def test_minimal_session():
@@ -302,7 +320,7 @@ def test_tokens_match_the_branching_oracle(text):
             _tokenize(text)
         assert (err.value.message, err.value.line, err.value.col) == (exc.message, exc.line, exc.col)
         return
-    assert _tokenize(text) == expected
+    assert [(kind(tok), tok) for tok in _tokenize(text)] == expected
     assert [_position(text, index) for index in range(len(expected))] == [
         group_position(text, index) for index in range(len(expected))
     ]
@@ -327,6 +345,15 @@ NUMBERS = st.one_of(
 )
 
 
+def outcome(parse, text):
+    """What parse makes of text: the session, or the ParseError's message
+    and position."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.message, exc.line, exc.col
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     st.one_of(
@@ -337,7 +364,25 @@ NUMBERS = st.one_of(
     )
 )
 def test_parse_session_raises_only_parse_errors(text):
-    try:
-        parse_session(text)
-    except ParseError:
-        pass
+    """Every outcome is a session or a ParseError, the same session or
+    the same message, line and column as the replaced descent over (kind,
+    text) tokens gives."""
+    assert outcome(parse_session, text) == outcome(descent_parse_session, text)
+
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
+
+
+def test_corpus_mutations_match_the_replaced_descent():
+    """2,000 seeded mutations of every good and bad corpus session parse
+    as the replaced descent parses them; some of them parse."""
+    texts = [path.read_text(encoding="utf-8")
+             for path in sorted([*CORPUS.glob("good/*.vid"), *CORPUS.glob("bad/*.vid")])]
+    rng = random.Random(41)
+    parsed = 0
+    for _ in range(2000):
+        text = mutate_session(rng, rng.choice(texts))
+        new = outcome(parse_session, text)
+        assert new == outcome(descent_parse_session, text), text
+        parsed += not isinstance(new, tuple)
+    assert parsed > 50
