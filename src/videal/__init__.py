@@ -27,7 +27,6 @@ from .errors import (
 )
 from .expansion import (
     ExpansionReport,
-    RhsCandidate,
     RhsResult,
     TheoremReport,
     TheoremRow,

@@ -10,6 +10,8 @@ own rings.  They meet only in the final equality checks.
 Both read v-numbers off the certified witness tables of ``decomposition``:
 the direct side's for the rows and the global v-number, and each summand's
 once per depth (``_formula_reader``) for the rows' and the global formula.
+A row's formula is two facts, its least value and the depths that reach
+it (``RhsResult``).
 
 A verdict depends on the filtration only through its members: the k-th
 member of I+J and the members 1..k of I and of J (the 0-th is the whole
@@ -136,46 +138,35 @@ def _expansion_report(
 
 
 @dataclass(frozen=True, slots=True)
-class RhsCandidate:
-    """One admissible split depth d with its formula value and the
-    summand witnesses behind it."""
-
-    d: int
-    value: int
-    p_witness: Monomial
-    q_witness: Monomial
-
-
-@dataclass(frozen=True, slots=True)
 class RhsResult:
     value: int
     achieved: tuple[int, ...]
-    candidates: tuple[RhsCandidate, ...]
 
 
 def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal, ...]):
     """The min-formula on the member tuples (I_1..I_k) and (J_1..J_k): a
-    reader of the supports (P, Q) minimizing, over the split depths d < k
-    with P associated to I_{k-d} and Q to J_{d+1}, the sum of the two local
-    v-numbers, one lookup in each summand's witness table (a missing prime
-    is not associated), or None when no depth is admissible; and the global
-    value, min over d of v(I_{k-d}) + v(J_{d+1}) from the members' least
-    entries (``_least``).  Each table is read once here, and every depth is
-    evaluated, so a result carries the complete achieving set."""
+    reader of the supports (P, Q) giving the least, over the split depths
+    d < k with P associated to I_{k-d} and Q to J_{d+1}, of the sum of the
+    two local v-numbers, one lookup in each summand's witness table (a
+    missing prime is not associated), with the depths that reach it, or
+    None when no depth is admissible; and the global value, min over d of
+    v(I_{k-d}) + v(J_{d+1}) from the members' least entries (``_least``).
+    Each table is read once here, and the reader passes over every depth
+    once, so a result carries the complete achieving set."""
     tables = [(_witnesses(i), _witnesses(j)) for i, j in zip(reversed(left), right)]
     v_formula = min(_least(i).degree + _least(j).degree for i, j in zip(reversed(left), right))
 
     def read(p: tuple[int, ...], q: tuple[int, ...]) -> RhsResult | None:
-        candidates: list[RhsCandidate] = []
+        value, achieved = None, []
         for d, (left, right) in enumerate(tables):
             vi, vj = left.get(p), right.get(q)
             if vi is not None and vj is not None:
-                candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
-        if not candidates:
-            return None
-        value = min(c.value for c in candidates)
-        achieved = tuple(c.d for c in candidates if c.value == value)
-        return RhsResult(value, achieved, tuple(candidates))
+                total = vi.degree + vj.degree
+                if value is None or total < value:
+                    value, achieved = total, [d]
+                elif total == value:
+                    achieved.append(d)
+        return None if value is None else RhsResult(value, tuple(achieved))
 
     return read, v_formula
 

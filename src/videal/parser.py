@@ -264,7 +264,7 @@ class _Parser:
                 self.pos = at + 1
                 if not value.isdecimal():
                     if not _is_name(value):
-                        self.fail(f"expected a value, found {value!r}", at)
+                        self.fail(f"expected a value, found {value or 'end of input'!r}", at)
                     value = self.hyphenated(value, "the rest of the value")
                 named[word] = at, value
                 continue

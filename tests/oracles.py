@@ -28,7 +28,7 @@ import videal
 from videal import decomposition, parser
 from videal.decomposition import _decomposition, associated_primes, minimal_primes
 from videal.errors import ImproperIdealError, InternalError, NoWitnessError, ParseError
-from videal.expansion import RhsCandidate, RhsResult
+from videal.expansion import RhsResult
 from videal.lp import _newton_facets
 from videal.filtrations import FiltrationKind, filtration_member, normally_torsion_free
 from videal.ideals import (
@@ -858,20 +858,17 @@ def per_depth_theorem_rhs(
     Ass of the (k-d)-th member of i's filtration and q in Ass of the
     (d+1)-st member of j's, and it scores the sum of the two local_v
     degrees."""
-    candidates = []
+    values = {}
     for d in range(k):
         left = filtration_member(kind, i, k - d)
         right = filtration_member(kind, j, d + 1)
         if p not in associated_primes(left) or q not in associated_primes(right):
             continue
-        vi = local_v(left, p)
-        vj = local_v(right, q)
-        candidates.append(RhsCandidate(d, vi.degree + vj.degree, vi.witness, vj.witness))
-    if not candidates:
+        values[d] = local_v(left, p).degree + local_v(right, q).degree
+    if not values:
         return None
-    value = min(c.value for c in candidates)
-    achieved = tuple(c.d for c in candidates if c.value == value)
-    return RhsResult(value, achieved, tuple(candidates))
+    value = min(values.values())
+    return RhsResult(value, tuple(d for d, v in values.items() if v == value))
 
 
 def summand_global_formula(kind: FiltrationKind, i: MonomialIdeal, j: MonomialIdeal, k: int) -> int:
@@ -1177,7 +1174,7 @@ class _DescentParser:
         if kind == "nat":
             return at, text
         if kind != "name":
-            self.fail(f"expected a value, found {text!r}", at)
+            self.fail(f"expected a value, found {text or 'end of input'!r}", at)
         return at, self.hyphenated(text, "the rest of the value")
 
     def command(self):

@@ -9,7 +9,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from videal import cli, expansion, filtrations
+from oracles import clear_memos
+from videal import cli, decomposition, expansion, filtrations
 from videal.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -20,6 +21,7 @@ from videal.cli import (
     run_fuzz,
     run_text,
 )
+from videal.decomposition import associated_primes
 from videal.errors import InternalError, VidealError
 from videal.expansion import TheoremReport, verify_theorem
 from videal.filtrations import FiltrationKind
@@ -361,6 +363,7 @@ def test_check_property_refuses_a_cap_at_the_limit_without_counting(monkeypatch,
     ("ring A = [x y];", "parse", "expected ',' or ']' in variable list", 13),
     ("ring A = [x]; ideal I in A = (x x);", "parse", "expected ',' or ')' in generator list", 33),
     (f"{ONE_VAR} power k=; I;", "parse", "expected a value, found ';'", 43),
+    (f"{ONE_VAR} power I k=", "parse", "expected a value, found 'end of input'", 45),
     (f"{ONE_VAR} vnum k=2 I;", "parse", "command 'vnum' takes no argument 'k'", 40),
     (f"{ONE_VAR} power k=2 k=3 I;", "parse", "duplicate argument 'k'", 45),
     (f"{ONE_VAR} verify-theorem kind=ordinary k=1 I;", "parse",
@@ -372,9 +375,9 @@ def test_check_property_refuses_a_cap_at_the_limit_without_counting(monkeypatch,
     (f"{ONE_VAR} check-property kind=ordinary k=0 I;", "input",
      "the drop-by-one property needs k >= 1", None),
     (f"{ONE_VAR} ntf k=0 I;", "input", "k_max must be at least 1", None),
-], ids=["variable-list", "generator-list", "missing-value", "unknown-argument",
-        "duplicate-argument", "one-ideal-theorem", "theorem-k0", "expansion-k0",
-        "property-k0", "ntf-k0"])
+], ids=["variable-list", "generator-list", "missing-value", "missing-value-at-end",
+        "unknown-argument", "duplicate-argument", "one-ideal-theorem", "theorem-k0",
+        "expansion-k0", "property-k0", "ntf-k0"])
 def test_error_paths_outside_the_corpus(session, code, message, col, fmt):
     """Parse and input errors that no corpus session reaches: one error
     line and exit 2 in either format."""
@@ -423,6 +426,39 @@ def test_an_internal_error_ends_the_session_with_exit_three(non_mixed_direct_pri
     assert run_text(session, fmt) == (EXIT_INTERNAL, [first, error])
     if fmt == "json":
         jsonschema.validate(json.loads(first), SCHEMA)
+
+
+NO_RAISE = "ring R = [x, y, z]; ideal I in R = (x*y, x*z);"
+
+
+@pytest.fixture
+def no_raise_found(monkeypatch):
+    """Make every witness search that must raise a corner out of the other
+    components find nothing, on cleared memos, and forbid the certificate:
+    the search fails before any witness is certified.  In (x*y, x*z) the
+    (x)-primary corner has the hard corner of (y, z), so the table of Ass
+    finds no witness for (x).  The memos are cleared again afterwards, so
+    no table built under the patch outlives the test."""
+    def certified(*args):
+        raise AssertionError("a witness reached the colon certificate")
+
+    clear_memos()
+    monkeypatch.setattr(decomposition, "_raise_search", lambda *args: None)
+    monkeypatch.setattr(decomposition, "_colon_prime", certified)
+    yield parse_session(NO_RAISE).ideals["I"]
+    clear_memos()
+
+
+def test_a_support_with_no_witness_is_an_internal_error(no_raise_found):
+    with pytest.raises(InternalError) as raised:
+        associated_primes(no_raise_found)
+    assert str(raised.value) == "no colon witness for (x) in Ass((x*y, x*z))"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_support_with_no_witness_ends_the_session_with_exit_three(no_raise_found, fmt):
+    error = expected_error(fmt, "internal", "no colon witness for (x) in Ass((x*y, x*z))")
+    assert run_text(f"{NO_RAISE} vnum I;", fmt) == (EXIT_INTERNAL, [error])
 
 
 def test_fuzz_reports_an_unmet_hypothesis():
@@ -500,6 +536,23 @@ def test_a_check_property_violation_fails_the_run(monkeypatch, fmt):
     assert record["report"]["passed"] is False
     assert record["report"]["violations"] == ["x^3", "x^3*y"]
     assert [w["monomial"] for w in record["report"]["witnesses"]] == ["x^3", "x^3*y"]
+
+
+def test_the_schema_requires_an_integer_global_rhs():
+    """Every corpus JSON line validates; each verify-theorem line among
+    them fails once its global rhs is null, which no verdict emits."""
+    theorems = []
+    for path in sorted(EXPECTED.glob("*.json.out")):
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            jsonschema.validate(record, SCHEMA)
+            if record.get("command") == "verify-theorem":
+                theorems.append(record)
+    assert theorems
+    for record in theorems:
+        record["report"]["global"]["rhs"] = None
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(record, SCHEMA)
 
 
 def test_a_row_with_no_admissible_depth_renders_as_none():

@@ -25,6 +25,7 @@ from videal import expansion
 from videal.decomposition import associated_primes
 from videal.errors import ImproperIdealError, VidealError
 from videal.expansion import (
+    RhsResult,
     TheoremReport,
     direct_term,
     join_ideals,
@@ -221,6 +222,10 @@ def test_theorem_rhs_principal_squares():
     assert result1 is not None and result1.value == 2 and result1.achieved == (0,)
 
 
+def test_a_row_formula_is_its_value_and_achieving_depths():
+    assert [f.name for f in fields(RhsResult)] == ["value", "achieved"]
+
+
 def test_theorem_rhs_primes_give_zero():
     i = ideal(A1, [mono(A1, x=1)])
     j = ideal(B1, [mono(B1, y=1)])
@@ -302,22 +307,27 @@ def test_integral_closure_rows_hold_under_ntf(seed, k):
 @given(st.integers(0, 10_000), st.integers(1, 3))
 def test_colon_chain_identity_for_reported_witnesses(seed, k):
     """For every row and admissible depth d the direct colon by the pair of
-    summand witnesses must split as the sum of the summand colons."""
+    summand witnesses must split as the sum of the summand colons.  The
+    witnesses are read with ``local_v`` on the members I_{k-d} and J_{d+1},
+    at every admissible depth, not only the achieving ones."""
     rng = random.Random(seed)
     i, j = random_pair(rng, max_exp=2)
     report = verify_theorem(ORD, i, j, k)
     s = report.expansion.direct.ring
     for row in report.rows:
         assert row.rhs is not None
-        for cand in row.rhs.candidates:
-            xa = embed(cand.p_witness, s)
-            yb = embed(cand.q_witness, s)
-            lhs = colon_monomial(report.expansion.direct, mul(xa, yb))
-            left = filtration_member(ORD, i, k - cand.d)
-            right = filtration_member(ORD, j, cand.d + 1)
+        for d in range(k):
+            left = filtration_member(ORD, i, k - d)
+            right = filtration_member(ORD, j, d + 1)
+            if row.p not in associated_primes(left) or row.q not in associated_primes(right):
+                continue
+            p_witness = local_v(left, row.p).witness
+            q_witness = local_v(right, row.q).witness
+            lhs = colon_monomial(report.expansion.direct,
+                                 mul(embed(p_witness, s), embed(q_witness, s)))
             rhs = sum_ideals(
-                ideal(s, [embed(g, s) for g in colon_monomial(left, cand.p_witness).gens]),
-                ideal(s, [embed(g, s) for g in colon_monomial(right, cand.q_witness).gens]),
+                ideal(s, [embed(g, s) for g in colon_monomial(left, p_witness).gens]),
+                ideal(s, [embed(g, s) for g in colon_monomial(right, q_witness).gens]),
             )
             assert lhs == rhs
 
@@ -346,7 +356,7 @@ def test_rows_partition_the_direct_associated_primes(seed, k):
 
 @pytest.mark.parametrize("kind", list(FiltrationKind))
 def test_theorem_rhs_matches_the_per_depth_oracle(kind):
-    """Value, achieving depths and candidates agree on every mixed prime,
+    """Value and achieving depths agree on every mixed prime,
     from the verdict's rows and from the oracle."""
     for seed in range(25):
         i, j = random_pair(random.Random(seed), max_exp=2)
@@ -469,9 +479,10 @@ def test_witnesses_recombine_to_direct_witness():
     assert report.ok
     s = report.expansion.direct.ring
     for row in report.rows:
-        best = [c for c in row.rhs.candidates if c.value == row.rhs.value]
-        for cand in best:
-            f = mul(embed(cand.p_witness, s), embed(cand.q_witness, s))
+        for d in row.rhs.achieved:
+            p_witness = local_v(filtration_member(ORD, i, 2 - d), row.p).witness
+            q_witness = local_v(filtration_member(ORD, j, d + 1), row.q).witness
+            f = mul(embed(p_witness, s), embed(q_witness, s))
             assert colon_monomial(report.expansion.direct, f) == row.prime.as_ideal()
 
 

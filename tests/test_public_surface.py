@@ -18,7 +18,7 @@ import videal
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
 REMOVED = {
-    "expansion": ("binomial_expansion", "theorem_rhs"),
+    "expansion": ("RhsCandidate", "binomial_expansion", "theorem_rhs"),
     "ideals": ("as_prime", "equals", "localize"),
     "randgen": ("random_ntf_pair",),
     "rings": ("degree", "divides", "embed", "gcd", "gcd_exp", "lcm", "monomials_of_degree",
