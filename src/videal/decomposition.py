@@ -47,16 +47,17 @@ support P, iff one of them is p and all of them contain p:
 so the least-degree witnesses are f_P = b0_P - 1 plus the least raises
 of the coordinates outside P that meet every corner left by (c): a small
 hitting problem.  It is solved on integer bitmasks over the corner list,
-built once per table (``_corner_masks``): with f = b0 - 1 on P and 0
-outside, f lies outside Q_b iff b_P >= b0_P, so the hard set is an AND
-of per-coordinate masks less the compatible corners (``_hard_mask``).
-A branch and bound carries the mask of the corners not yet met, and
-raising g_j to b_j clears the corners with b_j <= g_j < top from it in
-one operation (``_raise_search``).  With a single corner, or when P is
-every variable, the hard set is empty and no mask is built.  The
-least-degree witness that is first in the canonical order (graded, then
-lexicographically greatest) is certified twice on G(a): by the colon
-rule, then by membership.
+built once per table (``_corner_masks``): with f0 = b0 - 1 on P and 0
+outside, f0 lies outside Q_b iff b_P >= b0_P, so the hard set of b0 is
+an AND of per-coordinate masks less the compatible corners.  One branch
+and bound per support starts from every P-primary corner b0 under one
+degree bound, each root carrying the hard set of b0; a node carries the
+mask of the corners not yet met, and raising g_j to b_j clears the
+corners with b_j <= g_j < top from it in one operation
+(``_raise_search``).  Its leaf rule keeps the least-degree witness that
+is first in the canonical order (graded, then lexicographically
+greatest), which is certified twice on G(a): by the colon rule, then by
+membership.
 
 One memo, ``_decomposition``, holds the work per ideal, and it stores
 only immutable values, built in one call: the corners from the sweep,
@@ -98,7 +99,7 @@ rule on each.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -507,59 +508,53 @@ def _corner_masks(
     return ge, le
 
 
-def _hard_mask(
-    ge: list[dict[int, int]], le: list[dict[int, int]], b0: tuple[int, ...], indices: tuple[int, ...]
-) -> int:
-    """The mask of the corners b that f = b0 - 1 on P lies outside
-    (b_P >= b0_P) and that are not compatible with b0 (b_P != b0_P)."""
-    above = below = -1
-    for i in indices:
-        above &= ge[i][b0[i]]
-        below &= le[i][b0[i]]
-    return above & ~below
-
-
 def _raise_search(
-    hard: int, corners: Sequence[tuple[int, ...]], top: int, le: list[dict[int, int]],
-    outside: list[int], limit: int | None,
+    roots: list[tuple[int, tuple[int, ...], int]], corners: Sequence[tuple[int, ...]], top: int,
+    le: list[dict[int, int]], outside: list[int],
 ) -> tuple[int, tuple[int, ...]] | None:
-    """The least degree of a raise g of the coordinates outside P (listed
-    in outside) that meets every corner b in the mask hard (g_j >= b_j < top
-    for some j in outside), and the lexicographically greatest such g of
-    that degree, as a vector with 0 on P; None if there is none of degree
-    at most limit.
+    """The least degree of a witness f for the prime with support P, and
+    the lexicographically greatest f of that degree; None if there is
+    none.  Each root (hard, f0, deg f0), greatest degree first, stands
+    for a corner b0 with support P: f0 is b0 - 1 on P and 0 outside P,
+    and hard masks the corners that f0 lies outside and that are not
+    compatible with b0.  A witness from b0 is f0 plus a raise of the
+    coordinates outside P (listed in outside) that meets every corner b
+    of hard: g_j >= b_j < top for some j in outside.
 
-    Branch and bound on the mask of the corners not yet met: raising g_j
-    to b_j meets le[j][b_j], and raises above the best degree so far are
-    pruned.  A node branches on a corner with no finite entry outside P
-    if there is one (a dead end), else on one with a single such entry (a
-    forced raise), else on the first.  Every minimum-degree raise g* is
-    reached whatever corner a node branches on: each g*_j is some b_j
-    (else lowering it would meet the same corners), and below g* some
-    g*_j >= b_j > g_j meets the branched corner b, so raising g_j to
-    exactly b_j stays below g*.  So the leaf rule below keeps the
-    lexicographically greatest of them.
+    Branch and bound on the mask of the corners not yet met, from every
+    root at once, the least degree first: raising g_j to b_j meets
+    le[j][b_j], and raises above the best degree so far are pruned.  No
+    raise goes past top - 1, so the bound starts at the greatest root
+    degree plus top - 1 per coordinate outside P.  A node branches on a
+    corner with no finite entry outside P if there is one (a dead end),
+    else on one with a single such entry (a forced raise), else on the
+    first.  Every least-degree witness f* is reached: its values on P
+    name its root b0, each f*_j outside P is some b_j (else lowering it
+    would meet the same corners), and below f* some f*_j >= b_j > g_j
+    meets the branched corner b, so raising g_j to exactly b_j stays
+    below f*.  So the leaf rule below keeps the lexicographically
+    greatest of them.
     """
-    best = dead_or_forced = None
-    stack = [(hard, (0,) * len(corners[0]), 0)]
+    # The corners with no finite entry outside P, then those with one.
+    some = more = 0
+    for j in outside:
+        finite = le[j].get(top, -1)
+        more |= some & finite
+        some |= finite
+    dead_or_forced = (~some, some & ~more)
+    limit = roots[0][2] + (top - 1) * len(outside)
+    best = None
+    stack = list(roots)
     while stack:
         unmet, g, degree = stack.pop()
-        if limit is not None and degree > limit:
+        if degree > limit:
             continue
         if not unmet:
             if best is None or degree < limit or g > best[1]:
                 limit, best = degree, (degree, g)
-        elif limit is None or degree < limit:
+        elif degree < limit:
             low = unmet & -unmet
             if low != unmet:
-                if dead_or_forced is None:
-                    # The corners with no finite entry outside P, then those with one.
-                    some = more = 0
-                    for j in outside:
-                        finite = le[j].get(top, -1)
-                        more |= some & finite
-                        some |= finite
-                    dead_or_forced = (~some, some & ~more)
                 for mask in dead_or_forced:
                     if unmet & mask:
                         low = unmet & mask & -(unmet & mask)
@@ -568,7 +563,7 @@ def _raise_search(
             for j in outside:
                 # b is not met, so b_j > g_j: each raise adds at least one degree.
                 e = b[j]
-                if e < top and (limit is None or degree + e - g[j] <= limit):
+                if e < top and degree + e - g[j] <= limit:
                     stack.append((unmet & ~le[j][e], g[:j] + (e,) + g[j + 1:], degree + e - g[j]))
     return best
 
@@ -583,54 +578,39 @@ def _witness_table(
     gens packs G(a) on the lanes of top (``_intersect_corners``), and the
     corners come as tuples, in sweep order; they are grouped by support,
     the indices i with b_i < top, which the keys are the only record of.
-    Each f is searched over the corners b0 with support P in increasing
-    degree, as in the module docstring: the hard set of b0 is one mask,
-    and its least raise comes from the branch and bound on masks.  The
-    masks live only while the table is built.
+    Each f is found by one branch and bound per support, rooted at every
+    corner b0 with support P, as in the module docstring: with f0 = b0 -
+    1 on P and 0 outside, the root's hard set is the AND over P of the
+    corners with b_i >= b0_i, less the compatible ones, those with b_i <=
+    b0_i on P (``_raise_search``).  The masks live only while the table
+    is built.
     Each f found is packed on the same lanes, then checked by the colon
     rule and certified by membership (a failure is an internal error).
     Every caller gets the same read-only view.
     """
     n = len(corners[0])
     width = top.bit_length() + 1
+    ge, le = _corner_masks(corners, top)
     by_support: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for b in corners:
         by_support.setdefault(tuple([i for i, e in enumerate(b) if e < top]), []).append(b)
-    masks = None
     found = []
     for indices, group in sorted(by_support.items()):
-        # f = b0 - shift is b0 - 1 on P and 0 outside P.
-        shift = [top] * n
-        for i in indices:
-            shift[i] = 1
-        outside = [j for j, e in enumerate(shift) if e == top]
-        best_degree = None
-        best = None
-        for b0 in sorted(group, key=sum):
-            f = tuple(map(sub, b0, shift))
-            degree = sum(f)
-            if best_degree is not None and degree > best_degree:
-                break
-            # The hard set is empty for a single corner, and when P is every
-            # variable: then b_P >= b0_P means b >= b0, and the corners are an
-            # antichain.
-            hard = 0
-            if len(corners) > 1 and outside:
-                masks = masks or _corner_masks(corners, top)
-                hard = _hard_mask(*masks, b0, indices)
-            if hard:
-                rest = _raise_search(hard, corners, top, masks[1], outside,
-                                     None if best_degree is None else best_degree - degree)
-                if rest is None:
-                    continue
-                degree += rest[0]
-                f = tuple(map(add, f, rest[1]))
-            if best_degree is None or degree < best_degree or f > best:
-                best_degree, best = degree, f
+        roots = []
+        for b0 in group:
+            above = below = -1
+            for i in indices:
+                above &= ge[i][b0[i]]
+                below &= le[i][b0[i]]
+            f = tuple([e - 1 if e < top else 0 for e in b0])
+            roots.append((above & ~below, f, sum(f)))
+        roots.sort(key=lambda root: root[2], reverse=True)
+        outside = [j for j, e in enumerate(group[0]) if e == top]
         p = PrimeSupport(a.ring, indices)
+        best = _raise_search(roots, corners, top, le, outside)
         if best is None:
-            raise InternalError(f"no colon witness for {p} in Ass({a})")
-        found.append((p, best_degree, best))
+            raise InternalError(f"witness search found no f for {p} in Ass({a})")
+        found.append((p, *best))
     guard = _guard(n, width)
     table = {}
     for (p, degree, f), v in zip(found, _pack([f for _, _, f in found], width)):

@@ -433,18 +433,13 @@ NO_RAISE = "ring R = [x, y, z]; ideal I in R = (x*y, x*z);"
 
 @pytest.fixture
 def no_raise_found(monkeypatch):
-    """Make every witness search that must raise a corner out of the other
-    components find nothing, on cleared memos, and forbid the certificate:
-    the search fails before any witness is certified.  In (x*y, x*z) the
-    (x)-primary corner has the hard corner of (y, z), so the table of Ass
-    finds no witness for (x).  The memos are cleared again afterwards, so
-    no table built under the patch outlives the test."""
-    def certified(*args):
-        raise AssertionError("a witness reached the colon certificate")
-
+    """Make every witness search find nothing, on cleared memos.  Every
+    support's witness goes through ``_raise_search``, so the table of
+    Ass((x*y, x*z)) finds no witness for its first support, (x), and
+    fails before any witness is certified.  The memos are cleared again
+    afterwards, so no table built under the patch outlives the test."""
     clear_memos()
     monkeypatch.setattr(decomposition, "_raise_search", lambda *args: None)
-    monkeypatch.setattr(decomposition, "_colon_prime", certified)
     yield parse_session(NO_RAISE).ideals["I"]
     clear_memos()
 
@@ -452,12 +447,12 @@ def no_raise_found(monkeypatch):
 def test_a_support_with_no_witness_is_an_internal_error(no_raise_found):
     with pytest.raises(InternalError) as raised:
         associated_primes(no_raise_found)
-    assert str(raised.value) == "no colon witness for (x) in Ass((x*y, x*z))"
+    assert str(raised.value) == "witness search found no f for (x) in Ass((x*y, x*z))"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_a_support_with_no_witness_ends_the_session_with_exit_three(no_raise_found, fmt):
-    error = expected_error(fmt, "internal", "no colon witness for (x) in Ass((x*y, x*z))")
+    error = expected_error(fmt, "internal", "witness search found no f for (x) in Ass((x*y, x*z))")
     assert run_text(f"{NO_RAISE} vnum I;", fmt) == (EXIT_INTERNAL, [error])
 
 

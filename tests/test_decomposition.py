@@ -1,4 +1,5 @@
 import random
+import time
 from unittest.mock import patch
 
 import pytest
@@ -573,9 +574,12 @@ def _table(witnesses):
 @settings(max_examples=80, deadline=None)
 @given(small_ideals(max_vars=4, max_exp=3, max_gens=5), st.data())
 def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
-    """When P is every variable, f = b0 - 1 lies in the component of every
-    corner but b0's (a corner above f is above b0, and the corners are an
-    antichain), so the hard mask is 0 and the table skips the raise search.
+    """When P is every variable, f0 = b0 - 1 lies in the component of every
+    corner but b0's (a corner above f0 is above b0, and the corners are an
+    antichain), so the hard mask of b0 is 0 and its root is a leaf of the
+    raise search, which needs no coordinate outside P.  The mask is the
+    AND over P of the corners with b_i >= b0_i, less the AND of those with
+    b_i <= b0_i, built here from ``_corner_masks``.
     Checked on the masks of a plus a pure power of each variable, whose
     only associated prime is the maximal ideal, of a met with those
     powers, where the maximal ideal sits beside a's primes, and of a; each
@@ -591,7 +595,11 @@ def test_the_raise_search_always_has_a_coordinate_outside_p(a, data):
         ge, le = decomposition._corner_masks(corners, top)
         for b0 in corners:
             if all(e < top for e in b0):
-                assert decomposition._hard_mask(ge, le, b0, tuple(range(n))) == 0
+                above = below = -1
+                for i in range(n):
+                    above &= ge[i][b0[i]]
+                    below &= le[i][b0[i]]
+                assert above & ~below == 0
         assert _table(decomposition._decomposition.__wrapped__(b)[2]) == scan_witnesses(b)
 
 
@@ -612,6 +620,32 @@ def test_the_mask_kernel_matches_the_corner_scan_on_4x4_powers(seed):
     for k in (1, 2, 3):
         b = power(joined, k)
         assert _table(decomposition._decomposition.__wrapped__(b)[2]) == scan_witnesses(b)
+
+
+def test_the_witness_tables_of_4x4_powers_build_within_a_budget():
+    """(I+J)^k for the seed-13 4+4 pair at k = 4 and 5, and the seed-16
+    pair at k = 4, with 1,059 to 2,039 corners: the three witness tables
+    build in well under a second with the dead/forced branch order, and
+    take tens of seconds without it.  The corners come from the sweep
+    outside the timed region, so that only ``_witness_table`` is timed."""
+    inputs = []
+    for seed, ks in ((13, (4, 5)), (16, (4,))):
+        rng = random.Random(seed)
+        i = random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 8, 3)
+        j = random_ideal(rng, make_ring("B", ["y1", "y2", "y3", "y4"]), 8, 3)
+        for k in ks:
+            b = power(join_ideals(i, j), k)
+            gens = b.exps()
+            n = len(gens[0])
+            top = max(map(max, gens)) + 1
+            width = top.bit_length() + 1
+            packed = decomposition._pack(gens, width)
+            corners = decomposition._unpack(decomposition._corners(packed, top, n), n, width)
+            inputs.append((b, packed, corners, top))
+    start = time.perf_counter()
+    for args in inputs:
+        decomposition._witness_table(*args)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
