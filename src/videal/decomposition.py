@@ -65,7 +65,10 @@ checked by the sweep the other way (the intersect-back check meets the
 sweep's ints before they are stored, and compares the meet, as a set,
 with G(a) packed once); the witness table, searched on the sweep's
 corners grouped by support (the i with b_i < top), one entry per
-support, so its keys are Ass(a) and the only record of the supports;
+support, so its keys are Ass(a) and the only record of the supports
+(each entry's prime comes from ``ideals._support``, as do the
+components' radicals, and its key is that prime's indices, so the
+tables share one object per support);
 its least entry (least degree, then smallest support); and one bytes
 value holding each corner, packed as the sweep returns it, in a
 fixed-width little-endian record, with top beside it.  Every ideal's
@@ -104,7 +107,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
-from .ideals import MonomialIdeal, PrimeSupport
+from .ideals import MonomialIdeal, PrimeSupport, _support
 from .rings import Monomial, canonical_sort
 
 
@@ -368,7 +371,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     components = []
     for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
         exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
-        prime = PrimeSupport(a.ring, tuple(sorted(i for _, i in powers)))
+        prime = _support(a.ring, tuple(sorted(i for _, i in powers)))
         components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))
     return tuple(components)
 
@@ -606,7 +609,7 @@ def _witness_table(
             roots.append((above & ~below, f, sum(f)))
         roots.sort(key=lambda root: root[2], reverse=True)
         outside = [j for j, e in enumerate(group[0]) if e == top]
-        p = PrimeSupport(a.ring, indices)
+        p = _support(a.ring, indices)
         best = _raise_search(roots, corners, top, le, outside)
         if best is None:
             raise InternalError(f"witness search found no f for {p} in Ass({a})")

@@ -36,7 +36,7 @@ from functools import lru_cache
 from .decomposition import _least, _witnesses
 from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
-from .ideals import MonomialIdeal, PrimeSupport, from_exps
+from .ideals import MonomialIdeal, PrimeSupport, _support, from_exps
 from .rings import Monomial, Ring, canonical_sort, join_rings
 from .vnumbers import v_number
 
@@ -249,9 +249,6 @@ def _verdict(
     # The variables of S are I's (indices below n) followed by J's.
     n = ring_i.nvars
     formula, v_formula = _formula_reader(left, right)
-    # One PrimeSupport per distinct split part: rows share them.
-    p_supports: dict[tuple[int, ...], PrimeSupport] = {}
-    q_supports: dict[tuple[int, ...], PrimeSupport] = {}
     rows: list[TheoremRow] = []
     for report in _witnesses(direct).values():
         prime = report.prime
@@ -259,12 +256,10 @@ def _verdict(
         cut = bisect_left(indices, n)
         if not 0 < cut < len(indices):
             raise InternalError(f"associated prime {prime} of {direct} is not mixed")
-        p = indices[:cut]
-        q = tuple([idx - n for idx in indices[cut:]])
-        p_support = p_supports.get(p) or p_supports.setdefault(p, PrimeSupport(ring_i, p))
-        q_support = q_supports.get(q) or q_supports.setdefault(q, PrimeSupport(ring_j, q))
-        rows.append(TheoremRow(prime, p_support, q_support, report.degree, report.witness,
-                               formula(p, q)))
+        p = _support(ring_i, indices[:cut])
+        q = _support(ring_j, tuple([idx - n for idx in indices[cut:]]))
+        rows.append(TheoremRow(prime, p, q, report.degree, report.witness,
+                               formula(p.indices, q.indices)))
     best = v_number(direct)
     if best.degree < v_formula:
         findings.append(f"direct v-number {best.degree} beats the mixed-prime formula "

@@ -54,7 +54,7 @@ from .decomposition import _colon_witnesses, _components_inside, _is_closed
 from .decomposition import _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
-from .ideals import MonomialIdeal, PrimeSupport, is_squarefree, power, unit_ideal
+from .ideals import MonomialIdeal, PrimeSupport, _support, is_squarefree, power, unit_ideal
 from .ideals import product as ideal_product
 from .lp import _newton_facets
 from .rings import Monomial, canonical_sort, exps_of_degree
@@ -264,7 +264,7 @@ def check_filtration_property(
     violations: list[Monomial] = []
     for f, indices in _colon_witnesses(member.exps(), monomials):
         witness = Monomial(a.ring, f)
-        witnesses.append((witness, PrimeSupport(a.ring, indices)))
+        witnesses.append((witness, _support(a.ring, indices)))
         if not previous.contains(witness):
             violations.append(witness)
     return PropertyCheckReport(FiltrationKind(kind), k, deg_cap, tuple(witnesses),

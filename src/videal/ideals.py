@@ -15,9 +15,21 @@ sets for a sum, pairwise products for a product, pairwise lcms for an
 intersection, quotients for a colon by a monomial) and hands them to
 ``from_exps``, which keeps the minimal ones.  Exponents stay tuples
 here; packed exponent lanes are ``decomposition``'s alone.
+
+``PrimeSupport(ring, indices)`` is the public validated constructor of a
+monomial prime.  Every support the library derives (the keys and primes
+of the witness tables, the components' radicals, a verdict row's split
+parts P and Q, the drop-by-one witnesses' primes, ``prime_support``)
+comes from ``_support``, an ``lru_cache`` keyed by the ring and the
+sorted indices and bounded at 4,096 entries, so the memos and reports
+that hold equal supports hold one object.  That saves memory only:
+equal supports compare equal whatever their identity, two threads that
+miss together can build two equal objects, and no code compares
+supports with ``is``.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import le
 from typing import Iterable
 
@@ -242,8 +254,15 @@ class PrimeSupport:
         return "(" + ", ".join(self.var_names) + ")"
 
 
+@lru_cache(maxsize=4096)
+def _support(ring: Ring, indices: tuple[int, ...]) -> PrimeSupport:
+    """The validated PrimeSupport of ring and the sorted indices, one
+    object per value while it stays in the memo."""
+    return PrimeSupport(ring, indices)
+
+
 def prime_support(ring: Ring, var_names: Iterable[str]) -> PrimeSupport:
-    return PrimeSupport(ring, tuple(sorted(ring.index(v) for v in var_names)))
+    return _support(ring, tuple(sorted(ring.index(v) for v in var_names)))
 
 
 def is_squarefree(a: MonomialIdeal) -> bool:

@@ -16,9 +16,17 @@ from oracles import clear_memos, corner_tuples, unpack_corner_set
 from videal.cli import run_text
 from videal.decomposition import _decomposition, associated_primes
 from videal.expansion import _verdict, join_ideals, verify_theorem
-from videal.filtrations import FiltrationKind, filtration_member, integral_closure
+from videal.decomposition import irreducible_decomposition
+from videal.filtrations import (
+    FiltrationKind,
+    check_filtration_property,
+    filtration_member,
+    integral_closure,
+)
+from videal.ideals import _support, prime_support
 from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
+from videal.vnumbers import v_number
 from videal.rings import make_ring
 
 THREADS = 6
@@ -32,16 +40,21 @@ def _work(pair, k, kinds=KINDS):
     return associated_primes(i), associated_primes(j), reports
 
 
-def _run_threaded(tasks, kinds=KINDS):
+def _race(fn, calls):
+    """fn(*args) for each args in calls, on THREADS threads and cold memos."""
     clear_memos()
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(THREADS) as pool:
-            futures = [pool.submit(_work, pair, k, kinds) for pair, k in tasks]
+            futures = [pool.submit(fn, *args) for args in calls]
             return [future.result(timeout=120) for future in futures]
     finally:
         sys.setswitchinterval(previous)
+
+
+def _run_threaded(tasks, kinds=KINDS):
+    return _race(_work, [(pair, k, kinds) for pair, k in tasks])
 
 
 def _pairs(seed, count):
@@ -115,6 +128,34 @@ def test_threads_build_member_corners_as_one_caller_would():
     # Every set and table read was the one the threads memoized.
     assert _decomposition.cache_info().misses == misses
     assert members >= 10
+
+
+def _derived_supports(a):
+    """The reports of a that hold derived supports: Ass(a), the
+    components, the v-number, the drop-by-one witnesses of a^2 up to
+    degree 3, and ``prime_support`` of each associated prime."""
+    ass = associated_primes(a)
+    return (ass, irreducible_decomposition(a), v_number(a),
+            check_filtration_property(FiltrationKind.ORDINARY, a, 2, 3).witnesses,
+            tuple(prime_support(a.ring, p.var_names) for p in ass))
+
+
+def test_threads_deriving_shared_supports_agree_with_one_caller():
+    """Threads race on the cold support memo (``ideals._support``, which
+    ``clear_memos`` finds and empties with the rest) while they build the
+    tables of ideals that share their supports, each ideal over its own
+    copy of one ring.  Every report equals one caller's by value only: two
+    threads that miss together may each build an equal support."""
+    rng = random.Random(47)
+    ideals = [random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 5, 3)
+              for _ in range(16)]
+    clear_memos()
+    expected = [_derived_supports(a) for a in ideals]
+    ass = [p for reports in expected for p in reports[0]]
+    assert len(set(ass)) < len(ass)
+    reached = set(ass) | {p for reports in expected for _, p in reports[3]}
+    assert _race(_derived_supports, [(a,) for a in ideals] * THREADS) == expected * THREADS
+    assert _support.cache_info().currsize == len(reached)
 
 
 CLI_THREADS = 8

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import small_ideals
 from oracles import (
     brute_force_ass,
+    clear_memos,
     colon_ideal_certifies,
     corner_tuples,
     dominance_corners,
@@ -31,7 +32,8 @@ from videal.decomposition import (
     minimal_primes,
 )
 from videal.errors import ImproperIdealError, InternalError
-from videal.expansion import join_ideals
+from videal.expansion import join_ideals, verify_theorem
+from videal.filtrations import FiltrationKind, check_filtration_property
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
@@ -659,3 +661,57 @@ def test_a_tie_between_least_raises_goes_to_the_lexicographically_greatest():
     report = decomposition._decomposition.__wrapped__(a)[2][(0,)]
     assert (report.degree, str(report.witness)) == (1, "y")
     assert scan_witnesses(a)[(0,)] == (1, (0, 1, 0))
+
+
+def _by_value(primes):
+    return {p: p for p in primes}
+
+
+def test_the_supports_derived_for_one_prime_are_one_object():
+    """I = (x*y, x*z) and I' = (x^2, x*y), I' over a copy of I's ring
+    rebuilt by value, share the associated prime (x).  Every support the
+    library derives for a prime, whichever ideal and ring copy it comes
+    from, is the object that ``associated_primes`` returned for it: they
+    are all built by ``ideals._support``."""
+    clear_memos()
+    ring = make_ring("A", ["x", "y", "z"])
+    copy = make_ring("A", ["x", "y", "z"])
+    assert copy == ring and copy is not ring
+    i = ideal(ring, [mono(ring, x=1, y=1), mono(ring, x=1, z=1)])
+    i2 = ideal(copy, [mono(copy, x=2), mono(copy, x=1, y=1)])
+    b = make_ring("B", ["u", "v"])
+    j = ideal(b, [mono(b, u=2), mono(b, u=1, v=1)])
+    ass_i, ass_i2, ass_j = (_by_value(associated_primes(a)) for a in (i, i2, j))
+    x = prime_support(ring, ["x"])
+    assert ass_i[x] is ass_i2[x] is x
+    assert prime_support(copy, ["z", "y"]) is ass_i[prime_support(ring, ["y", "z"])]
+    for a, ass in ((i, ass_i), (i2, ass_i2), (j, ass_j)):
+        for component in irreducible_decomposition(a):
+            assert ass[component.prime] is component.prime
+    for a, ass in ((i, ass_i), (i2, ass_i2)):
+        rows = verify_theorem(FiltrationKind.ORDINARY, a, j, 1).rows
+        assert rows
+        for row in rows:
+            assert ass[row.p] is row.p and ass_j[row.q] is row.q
+    witnesses = check_filtration_property(FiltrationKind.ORDINARY, i2, 1, 3).witnesses
+    assert {p for _, p in witnesses} == set(ass_i2)
+    for _, p in witnesses:
+        assert ass_i2[p] is p
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals(name="A"), small_ideals(name="B", prefix="y"), st.integers(1, 2))
+def test_the_supports_reached_are_one_object_per_value(i, j, k):
+    """Across Ass, the components, prime_support, the drop-by-one
+    witnesses and the theorem rows of two ideals, one of them also over
+    a copy of its ring rebuilt by value, there are as many support
+    objects as distinct supports."""
+    copy = from_exps(make_ring(i.ring.name, i.ring.vars), i.exps())
+    supports = [p for a in (i, copy, j) for p in associated_primes(a)]
+    supports += [c.prime for a in (i, copy, j) for c in irreducible_decomposition(a)]
+    supports += [prime_support(copy.ring, p.var_names) for p in associated_primes(i)]
+    supports += [p for _, p in check_filtration_property(FiltrationKind.ORDINARY, i, k, 2).witnesses]
+    for kind in (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS):
+        for row in verify_theorem(kind, i, j, k).rows:
+            supports += [row.prime, row.p, row.q]
+    assert len({id(p) for p in supports}) == len(set(supports))

@@ -2,16 +2,21 @@
 
 Every ``src/videal/*.py`` file is parsed with ``ast``.  The functions
 decorated with ``functools.lru_cache`` (or ``functools.cache``) must be
-exactly the seven memos the project keeps, and ``decomposition.py`` must
+exactly the eight memos the project keeps, and ``decomposition.py`` must
 bind no dict, set or list at module level: per-ideal work lives in the
 memos, never in a side table beside them.
 The seventh, ``expansion._joined``, holds the joined ideal I+J of a
 summand pair: every kind and k of the pair's verdicts reads it, and a
 join costs a new ring, padded and sorted generators, a hash and an
 equality test against the copy in ``filtration_member``'s slot.
+The eighth, ``ideals._support``, holds one ``PrimeSupport`` per ring and
+sorted index tuple: every support the library derives (the witness
+tables' keys and primes, the components' radicals, a verdict row's p and
+q, the drop-by-one witnesses' primes) is built through it, so the other
+memos hold one object per distinct support, not one per table or row.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
 seen.  ``oracles.memos``, the list the tests clear and CI reports on, is
-found at run time and must name the same seven.
+found at run time and must name the same eight.
 """
 
 import ast
@@ -27,6 +32,7 @@ MEMOS = {
     "expansion._verdict",
     "filtrations.filtration_member",
     "filtrations.integral_closure",
+    "ideals._support",
     "lp._newton_facets",
 }
 CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
@@ -42,7 +48,7 @@ def _decorator_name(node: ast.expr) -> str:
     return node.id if isinstance(node, ast.Name) else ""
 
 
-def test_the_library_keeps_exactly_its_seven_memos():
+def test_the_library_keeps_exactly_its_eight_memos():
     found = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -67,6 +73,6 @@ def test_decomposition_binds_no_module_level_container():
     assert not found, "module-level containers: " + ", ".join(found)
 
 
-def test_the_run_time_memo_list_names_the_same_seven():
+def test_the_run_time_memo_list_names_the_same_eight():
     found = [f"{memo.__module__.removeprefix('videal.')}.{memo.__name__}" for memo in memos()]
     assert sorted(found) == sorted(MEMOS)
