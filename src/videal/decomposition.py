@@ -66,9 +66,10 @@ sweep's ints before they are stored, and compares the meet, as a set,
 with G(a) packed once); the witness table, searched on the sweep's
 corners grouped by support (the i with b_i < top), one entry per
 support, so its keys are Ass(a) and the only record of the supports
-(each entry's prime comes from ``ideals._support``, as do the
-components' radicals, and its key is that prime's indices, so the
-tables share one object per support);
+(each entry's prime and witness come from the intern ``ideals._shared``,
+as do the components' radicals and the generator tuples that
+``_components_inside`` meets, and its key is that prime's indices, so
+the tables share one object per support and per witness);
 its least entry (least degree, then smallest support); and one bytes
 value holding each corner, packed as the sweep returns it, in a
 fixed-width little-endian record, with top beside it.  Every ideal's
@@ -107,7 +108,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
-from .ideals import MonomialIdeal, PrimeSupport, _support
+from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples
 from .rings import Monomial, canonical_sort
 
 
@@ -326,7 +327,7 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     ]
     exps = _unpack(_intersect_corners(sorted(corners, reverse=True), top, n), n, width)
     canonical_sort(exps)
-    return MonomialIdeal(a.ring, tuple(exps))
+    return MonomialIdeal(a.ring, _shared_tuples(exps))
 
 
 def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
@@ -371,7 +372,7 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     components = []
     for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
         exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
-        prime = _support(a.ring, tuple(sorted(i for _, i in powers)))
+        prime = _shared(PrimeSupport, a.ring, tuple(sorted(i for _, i in powers)))
         components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))
     return tuple(components)
 
@@ -609,7 +610,7 @@ def _witness_table(
             roots.append((above & ~below, f, sum(f)))
         roots.sort(key=lambda root: root[2], reverse=True)
         outside = [j for j, e in enumerate(group[0]) if e == top]
-        p = _support(a.ring, indices)
+        p = _shared(PrimeSupport, a.ring, indices)
         best = _raise_search(roots, corners, top, le, outside)
         if best is None:
             raise InternalError(f"witness search found no f for {p} in Ass({a})")
@@ -623,7 +624,7 @@ def _witness_table(
             raise InternalError(f"no colon witness for {p} in Ass({a})")
         if not _membership_certifies(gens, v, hit, guard, top):
             raise InternalError(f"witness certification failed for {p} in Ass({a})")
-        table[p.indices] = VReport(degree, Monomial(a.ring, f), p)
+        table[p.indices] = VReport(degree, _shared(Monomial, a.ring, f), p)
     return MappingProxyType(table)
 
 

@@ -11,7 +11,9 @@ Both read v-numbers off the certified witness tables of ``decomposition``:
 the direct side's for the rows and the global v-number, and each summand's
 once per depth (``_formula_reader``) for the rows' and the global formula.
 A row's formula is two facts, its least value and the depths that reach
-it (``RhsResult``).
+it (``RhsResult``); few such values occur, so each comes from the intern
+``ideals._shared``, as do a row's split parts P and Q and the generator
+tuples of ``join_ideals``.
 
 A verdict depends on the filtration only through its members: the k-th
 member of I+J and the members 1..k of I and of J (the 0-th is the whole
@@ -36,7 +38,7 @@ from functools import lru_cache
 from .decomposition import _least, _witnesses
 from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
-from .ideals import MonomialIdeal, PrimeSupport, _support, from_exps
+from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples, from_exps
 from .rings import Monomial, Ring, canonical_sort, join_rings
 from .vnumbers import v_number
 
@@ -56,7 +58,7 @@ def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     if i.is_unit() or j.is_unit():
         return from_exps(ring, exps)
     canonical_sort(exps)
-    return MonomialIdeal(ring, tuple(exps))
+    return MonomialIdeal(ring, _shared_tuples(exps))
 
 
 def _members(kind: FiltrationKind, a: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ...]:
@@ -166,7 +168,7 @@ def _formula_reader(left: tuple[MonomialIdeal, ...], right: tuple[MonomialIdeal,
                     value, achieved = total, [d]
                 elif total == value:
                     achieved.append(d)
-        return None if value is None else RhsResult(value, tuple(achieved))
+        return None if value is None else _shared(RhsResult, value, tuple(achieved))
 
     return read, v_formula
 
@@ -256,8 +258,8 @@ def _verdict(
         cut = bisect_left(indices, n)
         if not 0 < cut < len(indices):
             raise InternalError(f"associated prime {prime} of {direct} is not mixed")
-        p = _support(ring_i, indices[:cut])
-        q = _support(ring_j, tuple([idx - n for idx in indices[cut:]]))
+        p = _shared(PrimeSupport, ring_i, indices[:cut])
+        q = _shared(PrimeSupport, ring_j, tuple([idx - n for idx in indices[cut:]]))
         rows.append(TheoremRow(prime, p, q, report.degree, report.witness,
                                formula(p.indices, q.indices)))
     best = v_number(direct)

@@ -54,7 +54,8 @@ from .decomposition import _colon_witnesses, _components_inside, _is_closed
 from .decomposition import _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
-from .ideals import MonomialIdeal, PrimeSupport, _support, is_squarefree, power, unit_ideal
+from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples, is_squarefree, power
+from .ideals import unit_ideal
 from .ideals import product as ideal_product
 from .lp import _newton_facets
 from .rings import Monomial, canonical_sort, exps_of_degree
@@ -175,7 +176,7 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     bounds = [max(column) for column in zip(*pk.exps())]
     points = _minimal_points(facets, bounds)
     canonical_sort(points)
-    closure = MonomialIdeal(a.ring, tuple(points))
+    closure = MonomialIdeal(a.ring, _shared_tuples(points))
     if not closure.contains_ideal(pk):
         raise InternalError(f"integral closure of {pk} does not contain {pk}")
     return closure
@@ -264,7 +265,7 @@ def check_filtration_property(
     violations: list[Monomial] = []
     for f, indices in _colon_witnesses(member.exps(), monomials):
         witness = Monomial(a.ring, f)
-        witnesses.append((witness, _support(a.ring, indices)))
+        witnesses.append((witness, _shared(PrimeSupport, a.ring, indices)))
         if not previous.contains(witness):
             violations.append(witness)
     return PropertyCheckReport(FiltrationKind(kind), k, deg_cap, tuple(witnesses),

@@ -16,16 +16,23 @@ intersection, quotients for a colon by a monomial) and hands them to
 ``from_exps``, which keeps the minimal ones.  Exponents stay tuples
 here; packed exponent lanes are ``decomposition``'s alone.
 
-``PrimeSupport(ring, indices)`` is the public validated constructor of a
-monomial prime.  Every support the library derives (the keys and primes
-of the witness tables, the components' radicals, a verdict row's split
-parts P and Q, the drop-by-one witnesses' primes, ``prime_support``)
-comes from ``_support``, an ``lru_cache`` keyed by the ring and the
-sorted indices and bounded at 4,096 entries, so the memos and reports
-that hold equal supports hold one object.  That saves memory only:
-equal supports compare equal whatever their identity, two threads that
-miss together can build two equal objects, and no code compares
-supports with ``is``.
+Values that many ideals, memos and reports hold equal copies of are
+interned by one memo, ``_shared(cls, *fields)``, an ``lru_cache`` bounded
+at 16,384 entries that returns ``cls(*fields)``: the exponent tuple
+of every generator of an ideal the library builds (``minimal_exps``,
+which every ``from_exps`` runs, ``expansion.join_ideals``,
+``decomposition._components_inside`` and ``filtrations.integral_closure``),
+every prime it derives (the keys and primes of the witness tables, the
+components' radicals, a verdict row's split parts P and Q, the
+drop-by-one witnesses' primes, ``prime_support``), each witness-table
+``Monomial``, each row's ``expansion.RhsResult`` and each
+``lp._newton_facets`` facet.  ``PrimeSupport(ring, indices)`` stays the
+public validated constructor.  Interning saves memory only: equal values
+compare equal whatever their identity, two threads that miss together
+can build two equal objects, a value evicted from the memo is built
+again, and no code compares values with ``is``.  Reports whose values
+seldom repeat (``VReport``, ``TheoremRow``) are not interned: a memo
+entry costs more than the copy it would save.
 """
 
 from dataclasses import dataclass, field
@@ -44,6 +51,20 @@ from .rings import (
     mul_exp,
     quot_exp,
 )
+
+
+# An entry (key, link and table slot) takes about 150 bytes besides its
+# value, so a full memo holds about 2.4 MB of entries.  The seed-1 timed
+# benchmark plans intern 1,379-4,453 distinct values.
+@lru_cache(maxsize=16384)
+def _shared(cls: type, *fields):
+    """cls(*fields), one object per value while it stays in the memo."""
+    return cls(*fields)
+
+
+def _shared_tuples(items: Iterable[tuple]) -> tuple[tuple, ...]:
+    """The tuples items, in their order, each through ``_shared``."""
+    return tuple([_shared(tuple, t) for t in items])
 
 
 def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
@@ -70,7 +91,7 @@ def minimal_exps(exps: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
                 break
         else:
             kept.append(e)
-    return tuple(kept)
+    return _shared_tuples(kept)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,15 +275,8 @@ class PrimeSupport:
         return "(" + ", ".join(self.var_names) + ")"
 
 
-@lru_cache(maxsize=4096)
-def _support(ring: Ring, indices: tuple[int, ...]) -> PrimeSupport:
-    """The validated PrimeSupport of ring and the sorted indices, one
-    object per value while it stays in the memo."""
-    return PrimeSupport(ring, indices)
-
-
 def prime_support(ring: Ring, var_names: Iterable[str]) -> PrimeSupport:
-    return _support(ring, tuple(sorted(ring.index(v) for v in var_names)))
+    return _shared(PrimeSupport, ring, tuple(sorted(ring.index(v) for v in var_names)))
 
 
 def is_squarefree(a: MonomialIdeal) -> bool:

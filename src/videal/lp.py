@@ -17,6 +17,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalError, VidealError
+from .ideals import _shared_tuples
 
 
 class NewtonMembership(NamedTuple):
@@ -31,13 +32,15 @@ def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, 
     description, each checked to hold on every generator (a failure is
     an internal error).  Memoized: ``integral_closure(a, k)`` reads the
     facets of a for every k, and the check runs once per generator set.
+    Generator sets share facets, so each comes from the intern
+    ``ideals._shared``.
     """
     facets = _double_description(gens)
     for w, d in facets:
         for v in gens:
             if sum(map(mul, w, v)) < d:
                 raise InternalError(f"Newton polyhedron facet {w}.u >= {d} cuts off a generator {v}")
-    return facets
+    return _shared_tuples(facets)
 
 
 def _double_description(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:

@@ -84,7 +84,11 @@ class Monomial:
                 f"exponent vector of length {len(self.exp)} does not fit "
                 f"ring {self.ring.name!r} with {self.ring.nvars} variables"
             )
-        if any(e < 0 for e in self.exp):
+        # Equal exponent tuples are interned (ideals._shared), and 2.0 and True
+        # equal and hash like 2 and 1: they would print as whichever came first.
+        if any(type(e) is not int for e in self.exp):
+            raise VidealError(f"monomial exponents must be integers, got {self.exp!r}")
+        if min(self.exp) < 0:
             raise VidealError("monomial exponents must be non-negative")
 
     @property

@@ -23,7 +23,7 @@ from videal.filtrations import (
     filtration_member,
     integral_closure,
 )
-from videal.ideals import _support, prime_support
+from videal.ideals import _shared, prime_support
 from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
 from videal.vnumbers import v_number
@@ -130,32 +130,45 @@ def test_threads_build_member_corners_as_one_caller_would():
     assert members >= 10
 
 
-def _derived_supports(a):
-    """The reports of a that hold derived supports: Ass(a), the
-    components, the v-number, the drop-by-one witnesses of a^2 up to
-    degree 3, and ``prime_support`` of each associated prime."""
+def _interned_values(a, j):
+    """The reports of a that hold interned values: Ass(a), the components,
+    the v-number (a witness-table Monomial), the drop-by-one witnesses of
+    a^2 up to degree 3 with their primes, ``prime_support`` of each
+    associated prime, the ordinary verdict of (a, j) at k = 2 (its rows'
+    RhsResults and split parts, and the generator tuples of its members),
+    the second symbolic power by Min(a), the closure of a^2 and the facets
+    of the Newton polyhedron of a."""
     ass = associated_primes(a)
     return (ass, irreducible_decomposition(a), v_number(a),
             check_filtration_property(FiltrationKind.ORDINARY, a, 2, 3).witnesses,
-            tuple(prime_support(a.ring, p.var_names) for p in ass))
+            tuple(prime_support(a.ring, p.var_names) for p in ass),
+            verify_theorem(FiltrationKind.ORDINARY, a, j, 2),
+            filtration_member(FiltrationKind.SYMBOLIC_MIN, a, 2), integral_closure(a, 2),
+            _newton_facets(a.exps()))
 
 
-def test_threads_deriving_shared_supports_agree_with_one_caller():
-    """Threads race on the cold support memo (``ideals._support``, which
+def test_threads_interning_shared_values_agree_with_one_caller():
+    """Threads race on the cold intern (``ideals._shared``, which
     ``clear_memos`` finds and empties with the rest) while they build the
-    tables of ideals that share their supports, each ideal over its own
-    copy of one ring.  Every report equals one caller's by value only: two
-    threads that miss together may each build an equal support."""
+    tables, members, verdicts and facets of ideals that share values, each
+    ideal over its own copy of one ring.  Every report equals one caller's
+    by value only: two threads that miss together may each build an equal
+    value.  The intern ends holding as many values as one caller's run
+    left in it: the threads intern the same values, each once."""
     rng = random.Random(47)
     ideals = [random_ideal(rng, make_ring("A", ["x1", "x2", "x3", "x4"]), 5, 3)
               for _ in range(16)]
+    j = random_ideal(rng, make_ring("B", ["y1", "y2"]), 2, 2)
     clear_memos()
-    expected = [_derived_supports(a) for a in ideals]
+    expected = [_interned_values(a, j) for a in ideals]
+    interned = _shared.cache_info().currsize
     ass = [p for reports in expected for p in reports[0]]
     assert len(set(ass)) < len(ass)
-    reached = set(ass) | {p for reports in expected for _, p in reports[3]}
-    assert _race(_derived_supports, [(a,) for a in ideals] * THREADS) == expected * THREADS
-    assert _support.cache_info().currsize == len(reached)
+    rhs = [row.rhs for reports in expected for row in reports[5].rows]
+    assert len(set(rhs)) < len(rhs)
+    calls = [(a, j) for a in ideals] * THREADS
+    assert _race(_interned_values, calls) == expected * THREADS
+    assert _shared.cache_info().currsize == interned
 
 
 CLI_THREADS = 8

@@ -33,7 +33,7 @@ from videal.decomposition import (
 )
 from videal.errors import ImproperIdealError, InternalError
 from videal.expansion import join_ideals, verify_theorem
-from videal.filtrations import FiltrationKind, check_filtration_property
+from videal.filtrations import FiltrationKind, check_filtration_property, filtration_member
 from videal.ideals import (
     PrimeSupport,
     colon_monomial,
@@ -47,6 +47,7 @@ from videal.ideals import (
     unit_ideal,
     zero_ideal,
 )
+from videal.lp import _newton_facets
 from videal.randgen import random_ideal, random_pair
 from videal.rings import make_ring, mono
 from videal.vnumbers import local_v, v_number
@@ -672,7 +673,7 @@ def test_the_supports_derived_for_one_prime_are_one_object():
     rebuilt by value, share the associated prime (x).  Every support the
     library derives for a prime, whichever ideal and ring copy it comes
     from, is the object that ``associated_primes`` returned for it: they
-    are all built by ``ideals._support``."""
+    are all built by ``ideals._shared``."""
     clear_memos()
     ring = make_ring("A", ["x", "y", "z"])
     copy = make_ring("A", ["x", "y", "z"])
@@ -699,19 +700,40 @@ def test_the_supports_derived_for_one_prime_are_one_object():
         assert ass_i2[p] is p
 
 
+def _one_object_per_value(values) -> bool:
+    return len({id(v) for v in values}) == len(set(values))
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_ideals(name="A"), small_ideals(name="B", prefix="y"), st.integers(1, 2))
-def test_the_supports_reached_are_one_object_per_value(i, j, k):
+def test_the_values_reached_are_one_object_per_value(i, j, k):
     """Across Ass, the components, prime_support, the drop-by-one
-    witnesses and the theorem rows of two ideals, one of them also over
-    a copy of its ring rebuilt by value, there are as many support
-    objects as distinct supports."""
+    witnesses, the members, the Newton facets and the theorem rows of two
+    ideals, one of them also over a copy of its ring rebuilt by value,
+    each kind that ``ideals._shared`` interns has as many objects as
+    distinct values: supports, generator exponent tuples, witness-table
+    Monomials, RhsResults and facets.  The memos start cold and the inputs
+    are rebuilt from fresh tuples, so no value reached was interned before
+    an eviction."""
+    clear_memos()
+    i, j = (from_exps(a.ring, [tuple(list(e)) for e in a.exps()]) for a in (i, j))
     copy = from_exps(make_ring(i.ring.name, i.ring.vars), i.exps())
     supports = [p for a in (i, copy, j) for p in associated_primes(a)]
     supports += [c.prime for a in (i, copy, j) for c in irreducible_decomposition(a)]
     supports += [prime_support(copy.ring, p.var_names) for p in associated_primes(i)]
     supports += [p for _, p in check_filtration_property(FiltrationKind.ORDINARY, i, k, 2).witnesses]
-    for kind in (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS):
-        for row in verify_theorem(kind, i, j, k).rows:
-            supports += [row.prime, row.p, row.q]
-    assert len({id(p) for p in supports}) == len(set(supports))
+    ideals = [i, copy, j]
+    rows = []
+    for kind in (FiltrationKind.ORDINARY, FiltrationKind.SYMBOLIC_ASS,
+                 FiltrationKind.INTEGRAL_CLOSURE):
+        report = verify_theorem(kind, i, j, k)
+        rows += report.rows
+        ideals += [report.expansion.direct, report.expansion.expanded]
+        ideals += [filtration_member(kind, a, m) for a in (i, j) for m in range(1, k + 1)]
+    supports += [p for row in rows for p in (row.prime, row.p, row.q)]
+    assert _one_object_per_value(supports)
+    assert _one_object_per_value([e for a in ideals for e in a.exps()])
+    witnesses = [row.lhs_witness for row in rows] + [v_number(a).witness for a in ideals]
+    assert _one_object_per_value(witnesses)
+    assert _one_object_per_value([row.rhs for row in rows if row.rhs is not None])
+    assert _one_object_per_value([f for a in (i, copy, j) for f in _newton_facets(a.exps())])

@@ -9,11 +9,13 @@ The seventh, ``expansion._joined``, holds the joined ideal I+J of a
 summand pair: every kind and k of the pair's verdicts reads it, and a
 join costs a new ring, padded and sorted generators, a hash and an
 equality test against the copy in ``filtration_member``'s slot.
-The eighth, ``ideals._support``, holds one ``PrimeSupport`` per ring and
-sorted index tuple: every support the library derives (the witness
-tables' keys and primes, the components' radicals, a verdict row's p and
-q, the drop-by-one witnesses' primes) is built through it, so the other
-memos hold one object per distinct support, not one per table or row.
+The eighth, ``ideals._shared``, interns values: one object per value of
+the generator exponent tuples of the ideals the library builds, the
+supports it derives (the witness tables' keys and primes, the
+components' radicals, a verdict row's p and q, the drop-by-one
+witnesses' primes), the witness-table ``Monomial``s, the rows'
+``RhsResult``s and the Newton facets, so the other memos and the reports
+hold one object per distinct value, not one per ideal, table or row.
 A memo built at run time (``lru_cache(f)`` called on a function) is not
 seen.  ``oracles.memos``, the list the tests clear and CI reports on, is
 found at run time and must name the same eight.
@@ -32,7 +34,7 @@ MEMOS = {
     "expansion._verdict",
     "filtrations.filtration_member",
     "filtrations.integral_closure",
-    "ideals._support",
+    "ideals._shared",
     "lp._newton_facets",
 }
 CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)

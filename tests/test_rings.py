@@ -112,6 +112,18 @@ def test_negative_exponent_rejected():
         Monomial(ring, (-1,))
 
 
+@pytest.mark.parametrize("exponent", [2.0, True, False, "2", None])
+def test_an_exponent_that_is_not_an_int_is_refused(exponent):
+    """Equal exponent tuples are interned, and 2.0 == 2 and True == 1
+    with equal hashes: an ideal that took such a generator would print
+    x^2.0 or x^2 by which equal tuple came first."""
+    ring = make_ring("A", ["x", "y"])
+    with pytest.raises(VidealError, match="monomial exponents must be integers"):
+        Monomial(ring, (exponent, 1))
+    with pytest.raises(VidealError, match="monomial exponents must be integers"):
+        ideal(ring, [mono(ring, x=exponent)])
+
+
 def test_monomial_str_roundtrip_forms():
     ring = make_ring("A", ["x", "y"])
     assert str(mono(ring)) == "1"
