@@ -462,7 +462,3 @@ def run_text(text: str, fmt: str) -> tuple[int, list[str]]:
         lines.append(_error_line(fmt, "input", str(exc)))
         return EXIT_USAGE, lines
     return (EXIT_UNEQUAL if unequal else EXIT_OK), lines
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,8 +29,8 @@ intersect-back check and ``_components_inside`` meet in decreasing
 packed order, where the check on (I+J)^6 for the seed-16 4+4 pair of
 ``randgen.random_ideal(rng, ring, 8, 3)`` raises 20,664 vectors to
 minimalize, not 61,855 (0.46 s, not 1.89 s); the corner step is slower
-in that order.  The check compares sets, and only ``_components_inside``,
-which builds an ideal from a meet, sorts it canonically.
+in that order.  The check compares sets, and only ``_components_inside``
+builds an ideal from a meet, through ``ideals.from_exps``.
 
 Colon witnesses come from the same corners; no colon ideal is built.
 For the component Q_b of corner b, Q_b : f is the whole ring when f lies
@@ -67,8 +67,7 @@ with G(a) packed once); the witness table, searched on the sweep's
 corners grouped by support (the i with b_i < top), one entry per
 support, so its keys are Ass(a) and the only record of the supports
 (each entry's prime and witness come from the intern ``ideals._shared``,
-as do the components' radicals and the generator tuples that
-``_components_inside`` meets, and its key is that prime's indices, so
+as do the components' radicals, and its key is that prime's indices, so
 the tables share one object per support and per witness);
 its least entry (least degree, then smallest support); and one bytes
 value holding each corner, packed as the sweep returns it, in a
@@ -92,8 +91,9 @@ top - 1 does not.  A witness has every coordinate at most top - 1, so
 x_i f stays within the lanes.  Neither certificate builds the colon
 ideal.
 ``associated_primes``, ``vnumbers.local_v`` and ``expansion`` read the
-table through ``_witnesses``, and ``vnumbers.v_number`` and
-``expansion``'s global formula read the least entry through ``_least``.
+table through ``_witnesses``, and ``vnumbers.v_number`` and both of
+``expansion``'s global values, the direct side's and the formula's, read
+the least entry through ``_least``.
 
 Packed lanes are this module's alone.  The bounded
 ``filtrations.check_filtration_property`` enumerates monomials and hands
@@ -108,8 +108,8 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
-from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples
-from .rings import Monomial, canonical_sort
+from .ideals import MonomialIdeal, PrimeSupport, _shared, from_exps
+from .rings import Monomial
 
 
 @dataclass(frozen=True, slots=True)
@@ -325,9 +325,8 @@ def _components_inside(a: MonomialIdeal, primes: Iterable[PrimeSupport]) -> Mono
     corners = [
         b for b in _read(data, _record_size(n, top)) if ((b | guard) - tops) & guard not in off
     ]
-    exps = _unpack(_intersect_corners(sorted(corners, reverse=True), top, n), n, width)
-    canonical_sort(exps)
-    return MonomialIdeal(a.ring, _shared_tuples(exps))
+    meet = _intersect_corners(sorted(corners, reverse=True), top, n)
+    return from_exps(a.ring, _unpack(meet, n, width))
 
 
 def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
@@ -364,16 +363,15 @@ def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, .
     intersect back to a when first computed."""
     top, corners = _corner_tuples(a)
     n = a.ring.nvars
-    # The component of b is generated by the pure powers x_i^{b_i}, b_i < top,
-    # an antichain.  In the canonical order x_i^e precedes x_j^f exactly
-    # when (e, i) < (f, j), so the sorted pairs (b_i, i) list the
-    # component's generators canonically, and compared as lists they
-    # order the components as their canonical generator lists would.
+    # The component of b is generated by the pure powers x_i^{b_i}, b_i < top.
+    # In the canonical order x_i^e precedes x_j^f exactly when (e, i) < (f, j),
+    # so the sorted pairs (b_i, i), compared as lists, order the components
+    # as their canonical generator lists would.
     components = []
     for powers in sorted(sorted((e, i) for i, e in enumerate(b) if e < top) for b in corners):
-        exps = tuple((0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers)
+        exps = [(0,) * i + (e,) + (0,) * (n - i - 1) for e, i in powers]
         prime = _shared(PrimeSupport, a.ring, tuple(sorted(i for _, i in powers)))
-        components.append(IrreducibleComponent(MonomialIdeal(a.ring, exps), prime))
+        components.append(IrreducibleComponent(from_exps(a.ring, exps), prime))
     return tuple(components)
 
 

@@ -7,13 +7,14 @@ paths: the "direct" side works entirely in the joined ring S, while the
 "formula" side only ever touches filtrations of the summands in their
 own rings.  They meet only in the final equality checks.
 
-Both read v-numbers off the certified witness tables of ``decomposition``:
-the direct side's for the rows and the global v-number, and each summand's
-once per depth (``_formula_reader``) for the rows' and the global formula.
-A row's formula is two facts, its least value and the depths that reach
-it (``RhsResult``); few such values occur, so each comes from the intern
-``ideals._shared``, as do a row's split parts P and Q and the generator
-tuples of ``join_ideals``.
+Both read v-numbers off the certified witness tables of ``decomposition``,
+through the same two readers: the direct side's table (``_witnesses``)
+for the rows and its least entry (``_least``) for the global v-number,
+and each summand's once per depth (``_formula_reader``) for the rows'
+and the global formula.  A row's formula is two facts, its least value
+and the depths that reach it (``RhsResult``); few such values occur, so
+each comes from the intern ``ideals._shared``, as do a row's split parts
+P and Q.
 
 A verdict depends on the filtration only through its members: the k-th
 member of I+J and the members 1..k of I and of J (the 0-th is the whole
@@ -38,27 +39,16 @@ from functools import lru_cache
 from .decomposition import _least, _witnesses
 from .errors import ImproperIdealError, InternalError, VidealError
 from .filtrations import FiltrationKind, filtration_member
-from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples, from_exps
-from .rings import Monomial, Ring, canonical_sort, join_rings
-from .vnumbers import v_number
+from .ideals import MonomialIdeal, PrimeSupport, _shared, from_exps
+from .rings import Monomial, Ring, canonical_sort, check_ints, join_rings
 
 
 def join_ideals(i: MonomialIdeal, j: MonomialIdeal) -> MonomialIdeal:
     """The sum ideal IS + JS inside the joined ring S, whose variables are
-    I's followed by J's.
-
-    G(I) and G(J) are antichains in disjoint variables, so a padded
-    generator of one divides a padded generator of the other only if it
-    is the monomial 1: unless a summand is the unit ideal, the padded
-    union is already G(IS + JS) and only needs the canonical sort.
-    """
+    I's followed by J's: generated by the generators of both, padded."""
     ring = join_rings(i.ring, j.ring)
     pad_i, pad_j = (0,) * i.ring.nvars, (0,) * j.ring.nvars
-    exps = [u + pad_j for u in i.exps()] + [pad_i + v for v in j.exps()]
-    if i.is_unit() or j.is_unit():
-        return from_exps(ring, exps)
-    canonical_sort(exps)
-    return MonomialIdeal(ring, _shared_tuples(exps))
+    return from_exps(ring, [u + pad_j for u in i.exps()] + [pad_i + v for v in j.exps()])
 
 
 def _members(kind: FiltrationKind, a: MonomialIdeal, k: int) -> tuple[MonomialIdeal, ...]:
@@ -97,6 +87,7 @@ def direct_term(
     """The k-th filtration member of the sum ideal, computed entirely in
     S with no expansion, and keyed by the pair's one copy of I+J
     (``_joined``)."""
+    check_ints(k=k)
     if k < 1:
         raise VidealError("expansion checks need k >= 1")
     if not (i.is_proper_nonzero() and j.is_proper_nonzero()):
@@ -262,7 +253,7 @@ def _verdict(
         q = _shared(PrimeSupport, ring_j, tuple([idx - n for idx in indices[cut:]]))
         rows.append(TheoremRow(prime, p, q, report.degree, report.witness,
                                formula(p.indices, q.indices)))
-    best = v_number(direct)
+    best = _least(direct)
     if best.degree < v_formula:
         findings.append(f"direct v-number {best.degree} beats the mixed-prime formula "
                         f"{v_formula}; non-mixed primes present: none")

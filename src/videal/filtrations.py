@@ -54,11 +54,11 @@ from .decomposition import _colon_witnesses, _components_inside, _is_closed
 from .decomposition import _require_proper_nonzero
 from .decomposition import associated_primes, minimal_primes
 from .errors import InternalError, VidealError
-from .ideals import MonomialIdeal, PrimeSupport, _shared, _shared_tuples, is_squarefree, power
+from .ideals import MonomialIdeal, PrimeSupport, _shared, from_exps, is_squarefree, power
 from .ideals import unit_ideal
 from .ideals import product as ideal_product
 from .lp import _newton_facets
-from .rings import Monomial, canonical_sort, exps_of_degree
+from .rings import Monomial, check_ints, exps_of_degree
 
 
 class FiltrationKind(str, Enum):
@@ -167,6 +167,7 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     conv(G(a^k)), hence lies in the box u_i <= max exponent of G(a^k) in
     coordinate i, and the closure they generate must contain a^k.
     """
+    check_ints(k=k)
     if k < 1:
         return power(a, k)
     pk = filtration_member(FiltrationKind.ORDINARY, a, k)
@@ -174,9 +175,7 @@ def integral_closure(a: MonomialIdeal, k: int = 1) -> MonomialIdeal:
     if _is_closed(pk, facets):
         return pk
     bounds = [max(column) for column in zip(*pk.exps())]
-    points = _minimal_points(facets, bounds)
-    canonical_sort(points)
-    closure = MonomialIdeal(a.ring, _shared_tuples(points))
+    closure = from_exps(a.ring, _minimal_points(facets, bounds))
     if not closure.contains_ideal(pk):
         raise InternalError(f"integral closure of {pk} does not contain {pk}")
     return closure
@@ -191,6 +190,7 @@ def filtration_member(kind: FiltrationKind, a: MonomialIdeal, k: int) -> Monomia
     of a, those of Min(a^k) = Min(a) among them, and return a^k itself,
     the ordinary member, when all are kept; integral closures close a^k.
     """
+    check_ints(k=k)
     if k < 0:
         raise VidealError(f"negative filtration index {k}")
     # A str-enum member and its value share a memo slot, so both must work.
@@ -247,6 +247,7 @@ def check_filtration_property(
     up to degree deg_cap (``PropertyCheckReport``): the monomials are
     enumerated here, and ``decomposition._colon_witnesses`` picks out
     those whose colon is a prime."""
+    check_ints(k=k, deg_cap=deg_cap)
     if k < 1:
         raise VidealError("the drop-by-one property needs k >= 1")
     if deg_cap < 0:
@@ -279,6 +280,7 @@ def normally_torsion_free(a: MonomialIdeal, k_max: int) -> bool:
     The powers are one running product, a^k = a^(k - 1) a, so reaching
     k_max takes k_max - 1 products.
     """
+    check_ints(k_max=k_max)
     if k_max < 1:
         raise VidealError("k_max must be at least 1")
     _require_proper_nonzero(a)

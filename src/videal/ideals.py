@@ -18,11 +18,10 @@ here; packed exponent lanes are ``decomposition``'s alone.
 
 Values that many ideals, memos and reports hold equal copies of are
 interned by one memo, ``_shared(cls, *fields)``, an ``lru_cache`` bounded
-at 16,384 entries that returns ``cls(*fields)``: the exponent tuple
-of every generator of an ideal the library builds (``minimal_exps``,
-which every ``from_exps`` runs, ``expansion.join_ideals``,
-``decomposition._components_inside`` and ``filtrations.integral_closure``),
-every prime it derives (the keys and primes of the witness tables, the
+at 16,384 entries that returns ``cls(*fields)``: the exponent tuple of
+every generator of an ideal the library builds, which enters only
+through ``minimal_exps``, the sweep that every ``from_exps`` runs; every
+prime it derives (the keys and primes of the witness tables, the
 components' radicals, a verdict row's split parts P and Q, the
 drop-by-one witnesses' primes, ``prime_support``), each witness-table
 ``Monomial``, each row's ``expansion.RhsResult`` and each
@@ -32,7 +31,8 @@ compare equal whatever their identity, two threads that miss together
 can build two equal objects, a value evicted from the memo is built
 again, and no code compares values with ``is``.  Reports whose values
 seldom repeat (``VReport``, ``TheoremRow``) are not interned: a memo
-entry costs more than the copy it would save.
+entry costs more than the copy it would save.  Every number a caller
+passes (a power, a filtration index, an exponent) must be an ``int``.
 """
 
 from dataclasses import dataclass, field
@@ -41,16 +41,8 @@ from operator import le
 from typing import Iterable
 
 from .errors import RingMismatchError, VidealError
-from .rings import (
-    Monomial,
-    Ring,
-    canonical_sort,
-    check_same_ring,
-    divides_exp,
-    lcm_exp,
-    mul_exp,
-    quot_exp,
-)
+from .rings import Monomial, Ring, canonical_sort, check_ints, check_same_ring
+from .rings import divides_exp, lcm_exp, mul_exp, quot_exp
 
 
 # An entry (key, link and table slot) takes about 150 bytes besides its
@@ -99,8 +91,9 @@ class MonomialIdeal:
     """A monomial ideal: its ring and the canonical minimal exponent
     tuples of its generators.
 
-    The constructor trusts the tuples to be minimal and canonically
-    sorted; ``from_exps`` and ``ideal`` establish that.
+    The constructor trusts the tuples to be minimal, canonically sorted
+    and interned, and only this module calls it: every other module
+    builds its ideals through ``from_exps``, which establishes all three.
     """
 
     ring: Ring
@@ -189,6 +182,7 @@ def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
+    check_ints(k=k)
     if k < 0:
         raise VidealError(f"negative ideal power {k}")
     if k == 0:

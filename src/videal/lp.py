@@ -108,6 +108,9 @@ def newton_member(
         raise VidealError("newton_member needs at least one generator")
     if any(len(v) != len(a) for v in gens):
         raise VidealError("newton_member dimension mismatch")
+    # Facets are interned, so a 2.0 in gens would reach an int ideal's facets.
+    if any(type(e) is not int for v in (a, *gens) for e in v):
+        raise VidealError("newton_member's point and generators must have int coordinates")
     if any(e < 0 for e in a) or any(e < 0 for v in gens for e in v):
         raise VidealError("newton_member needs nonnegative exponents")
     for w, d in _newton_facets(tuple(map(tuple, gens))):

@@ -132,6 +132,15 @@ def check_same_ring(*objects) -> Ring:
     return ring
 
 
+def check_ints(**values) -> None:
+    """Refuse each named number whose type is not exactly int: 2.0 and True
+    equal and hash like 2 and 1, so they would reach the memos and the
+    interned values (``ideals._shared``) as ints."""
+    for name, value in values.items():
+        if type(value) is not int:
+            raise VidealError(f"{name} must be an int, got {value!r}")
+
+
 # Exponent-tuple kernels.  Hot loops throughout the library work on raw
 # tuples and only wrap results in Monomial at API boundaries.
 

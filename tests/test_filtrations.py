@@ -13,6 +13,7 @@ from oracles import (
     all_primes_symbolic_power,
     box_scan_integral_closure,
     certificate_denominator_lcm,
+    clear_memos,
     corner_tuples,
     enumerated_property_check,
     facet_mask_is_closed,
@@ -27,7 +28,7 @@ from oracles import (
 from videal import decomposition, filtrations, lp
 from videal.decomposition import associated_primes, minimal_primes
 from videal.errors import InternalError, VidealError
-from videal.expansion import join_ideals
+from videal.expansion import direct_term, join_ideals, verify_expansion, verify_theorem
 from videal.filtrations import (
     FiltrationKind,
     check_filtration_property,
@@ -729,3 +730,53 @@ def test_memo_invisible_for_string_kinds():
     for k in (0, 2):
         with pytest.raises(VidealError, match="unknown filtration kind 'bogus'"):
             filtration_member("bogus", a, k)
+
+
+def test_a_float_power_is_refused_and_leaves_the_intern_all_ints():
+    """Unchecked, integral_closure(a, 2.0) would read a^2 from the warm
+    memo of filtration_member(ORD, a, 2) and intern the generators
+    (3.0, 1) and (1.0, 3), so a later int ideal with those generators
+    would print through the float tuples (on a cold memo: a bare
+    TypeError).  Once the int closure is memoized, 2.0 is an equal key
+    and reads it."""
+    a = ideal(R2, [mono(R2, x=2), mono(R2, y=2)])
+    for warm in (False, True):
+        clear_memos()
+        if warm:
+            filtration_member(FiltrationKind.ORDINARY, a, 2)
+        with pytest.raises(VidealError, match=r"^k must be an int, got 2\.0$"):
+            integral_closure(a, 2.0)
+        assert str(ideal(R2, [mono(R2, x=3, y=1)])) == "(x^3*y)"
+        closure = integral_closure(a, 2)
+        assert closure.exps() == ((4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
+        assert all(type(e) is int for u in closure.exps() for e in u)
+        assert integral_closure(a, 2.0) is closure
+
+
+RA, RB = make_ring("A", ["x"]), make_ring("B", ["y"])
+A1, B1 = ideal(RA, [mono(RA, x=2)]), ideal(RB, [mono(RB, y=1)])
+ORD = FiltrationKind.ORDINARY
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2", None])
+@pytest.mark.parametrize("name, call", [
+    pytest.param("k", lambda k: power(A1, k), id="power"),
+    pytest.param("k", lambda k: filtration_member(ORD, A1, k), id="filtration_member"),
+    pytest.param("k", lambda k: integral_closure(A1, k), id="integral_closure"),
+    pytest.param("k", lambda k: direct_term(ORD, A1, B1, k), id="direct_term"),
+    pytest.param("k", lambda k: verify_expansion(ORD, A1, B1, k), id="verify_expansion"),
+    pytest.param("k", lambda k: verify_theorem(ORD, A1, B1, k), id="verify_theorem"),
+    pytest.param("k", lambda k: check_filtration_property(ORD, A1, k, 3), id="check_property_k"),
+    pytest.param("deg_cap", lambda cap: check_filtration_property(ORD, A1, 1, cap),
+                 id="check_property_deg_cap"),
+    pytest.param("k_max", lambda k: normally_torsion_free(B1, k), id="normally_torsion_free"),
+])
+def test_a_number_that_is_not_an_int_is_refused_by_name(name, call, bad):
+    """Every public number argument is refused, by name, unless its type
+    is exactly int: 2.0 and True equal and hash like 2 and 1, so they
+    would reach the memos and the intern.  From cold memos: a memoized
+    member checks only on a miss, and a warm one answers an equal key."""
+    clear_memos()
+    with pytest.raises(VidealError) as caught:
+        call(bad)
+    assert str(caught.value) == f"{name} must be an int, got {bad!r}"

@@ -1,4 +1,6 @@
+import ast
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,7 @@ from videal.rings import (
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
 S2 = make_ring("S", ["x", "y"])
+SRC = Path(__file__).resolve().parent.parent / "src" / "videal"
 
 
 def gens_str(a: MonomialIdeal) -> set[str]:
@@ -410,3 +413,30 @@ def test_sum_is_membership_union_closure(a, b):
     for f in monomials_up_to_degree(a.ring, 4):
         if a.contains(f) or b.contains(f):
             assert total.contains(f)
+
+
+def _calls(name: str) -> list[tuple[str, str, ast.Call]]:
+    """Every call of ``name`` in the library's sources, as (module,
+    top-level definition it lies in, call)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    found.append((path.stem, getattr(top, "name", "<module>"), node))
+    return found
+
+
+def test_only_ideals_builds_ideals_and_only_minimal_exps_interns_generators():
+    """Every ideal another module computes goes through ``from_exps``: no
+    module but ``ideals`` calls the trusted ``MonomialIdeal`` constructor,
+    and generator tuples enter the intern only in ``minimal_exps``
+    (``lp._newton_facets`` interns facets).  Read from the sources, so
+    it covers paths no test runs."""
+    assert {module for module, _, _ in _calls("MonomialIdeal")} == {"ideals"}
+    assert {(module, top) for module, top, _ in _calls("_shared_tuples")} == {
+        ("ideals", "minimal_exps"), ("lp", "_newton_facets")}
+    assert {(module, top) for module, top, call in _calls("_shared")
+            if getattr(call.args[0], "id", None) == "tuple"} == {("ideals", "_shared_tuples")}

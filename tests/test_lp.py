@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import exponent_vectors
-from oracles import lp_newton_member, maximize
+from oracles import clear_memos, lp_newton_member, maximize
 from videal.errors import InternalError, VidealError
-from videal.lp import newton_member
+from videal.lp import _newton_facets, newton_member
 
 F = Fraction
 
@@ -78,6 +78,23 @@ def test_negative_exponent_is_input_error(point, gens):
     with pytest.raises(VidealError, match="nonnegative") as caught:
         newton_member(point, gens)
     assert not isinstance(caught.value, InternalError)
+
+
+@pytest.mark.parametrize("point, gens", [
+    ((1, 1), [(2.0, 3)]),
+    ((1.0, 1), [(2, 3)]),
+    ((1, 1), [(2, 3), (True, 0)]),
+])
+def test_a_coordinate_that_is_not_an_int_is_input_error(point, gens):
+    """Unchecked, newton_member((1, 1), [(2.0, 3)]) would intern the
+    facet ((1, 0), 2.0), which the facets of the int ideal (x^2*y^3)
+    would then share."""
+    clear_memos()
+    with pytest.raises(VidealError, match="^newton_member's point and generators must have int"):
+        newton_member(point, gens)
+    facets = _newton_facets(((2, 3),))
+    assert facets == (((1, 0), 2), ((0, 1), 3))
+    assert all(type(e) is int for w, d in facets for e in (*w, d))
 
 
 def test_empty_generators_are_input_error():
