@@ -78,8 +78,8 @@ value's size: the symbolic powers' filter ``_components_inside`` decides
 from the keys which supports the kept primes drop, and reads the corners
 only when some are dropped, to meet the others; ``_corner_tuples``
 unpacks the corners to tuples, for ``irreducible_decomposition`` and for
-``_is_closed``, the closed-power test that
-``filtrations.integral_closure`` hands its certified facets to.  No
+``_is_closed``, the closed-power test that ``filtrations.integral_closure``
+hands its certified facets to, one ``lp._first_violated`` per corner.  No
 other module reads the records or top.  The table stores one finished
 ``VReport`` per associated prime, each witness certified as the table is
 built, whichever reader comes first, on G(a) and the witness packed on
@@ -103,12 +103,12 @@ rule on each.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ImproperIdealError, InternalError
 from .ideals import MonomialIdeal, PrimeSupport, _shared, from_exps
+from .lp import Facet, _first_violated
 from .rings import Monomial
 
 
@@ -339,7 +339,7 @@ def _corner_tuples(a: MonomialIdeal) -> tuple[int, list[tuple[int, ...]]]:
     return top, _unpack(_read(data, _record_size(n, top)), n, top.bit_length() + 1)
 
 
-def _is_closed(a: MonomialIdeal, facets: Sequence[tuple[tuple[int, ...], int]]) -> bool:
+def _is_closed(a: MonomialIdeal, facets: Sequence[Facet]) -> bool:
     """Whether a holds every lattice point u >= 0 of the nonempty facet
     inequalities w.u >= d (integer w >= 0): whether every corner b of a,
     with support P, has a facet that fails at u = b - 1 on P and M off
@@ -347,14 +347,7 @@ def _is_closed(a: MonomialIdeal, facets: Sequence[tuple[tuple[int, ...], int]]) 
     """
     top, corners = _corner_tuples(a)
     far = max([d for _, d in facets])
-    for b in corners:
-        u = [e - 1 if e < top else far for e in b]
-        for w, d in facets:
-            if sum(map(mul, w, u)) < d:
-                break
-        else:
-            return False
-    return True
+    return all(_first_violated(facets, [e - 1 if e < top else far for e in b]) for b in corners)
 
 
 def irreducible_decomposition(a: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:

@@ -57,7 +57,7 @@ from .errors import InternalError, VidealError
 from .ideals import MonomialIdeal, PrimeSupport, _shared, from_exps, is_squarefree, power
 from .ideals import unit_ideal
 from .ideals import product as ideal_product
-from .lp import _newton_facets
+from .lp import Facet, _newton_facets
 from .rings import Monomial, check_ints, exps_of_degree
 
 
@@ -71,9 +71,7 @@ class FiltrationKind(str, Enum):
         return self.value
 
 
-def _minimal_points(
-    facets: Sequence[tuple[tuple[int, ...], int]], bounds: Sequence[int]
-) -> list[tuple[int, ...]]:
+def _minimal_points(facets: Sequence[Facet], bounds: Sequence[int]) -> list[tuple[int, ...]]:
     """The componentwise-minimal lattice points u >= 0 satisfying every
     facet inequality, given that all of them lie in the box u <= bounds.
 

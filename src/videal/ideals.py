@@ -9,12 +9,12 @@ zero ideal has no generators; the unit ideal is generated by the
 all-zeros tuple (the monomial 1).  Monomial objects are built only on
 request, by ``gens``.
 
-Every operation that makes a new ideal works the same way: it lists
-candidate generators as exponent tuples (the union of both generator
-sets for a sum, pairwise products for a product, pairwise lcms for an
-intersection, quotients for a colon by a monomial) and hands them to
-``from_exps``, which keeps the minimal ones.  Exponents stay tuples
-here; packed exponent lanes are ``decomposition``'s alone.
+Every ideal, an unpickled one too, is made one way: its candidate
+generators, as exponent tuples (none for zero, unit vectors for a prime,
+both generator sets for a sum, pairwise products or lcms, quotients for
+a colon by a monomial), go to ``from_exps``, the one caller of the
+``MonomialIdeal`` constructor, which keeps the minimal ones.  Exponents
+stay tuples here; packed exponent lanes are ``decomposition``'s alone.
 
 Values that many ideals, memos and reports hold equal copies of are
 interned by one memo, ``_shared(cls, *fields)``, an ``lru_cache`` bounded
@@ -92,8 +92,8 @@ class MonomialIdeal:
     tuples of its generators.
 
     The constructor trusts the tuples to be minimal, canonically sorted
-    and interned, and only this module calls it: every other module
-    builds its ideals through ``from_exps``, which establishes all three.
+    and interned, and only ``from_exps``, which establishes all three,
+    calls it; unpickling goes through ``from_exps`` too.
     """
 
     ring: Ring
@@ -110,7 +110,7 @@ class MonomialIdeal:
 
     def __reduce__(self):
         # String hashes differ between processes, so a pickle carries no hash.
-        return MonomialIdeal, (self.ring, self._exps)
+        return from_exps, (self.ring, self._exps)
 
     @property
     def gens(self) -> tuple[Monomial, ...]:
@@ -145,6 +145,9 @@ class MonomialIdeal:
 
 
 def from_exps(ring: Ring, exps: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of ring generated by exps, unchecked: each tuple must hold
+    exact ints >= 0, one per variable.  The one caller of ``MonomialIdeal``;
+    not exported, as ``ideal()`` and the session parser are the checked routes."""
     return MonomialIdeal(ring, minimal_exps(exps))
 
 
@@ -161,11 +164,11 @@ def ideal(ring: Ring, gens: Iterable[Monomial]) -> MonomialIdeal:
 
 
 def zero_ideal(ring: Ring) -> MonomialIdeal:
-    return MonomialIdeal(ring, ())
+    return from_exps(ring, ())
 
 
 def unit_ideal(ring: Ring) -> MonomialIdeal:
-    return MonomialIdeal(ring, ((0,) * ring.nvars,))
+    return from_exps(ring, [(0,) * ring.nvars])
 
 
 def sum_ideals(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
@@ -175,10 +178,7 @@ def sum_ideals(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
 
 def product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
     ring = check_same_ring(a, b)
-    if a.is_zero() or b.is_zero():
-        return zero_ideal(ring)
-    pairs = {mul_exp(u, v) for u in a.exps() for v in b.exps()}
-    return from_exps(ring, pairs)
+    return from_exps(ring, {mul_exp(u, v) for u in a.exps() for v in b.exps()})
 
 
 def power(a: MonomialIdeal, k: int) -> MonomialIdeal:
@@ -246,6 +246,8 @@ class PrimeSupport:
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.indices) is not tuple or any(type(i) is not int for i in self.indices):
+            raise VidealError(f"prime support indices must be a tuple of ints, got {self.indices!r}")
         if not self.indices:
             raise VidealError("a monomial prime needs at least one variable")
         if list(self.indices) != sorted(set(self.indices)):
@@ -259,11 +261,8 @@ class PrimeSupport:
         return tuple([names[i] for i in self.indices])
 
     def as_ideal(self) -> MonomialIdeal:
-        # Unit vectors in increasing index order are already canonical.
         n = self.ring.nvars
-        return MonomialIdeal(
-            self.ring, tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in self.indices)
-        )
+        return from_exps(self.ring, [(0,) * i + (1,) + (0,) * (n - i - 1) for i in self.indices])
 
     def __str__(self) -> str:
         return "(" + ", ".join(self.var_names) + ")"

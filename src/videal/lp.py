@@ -1,10 +1,10 @@
 """The Newton polyhedron NP(gens) = conv(gens) + nonnegative orthant as
 integer facet inequalities w.u >= d, each certified to hold on every
 generator once per generator set, as it is memoized: so every reader
-reads certified facets.  ``newton_member`` tests a single point against
-them; ``integral_closure`` scales them to a power's and hands them to
-``decomposition``, which tests the power's corners, and enumerates the
-polyhedron's minimal lattice points only when the power is not closed.
+reads certified facets.  ``_first_violated`` is the one test of a point
+against them: for the certificate, for ``newton_member``, and for
+``decomposition._is_closed`` on a power's corners, which decides whether
+``integral_closure`` enumerates minimal lattice points at all.
 
 The module keeps its name from the exact-rational simplex it once held
 (now a test oracle), because the benchmark harness looks up each layer
@@ -20,13 +20,16 @@ from .errors import InternalError, VidealError
 from .ideals import _shared_tuples
 
 
+Facet = tuple[tuple[int, ...], int]  # the inequality w.u >= d as (w, d)
+
+
 class NewtonMembership(NamedTuple):
     member: bool
-    facet: tuple[tuple[int, ...], int] | None
+    facet: Facet | None
 
 
 @lru_cache(maxsize=4096)
-def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[Facet, ...]:
     """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
     of gens (a nonempty tuple of exponent vectors), from the double
     description, each checked to hold on every generator (a failure is
@@ -36,14 +39,22 @@ def _newton_facets(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, 
     ``ideals._shared``.
     """
     facets = _double_description(gens)
-    for w, d in facets:
-        for v in gens:
-            if sum(map(mul, w, v)) < d:
-                raise InternalError(f"Newton polyhedron facet {w}.u >= {d} cuts off a generator {v}")
+    for v in gens:
+        if (cut := _first_violated(facets, v)) is not None:
+            w, d = cut
+            raise InternalError(f"Newton polyhedron facet {w}.u >= {d} cuts off a generator {v}")
     return _shared_tuples(facets)
 
 
-def _double_description(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
+def _first_violated(facets: Sequence[Facet], u: Sequence[int]) -> Facet | None:
+    """The first facet (w, d) with w.u < d, or None when u satisfies all."""
+    for w, d in facets:
+        if sum(map(mul, w, u)) < d:
+            return w, d
+    return None
+
+
+def _double_description(gens: tuple[tuple[int, ...], ...]) -> tuple[Facet, ...]:
     """The facet inequalities w.u >= d, d > 0, of the Newton polyhedron
     of gens (repeated or dominated vectors only add redundant
     inequalities to the cone below), unchecked.
@@ -96,9 +107,7 @@ def _double_description(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple[
     return tuple((ray[:t], ray[t]) for ray, _ in rays if ray[t] > 0)
 
 
-def newton_member(
-    a: Sequence[int], gens: Sequence[Sequence[int]]
-) -> NewtonMembership:
+def newton_member(a: Sequence[int], gens: Sequence[Sequence[int]]) -> NewtonMembership:
     """Exact membership of the point a in the Newton polyhedron of gens
     (repeated, dominated and zero vectors allowed): a is a member iff it
     satisfies every facet, and a point outside comes with the first one
@@ -113,7 +122,5 @@ def newton_member(
         raise VidealError("newton_member's point and generators must have int coordinates")
     if any(e < 0 for e in a) or any(e < 0 for v in gens for e in v):
         raise VidealError("newton_member needs nonnegative exponents")
-    for w, d in _newton_facets(tuple(map(tuple, gens))):
-        if sum(map(mul, w, a)) < d:
-            return NewtonMembership(False, (w, d))
-    return NewtonMembership(True, None)
+    facet = _first_violated(_newton_facets(tuple(map(tuple, gens))), a)
+    return NewtonMembership(facet is None, facet)

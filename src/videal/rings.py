@@ -79,6 +79,8 @@ class Monomial:
     exp: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.exp) is not tuple:
+            raise VidealError(f"monomial exp must be a tuple, got {self.exp!r}")
         if len(self.exp) != self.ring.nvars:
             raise VidealError(
                 f"exponent vector of length {len(self.exp)} does not fit "

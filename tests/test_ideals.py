@@ -43,6 +43,7 @@ from videal.rings import (
     mono,
     mul_exp,
 )
+from videal.vnumbers import local_v
 
 R2 = make_ring("R", ["x", "y"])
 R3 = make_ring("R", ["x", "y", "z"])
@@ -188,6 +189,23 @@ def test_prime_support_needs_sorted_distinct_indices():
     for indices in ((1, 0), (0, 0)):
         with pytest.raises(VidealError, match="prime support indices must be sorted and distinct"):
             PrimeSupport(R3, indices)
+
+
+@pytest.mark.parametrize("indices", [[0, 1], [0], (True,), (0.0,), (False, True), (0, 1.0), 5, None])
+def test_prime_support_indices_must_be_a_tuple_of_ints(indices):
+    """A list used to be accepted and break the first hash of the prime,
+    an int broke iteration, and True and 0.0 equal and hash like 1 and 0,
+    so (True,) was looked up as the prime (y) and printed as (y)."""
+    with pytest.raises(VidealError, match=r"prime support indices must be a tuple of ints, got "):
+        PrimeSupport(R2, indices)
+
+
+def test_local_v_is_never_asked_about_a_prime_of_the_wrong_shape():
+    a = ideal(R2, [mono(R2, y=1)])
+    for indices in ([0], (True,)):
+        with pytest.raises(VidealError, match="prime support indices must be a tuple of ints"):
+            local_v(a, PrimeSupport(R2, indices))
+    assert str(local_v(a, PrimeSupport(R2, (1,))).prime) == "(y)"
 
 
 def test_colon_monomial_examples():
@@ -404,6 +422,16 @@ def test_the_hash_is_cached_and_never_pickled(a):
 
 
 @settings(max_examples=30)
+@given(small_ideals())
+def test_an_unpickled_ideal_holds_the_interned_generator_tuples(a):
+    """Unpickling goes through ``from_exps``, so the copy's generators are
+    the very tuples of a, not equal copies."""
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a
+    assert all(u is v for u, v in zip(copy.exps(), a.exps(), strict=True))
+
+
+@settings(max_examples=30)
 @given(small_ideals(), small_ideals())
 def test_sum_is_membership_union_closure(a, b):
     if a.ring != b.ring:
@@ -434,8 +462,13 @@ def test_only_ideals_builds_ideals_and_only_minimal_exps_interns_generators():
     module but ``ideals`` calls the trusted ``MonomialIdeal`` constructor,
     and generator tuples enter the intern only in ``minimal_exps``
     (``lp._newton_facets`` interns facets).  Read from the sources, so
-    it covers paths no test runs."""
-    assert {module for module, _, _ in _calls("MonomialIdeal")} == {"ideals"}
+    it covers paths no test runs.  Within ``ideals`` only ``from_exps``
+    calls the constructor, and ``product`` needs no branch for a zero
+    operand: no candidates make the zero ideal."""
+    assert [(module, top) for module, top, _ in _calls("MonomialIdeal")] == [("ideals", "from_exps")]
+    [product_def] = [top for top in ast.parse((SRC / "ideals.py").read_text(encoding="utf-8")).body
+                     if getattr(top, "name", None) == "product"]
+    assert not any(isinstance(node, ast.If) for node in ast.walk(product_def))
     assert {(module, top) for module, top, _ in _calls("_shared_tuples")} == {
         ("ideals", "minimal_exps"), ("lp", "_newton_facets")}
     assert {(module, top) for module, top, call in _calls("_shared")

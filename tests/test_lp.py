@@ -2,8 +2,10 @@
 exact-rational LP oracle it is cross-checked against (``oracles.maximize``).
 """
 
+import ast
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 from conftest import exponent_vectors
 from oracles import clear_memos, lp_newton_member, maximize
 from videal.errors import InternalError, VidealError
-from videal.lp import _newton_facets, newton_member
+from videal.lp import _first_violated, _newton_facets, newton_member
 
 F = Fraction
+SRC = Path(__file__).resolve().parent.parent / "src" / "videal"
 
 
 def test_single_variable_bound():
@@ -115,6 +118,52 @@ def test_the_violated_facet_is_returned():
                 w, d = facet
                 assert dot(w, point) < d
                 assert (w, d) in [((0, 1), 1), ((1, 2), 6)]
+
+
+def test_first_violated_returns_the_first_failing_facet_in_facet_order():
+    facets = (((1, 0), 2), ((0, 1), 3), ((1, 1), 4))
+    # On the first two facets (w.u == d) and above the third: none fails.
+    assert _first_violated(facets, (2, 3)) is None
+    assert _first_violated(facets, [2, 3]) is None
+    # (1, 2) fails all three and (2, 1) the last two: the first in order is returned.
+    assert _first_violated(facets, (1, 2)) == ((1, 0), 2)
+    assert _first_violated(facets, (2, 1)) == ((0, 1), 3)
+    assert _first_violated(facets, (3, 0)) == ((0, 1), 3)
+    assert _first_violated(facets[::-1], (1, 2)) == ((1, 1), 4)
+    assert _first_violated((), (0, 0)) is None
+
+
+def _is_facet_comparison(node: ast.AST) -> bool:
+    """``sum(map(mul, w, u)) < d``: a dot product compared with a facet's constant."""
+    left = getattr(node, "left", None)
+    return (
+        isinstance(node, ast.Compare) and len(node.ops) == 1 and isinstance(node.ops[0], ast.Lt)
+        and isinstance(left, ast.Call) and getattr(left.func, "id", None) == "sum"
+        and len(left.args) == 1 and isinstance(left.args[0], ast.Call)
+        and getattr(left.args[0].func, "id", None) == "map"
+        and getattr(left.args[0].args[0], "id", None) == "mul"
+    )
+
+
+def test_one_function_tests_a_point_against_the_facets():
+    """The certificate, ``newton_member`` and ``decomposition._is_closed``
+    all call ``lp._first_violated``: it holds the library's only
+    comparison of a facet's dot product with its constant.  Read from the
+    sources, so it covers paths no test runs; the subtractions of
+    ``_double_description`` and ``filtrations._minimal_points`` are not
+    comparisons."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            found += [(path.stem, getattr(top, "name", "<module>"))
+                      for node in ast.walk(top) if _is_facet_comparison(node)]
+        if path.stem == "decomposition":
+            assert not any(isinstance(node, ast.ImportFrom) and node.module == "operator"
+                           and "mul" in [alias.name for alias in node.names] for node in ast.walk(tree))
+    assert found == [("lp", "_first_violated")]
+    # The pattern does match the loops it replaced.
+    assert _is_facet_comparison(ast.parse("sum(map(mul, w, u)) < d", mode="eval").body)
 
 
 @st.composite

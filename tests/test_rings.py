@@ -208,6 +208,17 @@ def test_ring_index_names_the_unknown_variable():
         make_ring("A", ["x", "y"]).index("z")
 
 
+@pytest.mark.parametrize("exp", [[1, 2], [1, 0], 5, None, "12"])
+def test_an_exp_that_is_not_a_tuple_is_refused_by_name(exp):
+    """A list exp used to be accepted and break the first hash of an ideal
+    built from it (unhashable type: 'list'), and an int broke len()."""
+    ring = make_ring("R", ["x", "y"])
+    with pytest.raises(VidealError, match="monomial exp must be a tuple, got "):
+        Monomial(ring, exp)
+    with pytest.raises(VidealError, match="monomial exp must be a tuple, got "):
+        ideal(ring, [Monomial(ring, exp)])
+
+
 def test_monomial_of_the_wrong_length_is_refused():
     with pytest.raises(VidealError, match="exponent vector of length 3 does not fit ring 'A' with 2 variables"):
         Monomial(make_ring("A", ["x", "y"]), (1, 0, 2))
